@@ -18,24 +18,27 @@ Witt dimensions, which the tests pin.
 
 Coordinates of a Lie element are extracted per homogeneous degree by
 solving the linear system over the word space spanned by the expanded
-Hall elements.  In exact (Fraction) mode the factorization of that system
-is computed once per degree and reused; the same rational factorization
-also serves polynomial-valued right-hand sides.  Float mode uses a cached
-pseudo-inverse.
+Hall elements.  Renaming generator ``ordering[j]`` to j maps a basis's
+elements, in order, onto the canonical basis: identity-ordered, with
+this basis's generator degrees in rank order.  So one solver per
+(degrees in rank order, degree) serves every ordering and truncation,
+after relabeling the words.  Exact (Fraction) mode uses a rational
+factorization, which also serves polynomial right-hand sides; float
+mode uses a pseudo-inverse.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from sympy import divisors
 from sympy.functions.combinatorial.numbers import mobius
 
-from .free_algebra import Generator, NCSeries
+from .free_algebra import Generator, NCSeries, make_alphabet
 
 __all__ = [
     "HallBasis",
@@ -76,34 +79,6 @@ def hall_str(e: HallElement, alphabet: Sequence[Generator]) -> str:
     return f"[{hall_str(e[0], alphabet)},{hall_str(e[1], alphabet)}]"
 
 
-class _Order:
-    """Total order: generators first (by permutation), then brackets by
-    (degree, structural lexicographic)."""
-
-    def __init__(self, degrees: Sequence[int], ordering: Sequence[int]):
-        self.degrees = degrees
-        self.pos = {g: i for i, g in enumerate(ordering)}
-
-    def less(self, x: HallElement, y: HallElement) -> bool:
-        x_leaf, y_leaf = isinstance(x, int), isinstance(y, int)
-        if x_leaf and y_leaf:
-            return self.pos[x] < self.pos[y]
-        if x_leaf != y_leaf:
-            return x_leaf
-        dx, dy = hall_degree(x, self.degrees), hall_degree(y, self.degrees)
-        if dx != dy:
-            return dx < dy
-        if x[0] != y[0]:
-            return self.less(x[0], y[0])
-        return self.less(x[1], y[1])
-
-    def leq(self, x: HallElement, y: HallElement) -> bool:
-        return x == y or self.less(x, y)
-
-    def sort_key(self):
-        return functools.cmp_to_key(lambda a, b: -1 if self.less(a, b) else (1 if a != b else 0))
-
-
 @dataclass(frozen=True)
 class LieSeries:
     """A Lie element expressed in Hall coordinates."""
@@ -112,16 +87,10 @@ class LieSeries:
     coords: dict  # HallElement -> coefficient
 
     def coords_at_degree(self, d: int) -> dict:
-        degs = self.basis.generator_degrees
-        return {e: c for e, c in self.coords.items() if hall_degree(e, degs) == d}
-
-    def degrees(self) -> tuple[int, ...]:
-        degs = self.basis.generator_degrees
-        return tuple(sorted({hall_degree(e, degs) for e in self.coords}))
+        return {e: self.coords[e] for e in self.basis.elements(d) if e in self.coords}
 
     def norm1_at_degree(self, d: int):
-        vals = [abs(c) for c in self.coords_at_degree(d).values()]
-        return sum(vals) if vals else 0
+        return sum(abs(c) for c in self.coords_at_degree(d).values())
 
     def to_series(self) -> NCSeries:
         """Expand back into the word algebra (exact check of the representation)."""
@@ -140,9 +109,9 @@ class LieSeries:
 class HallBasis:
     """All Hall elements of degree <= max_degree, grouped by degree.
 
-    Instances are immutable and internally cache element expansions and
-    per-degree solver factorizations; obtain them via ``build_hall_basis``
-    (which memoizes, so repeated requests share the caches).
+    Instances are immutable; obtain them via ``build_hall_basis``, which
+    memoizes.  Expansions and solvers live in module-level caches shared
+    by every basis.
     """
 
     def __init__(self, alphabet: Sequence[Generator], max_degree: int, ordering: Sequence[int]):
@@ -150,14 +119,13 @@ class HallBasis:
         self.max_degree = int(max_degree)
         self.ordering = tuple(ordering)
         self.generator_degrees = tuple(g.degree for g in self.alphabet)
-        self._order = _Order(self.generator_degrees, self.ordering)
+        # letter g is letter _canon[g] of the canonical basis
+        self._canon = tuple(self.ordering.index(g) for g in range(len(self.alphabet)))
+        self._canon_degrees = tuple(self.generator_degrees[g] for g in self.ordering)
         self.by_degree: dict[int, tuple[HallElement, ...]] = {}
-        # rank[e] sorts identically to _Order.less but compares in O(1);
+        # rank[e] sorts as the module docstring's recursive order, in O(1):
         # generators rank (0, position), brackets (1, degree, index in level)
         self._rank: dict[HallElement, tuple] = {}
-        self._expansions: dict = {}
-        self._exact_solvers: dict[int, tuple] = {}
-        self._float_solvers: dict[int, tuple] = {}
         self._build()
 
     def _build(self) -> None:
@@ -201,54 +169,16 @@ class HallBasis:
                 lines.append(hall_str(e, self.alphabet))
         return "\n".join(lines)
 
-    def contains(self, e: HallElement) -> bool:
-        d = hall_degree(e, self.generator_degrees)
-        return e in self.by_degree.get(d, ())
-
     # -- expansion ------------------------------------------------------
 
     def expand_words(self, e: HallElement) -> dict[tuple[int, ...], Fraction]:
         """Expansion of a commutator tree into words (letter-id tuples)."""
-        cached = self._expansions.get(e)
-        if cached is not None:
-            return cached
-        if isinstance(e, int):
-            result = {(e,): Fraction(1)}
-        else:
-            left, right = self.expand_words(e[0]), self.expand_words(e[1])
-            result: dict[tuple[int, ...], Fraction] = {}
-            for w1, c1 in left.items():
-                for w2, c2 in right.items():
-                    c = c1 * c2
-                    w = w1 + w2
-                    result[w] = result.get(w, Fraction(0)) + c
-                    w = w2 + w1
-                    result[w] = result.get(w, Fraction(0)) - c
-            result = {w: c for w, c in result.items() if c}
-        self._expansions[e] = result
-        return result
+        return _expand_words(e)
 
     def expansion(self, e: HallElement) -> NCSeries:
         return NCSeries.from_words(self.alphabet, self.max_degree, self.expand_words(e))
 
     # -- per-degree solvers ----------------------------------------------
-
-    def _degree_words(self, d: int) -> list[tuple[int, ...]]:
-        """All words of total degree d, in lexicographic order."""
-        degs = self.generator_degrees
-        n = len(self.alphabet)
-        out: list[tuple[int, ...]] = []
-
-        def rec(prefix: tuple[int, ...], remaining: int) -> None:
-            if remaining == 0:
-                out.append(prefix)
-                return
-            for l in range(n):
-                if degs[l] <= remaining:
-                    rec(prefix + (l,), remaining - degs[l])
-
-        rec((), d)
-        return out
 
     def exact_solver(self, d: int):
         """(words, word_index, columns, pivot_rows, inv_pivot) for degree d.
@@ -256,76 +186,109 @@ class HallBasis:
         ``inv_pivot`` is the exact rational inverse of the square submatrix
         of the expansion matrix on the pivot rows; applying it to any
         right-hand side restricted to those rows yields the coordinates,
-        for Fraction- or polynomial-valued coefficients alike.
+        for Fraction- or polynomial-valued coefficients alike.  Words and
+        columns are in the canonical basis's letters (see the module
+        docstring); the solver is shared by every ordering.
         """
-        cached = self._exact_solvers.get(d)
-        if cached is not None:
-            return cached
-        elements = self.by_degree.get(d, ())
-        words = self._degree_words(d)
-        index = {w: i for i, w in enumerate(words)}
-        cols = [self.expand_words(e) for e in elements]
-        r = len(elements)
-        # Gaussian elimination to find r independent rows (pivots)
-        m = [[col.get(w, Fraction(0)) for col in cols] for w in words]
-        pivots: list[int] = []
-        work = [row[:] for row in m]
-        col_of_pivot: list[int] = []
-        for j in range(r):
-            pivot_row = None
-            for i in range(len(words)):
-                if i in pivots:
-                    continue
-                if work[i][j]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                raise ValueError("Hall expansions are not independent — basis construction bug")
-            pivots.append(pivot_row)
-            col_of_pivot.append(j)
-            inv = Fraction(1) / work[pivot_row][j]
-            for i in range(len(words)):
-                if i != pivot_row and work[i][j]:
-                    f = work[i][j] * inv
-                    for jj in range(j, r):
-                        work[i][jj] -= f * work[pivot_row][jj]
-        square = [[m[i][j] for j in range(r)] for i in pivots]
-        inv_pivot = _invert_rational(square)
-        solver = (words, index, cols, pivots, inv_pivot)
-        self._exact_solvers[d] = solver
-        return solver
+        return _exact_solver(self._canon_degrees, d)
 
     def float_solver(self, d: int):
-        """(words, word_index, matrix, pinv) with float64 entries."""
-        cached = self._float_solvers.get(d)
-        if cached is not None:
-            return cached
-        elements = self.by_degree.get(d, ())
-        words = self._degree_words(d)
-        index = {w: i for i, w in enumerate(words)}
-        m = np.zeros((len(words), len(elements)))
-        for j, e in enumerate(elements):
-            for w, c in self.expand_words(e).items():
-                m[index[w], j] = float(c)
-        pinv = np.linalg.pinv(m) if len(elements) else np.zeros((0, len(words)))
-        solver = (words, index, m, pinv)
-        self._float_solvers[d] = solver
-        return solver
+        """(words, word_index, matrix, pinv) with float64 entries, in the
+        canonical basis's letters like ``exact_solver``."""
+        return _float_solver(self._canon_degrees, d)
 
     def coords_from_dense(self, d: int, vec: np.ndarray) -> tuple[np.ndarray, float]:
         """Coordinates for a dense degree-d word vector (float mode).
 
-        Returns (coords, residual) where residual is the max-norm of the
-        unrepresentable remainder.
+        ``vec`` lists the words of this basis's alphabet in id-lexicographic
+        order (the ``_dense`` layout for unit degrees).  Returns (coords,
+        residual) where residual is the max-norm of the unrepresentable
+        remainder.
         """
         _, _, m, pinv = self.float_solver(d)
+        vec = vec[_gather(self.generator_degrees, self.ordering, d)]
         coords = pinv @ vec
-        residual = float(np.max(np.abs(m @ coords - vec))) if vec.size else 0.0
-        return coords, residual
+        return coords, float(np.max(np.abs(m @ coords - vec), initial=0.0))
 
     def __repr__(self) -> str:
         labels = ",".join(self.alphabet[g].label for g in self.ordering)
         return f"HallBasis({labels}; D={self.max_degree}; counts={self.degree_counts()})"
+
+
+@functools.lru_cache(maxsize=None)
+def _expand_words(e: HallElement) -> dict[tuple[int, ...], Fraction]:
+    if isinstance(e, int):
+        return {(e,): Fraction(1)}
+    left, right = _expand_words(e[0]), _expand_words(e[1])
+    result: dict[tuple[int, ...], Fraction] = {}
+    for w1, c1 in left.items():
+        for w2, c2 in right.items():
+            c = c1 * c2
+            w = w1 + w2
+            result[w] = result.get(w, Fraction(0)) + c
+            w = w2 + w1
+            result[w] = result.get(w, Fraction(0)) - c
+    return {w: c for w, c in result.items() if c}
+
+
+def _degree_words(degrees: tuple[int, ...], d: int) -> list[tuple[int, ...]]:
+    """All words of total degree d, in lexicographic order of letter ids."""
+    if d == 0:
+        return [()]
+    return [(l,) + w for l, deg in enumerate(degrees) if deg <= d
+            for w in _degree_words(degrees, d - deg)]
+
+
+def _canonical_system(degrees: tuple[int, ...], d: int):
+    """Words, word index and Hall elements of degree d of the identity-ordered
+    basis with generator ``degrees``."""
+    alphabet = make_alphabet([f"X{g}" for g in range(len(degrees))], degrees)
+    words = _degree_words(degrees, d)
+    elements = _cached_basis(alphabet, d, tuple(range(len(degrees)))).elements(d)
+    return words, {w: i for i, w in enumerate(words)}, elements
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_solver(degrees: tuple[int, ...], d: int):
+    words, index, elements = _canonical_system(degrees, d)
+    cols = [_expand_words(e) for e in elements]
+    r = len(elements)
+    # Gaussian elimination to find r independent rows (pivots)
+    m = [[col.get(w, Fraction(0)) for col in cols] for w in words]
+    pivots: list[int] = []
+    work = [row[:] for row in m]
+    for j in range(r):
+        pivot_row = next((i for i in range(len(words)) if work[i][j] and i not in pivots), None)
+        if pivot_row is None:
+            raise ValueError("Hall expansions are not independent — basis construction bug")
+        pivots.append(pivot_row)
+        inv = Fraction(1) / work[pivot_row][j]
+        for i in range(len(words)):
+            if i != pivot_row and work[i][j]:
+                f = work[i][j] * inv
+                for jj in range(j, r):
+                    work[i][jj] -= f * work[pivot_row][jj]
+    return words, index, cols, pivots, _invert_rational([m[i] for i in pivots])
+
+
+@functools.lru_cache(maxsize=None)
+def _float_solver(degrees: tuple[int, ...], d: int):
+    words, index, elements = _canonical_system(degrees, d)
+    m = np.zeros((len(words), len(elements)))
+    for j, e in enumerate(elements):
+        for w, c in _expand_words(e).items():
+            m[index[w], j] = float(c)
+    pinv = np.linalg.pinv(m) if len(elements) else np.zeros((0, len(words)))
+    return words, index, m, pinv
+
+
+@functools.lru_cache(maxsize=None)
+def _gather(degrees: tuple[int, ...], ordering: tuple[int, ...], d: int) -> np.ndarray:
+    """Position, among the id-lex words of degree d over ``degrees``, of each
+    canonical word of the basis with ``ordering``, in canonical word order."""
+    index = {w: i for i, w in enumerate(_degree_words(degrees, d))}
+    canonical = _degree_words(tuple(degrees[g] for g in ordering), d)
+    return np.array([index[tuple(ordering[l] for l in w)] for w in canonical], dtype=np.intp)
 
 
 def _invert_rational(m: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -409,15 +372,17 @@ def lie_coordinates(s: NCSeries, basis: HallBasis):
             if s.constant_term():
                 raise ValueError("a Lie element has no constant term")
             continue
-        bucket = s.homogeneous(d)
+        # the words of s in the canonical basis's letters
+        bucket = {tuple(basis._canon[l] for l in w): c for w, c in s.homogeneous(d).items()}
+        elements = basis.by_degree.get(d, ())
         if is_float:
             words, index, m, pinv = basis.float_solver(d)
             vec = np.zeros(len(words))
             for w, c in bucket.items():
                 vec[index[w]] = c
-            cvec, res = basis.coords_from_dense(d, vec)
-            residual = max(residual, res)
-            for e, c in zip(basis.by_degree.get(d, ()), cvec):
+            cvec = pinv @ vec
+            residual = max(residual, float(np.max(np.abs(m @ cvec - vec), initial=0.0)))
+            for e, c in zip(elements, cvec):
                 if c:
                     coords[e] = float(c)
         else:
@@ -427,7 +392,6 @@ def lie_coordinates(s: NCSeries, basis: HallBasis):
                 raise ValueError(f"word {stray[0]} outside the degree-{d} word space")
             rhs = [bucket.get(words[i], Fraction(0)) for i in pivots]
             cvec = [_dot(row, rhs) for row in inv_pivot]
-            elements = basis.by_degree.get(d, ())
             # residual: the full system must be satisfied on every word row
             recon: dict = {}
             for col, c in zip(cols, cvec):

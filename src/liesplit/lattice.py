@@ -770,16 +770,21 @@ def graph_from_text(text: str) -> InteractionGraph:
         if not line:
             continue
         head, *rest = line.split()
-        if head == "dim":
-            dim = int(rest[0])
-        elif head == "periodic":
-            periodic = tuple(bool(int(v)) for v in rest)
-        elif head == "site":
-            sites.append((int(rest[0]), tuple(int(v) for v in rest[1:])))
-        elif head == "interaction":
-            inter.append(frozenset(int(v) for v in rest))
-        else:
+        if head not in ("dim", "periodic", "site", "interaction"):
             raise ValueError(f"line {ln}: unknown record {head!r}")
+        try:
+            values = [int(v) for v in rest]
+            if head == "dim":
+                (dim,) = values
+            elif head == "periodic":
+                periodic = tuple(bool(v) for v in values)
+            elif head == "site":
+                sid, *coords = values
+                sites.append((sid, tuple(coords)))
+            else:
+                inter.append(frozenset(values))
+        except ValueError:
+            raise ValueError(f"line {ln}: malformed {head!r} record {line!r}") from None
     if dim is None:
         raise ValueError("missing 'dim' record")
     if periodic is None:

@@ -16,13 +16,12 @@ orderings, times (m/p)^p.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import permutations
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from ._dense import dense_product_log
 from .free_algebra import NCSeries, exp, log, make_alphabet, series_from_generator
@@ -493,35 +492,47 @@ def log_scheme(scheme: Scheme, params, D: int,
     """
     if D < 1:
         raise ValueError("need D >= 1")
-    basis = _basis_for(scheme, D, ordering)
+    return _product_log(scheme, params, D)(_basis_for(scheme, D, ordering), range(1, D + 1))
+
+
+def _product_log(scheme: Scheme, params, D: int):
+    """Form the scheme's product and its log once, truncated at degree D.
+
+    Returns ``read(basis, degrees)``: the log's Hall coordinates in
+    ``basis`` as a LieSeries, holding at least ``degrees`` (the exact and
+    symbolic paths return every degree).  Raises on a non-Lie residual.
+    """
     if params is None:
         values = symbolic_slot_values(scheme)
-        factor_values = [(g, e.evaluate(values)) for g, e in scheme.factors]
         mode = "symbolic"
     else:
         values = scheme.resolve_slots(params)
-        factor_values = [(g, e.evaluate(values)) for g, e in scheme.factors]
         mode = _series_mode(values)
+    factor_values = [(g, e.evaluate(values)) for g, e in scheme.factors]
 
     if mode == "float":
         data = dense_product_log(len(scheme.letters), D,
                                  [(g, float(c)) for g, c in factor_values])
-        coords: dict = {}
-        worst = 0.0
-        for d in range(1, D + 1):
-            vec, res = basis.coords_from_dense(d, data[d])
-            worst = max(worst, res)
-            coords.update({e: c for e, c in zip(basis.elements(d), vec) if c})
-        if worst > 1e-8:
-            raise RuntimeError(f"non-Lie residual {worst:.2e} in numeric log")
-        return LieSeries(basis, coords)
+
+        def read(basis: HallBasis, degrees) -> LieSeries:
+            coords: dict = {}
+            for d in degrees:
+                vec, res = basis.coords_from_dense(d, data[d])
+                if res > 1e-8:
+                    raise RuntimeError(f"non-Lie residual {res:.2e} in numeric log")
+                coords.update({e: c for e, c in zip(basis.elements(d), vec) if c})
+            return LieSeries(basis, coords)
+        return read
 
     unit = _ONE if mode == "exact" else MultiPoly.constant(1, scheme.free_slots)
     series = log(_product_series(scheme, factor_values, D, unit))
-    lie, residual = lie_coordinates(series, basis)
-    if residual:
-        raise RuntimeError(f"non-Lie residual {residual} in exact log")
-    return lie
+
+    def read_exact(basis: HallBasis, degrees) -> LieSeries:
+        lie, residual = lie_coordinates(series, basis)
+        if residual:
+            raise RuntimeError(f"non-Lie residual {residual} in exact log")
+        return lie
+    return read_exact
 
 
 def verify_order(scheme: Scheme, params, p: int,
@@ -529,8 +540,7 @@ def verify_order(scheme: Scheme, params, p: int,
     """Check U = e^{tH} + O(t^{p+1}): unit degree-1 coords, zero at 2..p."""
     if p < 1:
         raise ValueError("order must be >= 1")
-    lie = log_scheme(scheme, params, p)
-    residuals = _order_residuals(lie, p)
+    residuals = _order_residuals(log_scheme(scheme, params, p), p)
     ok = all(float(abs(v)) <= tolerance for v in residuals.values())
     return ok, residuals
 
@@ -540,12 +550,8 @@ def _order_residuals(lie: LieSeries, p: int) -> dict[int, object]:
     residuals = {1: max(abs(deg1.get(g, 0) - 1) for g in lie.basis.elements(1))}
     for d in range(2, p + 1):
         cd = lie.coords_at_degree(d)
-        residuals[d] = max((abs(c) for c in cd.values()), default=_zero_like(residuals[1]))
+        residuals[d] = max((abs(c) for c in cd.values()), default=residuals[1] * 0)
     return residuals
-
-
-def _zero_like(value):
-    return Fraction(0) if isinstance(value, Fraction) else 0.0
 
 
 @dataclass(frozen=True)
@@ -561,48 +567,37 @@ class ErrorReport:
     coeffs_per_ordering: dict[tuple[str, ...], tuple]
     order_residuals: dict[int, object]
 
-    def summary(self) -> str:
-        return (f"epsilon = {float(self.epsilon):.6g} "
-                f"({ordering_str(self.ordering_best)}), "
-                f"prefactor (m/p)^p = {float(self.prefactor):.6g}")
-
 
 def epsilon(scheme: Scheme, params, p: int, tolerance: float = 1e-10) -> ErrorReport:
-    """Error measure (m/p)^p * min over Hall orderings of sum |c_i| at p+1."""
-    ok, residuals = verify_order(scheme, params, p, tolerance)
-    if not ok:
-        worst = max(float(abs(v)) for v in residuals.values())
-        raise ValueError(
-            f"scheme does not reach order {p}: max residual {worst:.3e}")
-    D = p + 1
-    values = scheme.resolve_slots(params)
-    mode = _series_mode(values)
-    factor_values = [(g, e.evaluate(values)) for g, e in scheme.factors]
-    n = len(scheme.letters)
+    """Error measure (m/p)^p * min over Hall orderings of sum |c_i| at p+1.
 
+    Forms one product and its log at D = p+1.  Its degrees 1..p in the
+    identity ordering give the order residuals, the same values
+    ``verify_order`` returns; its degree p+1 gives the 1-norm for every
+    ordering.
+    """
+    if p < 1:
+        raise ValueError("order must be >= 1")
+    D = p + 1
+    read = _product_log(scheme, params, D)
+    orderings = list(permutations(scheme.letters))  # the identity first
+    bases = [_basis_for(scheme, D, o) for o in orderings]
+    lies = [read(bases[0], range(1, D + 1))] + [read(b, (D,)) for b in bases[1:]]
+    residuals = _order_residuals(lies[0], p)
+    worst = max(float(abs(v)) for v in residuals.values())
+    if worst > tolerance:
+        raise ValueError(f"scheme does not reach order {p}: max residual {worst:.3e}")
+
+    exact = _series_mode(scheme.resolve_slots(params)) != "float"
+    zero = _ZERO if exact else 0.0
     sums: dict[tuple[str, ...], object] = {}
     coeffs: dict[tuple[str, ...], tuple] = {}
-    if mode == "float":
-        data = dense_product_log(n, D, [(g, float(c)) for g, c in factor_values])
-        for ordering in permutations(scheme.letters):
-            basis = _basis_for(scheme, D, ordering)
-            vec, res = basis.coords_from_dense(D, data[D])
-            if res > 1e-8:
-                raise RuntimeError(f"non-Lie residual {res:.2e} at degree {D}")
-            coeffs[ordering] = tuple(zip(basis.elements(D), vec))
-            sums[ordering] = float(np.sum(np.abs(vec)))
-        prefactor = (scheme.m / p) ** p
-    else:
-        series = log(_product_series(scheme, factor_values, D, _ONE))
-        for ordering in permutations(scheme.letters):
-            basis = _basis_for(scheme, D, ordering)
-            lie, residual = lie_coordinates(series, basis)
-            if residual:
-                raise RuntimeError(f"non-Lie residual {residual}")
-            cd = lie.coords_at_degree(D)
-            coeffs[ordering] = tuple((e, cd.get(e, _ZERO)) for e in basis.elements(D))
-            sums[ordering] = sum(abs(c) for c in cd.values())
-        prefactor = Fraction(scheme.m, p) ** p
+    for ordering, basis, lie in zip(orderings, bases, lies):
+        cd = lie.coords_at_degree(D)
+        coeffs[ordering] = tuple((e, cd.get(e, zero)) for e in basis.elements(D))
+        total = sum(abs(c) for c in cd.values())
+        sums[ordering] = total if exact else float(total)
+    prefactor = Fraction(scheme.m, p) ** p if exact else (scheme.m / p) ** p
 
     best = min(sums, key=lambda o: float(sums[o]))
     return ErrorReport(p=p, m=scheme.m, prefactor=prefactor,
@@ -721,37 +716,43 @@ def scheme_to_text(scheme: Scheme, params, ordering: Sequence[str] | None = None
 
 def scheme_from_text(text: str):
     """Parse the key = value document; returns (scheme, params, ordering)."""
-    fields: dict[str, str] = {}
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
+    fields: dict[str, tuple[int, str]] = {}
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, _, value = line.partition("=")
         if not _:
-            raise ValueError(f"malformed line {line!r}")
-        fields[key.strip()] = value.strip()
+            raise ValueError(f"line {ln}: malformed line {line!r}")
+        fields[key.strip()] = (ln, value.strip())
     try:
-        n = int(fields.pop("n"))
-        family = fields.pop("family")
-        m = int(fields.pop("m"))
+        n = int(fields.pop("n")[1])
+        family = fields.pop("family")[1]
+        m = int(fields.pop("m")[1])
     except KeyError as missing:
         raise ValueError(f"missing required field {missing}") from None
-    ordering = fields.pop("ordering", None)
+    ordering = fields.pop("ordering", (0, None))[1]
     scheme = build_scheme(n, family, m)
     params: dict[str, object] = {}
-    for key, value in fields.items():
+    for key, (ln, value) in fields.items():
         if key not in scheme.param_slots:
-            raise ValueError(f"unknown parameter slot {key!r}")
-        params[key] = _parse_scalar(value)
+            raise ValueError(f"line {ln}: unknown parameter slot {key!r}")
+        params[key] = _parse_scalar(value, ln)
     if ordering is not None:
         ordering = parse_ordering(ordering, scheme.letters)
     return scheme, params, ordering
 
 
-def _parse_scalar(text: str):
-    if re.fullmatch(r"[+-]?\d+(/\d+)?", text):
-        return Fraction(text)
-    return float(text)
+def _parse_scalar(text: str, ln: int):
+    """A Fraction for integer or ratio text, else a finite float."""
+    try:
+        if re.fullmatch(r"[+-]?\d+(/\d+)?", text):
+            return Fraction(text)
+        if math.isfinite(value := float(text)):
+            return value
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"line {ln}: {text!r} is not a finite number")
 
 
 def catalog():

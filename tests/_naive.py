@@ -9,6 +9,8 @@ route.  Slow on purpose; only exercised at small degree.
 from fractions import Fraction
 from math import factorial
 
+from liesplit.hall import hall_degree
+
 
 def n_mul(a: dict, b: dict, degrees, D: int) -> dict:
     out = {}
@@ -53,3 +55,25 @@ def n_log(x: dict, degrees, D: int) -> dict:
 
 def n_commutator(a: dict, b: dict, degrees, D: int) -> dict:
     return n_add(n_mul(a, b, degrees, D), n_scale(n_mul(b, a, degrees, D), Fraction(-1)))
+
+
+class HallOrder:
+    """The Hall-set total order, compared recursively: generators first
+    (by permutation), then brackets by (degree, structural lexicographic)."""
+
+    def __init__(self, degrees, ordering):
+        self.degrees = degrees
+        self.pos = {g: i for i, g in enumerate(ordering)}
+
+    def less(self, x, y) -> bool:
+        x_leaf, y_leaf = isinstance(x, int), isinstance(y, int)
+        if x_leaf and y_leaf:
+            return self.pos[x] < self.pos[y]
+        if x_leaf != y_leaf:
+            return x_leaf
+        dx, dy = hall_degree(x, self.degrees), hall_degree(y, self.degrees)
+        if dx != dy:
+            return dx < dy
+        if x[0] != y[0]:
+            return self.less(x[0], y[0])
+        return self.less(x[1], y[1])

@@ -1,8 +1,10 @@
 """Hall bases: Witt counts, element structure, expansion, coordinates."""
 
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import divisors
@@ -18,9 +20,8 @@ from liesplit.hall import (
     lie_coordinates,
     witt_dimension,
 )
-from liesplit.hall import _Order
 
-from _naive import n_commutator
+from _naive import HallOrder, n_commutator
 
 AB = make_alphabet("AB")
 ABC = make_alphabet("ABC")
@@ -134,7 +135,7 @@ def test_three_letter_low_degree_elements():
 
 def test_rank_order_agrees_with_recursive_order():
     basis = build_hall_basis(ABC, 4)
-    order = _Order(basis.generator_degrees, basis.ordering)
+    order = HallOrder(basis.generator_degrees, basis.ordering)
     elements = basis.elements()
     rng = random.Random(7)
     for _ in range(200):
@@ -284,6 +285,64 @@ def test_order_permutation_covariance():
     assert lie_ab.coords != lie_ba.coords  # genuinely different charts
     assert lie_ab.to_series() == z
     assert lie_ba.to_series() == z
+
+
+# Every ordering of AB and ABC, and graded alphabets whose canonical
+# (rank-order) degrees differ from their id-order degrees.
+DIFFERENTIAL_CASES = (
+    [(AB, 5, o) for o in itertools.permutations(range(2))]
+    + [(ABC, 5, o) for o in itertools.permutations(range(3))]
+    + [(make_alphabet(["Z1", "Z2"], [1, 2]), 6, (1, 0)),
+       (make_alphabet(["Z1", "Z3", "Z5"], [1, 3, 5]), 9, (2, 1, 0))]
+)
+
+
+@pytest.mark.parametrize(
+    "alphabet,D,ordering", DIFFERENTIAL_CASES,
+    ids=["".join(g.label for g in a) + f"-D{D}-" + "".join(map(str, o))
+         for a, D, o in DIFFERENTIAL_CASES])
+def test_coordinates_recover_combinations_in_every_ordering(alphabet, D, ordering):
+    """Exact and float coordinates of integer combinations of the basis's
+    own elements, and (unit degrees) dense coordinates of the last
+    combination and of a random vector against a least-squares solve on
+    the basis's own expansion matrix."""
+    basis = build_hall_basis(alphabet, D, ordering)
+    elements = basis.elements()
+    rng = random.Random(repr((basis.generator_degrees, ordering)))
+    n = len(alphabet)
+    for _ in range(4):
+        combo = {e: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+                 for e in rng.sample(elements, min(6, len(elements)))}
+        s = NCSeries.zero(alphabet, D)
+        for e, c in combo.items():
+            s = s + basis.expansion(e).scale(c)
+
+        lie, residual = lie_coordinates(s, basis)
+        assert residual == 0
+        assert lie.coords == combo
+
+        lie_f, residual_f = lie_coordinates(s.map_coefficients(float), basis)
+        assert residual_f < 1e-10
+        for e in elements:
+            assert abs(lie_f.coords.get(e, 0.0) - float(combo.get(e, 0))) < 1e-10, e
+
+    if set(basis.generator_degrees) != {1}:
+        return
+    for d in range(1, D + 1):
+        words = list(itertools.product(range(n), repeat=d))  # id-lex order
+        row = {w: i for i, w in enumerate(words)}
+        m = np.zeros((len(words), len(basis.elements(d))))
+        for j, e in enumerate(basis.elements(d)):
+            for w, c in basis.expand_words(e).items():
+                m[row[w], j] = float(c)
+        lie_vec = np.zeros(len(words))
+        for w, c in s.homogeneous(d).items():
+            lie_vec[row[w]] = float(c)
+        for vec in (lie_vec, np.array([rng.uniform(-1, 1) for _ in words])):
+            expected = np.linalg.lstsq(m, vec, rcond=None)[0]
+            coords, res = basis.coords_from_dense(d, vec)
+            assert np.max(np.abs(coords - expected), initial=0.0) < 1e-12
+            assert abs(res - np.max(np.abs(m @ expected - vec))) < 1e-12
 
 
 def test_series_beyond_basis_truncation_rejected():

@@ -310,6 +310,20 @@ def test_graph_text_comments_and_errors():
         graph_from_text("site 0 0\n")
 
 
+@pytest.mark.parametrize("text,match", [
+    ("dim 1\nvertex 0 0\n", "line 2: unknown record"),
+    ("dim", "line 1: malformed 'dim'"),
+    ("dim 1\nsite", "line 2: malformed 'site'"),
+    ("dim 1 2\n", "line 1: malformed 'dim'"),
+    ("# header\ndim x\n", "line 2: malformed 'dim'"),
+    ("dim 1\nperiodic yes\n", "line 2: malformed 'periodic'"),
+    ("dim 1\nsite 0 0\ninteraction 0 a\n", "line 3: malformed 'interaction'"),
+])
+def test_graph_text_errors_name_the_line(text, match):
+    with pytest.raises(ValueError, match=match):
+        graph_from_text(text)
+
+
 def test_dot_export_colors_groups():
     g = build_chain(6)
     part = partition(g)

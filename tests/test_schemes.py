@@ -2,10 +2,13 @@
 
 import math
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liesplit import schemes
+from liesplit.catalog import catalog
 from liesplit.free_algebra import exp, log, make_alphabet, series_from_generator
 from liesplit.hall import build_hall_basis, lie_coordinates
 from liesplit.polynomials import MultiPoly
@@ -223,6 +226,44 @@ def test_non_unit_sums_fail_order_one():
     assert not ok and res[1] == Fraction(1, 2)
 
 
+# ------------------------------------------- shared solvers, one product
+
+CATALOG = catalog()
+
+
+@pytest.mark.parametrize("ordering", list(permutations(range(3))), ids=str)
+def test_orderings_share_one_float_solver(ordering):
+    abc = make_alphabet("ABC")
+    plain = build_hall_basis(abc, 5)
+    basis = build_hall_basis(abc, 5, ordering)
+    for d in range(1, 6):
+        assert basis.float_solver(d) is plain.float_solver(d)
+
+
+def test_float_epsilon_forms_one_product(monkeypatch):
+    calls = []
+    real = schemes.dense_product_log
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(schemes, "dense_product_log", counted)
+    for name, e in sorted(CATALOG.items()):
+        if e.params.is_exact():
+            continue
+        calls.clear()
+        epsilon(e.scheme, e.params, e.order)
+        assert len(calls) == 1, name
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG), ids=str)
+def test_epsilon_order_residuals_match_verify_order(name):
+    e = CATALOG[name]
+    rep = epsilon(e.scheme, e.params, e.order)
+    assert rep.order_residuals == verify_order(e.scheme, e.params, e.order)[1]
+
+
 # ----------------------------------------------- recursive constructions
 
 
@@ -381,6 +422,20 @@ def test_text_parse_errors():
         scheme_from_text("n = 2\nfamily = S\nm = 5\nq_9 = 1\n")
     with pytest.raises(ValueError, match="malformed"):
         scheme_from_text("n = 2\nfamily = S\nm = 5\nnonsense\n")
+
+
+@pytest.mark.parametrize("text,match", [
+    ("n = 2\nfamily = S\nm = 5\nq_9 = 1\n", "line 4: unknown parameter"),
+    ("n = 2\nfamily = S\nm = 5\nnonsense\n", "line 4: malformed"),
+    ("n = 2\nfamily = SL\nm = 11\nw_1 = 1/0\n", "line 4: '1/0' is not a finite number"),
+    ("n = 2\nfamily = SL\nm = 11\n\nw_1 = x\n", "line 5: 'x' is not a finite number"),
+    ("n = 2\nfamily = SL\nm = 11\nw_1 = nan\n", "line 4: 'nan' is not a finite"),
+    ("n = 2\nfamily = SL\nm = 11\nw_2 = -inf\n", "line 4: '-inf' is not a finite"),
+    ("n = 2\nfamily = SL\nm = 11\nw_1 = 1e999\n", "line 4: '1e999' is not a finite"),
+])
+def test_text_parse_errors_name_the_line(text, match):
+    with pytest.raises(ValueError, match=match):
+        scheme_from_text(text)
 
 
 def test_param_assignment_flags():
