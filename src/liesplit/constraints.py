@@ -128,39 +128,24 @@ def _graded_log(stage_terms, names, degrees, D):
     return series, basis
 
 
-def _leapfrog_system(scheme: Scheme, p: int, D: int) -> ConstraintSystem:
-    variables = scheme.param_slots
-    values = _symbolic_variables(scheme)
-    odd = tuple(k for k in range(1, D + 1) if k % 2)
-    stage_terms = []
-    for expr in scheme.stage_weights:
-        w = expr.evaluate(values)
-        stage_terms.append([w ** k for k in odd])
-    series, basis = _graded_log(stage_terms, [f"Z{k}" for k in odd],
-                                list(odd), D)
-    polys, labels, at = _emit(series, basis, _condition_degrees("SL", p), D,
-                              variables)
-    return ConstraintSystem(scheme, p, "leapfrog", variables,
-                            tuple(polys), tuple(labels), tuple(at))
-
-
-def _euler_system(scheme: Scheme, p: int, D: int) -> ConstraintSystem:
-    variables = scheme.param_slots
-    values = _symbolic_variables(scheme)
-    ks = tuple(range(1, D + 1))
-    stage_terms = []
-    # Stages alternate forward/reversed Euler terms starting forward; a
+def _graded_system(scheme: Scheme, p: int, D: int) -> ConstraintSystem:
+    # SL: leapfrog generators Z_k, k odd.  SE: Euler generators E_k; the
+    # stages alternate forward/reversed Euler terms starting forward, and a
     # reversed term flips the sign of the even-degree generators.
+    leapfrog = scheme.family == "SL"
+    ks = tuple(k for k in range(1, D + 1) if k % 2 or not leapfrog)
+    values = _symbolic_variables(scheme)
+    stage_terms = []
     for i, expr in enumerate(scheme.stage_weights):
         tau = expr.evaluate(values)
-        sign = 1 if i % 2 == 0 else -1
+        sign = 1 if leapfrog or i % 2 == 0 else -1
         stage_terms.append([(tau ** k) * (sign ** (k + 1)) for k in ks])
-    series, basis = _graded_log(stage_terms, [f"E{k}" for k in ks],
+    series, basis = _graded_log(stage_terms, [f"{'Z' if leapfrog else 'E'}{k}" for k in ks],
                                 list(ks), D)
-    polys, labels, at = _emit(series, basis, _condition_degrees("SE", p), D,
-                              variables)
-    return ConstraintSystem(scheme, p, "euler", variables,
-                            tuple(polys), tuple(labels), tuple(at))
+    polys, labels, at = _emit(series, basis, _condition_degrees(scheme.family, p), D,
+                              scheme.param_slots)
+    return ConstraintSystem(scheme, p, "leapfrog" if leapfrog else "euler",
+                            scheme.param_slots, tuple(polys), tuple(labels), tuple(at))
 
 
 def _word_system(scheme: Scheme, p: int, D: int) -> ConstraintSystem:
@@ -188,18 +173,12 @@ def symbolic_log(scheme: Scheme, p: int) -> ConstraintSystem:
     if raw.nu > _SLOT_CAP:
         raise ValueError(
             f"{raw.nu} parameter slots exceed the symbolic cap of {_SLOT_CAP}")
-    if raw.family == "SL":
+    if raw.family in ("SL", "SE"):
         if D > _GRADED_DEGREE_CAP:
             raise ValueError(
                 f"graded expansion capped at degree {_GRADED_DEGREE_CAP}, "
                 f"order {p} needs {D}")
-        return _leapfrog_system(raw, p, D)
-    if raw.family == "SE":
-        if D > _GRADED_DEGREE_CAP:
-            raise ValueError(
-                f"graded expansion capped at degree {_GRADED_DEGREE_CAP}, "
-                f"order {p} needs {D}")
-        return _euler_system(raw, p, D)
+        return _graded_system(raw, p, D)
     cap = _WORD_DEGREE_CAP[raw.n]
     if D > cap:
         raise ValueError(
@@ -218,9 +197,6 @@ class GroebnerBasis:
 
     def reduce(self, poly: MultiPoly) -> MultiPoly:
         return normal_form(poly, self.polys, self.monomial_order)
-
-    def contains(self, poly: MultiPoly) -> bool:
-        return not self.reduce(poly)
 
     @property
     def is_trivial(self) -> bool:

@@ -372,20 +372,21 @@ def lie_coordinates(s: NCSeries, basis: HallBasis):
             if s.constant_term():
                 raise ValueError("a Lie element has no constant term")
             continue
-        # the words of s in the canonical basis's letters
-        bucket = {tuple(basis._canon[l] for l in w): c for w, c in s.homogeneous(d).items()}
         elements = basis.by_degree.get(d, ())
         if is_float:
-            words, index, m, pinv = basis.float_solver(d)
+            words = _degree_words(basis.generator_degrees, d)
+            index = {w: i for i, w in enumerate(words)}
             vec = np.zeros(len(words))
-            for w, c in bucket.items():
+            for w, c in s.homogeneous(d).items():
                 vec[index[w]] = c
-            cvec = pinv @ vec
-            residual = max(residual, float(np.max(np.abs(m @ cvec - vec), initial=0.0)))
+            cvec, res = basis.coords_from_dense(d, vec)
+            residual = max(residual, res)
             for e, c in zip(elements, cvec):
                 if c:
                     coords[e] = float(c)
         else:
+            # the words of s in the canonical basis's letters
+            bucket = {tuple(basis._canon[l] for l in w): c for w, c in s.homogeneous(d).items()}
             words, index, cols, pivots, inv_pivot = basis.exact_solver(d)
             stray = [w for w in bucket if w not in index]
             if stray:

@@ -720,23 +720,21 @@ def _partition_greedy(g: InteractionGraph) -> Partition:
                 conflicts[j].add(i)
     order = sorted(range(k), key=lambda i: -len(conflicts[i]))
     colors: dict[int, int] = {}
-
-    def assign(idx: int) -> bool:
-        if idx == k:
-            return True
-        node = order[idx]
+    # depth-first search with an explicit stack: untried[i] holds the
+    # colours still to try for order[i], colors holds order[:len(untried)]
+    untried: list[list[int]] = []
+    while len(untried) < k:
+        node = order[len(untried)]
         used = {colors[nb] for nb in conflicts[node] if nb in colors}
-        for c in range(budget):
-            if c in used:
-                continue
-            colors[node] = c
-            if assign(idx + 1):
-                return True
-            del colors[node]
-        return False
-
-    if not assign(0):
-        blocked = order[len(colors)] if len(colors) < k else order[-1]
+        untried.append([c for c in reversed(range(budget)) if c not in used])
+        while untried and not untried[-1]:
+            untried.pop()
+            colors.pop(order[len(untried)], None)
+        if not untried:
+            break
+        colors[order[len(untried) - 1]] = untried[-1].pop()
+    if len(colors) < k:
+        blocked = order[0]  # every colour of the first interaction failed
         raise PartitionError(
             f"greedy coloring exceeded the n = {budget} budget",
             certificate={"interaction": sorted(g.interactions[blocked]),

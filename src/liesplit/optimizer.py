@@ -2,18 +2,19 @@
 
 The search landscape splits into two parts with very different character.
 The order conditions are smooth polynomials and, once the free slots are
-pinned, form a square system in the remaining slots -- damped Newton with a
-finite-difference Jacobian reaches residuals near machine precision in a
-few steps.  The error measure on top of them is only piecewise smooth: it
-is a 1-norm of degree-(p+1) coefficients minimized over generator
-orderings, and its minima tend to sit exactly on kinks where a leading
-coefficient changes sign.  Gradient descent is useless there, so the outer
-loop is seeded low-discrepancy multi-start plus Nelder-Mead, re-solving the
-constraints at every probe.
+pinned, form a square system in the remaining slots -- damped Newton with
+the exact Jacobian of their compiled form reaches residuals near machine
+precision in a few steps.  The error measure on top of them is only
+piecewise smooth: it is a 1-norm of degree-(p+1) coefficients minimized
+over generator orderings, and its minima tend to sit exactly on kinks where
+a leading coefficient changes sign.  Gradient descent is useless there, so
+the outer loop is seeded low-discrepancy multi-start plus Nelder-Mead,
+re-solving the constraints at every probe.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass
@@ -24,7 +25,8 @@ from scipy import optimize as sciopt
 from scipy.stats import qmc
 
 from .constraints import symbolic_log
-from .schemes import ErrorReport, ParamAssignment, Scheme, epsilon, ordering_str
+from .schemes import (ErrorReport, ParamAssignment, Scheme, epsilon, ordering_str,
+                      symbolic_slot_values)
 
 __all__ = [
     "ManifoldError",
@@ -42,51 +44,79 @@ class ManifoldError(RuntimeError):
     """Newton could not reach the constraint manifold."""
 
 
-def _active_conditions(scheme: Scheme, p: int):
-    """Order conditions not already absorbed by the template closures."""
+@functools.lru_cache(maxsize=None)
+def _conditions(scheme: Scheme, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The order conditions left by the template closures, compiled once.
+
+    With the closures substituted they are polynomials in
+    ``scheme.free_slots``, returned as ``(E, C)``: exponents (monomials x
+    free slots) and float coefficients (conditions x monomials), so the
+    conditions at ``x`` are ``C @ prod(x ** E)``.
+    """
     cs = symbolic_log(scheme, p)
-    return tuple(poly for d, poly in zip(cs.degrees, cs.polys) if d > 1)
+    free = scheme.free_slots
+    values = symbolic_slot_values(scheme)
+    rows = [poly.evaluate(values) for d, poly in zip(cs.degrees, cs.polys) if d > 1]
+    # a condition free of every slot evaluates to a plain Fraction
+    rows = [getattr(q, "terms", {(0,) * len(free): q}) for q in rows]
+    monomials = sorted({e for terms in rows for e in terms})
+    column = {e: k for k, e in enumerate(monomials)}
+    coeffs = np.zeros((len(rows), len(monomials)))
+    for i, terms in enumerate(rows):
+        for e, c in terms.items():
+            coeffs[i, column[e]] = float(c)
+    exps = np.array(monomials, dtype=int).reshape(len(monomials), len(free))
+    # every caller shares the cached arrays
+    exps.setflags(write=False)
+    coeffs.setflags(write=False)
+    return exps, coeffs
 
 
 class _Manifold:
-    """Square Newton system for the dependent slots at pinned free slots."""
+    """Square Newton system for the dependent slots at pinned free slots,
+    on points ordered like ``scheme.free_slots``."""
 
     def __init__(self, scheme: Scheme, p: int, free: Sequence[str]):
         free = tuple(free)
-        unknown = [s for s in free if s not in scheme.free_slots]
+        slots = scheme.free_slots
+        unknown = [s for s in free if s not in slots]
         if unknown:
             raise ValueError(f"not free slots of this scheme: {unknown}")
         if len(set(free)) != len(free):
             raise ValueError("duplicate free slots")
         self.scheme = scheme
-        self.p = p
         self.free = free
-        self.dependent = tuple(s for s in scheme.free_slots if s not in free)
-        self.polys = _active_conditions(scheme, p)
-        if len(self.polys) != len(self.dependent):
+        self.dependent = tuple(s for s in slots if s not in free)
+        self._free_at = [slots.index(s) for s in free]
+        self._dep_at = [slots.index(s) for s in self.dependent]
+        self._exps, self._coeffs = _conditions(scheme, p)
+        if len(self._coeffs) != len(self.dependent):
             raise ManifoldError(
                 f"{len(self.dependent)} dependent slot(s) against "
-                f"{len(self.polys)} active condition(s); choose "
-                f"{len(scheme.free_slots) - len(self.polys)} free slot(s)")
+                f"{len(self._coeffs)} active condition(s); choose "
+                f"{len(slots) - len(self._coeffs)} free slot(s)")
+        # d/dx_j of x**e is e_j * x**(e lowered by one in slot j); clipping
+        # at zero keeps 0**-1 out where e_j = 0 multiplies the term away
+        unit = np.eye(len(slots), dtype=int)[self._dep_at]
+        self._dexps = self._exps[:, self._dep_at].T
+        self._lowered = (self._exps[None] - unit[:, None, :]).clip(min=0)
+
+    def point(self, free_values, dep_values) -> np.ndarray:
+        x = np.empty(len(self.scheme.free_slots))
+        x[self._free_at] = free_values
+        x[self._dep_at] = dep_values
+        return x
+
+    def params(self, free_values, dep_values) -> dict[str, float]:
+        return dict(zip(self.scheme.free_slots, self.point(free_values, dep_values).tolist()))
 
     def residual(self, dep_values, free_values) -> np.ndarray:
-        params = dict(zip(self.free, free_values))
-        params.update(zip(self.dependent, dep_values))
-        values = self.scheme.resolve_slots(params)
-        return np.array([float(poly.evaluate(values)) for poly in self.polys])
+        x = self.point(free_values, dep_values)
+        return self._coeffs @ np.prod(x ** self._exps, axis=1)
 
-    def _jacobian(self, x: np.ndarray, free_values) -> np.ndarray:
-        k = len(x)
-        jac = np.empty((k, k))
-        for i in range(k):
-            h = 1e-7 * max(1.0, abs(x[i]))
-            xp = x.copy()
-            xp[i] += h
-            xm = x.copy()
-            xm[i] -= h
-            jac[:, i] = (self.residual(xp, free_values)
-                         - self.residual(xm, free_values)) / (2.0 * h)
-        return jac
+    def _jacobian(self, dep_values, free_values) -> np.ndarray:
+        x = self.point(free_values, dep_values)
+        return self._coeffs @ (self._dexps * np.prod(x ** self._lowered, axis=2)).T
 
     def solve(self, free_values, guess, maxiter: int = 60) -> np.ndarray:
         if not self.dependent:
@@ -225,7 +255,7 @@ def _problem_free(problem: OptimizationProblem) -> tuple[str, ...]:
     if problem.free_slots is not None:
         return tuple(problem.free_slots)
     scheme = problem.scheme
-    nfree = len(scheme.free_slots) - len(_active_conditions(scheme, problem.p))
+    nfree = len(scheme.free_slots) - len(_conditions(scheme, problem.p)[1])
     if nfree < 0:
         raise ManifoldError("more conditions than slots; no chart exists")
     return scheme.free_slots[len(scheme.free_slots) - nfree:]
@@ -285,9 +315,7 @@ def minimize_epsilon(problem: OptimizationProblem) -> OptimizationResult:
     wall = 3.0 * max(abs(lo), abs(hi))
 
     def report_at(free_vec, dep_vec) -> ErrorReport:
-        params = dict(zip(man.free, (float(v) for v in free_vec)))
-        params.update(zip(man.dependent, (float(v) for v in dep_vec)))
-        return epsilon(scheme, params, p)
+        return epsilon(scheme, man.params(free_vec, dep_vec), p)
 
     # ---- sweep pass: chart the sheets, rank candidate points
     starts = _start_points(problem, f, dep)
@@ -350,9 +378,7 @@ def minimize_epsilon(problem: OptimizationProblem) -> OptimizationResult:
         diagnostics.append(entry)
 
     if f == 0:
-        found = []
-        for e, x0, dv in candidates:
-            found.append((x0, dv, report_at(x0, dv)))
+        found = [(x0, dv, report_at(x0, dv)) for _, x0, dv in candidates]
     else:
         # ---- polish pass: Nelder-Mead from the most promising candidates
         candidates.sort(key=lambda c: (c[0], tuple(c[1]), tuple(c[2])))
@@ -379,13 +405,13 @@ def minimize_epsilon(problem: OptimizationProblem) -> OptimizationResult:
                     return 1e12 + float(np.sum(np.abs(x)))
                 try:
                     dv = man.solve(x, warm[0])
-                except ManifoldError:
-                    return float("inf")
-                warm[0] = dv
-                try:
                     rep = report_at(x, dv)
-                except (ValueError, RuntimeError):
+                except (ManifoldError, ValueError, RuntimeError):
                     return float("inf")
+                # only a root that passes epsilon's checks seeds the next
+                # probe: near a singular chart Newton can run off to a
+                # spurious root where the residual cancels in rounding
+                warm[0] = dv
                 return float(rep.epsilon)
 
             try:
@@ -417,14 +443,9 @@ def minimize_epsilon(problem: OptimizationProblem) -> OptimizationResult:
         if not dup:
             kept.append(cand)
 
-    minima = []
-    for free_vec, dep_vec, rep in kept:
-        values = dict(zip(man.free, (float(v) for v in free_vec)))
-        values.update(zip(man.dependent, (float(v) for v in dep_vec)))
-        ordered = {s: values[s] for s in scheme.free_slots}
-        pa = ParamAssignment(ordered,
-                             provenance=f"minimize-epsilon seed={problem.seed}")
-        minima.append((pa, rep))
+    minima = [(ParamAssignment(man.params(free_vec, dep_vec),
+                               provenance=f"minimize-epsilon seed={problem.seed}"), rep)
+              for free_vec, dep_vec, rep in kept]
 
     return OptimizationResult(
         problem=problem,

@@ -9,6 +9,9 @@ route.  Slow on purpose; only exercised at small degree.
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
+
+from liesplit.constraints import symbolic_log
 from liesplit.hall import hall_degree
 
 
@@ -77,3 +80,31 @@ class HallOrder:
         if x[0] != y[0]:
             return self.less(x[0], y[0])
         return self.less(x[1], y[1])
+
+
+def condition_residual(scheme, p: int):
+    """The order conditions of degree > 1 as a function of a free-slot
+    assignment: the closures resolved numerically, then every condition
+    polynomial evaluated term by term."""
+    cs = symbolic_log(scheme, p)
+    polys = [poly for d, poly in zip(cs.degrees, cs.polys) if d > 1]
+
+    def residual(params) -> np.ndarray:
+        values = scheme.resolve_slots(params)
+        return np.array([float(poly.evaluate(values)) for poly in polys])
+    return residual
+
+
+def central_difference_jacobian(f, x, h: float = 1e-3) -> np.ndarray:
+    """Jacobian of ``f`` at ``x`` by central differences at steps h and
+    h/2, combined by one Richardson step (error O(h**4)), one column per
+    coordinate."""
+    x = np.asarray(x, float)
+
+    def central(i, step):
+        e = np.zeros(len(x))
+        e[i] = step
+        return (f(x + e) - f(x - e)) / (2.0 * step)
+
+    cols = [(4.0 * central(i, h / 2) - central(i, h)) / 3.0 for i in range(len(x))]
+    return np.array(cols).T.reshape(len(f(x)), len(x))

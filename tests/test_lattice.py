@@ -247,6 +247,13 @@ def test_greedy_respects_budget():
     assert_valid(g, part)
 
 
+def test_greedy_long_chain_has_no_recursion_limit():
+    g = build_chain(1500)
+    part = partition(g, "greedy")
+    assert part.n == 2
+    assert_valid(g, part)
+
+
 def test_greedy_reports_obstruction():
     g = build_chain(3, reach=2)  # three mutually overlapping bonds
     with pytest.raises(PartitionError, match="exceeded the n = 2 budget"):

@@ -2,12 +2,16 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from _naive import central_difference_jacobian, condition_residual
+from liesplit import optimizer
 from liesplit.catalog import build_scheme, catalog
 from liesplit.optimizer import (
     ManifoldError,
     OptimizationProblem,
+    _Manifold,
     minimize_epsilon,
     solve_on_manifold,
 )
@@ -93,6 +97,15 @@ def test_recovers_both_m9_minima(m9_result):
         0.604175, abs=1e-4)
 
 
+def test_m9_minima_are_pinned(m9_result):
+    # the polish from b_1 = -0.078 passes b_1 = 0, where the chart is
+    # singular and Newton can reach a spurious root; the 0.873422 minimum
+    # is found only if that root does not warm-start the next probe
+    eps = [rep.epsilon for _, rep in m9_result.local_minima]
+    assert eps == pytest.approx([0.0681608, 0.0691716, 0.873422, 1.02933,
+                                 5.71424], rel=1e-5)
+
+
 def test_minima_are_sorted_and_separated(m9_result):
     eps = [rep.epsilon for _, rep in m9_result.local_minima]
     assert eps == sorted(eps)
@@ -159,3 +172,56 @@ def test_duplicate_free_slots_rejected():
                                   seed=0)
     with pytest.raises(ValueError, match="duplicate"):
         minimize_epsilon(problem)
+
+
+# ----------------------------------------------------- compiled conditions
+
+@pytest.mark.parametrize("template, p, free", [
+    ((2, "SL", 15), 6, ()),
+    ((2, "SL", 11), 4, ("w_2",)),
+    ((2, "S", 9), 4, ("b_1",)),
+    ((2, "S", 5), 2, ("a_1",)),  # no active condition
+], ids=["sl15-p6", "sl11-p4-w_2", "s9-p4-b_1", "s5-p2-a_1"])
+def test_compiled_conditions_match_generic_evaluation(template, p, free):
+    scheme = build_scheme(*template)
+    man = _Manifold(scheme, p, free)
+    k = len(man.dependent)
+    rng = np.random.default_rng(5)
+    points = [(rng.uniform(-1, 1, len(free)), rng.uniform(-1, 1, k))
+              for _ in range(4)]
+    # a dependent coordinate exactly 0: lowering its absent exponents in
+    # the Jacobian must not form 0**-1
+    zeroed = points[0][1].copy()
+    zeroed[:1] = 0.0
+    points.append((points[0][0], zeroed))
+    conditions = condition_residual(scheme, p)
+    for fv, dv in points:
+        def oracle(d):
+            return conditions(man.params(fv, d))
+
+        r, want = man.residual(dv, fv), oracle(dv)
+        assert r.shape == want.shape == (k,)
+        scale = max(1.0, np.max(np.abs(want), initial=0.0))
+        assert np.max(np.abs(r - want), initial=0.0) <= 1e-10 * scale
+        jac, want = man._jacobian(dv, fv), central_difference_jacobian(oracle, dv)
+        assert jac.shape == want.shape == (k, k)
+        assert np.all(np.isfinite(jac))
+        scale = max(1.0, np.max(np.abs(want), initial=0.0))
+        assert np.max(np.abs(jac - want), initial=0.0) <= 1e-10 * scale
+
+
+def test_conditions_built_once_per_scheme_and_order(monkeypatch):
+    optimizer._conditions.cache_clear()
+    calls = []
+    real = optimizer.symbolic_log
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(optimizer, "symbolic_log", counting)
+    scheme = build_scheme(2, "SL", 11)
+    res = minimize_epsilon(OptimizationProblem(scheme, 4, starts=2, seed=0))
+    res.to_json()
+    solve_on_manifold(scheme, 4, {"w_2": 0.6})
+    assert len(calls) == 1
