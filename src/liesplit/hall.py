@@ -16,15 +16,18 @@ degree — matters only for graded alphabets, where it yields elements like
 set is still a Hall set and per-degree counts agree with the generalized
 Witt dimensions, which the tests pin.
 
-Coordinates of a Lie element are extracted per homogeneous degree by
-solving the linear system over the word space spanned by the expanded
-Hall elements.  Renaming generator ``ordering[j]`` to j maps a basis's
-elements, in order, onto the canonical basis: identity-ordered, with
-this basis's generator degrees in rank order.  So one solver per
-(degrees in rank order, degree) serves every ordering and truncation,
-after relabeling the words.  Exact (Fraction) mode uses a rational
-factorization, which also serves polynomial right-hand sides; float
-mode uses a pseudo-inverse.
+Coordinates of a Lie element are read per homogeneous degree from the
+expansion matrix M (words x Hall elements, integer entries), in one
+place: ``HallBasis.coords_from_dense``.  Renaming generator
+``ordering[j]`` to j maps a basis's elements, in order, onto the
+canonical basis: identity-ordered, with this basis's generator degrees
+in rank order.  So one solver per (degrees in rank order, degree) serves
+every ordering and truncation, after gathering the word vector into the
+canonical letters.  A float vector is solved in least squares with the
+pseudo-inverse of M.  An exact vector (Fraction or polynomial entries)
+is solved with the rational inverse of the square block of M on the
+rows where a float LU of M places its pivots; the other rows give its
+residual.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg
 from sympy import divisors
 from sympy.functions.combinatorial.numbers import mobius
 
@@ -119,8 +123,6 @@ class HallBasis:
         self.max_degree = int(max_degree)
         self.ordering = tuple(ordering)
         self.generator_degrees = tuple(g.degree for g in self.alphabet)
-        # letter g is letter _canon[g] of the canonical basis
-        self._canon = tuple(self.ordering.index(g) for g in range(len(self.alphabet)))
         self._canon_degrees = tuple(self.generator_degrees[g] for g in self.ordering)
         self.by_degree: dict[int, tuple[HallElement, ...]] = {}
         # rank[e] sorts as the module docstring's recursive order, in O(1):
@@ -181,34 +183,42 @@ class HallBasis:
     # -- per-degree solvers ----------------------------------------------
 
     def exact_solver(self, d: int):
-        """(words, word_index, columns, pivot_rows, inv_pivot) for degree d.
+        """(pivots, inv, others, rest) for degree d, exact.
 
-        ``inv_pivot`` is the exact rational inverse of the square submatrix
-        of the expansion matrix on the pivot rows; applying it to any
-        right-hand side restricted to those rows yields the coordinates,
-        for Fraction- or polynomial-valued coefficients alike.  Words and
-        columns are in the canonical basis's letters (see the module
-        docstring); the solver is shared by every ordering.
+        ``pivots`` are the r word rows of the expansion matrix M on which
+        a float LU of M places its pivots, and ``inv`` is the rational
+        inverse of M on those rows; ``others`` are the remaining rows and
+        ``rest`` is M on them.  ``inv`` and ``rest`` are sparse: one
+        (columns, Fraction entries) pair per row.  Rows are canonical
+        words (see the module docstring); the solver is shared by every
+        ordering.
         """
         return _exact_solver(self._canon_degrees, d)
 
     def float_solver(self, d: int):
-        """(words, word_index, matrix, pinv) with float64 entries, in the
-        canonical basis's letters like ``exact_solver``."""
+        """(M, pinv) for degree d: the float64 expansion matrix on the
+        canonical words, in id-lex order, and its pseudo-inverse."""
         return _float_solver(self._canon_degrees, d)
 
-    def coords_from_dense(self, d: int, vec: np.ndarray) -> tuple[np.ndarray, float]:
-        """Coordinates for a dense degree-d word vector (float mode).
+    def coords_from_dense(self, d: int, vec: np.ndarray) -> tuple[np.ndarray, object]:
+        """Coordinates for a dense degree-d word vector.
 
         ``vec`` lists the words of this basis's alphabet in id-lexicographic
-        order (the ``_dense`` layout for unit degrees).  Returns (coords,
-        residual) where residual is the max-norm of the unrepresentable
-        remainder.
+        order (the ``_dense`` layout for unit degrees).  A float vector is
+        solved in least squares; an object vector (Fraction or polynomial
+        entries) exactly.  Returns (coords, residual), where residual is
+        the max-norm of the remainder that no Lie element represents
+        (exactly zero for a Lie element in exact mode).
         """
-        _, _, m, pinv = self.float_solver(d)
         vec = vec[_gather(self.generator_degrees, self.ordering, d)]
-        coords = pinv @ vec
-        return coords, float(np.max(np.abs(m @ coords - vec), initial=0.0))
+        if vec.dtype != object:
+            m, pinv = self.float_solver(d)
+            coords = pinv @ vec
+            return coords, float(np.max(np.abs(m @ coords - vec), initial=0.0))
+        pivots, inv, others, rest = self.exact_solver(d)
+        # the pivot rows hold exactly by construction
+        coords = _sparse_apply(inv, vec[pivots])
+        return coords, _max_abs(_sparse_apply(rest, coords) - vec[others])
 
     def __repr__(self) -> str:
         labels = ",".join(self.alphabet[g].label for g in self.ordering)
@@ -239,47 +249,27 @@ def _degree_words(degrees: tuple[int, ...], d: int) -> list[tuple[int, ...]]:
             for w in _degree_words(degrees, d - deg)]
 
 
-def _canonical_system(degrees: tuple[int, ...], d: int):
-    """Words, word index and Hall elements of degree d of the identity-ordered
-    basis with generator ``degrees``."""
+@functools.lru_cache(maxsize=None)
+def _float_solver(degrees: tuple[int, ...], d: int):
     alphabet = make_alphabet([f"X{g}" for g in range(len(degrees))], degrees)
-    words = _degree_words(degrees, d)
+    index = {w: i for i, w in enumerate(_degree_words(degrees, d))}
     elements = _cached_basis(alphabet, d, tuple(range(len(degrees)))).elements(d)
-    return words, {w: i for i, w in enumerate(words)}, elements
+    m = np.zeros((len(index), len(elements)))
+    for j, e in enumerate(elements):
+        for w, c in _expand_words(e).items():
+            m[index[w], j] = float(c)
+    return m, np.linalg.pinv(m)
 
 
 @functools.lru_cache(maxsize=None)
 def _exact_solver(degrees: tuple[int, ...], d: int):
-    words, index, elements = _canonical_system(degrees, d)
-    cols = [_expand_words(e) for e in elements]
-    r = len(elements)
-    # Gaussian elimination to find r independent rows (pivots)
-    m = [[col.get(w, Fraction(0)) for col in cols] for w in words]
-    pivots: list[int] = []
-    work = [row[:] for row in m]
-    for j in range(r):
-        pivot_row = next((i for i in range(len(words)) if work[i][j] and i not in pivots), None)
-        if pivot_row is None:
-            raise ValueError("Hall expansions are not independent — basis construction bug")
-        pivots.append(pivot_row)
-        inv = Fraction(1) / work[pivot_row][j]
-        for i in range(len(words)):
-            if i != pivot_row and work[i][j]:
-                f = work[i][j] * inv
-                for jj in range(j, r):
-                    work[i][jj] -= f * work[pivot_row][jj]
-    return words, index, cols, pivots, _invert_rational([m[i] for i in pivots])
-
-
-@functools.lru_cache(maxsize=None)
-def _float_solver(degrees: tuple[int, ...], d: int):
-    words, index, elements = _canonical_system(degrees, d)
-    m = np.zeros((len(words), len(elements)))
-    for j, e in enumerate(elements):
-        for w, c in _expand_words(e).items():
-            m[index[w], j] = float(c)
-    pinv = np.linalg.pinv(m) if len(elements) else np.zeros((0, len(words)))
-    return words, index, m, pinv
+    m, _ = _float_solver(degrees, d)
+    # row i of M is row perm[i] of L, so the pivot rows are those with perm < r
+    perm = scipy.linalg.lu(m, p_indices=True)[0]
+    pivots = np.flatnonzero(perm < m.shape[1])
+    others = np.setdiff1d(np.arange(len(m)), pivots)
+    inv = _invert_rational([[Fraction(int(x)) for x in m[i]] for i in pivots])
+    return pivots, _sparse(inv), others, _sparse(m[others])
 
 
 @functools.lru_cache(maxsize=None)
@@ -296,7 +286,9 @@ def _invert_rational(m: list[list[Fraction]]) -> list[list[Fraction]]:
     aug = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
            for i, row in enumerate(m)]
     for j in range(n):
-        piv = next(i for i in range(j, n) if aug[i][j])
+        piv = next((i for i in range(j, n) if aug[i][j]), None)
+        if piv is None:
+            raise ValueError(f"singular pivot block: no pivot in column {j}")
         aug[j], aug[piv] = aug[piv], aug[j]
         inv = Fraction(1) / aug[j][j]
         aug[j] = [x * inv for x in aug[j]]
@@ -305,6 +297,20 @@ def _invert_rational(m: list[list[Fraction]]) -> list[list[Fraction]]:
                 f = aug[i][j]
                 aug[i] = [a - f * b for a, b in zip(aug[i], aug[j])]
     return [row[n:] for row in aug]
+
+
+def _sparse(rows) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each row's nonzero columns and their entries as Fractions."""
+    cols = [np.flatnonzero(row) for row in rows]
+    return [(c, np.array([Fraction(row[j]) for j in c], dtype=object))
+            for c, row in zip(cols, rows)]
+
+
+def _sparse_apply(rows, vec: np.ndarray) -> np.ndarray:
+    """The product of ``_sparse`` rows with an object vector."""
+    out = np.empty(len(rows), dtype=object)
+    out[:] = [np.dot(vals, vec[cols]) for cols, vals in rows]
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -357,8 +363,10 @@ def lie_coordinates(s: NCSeries, basis: HallBasis):
 
     Returns ``(LieSeries, residual)`` where residual is the max-norm of
     the part of ``s`` not representable as a Lie element (exactly zero
-    for true Lie elements in rational mode).  Raises if ``s`` extends
-    beyond the basis truncation.
+    for true Lie elements in exact mode).  Each degree is read by
+    ``basis.coords_from_dense``, in float if any coefficient is a float
+    and exactly otherwise.  Raises if ``s`` extends beyond the basis
+    truncation.
     """
     if s.max_degree > basis.max_degree:
         raise ValueError("series truncation exceeds basis truncation")
@@ -366,66 +374,26 @@ def lie_coordinates(s: NCSeries, basis: HallBasis):
         raise ValueError("series alphabet does not match basis alphabet")
     coords: dict = {}
     residual = 0
-    is_float = any(isinstance(c, float) for _, c in s.items())
+    dtype = float if any(isinstance(c, float) for _, c in s.items()) else object
     for d in s.degrees():
         if d == 0:
             if s.constant_term():
                 raise ValueError("a Lie element has no constant term")
             continue
-        elements = basis.by_degree.get(d, ())
-        if is_float:
-            words = _degree_words(basis.generator_degrees, d)
-            index = {w: i for i, w in enumerate(words)}
-            vec = np.zeros(len(words))
-            for w, c in s.homogeneous(d).items():
-                vec[index[w]] = c
-            cvec, res = basis.coords_from_dense(d, vec)
-            residual = max(residual, res)
-            for e, c in zip(elements, cvec):
-                if c:
-                    coords[e] = float(c)
-        else:
-            # the words of s in the canonical basis's letters
-            bucket = {tuple(basis._canon[l] for l in w): c for w, c in s.homogeneous(d).items()}
-            words, index, cols, pivots, inv_pivot = basis.exact_solver(d)
-            stray = [w for w in bucket if w not in index]
-            if stray:
-                raise ValueError(f"word {stray[0]} outside the degree-{d} word space")
-            rhs = [bucket.get(words[i], Fraction(0)) for i in pivots]
-            cvec = [_dot(row, rhs) for row in inv_pivot]
-            # residual: the full system must be satisfied on every word row
-            recon: dict = {}
-            for col, c in zip(cols, cvec):
-                if not c:
-                    continue
-                for w, f in col.items():
-                    prev = recon.get(w)
-                    val = f * c if prev is None else prev + f * c
-                    recon[w] = val
-            for w in set(recon) | set(bucket):
-                diff = recon.get(w, 0) - bucket.get(w, Fraction(0))
-                residual = _max_abs(residual, diff)
-            for e, c in zip(elements, cvec):
-                if c:
-                    coords[e] = c
+        words = _degree_words(basis.generator_degrees, d)
+        index = {w: i for i, w in enumerate(words)}
+        vec = np.zeros(len(words), dtype=dtype)
+        for w, c in s.homogeneous(d).items():
+            vec[index[w]] = c
+        cvec, res = basis.coords_from_dense(d, vec)
+        residual = max(residual, res)
+        coords.update({e: c for e, c in zip(basis.by_degree.get(d, ()), cvec.tolist()) if c})
     return LieSeries(basis, coords), residual
 
 
-def _dot(row, rhs):
-    total = None
-    for a, b in zip(row, rhs):
-        if not a:
-            continue
-        term = a * b
-        total = term if total is None else total + term
-    return total if total is not None else Fraction(0)
-
-
-def _max_abs(current, value):
-    """Max-norm accumulator that also understands polynomial values."""
-    mags = getattr(value, "coefficient_magnitudes", None)
-    if mags is not None:
-        m = max(mags(), default=Fraction(0))
-    else:
-        m = abs(value)
-    return m if m > current else current
+def _max_abs(values):
+    """Max-norm of exact values; a polynomial counts its coefficients."""
+    def magnitude(v):
+        mags = getattr(v, "coefficient_magnitudes", None)
+        return max(mags(), default=Fraction(0)) if mags is not None else abs(v)
+    return max(map(magnitude, values), default=Fraction(0))

@@ -311,29 +311,10 @@ def reduce_to_nearest_neighbor(g: InteractionGraph
 
 
 def _signed_offsets(g: InteractionGraph) -> set[tuple[int, ...]]:
-    """Bond offsets with the first nonzero component made positive."""
-    pos = g.coords()
-    ext = g.extents()
-    out = set()
-    for inter in g.interactions:
-        pts = sorted(pos[s] for s in inter)
-        if len(pts) < 2:
-            continue
-        a, b = pts[0], pts[-1]
-        delta = []
-        for axis in range(g.dim):
-            d = b[axis] - a[axis]
-            if g.periodic[axis] and abs(d) > ext[axis] // 2:
-                d = d - ext[axis] if d > 0 else d + ext[axis]
-            delta.append(d)
-        for axis in range(g.dim):
-            if delta[axis] < 0:
-                delta = [-v for v in delta]
-                break
-            if delta[axis] > 0:
-                break
-        out.add(tuple(delta))
-    return out
+    """Bond offsets made lexicographically positive; a one-site
+    interaction gives the zero offset."""
+    pos, ext = g.coords(), g.extents()
+    return {_bond_offset(pos, ext, g.periodic, inter)[1] for inter in g.interactions}
 
 
 def _is_triangular_subset(g: InteractionGraph) -> bool:

@@ -37,6 +37,9 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-12
+# ``epsilon``'s non-Lie threshold: where machine epsilon times the largest
+# term exceeds it, a zero residual is cancellation in rounding, not a root
+_ROUNDING_TOL = 1e-8
 _DEDUP_TOL = 1e-5
 
 
@@ -152,9 +155,13 @@ class _Manifold:
                 t *= 0.5
             if not improved:
                 break
-        if rn <= _RESIDUAL_TOL:
-            return x
-        raise ManifoldError(f"no convergence: residual {rn:.3e}")
+        if rn > _RESIDUAL_TOL:
+            raise ManifoldError(f"no convergence: residual {rn:.3e}")
+        terms = np.prod(np.abs(self.point(free_values, x)) ** self._exps, axis=1)
+        scale = float(np.max(np.abs(self._coeffs) @ terms))
+        if np.finfo(float).eps * scale > _ROUNDING_TOL:
+            raise ManifoldError(f"spurious root: terms of size {scale:.3e} cancel in rounding")
+        return x
 
 
 def solve_on_manifold(scheme: Scheme, p: int,

@@ -278,22 +278,18 @@ def _letter_closures(letters: Sequence[str],
     return closures
 
 
-def _sequential_template(n: int, m: int, letter_of: Sequence[int]):
-    """Palindrome-aware per-letter slot naming for N/S/S-abc templates.
+def _sequential_template(letter_of: Sequence[int]) -> list[str]:
+    """Per-letter slot naming for N/S/S-abc templates.
 
-    ``letter_of[i]`` is the letter index of factor i (0-based).  Slots are
-    named a_1, a_2, ... in order of first appearance per letter.
+    ``letter_of[i]`` is the letter index of factor i (0-based).  Each
+    factor gets its own slot, named a_1, a_2, ... per letter in order.
     """
-    names = ("a", "b", "c")
-    counters = [0] * n
-    slot_of_position: list[str] = []
+    counters = [0, 0, 0]
     slots: list[str] = []
     for g in letter_of:
         counters[g] += 1
-        name = f"{names[g]}_{counters[g]}"
-        slot_of_position.append(name)
-        slots.append(name)
-    return slots, slot_of_position
+        slots.append(f"{'abc'[g]}_{counters[g]}")
+    return slots
 
 
 def _build_n(n: int, m: int) -> Scheme:
@@ -303,42 +299,35 @@ def _build_n(n: int, m: int) -> Scheme:
     letter_of = [pattern[i % len(pattern)] for i in range(m)]
     if len(set(letter_of)) < n:
         raise ValueError(f"type N with m={m} never reaches all {n} generators")
-    slots, slot_at = _sequential_template(n, m, letter_of)
-    factors = tuple((g, LinExpr.slot(s)) for g, s in zip(letter_of, slot_at))
+    slots = _sequential_template(letter_of)
+    factors = tuple((g, LinExpr.slot(s)) for g, s in zip(letter_of, slots))
     letters = ("A", "B", "C")[:n]
     closures = _letter_closures(letters, factors, slots)
     return Scheme(n, "N", m, letters, tuple(slots), factors, tuple(closures))
 
 
-def _palindromic_letters(n: int, m: int, block: Sequence[int]) -> list[int]:
-    return [block[(min(i, m + 1 - i) - 1) % len(block)] for i in range(1, m + 1)]
+def _palindromic_scheme(n: int, family: str, m: int, block: Sequence[int]) -> Scheme:
+    """m factors cycling through ``block`` to the middle and mirrored after
+    it; each factor of the first half has its own slot."""
+    half = [block[i % len(block)] for i in range((m + 1) // 2)]
+    slots = _sequential_template(half)
+    factors = tuple((half[k], LinExpr.slot(slots[k]))
+                    for k in (min(i, m - 1 - i) for i in range(m)))
+    letters = ("A", "B", "C")[:n]
+    closures = _letter_closures(letters, factors, slots)
+    return Scheme(n, family, m, letters, tuple(slots), factors, tuple(closures))
 
 
 def _build_s(n: int, m: int) -> Scheme:
     if m % 2 == 0 or m < 2 * n - 1:
         raise ValueError(f"type S needs odd m >= {2 * n - 1}")
-    block = (0, 1) if n == 2 else (0, 1, 2, 1)
-    letter_of = _palindromic_letters(n, m, block)
-    half = (m + 1) // 2
-    slots, slot_at_half = _sequential_template(n, half, letter_of[:half])
-    slot_at = [slot_at_half[min(i, m - 1 - i)] for i in range(m)]
-    factors = tuple((g, LinExpr.slot(s)) for g, s in zip(letter_of, slot_at))
-    letters = ("A", "B", "C")[:n]
-    closures = _letter_closures(letters, factors, slots)
-    return Scheme(n, "S", m, letters, tuple(slots), factors, tuple(closures))
+    return _palindromic_scheme(n, "S", m, (0, 1) if n == 2 else (0, 1, 2, 1))
 
 
 def _build_s_abc(m: int) -> Scheme:
     if m % 2 == 0 or (m + 1) % 3 or ((m + 1) // 3) % 2:
         raise ValueError("type S-abc needs odd m with (m+1)/3 even")
-    letter_of = _palindromic_letters(3, m, (0, 1, 2))
-    half = (m + 1) // 2
-    slots, slot_at_half = _sequential_template(3, half, letter_of[:half])
-    slot_at = [slot_at_half[min(i, m - 1 - i)] for i in range(m)]
-    factors = tuple((g, LinExpr.slot(s)) for g, s in zip(letter_of, slot_at))
-    letters = ("A", "B", "C")
-    closures = _letter_closures(letters, factors, slots)
-    return Scheme(3, "S-abc", m, letters, tuple(slots), factors, tuple(closures))
+    return _palindromic_scheme(3, "S-abc", m, (0, 1, 2))
 
 
 def _leapfrog_weights(k: int) -> tuple[list[str], list[LinExpr]]:

@@ -11,12 +11,14 @@ from sympy import divisors
 from sympy.functions.combinatorial.numbers import mobius
 
 from liesplit import NCSeries, exp, log, make_alphabet, mul, series_from_generator
+from liesplit.polynomials import MultiPoly
 from liesplit.hall import (
     HallBasis,
     build_hall_basis,
     expand_hall,
     hall_degree,
     hall_str,
+    _invert_rational,
     lie_coordinates,
     witt_dimension,
 )
@@ -343,6 +345,86 @@ def test_coordinates_recover_combinations_in_every_ordering(alphabet, D, orderin
             coords, res = basis.coords_from_dense(d, vec)
             assert np.max(np.abs(coords - expected), initial=0.0) < 1e-12
             assert abs(res - np.max(np.abs(m @ expected - vec))) < 1e-12
+
+
+def _id_lex_words(degrees, d):
+    """Words of total degree d over generator ``degrees``, id-lex sorted."""
+    return sorted(w for k in range(1, d + 1)
+                  for w in itertools.product(range(len(degrees)), repeat=k)
+                  if sum(degrees[l] for l in w) == d)
+
+
+_XY = ("x", "y")
+
+
+@pytest.mark.parametrize(
+    "alphabet,D,ordering", DIFFERENTIAL_CASES,
+    ids=["".join(g.label for g in a) + f"-D{D}-" + "".join(map(str, o))
+         for a, D, o in DIFFERENTIAL_CASES])
+@pytest.mark.parametrize("kind", ["fraction", "poly"])
+def test_exact_dense_coordinates_recover_combinations(alphabet, D, ordering, kind):
+    """An object vector (Fraction or polynomial entries) is solved exactly:
+    its coordinates are the integer combination it was built from, the
+    same as ``lie_coordinates`` reads, with residual exactly 0."""
+    basis = build_hall_basis(alphabet, D, ordering)
+    rng = random.Random(repr((basis.generator_degrees, ordering, kind)))
+    x, y = (MultiPoly.variable(v, _XY) for v in _XY)
+    for d in range(1, D + 1):
+        elements = basis.elements(d)
+        if not elements:
+            continue
+        combo = {}
+        for e in rng.sample(elements, min(5, len(elements))):
+            a, b = rng.choice([-3, -1, 2]), Fraction(rng.choice([1, -2, 5]), 3)
+            combo[e] = a * x + b * y * x if kind == "poly" else Fraction(a) + b
+        words = _id_lex_words(basis.generator_degrees, d)
+        row = {w: i for i, w in enumerate(words)}
+        vec = np.zeros(len(words), dtype=object)
+        for e, c in combo.items():
+            for w, f in basis.expand_words(e).items():
+                vec[row[w]] = vec[row[w]] + f * c
+        coords, residual = basis.coords_from_dense(d, vec)
+        assert residual == 0
+        assert {e: c for e, c in zip(elements, coords) if c} == combo
+        series = NCSeries.from_words(alphabet, D, {w: c for w, c in zip(words, vec) if c})
+        lie, residual = lie_coordinates(series, basis)
+        assert residual == 0
+        assert lie.coords == combo
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 3), MultiPoly.variable("x", _XY)])
+def test_exact_dense_non_lie_vector_has_residual(entry):
+    for ordering in [(0, 1, 2), (2, 0, 1)]:
+        basis = build_hall_basis(ABC, 3, ordering)
+        vec = np.zeros(27, dtype=object)
+        vec[13] = entry                      # the word BBB (ids 1, 1, 1)
+        _, residual = basis.coords_from_dense(3, vec)
+        assert residual != 0
+
+
+@pytest.mark.parametrize("degrees,D", [
+    ((1, 1), 8), ((1, 1, 1), 5), ((1, 3, 5, 7), 7), (tuple(range(1, 8)), 7)])
+def test_lu_pivot_block_is_exactly_invertible(degrees, D):
+    """The rows a float LU picks hold an exactly invertible integer block,
+    and ``exact_solver`` holds its exact inverse, for the unit alphabets
+    and the graded alphabets of ``symbolic_log``."""
+    alphabet = make_alphabet([f"Z{k}" for k in range(len(degrees))], degrees)
+    basis = build_hall_basis(alphabet, D)
+    for d in range(1, D + 1):
+        m, _ = basis.float_solver(d)
+        pivots, inv, others, rest = basis.exact_solver(d)
+        r = m.shape[1]
+        assert len(pivots) == len(inv) == r
+        assert sorted([*pivots, *others]) == list(range(len(m)))
+        block = [[int(v) for v in m[i]] for i in pivots]
+        for i, (cols, vals) in enumerate(inv):
+            product = [sum(v * block[c][j] for c, v in zip(cols, vals)) for j in range(r)]
+            assert product == [int(i == j) for j in range(r)], (d, i)
+
+
+def test_invert_rational_names_the_singular_column():
+    with pytest.raises(ValueError, match="column 1"):
+        _invert_rational([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
 
 
 def test_series_beyond_basis_truncation_rejected():

@@ -73,6 +73,15 @@ def test_non_finite_guess_raises():
         solve_on_manifold(scheme, 4, {"w_2": 0.6}, guess=[float("nan")])
 
 
+def test_root_where_the_residual_cancels_in_rounding_is_rejected():
+    # near the singular chart b_1 = 0 Newton runs to |a_1| ~ 1.9e13, where
+    # the compiled residual cancels to 0.0 in rounding; epsilon rejects the
+    # point as non-Lie, so the solver must not return it
+    scheme = build_scheme(2, "S", 9)
+    with pytest.raises(ManifoldError, match="cancel in rounding"):
+        solve_on_manifold(scheme, 4, {"b_1": 1.7e-16}, guess=[1.352, -1.27])
+
+
 # ----------------------------------------------------- minimize_epsilon
 
 @pytest.fixture(scope="module")
