@@ -19,9 +19,12 @@ coefficients are checked to vanish identically and are not emitted.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations, product
+from math import gcd
 
 from .free_algebra import exp, log, make_alphabet, series_from_generator
 from .hall import build_hall_basis, lie_coordinates
@@ -283,42 +286,45 @@ def _power_eliminant(gb: GroebnerBasis, variables, keep: str,
     the monic minimal polynomial of ``keep`` on the variety -- the same
     polynomial lexicographic elimination would produce, without the blowup.
     """
-    key = gb.monomial_order.key
+    key = functools.cache(gb.monomial_order.descending)  # once per exponent
     v = MultiPoly.variable(keep, variables)
     power = MultiPoly.constant(1, variables)
-    # row echelon over the standard monomials, each row tagged with the
-    # combination of powers of ``keep`` it came from
-    pivots: dict[tuple[int, ...], tuple[dict, dict]] = {}
+    # row echelon over the standard monomials on integer rows: a vector's
+    # numerators and those of the combination of powers of ``keep`` it came
+    # from, filed under its leading monomial with the lead's numerator; a
+    # heap finds each lead, and rows are only ever scaled by positive integers
+    pivots: dict[tuple[int, ...], tuple[int, dict, dict]] = {}
     for k in range(quotient_dim + 1):
-        vec = dict(power.terms)
-        combo = {k: Fraction(1)}
-        while vec:
-            lead = max(vec, key=key)
+        vec, den = power.numerators()
+        combo = {k: den}
+        heap = [(key(e), e) for e in vec]
+        heapify(heap)
+        while heap:
+            lead = heappop(heap)[1]
+            c = vec.pop(lead)
+            if not c:
+                continue
             hit = pivots.get(lead)
             if hit is None:
+                g = gcd(c, *vec.values(), *combo.values())
+                pivots[lead] = (c // g, {e: q // g for e, q in vec.items() if q},
+                                {j: q // g for j, q in combo.items()})
                 break
-            pvec, pcombo = hit
-            c = vec.pop(lead)
+            # (vec, combo) - c/pc * pivot, scaled by a = |pc|/h > 0
+            pc, pvec, pcombo = hit
+            h = gcd(c, pc)
+            a, b = abs(pc) // h, (c if pc > 0 else -c) // h
+            if a != 1:
+                vec = {e: q * a for e, q in vec.items()}
+                combo = {j: q * a for j, q in combo.items()}
             for e, q in pvec.items():
-                if e == lead:
-                    continue
-                acc = vec.get(e, Fraction(0)) - c * q
-                if acc:
-                    vec[e] = acc
-                else:
-                    vec.pop(e, None)
+                if e not in vec:
+                    heappush(heap, (key(e), e))
+                vec[e] = vec.get(e, 0) - b * q
             for j, q in pcombo.items():
-                acc = combo.get(j, Fraction(0)) - c * q
-                if acc:
-                    combo[j] = acc
-                else:
-                    combo.pop(j, None)
-        if not vec:
-            return MultiPoly((keep,), {(j,): c for j, c in combo.items()})
-        lead = max(vec, key=key)
-        c = vec[lead]
-        pivots[lead] = ({e: q / c for e, q in vec.items()},
-                        {j: q / c for j, q in combo.items()})
+                combo[j] = combo.get(j, 0) - b * q
+        else:
+            return MultiPoly((keep,), {(j,): Fraction(q, combo[k]) for j, q in combo.items()})
         power = gb.reduce(power * v)
     raise RuntimeError("power iteration exceeded the quotient dimension")
 

@@ -88,6 +88,7 @@ class _Manifold:
         if len(set(free)) != len(free):
             raise ValueError("duplicate free slots")
         self.scheme = scheme
+        self.slots = slots
         self.free = free
         self.dependent = tuple(s for s in slots if s not in free)
         self._free_at = [slots.index(s) for s in free]
@@ -105,13 +106,13 @@ class _Manifold:
         self._lowered = (self._exps[None] - unit[:, None, :]).clip(min=0)
 
     def point(self, free_values, dep_values) -> np.ndarray:
-        x = np.empty(len(self.scheme.free_slots))
+        x = np.empty(len(self.slots))
         x[self._free_at] = free_values
         x[self._dep_at] = dep_values
         return x
 
     def params(self, free_values, dep_values) -> dict[str, float]:
-        return dict(zip(self.scheme.free_slots, self.point(free_values, dep_values).tolist()))
+        return dict(zip(self.slots, self.point(free_values, dep_values).tolist()))
 
     def residual(self, dep_values, free_values) -> np.ndarray:
         x = self.point(free_values, dep_values)

@@ -1,35 +1,36 @@
 """Exact multivariate polynomials, Groebner bases, and Sturm chains.
 
-``MultiPoly`` is a sparse exponent-vector map with ``Fraction``
-coefficients over a fixed, ordered variable tuple.  It deliberately
-implements the small ring interface the series code needs (``+``, ``-``,
-``*``, multiplication by rationals, truth testing, ``** 0`` as the unit),
-so order conditions can be extracted by running the ordinary BCH pipeline
-with polynomial-valued coefficients.
+``MultiPoly`` is a sparse exponent-vector map over a fixed, ordered
+variable tuple, stored as integer numerators over one positive common
+denominator with no factor common to all, so equal polynomials compare
+and hash equal; ``terms`` is a read-only view with ``Fraction`` values.
+It implements the small ring interface the series code needs (``+``,
+``-``, ``*``, multiplication by rationals, truth testing, ``** 0`` as the
+unit), so order conditions can be extracted by running the ordinary BCH
+pipeline with polynomial-valued coefficients.  Only the public
+constructor checks its input; arithmetic builds results through ``_poly``.
 
 The Groebner machinery is plain Buchberger with the Gebauer-Moeller pair
-criteria — entirely adequate for the desk-scale ideals that arise here
-(at most a handful of variables, total degree below ten).  Real-root
-counting for univariate eliminants uses Sturm chains on the square-free
-part, so it counts distinct real roots.
+criteria, adequate for the desk-scale ideals that arise here.  Division
+takes leading terms from a heap, each exponent's order key computed once,
+and reduces on integer numerators (Monagan & Pearce, CASC 2007).  Real
+roots of univariate eliminants are counted with a Sturm chain formed as a
+primitive remainder sequence over the integers (Brown & Traub, J. ACM
+18:505, 1971): each pseudo-remainder is scaled by a positive factor and
+divided by its positive content, which keeps the signs the count reads.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+from operator import add, index, le, sub
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
-__all__ = [
-    "MultiPoly",
-    "MonomialOrder",
-    "GREVLEX",
-    "LEX",
-    "normal_form",
-    "s_polynomial",
-    "buchberger_basis",
-    "is_groebner_basis",
-    "sturm_real_roots",
-]
+__all__ = ["MultiPoly", "MonomialOrder", "GREVLEX", "LEX", "normal_form", "s_polynomial",
+           "buchberger_basis", "is_groebner_basis", "sturm_real_roots"]
 
 Exponents = tuple[int, ...]
 
@@ -41,8 +42,16 @@ class MonomialOrder:
         self.name = name
         self.key = key
 
+    def descending(self, e: Exponents) -> tuple:
+        """A heap key for e: heapq's smallest entry is the largest monomial."""
+        return _negated(self.key(e))
+
     def __repr__(self) -> str:
         return f"MonomialOrder({self.name})"
+
+
+def _negated(key):
+    return tuple(map(_negated, key)) if isinstance(key, tuple) else -key
 
 
 GREVLEX = MonomialOrder(
@@ -58,37 +67,67 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected a rational coefficient, got {type(value).__name__}")
 
 
+def _poly(variables: tuple[str, ...], num: dict[Exponents, int], den: int = 1) -> "MultiPoly":
+    """Trusted constructor: ``num`` holds no zeros; divide out the factor
+    common to ``den`` and every numerator and make ``den`` positive."""
+    g = gcd(den, *num.values())
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = {e: n // g for e, n in num.items()}
+        den //= g
+    p = object.__new__(MultiPoly)
+    p.variables, p._num, p._den = variables, num, den
+    return p
+
+
 class MultiPoly:
     """Sparse polynomial over ordered variables with exact coefficients."""
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "_num", "_den")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponents, Fraction] | None = None):
-        self.variables = tuple(variables)
+        variables = tuple(variables)
+        if len(set(variables)) != len(variables):
+            raise ValueError(f"repeated variable names in {variables}")
         clean: dict[Exponents, Fraction] = {}
-        if terms:
-            for e, c in terms.items():
-                c = _as_fraction(c)
-                if not c:
-                    continue
-                if len(e) != len(self.variables):
-                    raise ValueError("exponent vector length does not match variables")
-                clean[tuple(int(x) for x in e)] = c
-        self.terms = clean
+        for e, c in (terms or {}).items():
+            c = _as_fraction(c)
+            if len(e) != len(variables):
+                raise ValueError("exponent vector length does not match variables")
+            try:
+                e = tuple(map(index, e))
+            except TypeError:
+                raise ValueError(f"non-integer exponent in {e}") from None
+            if min(e, default=0) < 0:
+                raise ValueError(f"negative exponent in {e}")
+            if c:
+                clean[e] = c
+        # the lcm of reduced denominators shares no factor with all numerators
+        self._den = lcm(*(c.denominator for c in clean.values()))
+        self._num = {e: c.numerator * (self._den // c.denominator) for e, c in clean.items()}
+        self.variables = variables
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def constant(cls, value, variables: Sequence[str]) -> "MultiPoly":
         value = _as_fraction(value)
-        zero = (0,) * len(variables)
-        return cls(variables, {zero: value} if value else {})
+        return cls(variables, {(0,) * len(variables): value} if value else {})
 
     @classmethod
     def variable(cls, name: str, variables: Sequence[str]) -> "MultiPoly":
         idx = tuple(variables).index(name)
-        e = tuple(1 if i == idx else 0 for i in range(len(variables)))
-        return cls(variables, {e: Fraction(1)})
+        return cls(variables, {tuple(int(i == idx) for i in range(len(variables))): Fraction(1)})
+
+    @property
+    def terms(self) -> Mapping[Exponents, Fraction]:
+        """Read-only map from exponent vectors to nonzero coefficients."""
+        return MappingProxyType({e: Fraction(n, self._den) for e, n in self._num.items()})
+
+    def numerators(self) -> tuple[dict[Exponents, int], int]:
+        """(exponents -> integer numerators, their positive denominator)."""
+        return dict(self._num), self._den
 
     # -- ring interface ---------------------------------------------------
 
@@ -101,55 +140,55 @@ class MultiPoly:
             return MultiPoly.constant(other, self.variables)
         return None
 
-    def __add__(self, other):
+    def _add(self, other, sign: int):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = terms.get(e, Fraction(0)) + c
-            if acc:
-                terms[e] = acc
+        a, b = self._den, other._den
+        den = a if a == b else lcm(a, b)
+        fa, fb = den // a, sign * (den // b)
+        num = dict(self._num) if fa == 1 else {e: n * fa for e, n in self._num.items()}
+        get = num.get
+        for e, n in other._num.items():
+            s = get(e, 0) + n * fb
+            if s:
+                num[e] = s
             else:
-                terms.pop(e, None)
-        return MultiPoly(self.variables, terms)
+                del num[e]
+        return _poly(self.variables, num, den)
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return _poly(self.variables, {e: -n for e, n in self._num.items()}, self._den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._add(other, -1)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return (-self)._add(other, 1)
 
     def __mul__(self, other):
+        if isinstance(other, MultiPoly):
+            other = self._coerce(other)
+            out: dict[Exponents, int] = {}
+            get = out.get
+            right = list(other._num.items())
+            for e1, n1 in self._num.items():
+                for e2, n2 in right:
+                    e = tuple(map(add, e1, e2))
+                    out[e] = get(e, 0) + n1 * n2
+            return _poly(self.variables, {e: n for e, n in out.items() if n},
+                         self._den * other._den)
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if not c:
-                return MultiPoly(self.variables)
-            return MultiPoly(self.variables, {e: c * v for e, v in self.terms.items()})
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc = out.get(e, Fraction(0)) + c1 * c2
-                if acc:
-                    out[e] = acc
-                else:
-                    out.pop(e, None)
-        return MultiPoly(self.variables, out)
+            n, d = other.numerator, other.denominator
+            if not n:
+                return _poly(self.variables, {})
+            return _poly(self.variables, {e: v * n for e, v in self._num.items()}, self._den * d)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -161,54 +200,52 @@ class MultiPoly:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._num)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.constant(other, self.variables)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
+        return (self.variables == other.variables and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
+        return hash((self.variables, self._den, frozenset(self._num.items())))
 
     # -- inspection -------------------------------------------------------
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e) for e in self._num), default=0)
 
     def degree_in(self, name: str) -> int:
         idx = self.variables.index(name)
-        return max((e[idx] for e in self.terms), default=0)
+        return max((e[idx] for e in self._num), default=0)
 
     def used_variables(self) -> tuple[str, ...]:
-        used = [False] * len(self.variables)
-        for e in self.terms:
-            for i, x in enumerate(e):
-                if x:
-                    used[i] = True
+        used = [any(x) for x in zip(*self._num)] or [False] * len(self.variables)
         return tuple(v for v, u in zip(self.variables, used) if u)
 
     def coefficient_magnitudes(self) -> Iterable[Fraction]:
-        return (abs(c) for c in self.terms.values())
+        return (Fraction(abs(n), self._den) for n in self._num.values())
 
     def leading(self, order: MonomialOrder = GREVLEX) -> tuple[Exponents, Fraction]:
-        if not self.terms:
+        if not self._num:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=order.key)
-        return e, self.terms[e]
+        e = max(self._num, key=order.key)
+        return e, Fraction(self._num[e], self._den)
 
     def monic(self, order: MonomialOrder = GREVLEX) -> "MultiPoly":
-        if not self.terms:
+        if not self._num:
             return self
-        _, c = self.leading(order)
-        return self * (Fraction(1) / c)
+        # num/den divided by its lead num[e]/den
+        return _poly(self.variables, self._num, self._num[max(self._num, key=order.key)])
 
     def evaluate(self, values: Mapping[str, object]):
         """Evaluate at a point; values may be Fractions, floats, or polys."""
@@ -228,65 +265,39 @@ class MultiPoly:
         values = {v: assignments.get(v, MultiPoly.variable(v, self.variables))
                   for v in self.variables}
         out = self.evaluate(values)
-        if isinstance(out, Fraction):
-            return MultiPoly.constant(out, self.variables)
-        return out
+        return MultiPoly.constant(out, self.variables) if isinstance(out, Fraction) else out
 
     def restrict(self, variables: Sequence[str]) -> "MultiPoly":
         """Re-express over a different variable tuple (a superset of used vars)."""
         variables = tuple(variables)
-        idx = []
-        for v in self.variables:
-            idx.append(variables.index(v) if v in variables else -1)
-        terms: dict[Exponents, Fraction] = {}
-        for e, c in self.terms.items():
-            out = [0] * len(variables)
-            for i, k in enumerate(e):
-                if k:
-                    if idx[i] < 0:
-                        raise ValueError(f"variable {self.variables[i]} used but not retained")
-                    out[idx[i]] = k
-            terms[tuple(out)] = terms.get(tuple(out), Fraction(0)) + c
-        return MultiPoly(variables, terms)
+        lost = [v for v in self.used_variables() if v not in variables]
+        if lost:
+            raise ValueError(f"variable(s) {lost} used but not retained")
+        at = [self.variables.index(v) if v in self.variables else None for v in variables]
+        return MultiPoly(variables, {tuple(0 if i is None else e[i] for i in at): c
+                                     for e, c in self.terms.items()})
 
     def univariate_coefficients(self) -> tuple[str, list[Fraction]]:
         """(variable, dense coefficient list) for a univariate polynomial."""
         used = self.used_variables()
         if len(used) > 1:
             raise ValueError(f"polynomial is not univariate (uses {used})")
+        terms = self.terms
         if not used:
-            return "", [self.terms.get((0,) * len(self.variables), Fraction(0))]
-        name = used[0]
-        idx = self.variables.index(name)
-        deg = self.degree_in(name)
-        coeffs = [Fraction(0)] * (deg + 1)
-        for e, c in self.terms.items():
-            coeffs[e[idx]] += c
-        return name, coeffs
+            return "", [terms.get((0,) * len(self.variables), Fraction(0))]
+        idx = self.variables.index(used[0])
+        coeffs = [Fraction(0)] * (self.degree_in(used[0]) + 1)
+        for e, c in terms.items():
+            coeffs[e[idx]] = c
+        return used[0], coeffs
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self._num:
             return "0"
-        def mono(e):
-            parts = []
-            for v, k in zip(self.variables, e):
-                if k == 1:
-                    parts.append(v)
-                elif k > 1:
-                    parts.append(f"{v}^{k}")
-            return "*".join(parts) or "1"
-        items = sorted(self.terms.items(), key=lambda t: GREVLEX.key(t[0]), reverse=True)
         out = []
-        for e, c in items:
-            m = mono(e)
-            if m == "1":
-                out.append(str(c))
-            elif c == 1:
-                out.append(m)
-            elif c == -1:
-                out.append(f"-{m}")
-            else:
-                out.append(f"{c}*{m}")
+        for e, c in sorted(self.terms.items(), key=lambda t: GREVLEX.key(t[0]), reverse=True):
+            m = "*".join(v if k == 1 else f"{v}^{k}" for v, k in zip(self.variables, e) if k)
+            out.append(f"{c}" if not m else m if c == 1 else f"-{m}" if c == -1 else f"{c}*{m}")
         return " + ".join(out).replace("+ -", "- ")
 
 
@@ -294,54 +305,74 @@ class MultiPoly:
 
 
 def _divides(e1: Exponents, e2: Exponents) -> bool:
-    return all(a <= b for a, b in zip(e1, e2))
+    return all(map(le, e1, e2))
 
 
 def _exp_sub(e1: Exponents, e2: Exponents) -> Exponents:
-    return tuple(a - b for a, b in zip(e1, e2))
+    return tuple(map(sub, e1, e2))
 
 
 def _exp_lcm(e1: Exponents, e2: Exponents) -> Exponents:
-    return tuple(max(a, b) for a, b in zip(e1, e2))
+    return tuple(map(max, e1, e2))
+
+
+def _divisors(basis: Iterable[MultiPoly], order: MonomialOrder) -> list:
+    """(lead exponents, lead numerator, numerators) of each nonzero element."""
+    leads = [(max(g._num, key=order.key), g._num) for g in basis if g]
+    return [(e, num[e], num) for e, num in leads]
+
+
+def _reduce(p: MultiPoly, divisors: list, order: MonomialOrder) -> MultiPoly:
+    """Full remainder of p on division by ``_divisors`` output.
+
+    ``num`` holds integer numerators over ``den``: the remainder so far
+    and the terms still to reduce, which wait in a heap.  Every term a
+    reduction adds is smaller than the lead it cancels, so each exponent
+    enters the heap once and leaves it in decreasing order."""
+    key, num, den = order.descending, dict(p._num), p._den
+    heap = [(key(e), e) for e in num]
+    heapify(heap)
+    while heap:
+        e = heappop(heap)[1]
+        c = num[e]
+        hit = next((d for d in divisors if _divides(d[0], e)), None) if c else None
+        if hit is None:
+            continue
+        lead, lc, gnum = hit
+        # num - c/lc * shift(g), scaled by a = |lc|/h > 0
+        h = gcd(c, lc)
+        a, b = abs(lc) // h, (c if lc > 0 else -c) // h
+        if a != 1:
+            num = {t: v * a for t, v in num.items()}
+            den *= a
+        del num[e]
+        shift = _exp_sub(e, lead)
+        for ge, gn in gnum.items():
+            if ge != lead:
+                t = tuple(map(add, ge, shift))
+                v = num.get(t)
+                if v is None:
+                    heappush(heap, (key(t), t))
+                num[t] = (v or 0) - b * gn
+        if a != 1 and (g := gcd(den, *num.values())) != 1:
+            num = {t: v // g for t, v in num.items()}
+            den //= g
+    return _poly(p.variables, {e: n for e, n in num.items() if n}, den)
 
 
 def normal_form(p: MultiPoly, basis: Sequence[MultiPoly],
                 order: MonomialOrder = GREVLEX) -> MultiPoly:
     """Full remainder of p on division by basis (every term reduced)."""
-    leads = [(g.leading(order), g) for g in basis if g]
-    remainder: dict[Exponents, Fraction] = {}
-    work = dict(p.terms)
-    while work:
-        e = max(work, key=order.key)
-        c = work[e]
-        hit = None
-        for (le, lc), g in leads:
-            if _divides(le, e):
-                hit = (le, lc, g)
-                break
-        if hit is None:
-            del work[e]
-            remainder[e] = remainder.get(e, Fraction(0)) + c
-            continue
-        le, lc, g = hit
-        shift = _exp_sub(e, le)
-        f = c / lc
-        for ge, gc in g.terms.items():
-            te = tuple(a + b for a, b in zip(ge, shift))
-            acc = work.get(te, Fraction(0)) - f * gc
-            if acc:
-                work[te] = acc
-            else:
-                work.pop(te, None)
-    return MultiPoly(p.variables, remainder)
+    return _reduce(p, _divisors(basis, order), order)
 
 
 def s_polynomial(f: MultiPoly, g: MultiPoly, order: MonomialOrder = GREVLEX) -> MultiPoly:
-    ef, cf = f.leading(order)
-    eg, cg = g.leading(order)
-    lcm = _exp_lcm(ef, eg)
-    mf = MultiPoly(f.variables, {_exp_sub(lcm, ef): Fraction(1) / cf})
-    mg = MultiPoly(g.variables, {_exp_sub(lcm, eg): Fraction(1) / cg})
+    """lcm/LT(f) * f - lcm/LT(g) * g, the leading terms cancelling."""
+    (ef, cf, _), (eg, cg, _) = _divisors((f, g), order)
+    lcm_e = _exp_lcm(ef, eg)
+    # LT(f) = x^ef * cf / f._den, so lcm/LT(f) = x^(lcm-ef) * f._den / cf
+    mf = _poly(f.variables, {_exp_sub(lcm_e, ef): f._den}, cf)
+    mg = _poly(g.variables, {_exp_sub(lcm_e, eg): g._den}, cg)
     return mf * f - mg * g
 
 
@@ -351,165 +382,134 @@ def buchberger_basis(polys: Sequence[MultiPoly], order: MonomialOrder = GREVLEX,
     basis = [p.monic(order) for p in polys if p]
     if not basis:
         return []
-    variables = basis[0].variables
-    leads = [g.leading(order)[0] for g in basis]
+    divisors = _divisors(basis, order)
+    leads = [d[0] for d in divisors]
     pairs: set[tuple[int, int]] = set()
+    pair_key: dict[tuple[int, int], tuple] = {}
+
+    def admit(t: int) -> None:
+        nonlocal pairs
+        pairs = _update_pairs(pairs, leads, t)
+        for i, j in pairs:
+            if (i, j) not in pair_key:
+                pair_key[i, j] = order.key(_exp_lcm(leads[i], leads[j]))
+
     for i in range(len(basis)):
-        pairs = _update_pairs(pairs, leads, i)
+        admit(i)
     while pairs:
-        i, j = min(pairs, key=lambda ij: order.key(_exp_lcm(leads[ij[0]], leads[ij[1]])))
+        i, j = min(pairs, key=pair_key.__getitem__)
         pairs.discard((i, j))
-        s = s_polynomial(basis[i], basis[j], order)
-        r = normal_form(s, basis, order)
+        r = _reduce(s_polynomial(basis[i], basis[j], order), divisors, order)
         if not r:
             continue
         basis.append(r.monic(order))
-        leads.append(r.leading(order)[0])
+        divisors += _divisors(basis[-1:], order)
+        leads.append(divisors[-1][0])
         if len(basis) > max_basis:
             raise RuntimeError("Groebner basis computation exceeded the size guard")
-        pairs = _update_pairs(pairs, leads, len(basis) - 1)
+        admit(len(basis) - 1)
     return _interreduce(basis, order)
 
 
 def _update_pairs(pairs: set, leads: list[Exponents], t: int) -> set:
     """Gebauer-Moeller update when element t joins the basis."""
     lt = leads[t]
-    # new candidate pairs (i, t)
-    cand = {}
-    for i in range(t):
-        cand[i] = _exp_lcm(leads[i], lt)
+    cand = {i: _exp_lcm(leads[i], lt) for i in range(t)}  # new candidate pairs (i, t)
     keep: set[int] = set()
     for i in sorted(cand, key=lambda i: GREVLEX.key(cand[i])):
-        lcm_it = cand[i]
-        # criterion B: coprime leading terms reduce to zero
-        if lcm_it == tuple(a + b for a, b in zip(leads[i], lt)):
-            continue
-        # criterion M: drop if another surviving/candidate lcm properly divides
-        dominated = False
-        for j in keep:
-            if _divides(cand[j], lcm_it) and cand[j] != lcm_it:
-                dominated = True
-                break
-        if dominated:
-            continue
-        # criterion F: equal lcms — keep only one representative
-        twin = next((j for j in keep if cand[j] == lcm_it), None)
-        if twin is not None:
+        # criterion B: coprime leading terms reduce to zero; criterion M: a
+        # kept lcm properly divides this one; criterion F: one of equal lcms
+        if cand[i] == tuple(map(add, leads[i], lt)) or any(
+                _divides(cand[j], cand[i]) for j in keep):
             continue
         keep.add(i)
     # prune old pairs made redundant by lt
     survivors = set()
     for (i, j) in pairs:
         lcm_ij = _exp_lcm(leads[i], leads[j])
-        if (_divides(lt, lcm_ij)
-                and _exp_lcm(leads[i], lt) != lcm_ij
+        if not (_divides(lt, lcm_ij) and _exp_lcm(leads[i], lt) != lcm_ij
                 and _exp_lcm(leads[j], lt) != lcm_ij):
-            continue
-        survivors.add((i, j))
+            survivors.add((i, j))
     survivors.update((i, t) for i in keep)
     return survivors
 
 
 def _interreduce(basis: list[MultiPoly], order: MonomialOrder) -> list[MultiPoly]:
-    # drop elements whose lead is divisible by another lead, then tail-reduce
+    # drop elements whose lead is divisible by another lead, then tail-reduce;
+    # a tail reduction keeps the lead, so the leads found first sort the result
+    divisors = _divisors(basis, order)
     basis = [g for g in basis if g]
-    leads = [g.leading(order)[0] for g in basis]
-    kept = []
-    for i, g in enumerate(basis):
-        if any(j != i and _divides(leads[j], leads[i])
-               and (leads[j] != leads[i] or j < i) for j in range(len(basis))):
-            continue
-        kept.append(g)
+    leads = [d[0] for d in divisors]
+    kept = [i for i in range(len(basis))
+            if not any(j != i and _divides(leads[j], leads[i])
+                       and (leads[j] != leads[i] or j < i) for j in range(len(basis)))]
     reduced = []
-    for i, g in enumerate(kept):
-        others = kept[:i] + kept[i + 1:]
-        r = normal_form(g, others, order) if others else g
+    for i in kept:
+        others = [divisors[j] for j in kept if j != i]
+        r = _reduce(basis[i], others, order) if others else basis[i]
         if r:
-            reduced.append(r.monic(order))
-    reduced.sort(key=lambda g: order.key(g.leading(order)[0]), reverse=True)
-    return reduced
+            reduced.append((order.key(leads[i]), r.monic(order)))
+    reduced.sort(key=lambda kr: kr[0], reverse=True)
+    return [r for _, r in reduced]
 
 
 def is_groebner_basis(basis: Sequence[MultiPoly], order: MonomialOrder = GREVLEX) -> bool:
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            if normal_form(s_polynomial(basis[i], basis[j], order), basis, order):
-                return False
-    return True
+    divisors = _divisors(basis, order)
+    return not any(_reduce(s_polynomial(f, g, order), divisors, order)
+                   for i, f in enumerate(basis) for g in basis[i + 1:])
 
 
 # -------------------------------------------------------------- univariate
+# Dense integer coefficient lists, constant term first, without trailing zeros.
 
 
-def _poly_trim(c: list[Fraction]) -> list[Fraction]:
-    while c and not c[-1]:
-        c.pop()
-    return c
+def _primitive(c: list[int]) -> list[int]:
+    """c (nonzero) divided by its positive content."""
+    g = gcd(*c)
+    return c if g == 1 else [x // g for x in c]
 
 
-def _poly_derivative(c: Sequence[Fraction]) -> list[Fraction]:
-    return _poly_trim([k * c[k] for k in range(1, len(c))])
+def _derivative(c: Sequence[int]) -> list[int]:
+    return [k * c[k] for k in range(1, len(c))]
 
 
-def _poly_rem(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and _poly_trim(a):
-        da = len(a) - 1
-        f = a[-1] / lb
-        for k in range(db + 1):
-            a[da - db + k] -= f * b[k]
-        a = _poly_trim(a)
-        if not a:
-            break
+def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """A positive multiple of the remainder of a by b: each step scales a
+    by |lc(b)|/h > 0 before cancelling its lead, never by lc(b) itself."""
+    a, db, lb = list(a), len(b) - 1, b[-1]
+    while a and len(a) > db:
+        h = gcd(a[-1], lb)
+        m, f = abs(lb) // h, (a[-1] if lb > 0 else -a[-1]) // h
+        if m != 1:
+            a = [x * m for x in a]
+        for k in range(db):
+            a[len(a) - 1 - db + k] -= f * b[k]
+        a.pop()
+        while a and not a[-1]:
+            a.pop()
     return a
 
 
-def _poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        a, b = b, _poly_rem(a, b)
-    if a:
-        lead = a[-1]
-        a = [x / lead for x in a]
-    return a
-
-
-def _sign_changes(values: Iterable[Fraction]) -> int:
+def _sign_changes(values: Iterable[int]) -> int:
     signs = [1 if v > 0 else -1 for v in values if v]
     return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
 
 
 def sturm_real_roots(coeffs: Sequence[Fraction]) -> int:
-    """Number of distinct real roots of a univariate polynomial."""
-    c = _poly_trim([_as_fraction(x) for x in coeffs])
+    """Number of distinct real roots of a univariate polynomial.
+
+    The chain p, p', -prem, ... ends in g = gcd(p, p'); divided through by
+    g it is the Sturm chain of the square-free part, and that division
+    flips every sign at +-infinity alike, so the count is the same."""
+    c = [_as_fraction(x) for x in coeffs]
+    den = lcm(*(x.denominator for x in c))
+    c = [x.numerator * (den // x.denominator) for x in c]
+    while c and not c[-1]:
+        c.pop()
     if len(c) <= 1:
         return 0
-    # square-free part: p / gcd(p, p')
-    g = _poly_gcd(c, _poly_derivative(c))
-    if len(g) > 1:
-        c = _poly_divide_exact(c, g)
-    chain = [c, _poly_derivative(c)]
-    while len(chain[-1]) > 1:
-        rem = _poly_rem(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append([-x for x in rem])
-    # signs at -inf / +inf from leading coefficients and parities
-    at_minus = [p[-1] * (-1) ** (len(p) - 1) for p in chain if p]
-    at_plus = [p[-1] for p in chain if p]
-    return _sign_changes(at_minus) - _sign_changes(at_plus)
-
-
-def _poly_divide_exact(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    a = list(a)
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and _poly_trim(a):
-        da = len(a) - 1
-        f = a[-1] / lb
-        out[da - db] = f
-        for k in range(db + 1):
-            a[da - db + k] -= f * b[k]
-        a = _poly_trim(a)
-    return _poly_trim(out)
+    chain = [_primitive(c), _primitive(_derivative(c))]
+    while len(chain[-1]) > 1 and (rem := _pseudo_remainder(chain[-2], chain[-1])):
+        chain.append([-x for x in _primitive(rem)])
+    at_minus = [p[-1] * (-1) ** (len(p) - 1) for p in chain]
+    return _sign_changes(at_minus) - _sign_changes(p[-1] for p in chain)

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from liesplit.catalog import catalog
 from liesplit.constraints import (
@@ -198,6 +199,42 @@ def test_freedom_three_real_solutions():
     assert report.zero_dimensional
     assert report.solution_count == 39
     assert report.real_solution_count == 3
+
+
+# symbolic_log(build_scheme(2, "SL", 15), 6).to_text(), pinned byte for byte
+SL15_P6_CONDITIONS = (
+    'variables: w_1 w_2 w_3 w_4\n'
+    'degree 1  0: 2*w_1 + 2*w_2 + 2*w_3 + w_4 - 1\n'
+    'degree 3  1: 2*w_1^3 + 2*w_2^3 + 2*w_3^3 + w_4^3\n'
+    'degree 5  2: 2*w_1^5 + 2*w_2^5 + 2*w_3^5 + w_4^5\n'
+    'degree 5  (0, (0, 1)): 1/3*w_1^4*w_2 + 2/3*w_1^3*w_2^2'
+    ' - 1/3*w_1^2*w_2^3 - 2/3*w_1*w_2^4 + 1/3*w_1^4*w_3 + 4/3*w_1^3*w_2*w_3'
+    ' - 2/3*w_1*w_2^3*w_3 + 1/3*w_2^4*w_3 + 2/3*w_1^3*w_3^2'
+    ' + 2/3*w_2^3*w_3^2 - 1/3*w_1^2*w_3^3 - 2/3*w_1*w_2*w_3^3'
+    ' - 1/3*w_2^2*w_3^3 - 2/3*w_1*w_3^4 - 2/3*w_2*w_3^4 + 1/6*w_1^4*w_4'
+    ' + 2/3*w_1^3*w_2*w_4 - 1/3*w_1*w_2^3*w_4 + 1/6*w_2^4*w_4'
+    ' + 2/3*w_1^3*w_3*w_4 + 2/3*w_2^3*w_3*w_4 - 1/3*w_1*w_3^3*w_4'
+    ' - 1/3*w_2*w_3^3*w_4 + 1/6*w_3^4*w_4 + 1/6*w_1^3*w_4^2'
+    ' + 1/6*w_2^3*w_4^2 + 1/6*w_3^3*w_4^2 - 1/6*w_1^2*w_4^3'
+    ' - 1/3*w_1*w_2*w_4^3 - 1/6*w_2^2*w_4^3 - 1/3*w_1*w_3*w_4^3'
+    ' - 1/3*w_2*w_3*w_4^3 - 1/6*w_3^2*w_4^3 - 1/6*w_1*w_4^4 - 1/6*w_2*w_4^4'
+    ' - 1/6*w_3*w_4^4\n'
+)
+
+
+def test_sl15_p6_conditions_are_pinned():
+    assert symbolic_log(build_scheme(2, "SL", 15), 6).to_text() == "".join(SL15_P6_CONDITIONS)
+
+
+def test_sl15_p6_eliminant_is_pinned():
+    """The eliminant in w_4 has degree 39 and three real roots, by our
+    Sturm chain and by sympy's root count."""
+    report = analyze_freedom(symbolic_log(build_scheme(2, "SL", 15), 6))
+    name, coeffs = report.eliminant.univariate_coefficients()
+    assert (name, len(coeffs) - 1, coeffs[-1]) == ("w_4", 39, 1)
+    t = sympy.symbols("t")
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], t)
+    assert poly.count_roots() == report.real_solution_count == 3
 
 
 # ------------------------------------------------- numeric agreement

@@ -4,6 +4,7 @@ Groebner results are cross-checked against sympy's implementation, which
 is independent of ours; Sturm counts against sympy's exact root counting.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,28 @@ def test_constructor_drops_zeros_and_validates_arity():
         MultiPoly(V3, {(1, 0): Fraction(1)})
     with pytest.raises(TypeError):
         MultiPoly(V3, {(1, 0, 0): 0.5})
+
+
+def test_constructor_rejects_non_integer_exponents():
+    with pytest.raises(ValueError):
+        MultiPoly(("x",), {(2.5,): 1})
+
+
+def test_constructor_rejects_negative_exponents():
+    with pytest.raises(ValueError):
+        MultiPoly(("x",), {(-1,): 1})
+
+
+def test_constructor_rejects_repeated_variable_names():
+    with pytest.raises(ValueError):
+        MultiPoly(("x", "x"), {(1, 0): 1})
+
+
+def test_equal_polynomials_share_one_stored_form():
+    half = MultiPoly(V3, {(1, 0, 0): Fraction(2, 4), (0, 0, 0): Fraction(3, 6)})
+    built = (x + 1) * Fraction(3, 2) * Fraction(1, 3)
+    assert half == built and hash(half) == hash(built)
+    assert built.numerators() == ({(1, 0, 0): 1, (0, 0, 0): 1}, 2)
 
 
 def test_arithmetic_small_identities():
@@ -215,7 +238,9 @@ def test_groebner_of_unit_ideal():
 
 # ------------------------------------------------------------ hypothesis
 
-coeff_st = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+# numerators up to 1e9 over denominators up to 1e6 exercise the
+# common-denominator bookkeeping
+coeff_st = st.builds(Fraction, st.integers(-10 ** 9, 10 ** 9), st.integers(1, 10 ** 6))
 expo_st = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
 poly_st = st.dictionaries(expo_st, coeff_st, max_size=4).map(
     lambda d: MultiPoly(V3, d))
@@ -237,6 +262,17 @@ def test_ring_axioms(p, q, r):
     assert p * q == q * p
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
+    assert hash(p * q) == hash(q * p)
+
+
+@given(poly_st, poly_st)
+@settings(max_examples=40, deadline=None)
+def test_results_are_stored_normalised(p, q):
+    for r in (p + q, p - q, p * q, -p, p * Fraction(-3, 7), p.monic()):
+        num, den = r.numerators()
+        assert den > 0 and math.gcd(den, *num.values()) == 1
+        again = MultiPoly(V3, r.terms)
+        assert r == again and hash(r) == hash(again)
 
 
 @given(poly_st, st.lists(poly_st, min_size=1, max_size=3))
@@ -285,3 +321,27 @@ def test_sturm_matches_sympy(coeffs):
     expr = sum(c * t ** k for k, c in enumerate(coeffs))
     expected = sympy.Poly(expr, t).count_roots() if sympy.Poly(expr, t).degree() > 0 else 0
     assert sturm_real_roots([Fraction(c) for c in coeffs]) == expected
+
+
+root_st = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+
+
+@given(st.lists(st.tuples(root_st, st.integers(1, 2)), max_size=4),
+       st.lists(st.tuples(root_st, root_st.filter(lambda b: b > 0)), max_size=2),
+       st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9)))
+@settings(max_examples=80, deadline=None)
+def test_sturm_counts_distinct_roots_of_factored_polynomials(linear, quadratic, lead):
+    """Rational roots, some repeated, times irreducible quadratics
+    (t - a)^2 + b, under any leading coefficient: degree at most 12."""
+    t = sympy.symbols("t")
+    expr = sympy.Rational(lead.numerator, lead.denominator)
+    for r, k in linear:
+        expr *= (t - sympy.Rational(r.numerator, r.denominator)) ** k
+    for a, b in quadratic:
+        expr *= ((t - sympy.Rational(a.numerator, a.denominator)) ** 2
+                 + sympy.Rational(b.numerator, b.denominator))
+    poly = sympy.Poly(expr, t)
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+    expected = poly.count_roots() if poly.degree() > 0 else 0
+    assert expected == len({r for r, _ in linear})
+    assert sturm_real_roots(coeffs) == expected

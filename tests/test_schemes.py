@@ -317,6 +317,26 @@ def test_float_and_exact_paths_agree():
         assert abs(exact.get(key, 0.0) - approx.get(key, 0.0)) < 1e-12, key
 
 
+@pytest.mark.parametrize("name", sorted(n for n, e in CATALOG.items()
+                                        if e.order <= 4 and e.params.values), ids=str)
+def test_float_and_exact_paths_agree_on_catalog(name):
+    """Each entry's parameters, read exactly as Fractions, give the float
+    path's Hall coordinates through degree p+1 up to rounding: relative to
+    the degree's coefficient 1-norm, or to the degree-1 norm (the scale of
+    the parameters) where the degree nearly vanishes."""
+    e = CATALOG[name]
+    D = e.order + 1
+    values = e.params.values
+    exact = log_scheme(e.scheme, {k: Fraction(v) for k, v in values.items()}, D)
+    approx = log_scheme(e.scheme, {k: float(v) for k, v in values.items()}, D)
+    unit = float(sum(abs(c) for c in exact.coords_at_degree(1).values()))
+    for d in range(1, D + 1):
+        ex, fl = exact.coords_at_degree(d), approx.coords_at_degree(d)
+        scale = max(float(sum(abs(c) for c in ex.values())), unit)
+        for key in set(ex) | set(fl):
+            assert abs(float(ex.get(key, 0)) - fl.get(key, 0.0)) <= 1e-14 * scale, (d, key)
+
+
 @settings(max_examples=12, deadline=None)
 @given(
     case=st.sampled_from([(2, "S", 7), (2, "SL", 7), (3, "S", 9),
