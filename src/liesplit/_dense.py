@@ -1,15 +1,7 @@
-"""Dense float kernels for logs of products of generator exponentials.
-
-For an alphabet of n unit-degree generators, the degree-d component of a
-truncated series has exactly n^d word coefficients.  Packing each degree
-into a flat numpy array (word (g_1..g_d) at index sum g_j n^{d-j}) turns
-the two hot operations — right-multiplying by exp(c*G) and the series
-log — into strided vector updates.  This is what makes error evaluation
-cheap enough for optimization loops with m ~ 100 factors at D = 7.
-
-Only unit-degree alphabets are supported; graded pipelines stay on the
-exact path.
-"""
+"""The float log of a product of generator exponentials, cheap enough for
+optimization loops with m ~ 100 factors at D = 7: the product is built in
+place on the word arrays of ``free_algebra``, each factor a right
+multiplication by exp(c*G) in strided vector updates."""
 
 from __future__ import annotations
 
@@ -17,64 +9,18 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["dense_identity", "dense_rmul_exp", "dense_mul", "dense_log",
-           "dense_product_log"]
+from .free_algebra import NCSeries, log, make_alphabet, rmul_exp
 
-
-def dense_identity(n: int, max_degree: int) -> list[np.ndarray]:
-    data = [np.zeros(n ** d) for d in range(max_degree + 1)]
-    data[0][0] = 1.0
-    return data
-
-
-def dense_rmul_exp(data: list[np.ndarray], g: int, c: float, n: int) -> None:
-    """In place: data <- data * exp(c*G_g) truncated at len(data)-1."""
-    max_degree = len(data) - 1
-    # process source degrees high -> low so every target accumulates from
-    # original values only (all writes go to strictly higher degrees)
-    for d in range(max_degree - 1, -1, -1):
-        src = data[d]
-        ck = 1.0
-        for k in range(1, max_degree - d + 1):
-            ck *= c / k
-            # suffix g^k has index g * (n^k - 1) / (n - 1) in base n
-            r = g * (n ** k - 1) // (n - 1)
-            data[d + k].reshape(-1, n ** k)[:, r] += ck * src
-
-
-def dense_mul(x: Sequence[np.ndarray], y: Sequence[np.ndarray], n: int) -> list[np.ndarray]:
-    max_degree = len(x) - 1
-    out = [np.zeros(n ** d) for d in range(max_degree + 1)]
-    for d1 in range(max_degree + 1):
-        if not x[d1].any():
-            continue
-        for d2 in range(max_degree + 1 - d1):
-            if not y[d2].any():
-                continue
-            out[d1 + d2] += np.multiply.outer(x[d1], y[d2]).reshape(-1)
-    return out
-
-
-def dense_log(data: Sequence[np.ndarray], n: int) -> list[np.ndarray]:
-    """log of a series with constant term exactly 1."""
-    max_degree = len(data) - 1
-    u = [a.copy() for a in data]
-    u[0] = np.zeros(1)
-    out = [np.zeros(n ** d) for d in range(max_degree + 1)]
-    power = u
-    for k in range(1, max_degree + 1):
-        sign = 1.0 if k % 2 else -1.0
-        for d in range(max_degree + 1):
-            out[d] += (sign / k) * power[d]
-        if k < max_degree:
-            power = dense_mul(power, u, n)
-    return out
+__all__ = ["dense_product_log"]
 
 
 def dense_product_log(n: int, max_degree: int,
                       factors: Sequence[tuple[int, float]]) -> list[np.ndarray]:
-    """log of prod_i exp(c_i * G_{g_i}), one flat array per degree."""
-    data = dense_identity(n, max_degree)
+    """log of prod_i exp(c_i * G_{g_i}) over n unit-degree generators, one
+    float array per degree 0..max_degree in the ``degree_words`` layout."""
+    data = {d: np.zeros(n ** d) for d in range(max_degree + 1)}
+    data[0][0] = 1.0
     for g, c in factors:
-        dense_rmul_exp(data, g, float(c), n)
-    return dense_log(data, n)
+        rmul_exp(data, (1,) * n, g, float(c))
+    series = log(NCSeries(make_alphabet([f"X{g}" for g in range(n)]), max_degree, data))
+    return [series.array(d) for d in range(max_degree + 1)]

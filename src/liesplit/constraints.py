@@ -26,7 +26,7 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations, product
 from math import gcd
 
-from .free_algebra import exp, log, make_alphabet, series_from_generator
+from .free_algebra import NCSeries, exp, log, make_alphabet
 from .hall import build_hall_basis, lie_coordinates
 from .polynomials import (
     GREVLEX,
@@ -37,7 +37,7 @@ from .polynomials import (
     normal_form,
 )
 from .polynomials import sturm_real_roots as _sturm_real_roots
-from .schemes import Scheme, log_scheme
+from .schemes import Scheme, log_scheme, symbolic_slot_values
 
 __all__ = [
     "ConstraintSystem",
@@ -109,19 +109,11 @@ def _emit(series, basis, degrees, D, variables) -> tuple[list, list, list]:
     return polys, labels, at
 
 
-def _symbolic_variables(scheme: Scheme) -> dict[str, MultiPoly]:
-    slots = scheme.param_slots
-    return {s: MultiPoly.variable(s, slots) for s in slots}
-
-
 def _graded_log(stage_terms, names, degrees, D):
     alphabet = make_alphabet(names, degrees=degrees)
     prod = None
     for terms in stage_terms:
-        gen = None
-        for letter, coeff in zip(alphabet, terms):
-            part = series_from_generator(letter, coeff, D, alphabet)
-            gen = part if gen is None else gen + part
+        gen = NCSeries.from_words(alphabet, D, {(g.id,): c for g, c in zip(alphabet, terms)})
         factor = exp(gen)
         prod = factor if prod is None else prod * factor
     basis = build_hall_basis(alphabet, D)
@@ -137,7 +129,7 @@ def _graded_system(scheme: Scheme, p: int, D: int) -> ConstraintSystem:
     # reversed term flips the sign of the even-degree generators.
     leapfrog = scheme.family == "SL"
     ks = tuple(k for k in range(1, D + 1) if k % 2 or not leapfrog)
-    values = _symbolic_variables(scheme)
+    values = symbolic_slot_values(scheme)
     stage_terms = []
     for i, expr in enumerate(scheme.stage_weights):
         tau = expr.evaluate(values)

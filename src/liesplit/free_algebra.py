@@ -2,10 +2,10 @@
 
 Everything downstream (BCH logarithms, Hall coordinates, order conditions)
 reduces to arithmetic in the free associative algebra truncated at a fixed
-total degree D.  A series stores a sparse map from words (finite sequences
-of generators) to coefficients; the formal time step is not a symbol —
-a word of total generator degree k simply *is* the t^k coefficient, since
-every expansion handled here is homogeneous in t.
+total degree D.  A series stores, per total degree, the coefficients of the
+words (finite sequences of generators) of that degree; the formal time step
+is not a symbol — a word of total generator degree k simply *is* the t^k
+coefficient, since every expansion handled here is homogeneous in t.
 
 Coefficients may be exact ``Fraction``s, Python floats, or any ring-like
 object supporting ``+``, ``-``, ``*``, multiplication by ``Fraction`` and
@@ -14,17 +14,22 @@ parameters through the same code paths).  A series should stay homogeneous
 in its coefficient type; nothing enforces that, but mixing exact and float
 coefficients silently degrades to float.
 
-Words are stored packed into integers: with an alphabet of n generators a
-word w_1...w_k becomes the base-max(n,2) numeral 1 w_1 ... w_k (the leading
-1 keeps the length unambiguous).  Words over up to 4 letters of length up
-to 9 fit a single machine word; longer packs simply become Python big ints.
+Words have one layout, shared with ``hall`` and ``_dense``: one 1-D array
+per degree d over ``degree_words``, the words of total degree d in
+lexicographic order of letter ids (for n unit-degree generators, g_1...g_d
+at index sum g_j n^(d-j)), float64 when every coefficient is a float and
+object otherwise.  All-zero degrees are not stored.  Products go through
+one cached concatenation index per pair of degrees (``concat_index``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 __all__ = [
     "Generator",
@@ -72,49 +77,90 @@ def _check_alphabet(alphabet: Sequence[Generator]) -> tuple[Generator, ...]:
     return tuple(alphabet)
 
 
+@functools.lru_cache(maxsize=None)
+def degree_words(degrees: tuple[int, ...], d: int) -> tuple[tuple[int, ...], ...]:
+    """All words of total degree d over generators of ``degrees``, in
+    lexicographic order of letter ids."""
+    if d == 0:
+        return ((),)
+    return tuple((l,) + w for l, deg in enumerate(degrees) if deg <= d
+                 for w in degree_words(degrees, d - deg))
+
+
+@functools.lru_cache(maxsize=None)
+def word_index(degrees: tuple[int, ...], d: int) -> dict[tuple[int, ...], int]:
+    """Position of each word of ``degree_words(degrees, d)``."""
+    return {w: i for i, w in enumerate(degree_words(degrees, d))}
+
+
+@functools.lru_cache(maxsize=None)
+def concat_index(degrees: tuple[int, ...], d1: int, d2: int) -> np.ndarray:
+    """``[i, j]`` -> position of word i of degree d1 followed by word j of
+    degree d2 among the words of degree d1 + d2."""
+    index = word_index(degrees, d1 + d2)
+    left, right = degree_words(degrees, d1), degree_words(degrees, d2)
+    return np.array([index[a + b] for a in left for b in right],
+                    dtype=np.intp).reshape(len(left), len(right))
+
+
+@functools.lru_cache(maxsize=None)
+def _positions(degrees: tuple[int, ...], d1: int, d2: int, column: int | None = None):
+    """``concat_index`` raveled, or its ``column``, as a slice (which numpy
+    applies as a view) when it steps evenly upward, as for unit degrees."""
+    idx = concat_index(degrees, d1, d2)
+    idx = idx.ravel() if column is None else idx[:, column]
+    step = int(idx[1] - idx[0]) if len(idx) > 1 else 1
+    if len(idx) and step > 0 and (np.diff(idx) == step).all():
+        return slice(int(idx[0]), int(idx[-1]) + 1, step)
+    return idx
+
+
+def _add_at(acc: np.ndarray, pos: np.ndarray, vals: np.ndarray) -> None:
+    """``acc[pos] += vals`` on an object array at distinct positions, by
+    assignment where ``acc`` holds a zero (``0 + poly`` goes through coercion)."""
+    live = acc[pos].astype(bool)
+    acc[pos[~live]] = vals[~live]
+    acc[pos[live]] += vals[live]
+
+
 class NCSeries:
     """A degree-truncated series over a fixed alphabet.
 
-    Internal storage is ``_terms[degree][packed_word] = coeff`` with zero
-    coefficients pruned and the truncation degree fixed at creation.  All
-    operations are pure; instances should be treated as immutable.
+    Storage is ``_arrays[degree]``, one array over ``degree_words`` per
+    degree (see the module docstring), with all-zero degrees absent and the
+    truncation degree fixed at creation.  All operations are pure;
+    instances, and the arrays they hold, should be treated as immutable.
     """
 
-    __slots__ = ("alphabet", "max_degree", "_base", "_degrees", "_terms")
+    __slots__ = ("alphabet", "max_degree", "_degrees", "_arrays")
 
     def __init__(self, alphabet: Sequence[Generator], max_degree: int,
-                 terms: Mapping[int, Mapping[int, object]] | None = None):
+                 arrays: Mapping[int, Sequence] | None = None):
+        """``arrays`` maps degrees to coefficients over ``degree_words``."""
         if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
         self.alphabet = _check_alphabet(alphabet)
         self.max_degree = int(max_degree)
-        self._base = max(len(self.alphabet), 2)
         self._degrees = tuple(g.degree for g in self.alphabet)
-        self._terms: dict[int, dict[int, object]] = {}
-        if terms:
-            for d, bucket in terms.items():
-                if d > self.max_degree:
-                    raise ValueError(f"word of degree {d} exceeds truncation {self.max_degree}")
-                clean = {w: c for w, c in bucket.items() if c}
-                if clean:
-                    self._terms[d] = clean
+        self._arrays = {}
+        for d, values in sorted((arrays or {}).items()):
+            arr = np.asarray(values)
+            arr = arr.astype(float if arr.dtype.kind == "f" else object)
+            if d > self.max_degree or arr.shape != (len(degree_words(self._degrees, d)),):
+                raise ValueError(f"shape {arr.shape} is no degree-{d} array of this series")
+            if np.count_nonzero(arr):
+                self._arrays[d] = arr
 
-    # -- word packing -------------------------------------------------
+    def _with(self, arrays: Mapping[int, np.ndarray]) -> "NCSeries":
+        """A series over this alphabet and truncation holding ``arrays``."""
+        s = object.__new__(NCSeries)
+        s.alphabet, s.max_degree, s._degrees = self.alphabet, self.max_degree, self._degrees
+        s._arrays = {d: arrays[d] for d in sorted(arrays) if np.count_nonzero(arrays[d])}
+        return s
 
-    def pack(self, letters: Iterable[int]) -> int:
-        key = 1
-        for l in letters:
-            key = key * self._base + l
-        return key
-
-    def unpack(self, key: int) -> tuple[int, ...]:
-        letters = []
-        while key > 1:
-            key, l = divmod(key, self._base)
-            letters.append(l)
-        return tuple(reversed(letters))
-
-    def word_degree(self, letters: Iterable[int]) -> int:
+    def word_degree(self, letters: Sequence[int]) -> int:
+        if not set(range(len(self.alphabet))).issuperset(letters):
+            raise ValueError(f"word {tuple(letters)} has a letter outside the alphabet")
         return sum(self._degrees[l] for l in letters)
 
     # -- construction helpers -----------------------------------------
@@ -125,84 +171,70 @@ class NCSeries:
 
     @classmethod
     def one(cls, alphabet: Sequence[Generator], max_degree: int, unit=Fraction(1)) -> "NCSeries":
-        s = cls(alphabet, max_degree)
-        s._terms[0] = {1: unit}
-        return s
+        return cls(alphabet, max_degree, {0: [unit]})
 
     @classmethod
     def from_words(cls, alphabet: Sequence[Generator], max_degree: int,
                    words: Mapping[tuple[int, ...], object]) -> "NCSeries":
         s = cls(alphabet, max_degree)
+        dtype = float if all(isinstance(c, float) for c in words.values() if c) else object
+        arrays: dict[int, np.ndarray] = {}
         for letters, c in words.items():
+            d = s.word_degree(letters)
             if not c:
                 continue
-            d = s.word_degree(letters)
             if d > max_degree:
                 raise ValueError(f"word {letters} of degree {d} exceeds truncation {max_degree}")
-            bucket = s._terms.setdefault(d, {})
-            key = s.pack(letters)
-            acc = bucket.get(key)
-            acc = c if acc is None else acc + c
-            if acc:
-                bucket[key] = acc
-            else:
-                bucket.pop(key, None)
-        s._prune()
-        return s
-
-    def _prune(self) -> None:
-        for d in [d for d, b in self._terms.items() if not b]:
-            del self._terms[d]
-
-    def copy_with(self, terms: dict[int, dict[int, object]]) -> "NCSeries":
-        s = NCSeries(self.alphabet, self.max_degree)
-        s._terms = terms
-        return s
+            if d not in arrays:
+                arrays[d] = np.zeros(len(degree_words(s._degrees, d)), dtype=dtype)
+            arrays[d][word_index(s._degrees, d)[tuple(letters)]] = c
+        return s._with(arrays)
 
     # -- inspection ----------------------------------------------------
 
+    def array(self, degree: int) -> np.ndarray:
+        """The coefficients over ``degree_words`` at ``degree`` (float
+        zeros if the degree is absent).  Read-only by convention."""
+        arr = self._arrays.get(degree)
+        return np.zeros(len(degree_words(self._degrees, degree))) if arr is None else arr
+
     def coeff(self, letters: Sequence[int]):
         d = self.word_degree(letters)
-        return self._terms.get(d, {}).get(self.pack(letters), 0)
+        arr = self._arrays.get(d)
+        return 0 if arr is None else arr[word_index(self._degrees, d)[tuple(letters)]]
 
     def homogeneous(self, degree: int) -> dict[tuple[int, ...], object]:
-        return {self.unpack(k): c for k, c in self._terms.get(degree, {}).items()}
+        arr = self._arrays.get(degree)
+        if arr is None:
+            return {}
+        words, values = degree_words(self._degrees, degree), arr.tolist()
+        return {words[i]: values[i] for i in np.flatnonzero(arr).tolist()}
 
     def items(self) -> Iterator[tuple[tuple[int, ...], object]]:
-        for d in sorted(self._terms):
-            for k, c in self._terms[d].items():
-                yield self.unpack(k), c
+        for d in self._arrays:
+            yield from self.homogeneous(d).items()
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted(self._terms))
-
-    def __len__(self) -> int:
-        return sum(len(b) for b in self._terms.values())
+        return tuple(self._arrays)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._arrays)
 
     def constant_term(self):
-        return self._terms.get(0, {}).get(1, 0)
+        arr = self._arrays.get(0)
+        return 0 if arr is None else arr[0]
 
     def unit(self):
         """Multiplicative unit of the coefficient domain (1, 1.0, or poly one)."""
-        for bucket in self._terms.values():
-            for c in bucket.values():
-                return c ** 0
+        for arr in self._arrays.values():
+            return 1.0 if arr.dtype != object else arr[np.flatnonzero(arr)[0]] ** 0
         return Fraction(1)
 
     def __repr__(self) -> str:
-        if not self._terms:
-            return "NCSeries(0)"
-        parts = []
-        for d in sorted(self._terms):
-            for k in sorted(self._terms[d]):
-                letters = self.unpack(k)
-                word = "".join(self.alphabet[l].label for l in letters) or "1"
-                parts.append(f"{word}: {self._terms[d][k]}")
+        parts = [f"{''.join(self.alphabet[l].label for l in w) or '1'}: {c}"
+                 for w, c in self.items()]
         body = ", ".join(parts[:12]) + (", ..." if len(parts) > 12 else "")
-        return f"NCSeries({{{body}}})"
+        return f"NCSeries({{{body}}})" if parts else "NCSeries(0)"
 
     # -- ring operations ------------------------------------------------
 
@@ -212,33 +244,27 @@ class NCSeries:
 
     def __add__(self, other: "NCSeries") -> "NCSeries":
         self._compatible(other)
-        terms = {d: dict(b) for d, b in self._terms.items()}
-        for d, bucket in other._terms.items():
-            mine = terms.setdefault(d, {})
-            for k, c in bucket.items():
-                acc = mine.get(k)
-                acc = c if acc is None else acc + c
-                if acc:
-                    mine[k] = acc
-                else:
-                    mine.pop(k, None)
-        out = self.copy_with({d: b for d, b in terms.items() if b})
-        return out
-
-    def __neg__(self) -> "NCSeries":
-        return self.copy_with({d: {k: -c for k, c in b.items()} for d, b in self._terms.items()})
-
-    def __sub__(self, other: "NCSeries") -> "NCSeries":
-        return self + (-other)
+        out = dict(self._arrays)
+        for d, b in other._arrays.items():
+            a = out.get(d)
+            if a is None or object not in (a.dtype, b.dtype):
+                out[d] = b if a is None else a + b
+            else:
+                out[d] = acc = a.astype(object)
+                nz = np.flatnonzero(b)
+                _add_at(acc, nz, b[nz])
+        return self._with(out)
 
     def scale(self, factor) -> "NCSeries":
-        if not factor:
-            return NCSeries(self.alphabet, self.max_degree)
-        return self.copy_with(
-            {d: {k: factor * c for k, c in b.items()} for d, b in self._terms.items()})
-
-    def __rmul__(self, factor) -> "NCSeries":
-        return self.scale(factor)
+        out = {}
+        for d, a in self._arrays.items():
+            if isinstance(factor, float) or a.dtype != object:
+                out[d] = float(factor) * a.astype(float)
+            else:
+                out[d] = acc = np.zeros(len(a), dtype=object)
+                nz = np.flatnonzero(a)
+                acc[nz] = factor * a[nz]
+        return self._with(out)
 
     def __mul__(self, other) -> "NCSeries":
         if isinstance(other, NCSeries):
@@ -249,22 +275,14 @@ class NCSeries:
         if not isinstance(other, NCSeries):
             return NotImplemented
         return (self.alphabet == other.alphabet and self.max_degree == other.max_degree
-                and self._terms == other._terms)
+                and dict(self.items()) == dict(other.items()))
 
     def __hash__(self):
         raise TypeError("NCSeries is not hashable")
 
     def map_coefficients(self, fn) -> "NCSeries":
-        terms: dict[int, dict[int, object]] = {}
-        for d, bucket in self._terms.items():
-            clean = {}
-            for k, c in bucket.items():
-                v = fn(c)
-                if v:
-                    clean[k] = v
-            if clean:
-                terms[d] = clean
-        return self.copy_with(terms)
+        return NCSeries.from_words(self.alphabet, self.max_degree,
+                                   {w: fn(c) for w, c in self.items()})
 
 
 def series_from_generator(g: Generator, coeff, D: int,
@@ -286,71 +304,69 @@ def series_from_generator(g: Generator, coeff, D: int,
 
 
 def mul(x: NCSeries, y: NCSeries) -> NCSeries:
-    """Concatenation product, truncated at the common max degree."""
+    """Concatenation product, truncated at the common max degree.  Each
+    output degree sums its (d1, d2) blocks in ascending d1; object blocks
+    multiply only the nonzero entries."""
     x._compatible(y)
-    D = x.max_degree
-    base = x._base
-    # base**len(word) strips/restores the sentinel digit when concatenating
-    pow_len: dict[int, int] = {}
-    terms: dict[int, dict[int, object]] = {}
-    for d1, b1 in x._terms.items():
-        for d2, b2 in y._terms.items():
-            d = d1 + d2
-            if d > D:
-                continue
-            out = terms.setdefault(d, {})
-            for k2, c2 in b2.items():
-                p = pow_len.get(k2)
-                if p is None:
-                    p = base ** _word_len(k2, base)
-                    pow_len[k2] = p
-                tail = k2 - p
-                for k1, c1 in b1.items():
-                    k = k1 * p + tail
-                    c = c1 * c2
-                    acc = out.get(k)
-                    acc = c if acc is None else acc + c
-                    if acc:
-                        out[k] = acc
-                    else:
-                        out.pop(k, None)
-    return x.copy_with({d: b for d, b in terms.items() if b})
+    degrees, D = x._degrees, x.max_degree
+    exact = any(a.dtype == object for a in (*x._arrays.values(), *y._arrays.values()))
+    out: dict[int, np.ndarray] = {}
+    for d1, a in x._arrays.items():
+        i = a.nonzero()[0] if exact else None
+        for d2, b in y._arrays.items():
+            if d1 + d2 > D:
+                break
+            acc = out.get(d1 + d2)
+            if acc is None:
+                acc = out[d1 + d2] = np.zeros(len(degree_words(degrees, d1 + d2)),
+                                              dtype=object if exact else float)
+            if exact:
+                j = b.nonzero()[0]
+                _add_at(acc, concat_index(degrees, d1, d2)[i[:, None], j].ravel(),
+                        np.multiply.outer(a[i], b[j]).ravel())
+            else:
+                acc[_positions(degrees, d1, d2)] += np.multiply.outer(a, b).ravel()
+    return x._with(out)
 
 
-def _word_len(key: int, base: int) -> int:
-    n = 0
-    while key > 1:
-        key //= base
-        n += 1
-    return n
+def rmul_exp(arrays: dict[int, np.ndarray], degrees: tuple[int, ...], g: int, c: float) -> None:
+    """In place: ``arrays`` <- ``arrays`` * exp(c * G_g), for a float array
+    over ``degree_words`` at every degree from 0 up to the truncation."""
+    s, top = degrees[g], len(arrays) - 1
+    powers = [word_index(degrees, k * s)[(g,) * k] for k in range(1, top // s + 1)]
+    # source degrees high -> low, so every target accumulates from
+    # original values only (all writes go to strictly higher degrees)
+    for d in range(top - s, -1, -1):
+        ck = 1.0
+        for k in range(1, (top - d) // s + 1):
+            ck *= c / k
+            arrays[d + k * s][_positions(degrees, d, k * s, powers[k - 1])] += ck * arrays[d]
+
+
+def _power_sum(result: NCSeries, u: NCSeries, coefficient) -> NCSeries:
+    """``result`` + sum_{k<=D} coefficient(k) u^k, for a rational
+    ``coefficient`` taken in u's coefficient domain."""
+    in_float, power = isinstance(u.unit(), float), u
+    for k in range(1, u.max_degree + 1):
+        c = coefficient(k)
+        result = result + (power if c == 1 else power.scale(float(c) if in_float else c))
+        power = mul(power, u)
+        if not power:
+            break
+    return result
 
 
 def exp(x: NCSeries) -> NCSeries:
     """Formal exponential sum_{k<=D} x^k / k! (x must have no constant term)."""
     if x.constant_term():
         raise ValueError("exp requires zero constant term")
-    one = x.unit()
-    result = NCSeries.one(x.alphabet, x.max_degree, unit=one)
-    power = result
-    for k in range(1, x.max_degree + 1):
-        power = mul(power, x)
-        if not power:
-            break
-        result = result + power.scale(Fraction(1, math.factorial(k)) * one)
-    return result
+    return _power_sum(NCSeries.one(x.alphabet, x.max_degree, unit=x.unit()), x,
+                      lambda k: Fraction(1, math.factorial(k)))
 
 
 def log(x: NCSeries) -> NCSeries:
     """Formal logarithm sum_{k<=D} (-1)^(k+1) (x-1)^k / k (constant term must be 1)."""
-    one = x.unit()
-    if x.constant_term() != one:
+    if x.constant_term() != x.unit():
         raise ValueError("log requires constant term 1")
-    u = x - NCSeries.one(x.alphabet, x.max_degree, unit=one)
-    result = NCSeries.zero(x.alphabet, x.max_degree)
-    power = NCSeries.one(x.alphabet, x.max_degree, unit=one)
-    for k in range(1, x.max_degree + 1):
-        power = mul(power, u)
-        if not power:
-            break
-        result = result + power.scale(Fraction((-1) ** (k + 1), k) * one)
-    return result
+    return _power_sum(x._with({}), x._with({d: a for d, a in x._arrays.items() if d}),
+                      lambda k: Fraction((-1) ** (k + 1), k))

@@ -42,7 +42,7 @@ import scipy.linalg
 from sympy import divisors
 from sympy.functions.combinatorial.numbers import mobius
 
-from .free_algebra import Generator, NCSeries, make_alphabet
+from .free_algebra import Generator, NCSeries, degree_words, make_alphabet, word_index
 
 __all__ = [
     "HallBasis",
@@ -203,8 +203,8 @@ class HallBasis:
     def coords_from_dense(self, d: int, vec: np.ndarray) -> tuple[np.ndarray, object]:
         """Coordinates for a dense degree-d word vector.
 
-        ``vec`` lists the words of this basis's alphabet in id-lexicographic
-        order (the ``_dense`` layout for unit degrees).  A float vector is
+        ``vec`` lists the words of this basis's alphabet in the order of
+        ``free_algebra.degree_words``, the layout of ``NCSeries``.  A float vector is
         solved in least squares; an object vector (Fraction or polynomial
         entries) exactly.  Returns (coords, residual), where residual is
         the max-norm of the remainder that no Lie element represents
@@ -241,18 +241,10 @@ def _expand_words(e: HallElement) -> dict[tuple[int, ...], Fraction]:
     return {w: c for w, c in result.items() if c}
 
 
-def _degree_words(degrees: tuple[int, ...], d: int) -> list[tuple[int, ...]]:
-    """All words of total degree d, in lexicographic order of letter ids."""
-    if d == 0:
-        return [()]
-    return [(l,) + w for l, deg in enumerate(degrees) if deg <= d
-            for w in _degree_words(degrees, d - deg)]
-
-
 @functools.lru_cache(maxsize=None)
 def _float_solver(degrees: tuple[int, ...], d: int):
     alphabet = make_alphabet([f"X{g}" for g in range(len(degrees))], degrees)
-    index = {w: i for i, w in enumerate(_degree_words(degrees, d))}
+    index = word_index(degrees, d)
     elements = _cached_basis(alphabet, d, tuple(range(len(degrees)))).elements(d)
     m = np.zeros((len(index), len(elements)))
     for j, e in enumerate(elements):
@@ -276,8 +268,8 @@ def _exact_solver(degrees: tuple[int, ...], d: int):
 def _gather(degrees: tuple[int, ...], ordering: tuple[int, ...], d: int) -> np.ndarray:
     """Position, among the id-lex words of degree d over ``degrees``, of each
     canonical word of the basis with ``ordering``, in canonical word order."""
-    index = {w: i for i, w in enumerate(_degree_words(degrees, d))}
-    canonical = _degree_words(tuple(degrees[g] for g in ordering), d)
+    index = word_index(degrees, d)
+    canonical = degree_words(tuple(degrees[g] for g in ordering), d)
     return np.array([index[tuple(ordering[l] for l in w)] for w in canonical], dtype=np.intp)
 
 
@@ -363,29 +355,21 @@ def lie_coordinates(s: NCSeries, basis: HallBasis):
 
     Returns ``(LieSeries, residual)`` where residual is the max-norm of
     the part of ``s`` not representable as a Lie element (exactly zero
-    for true Lie elements in exact mode).  Each degree is read by
-    ``basis.coords_from_dense``, in float if any coefficient is a float
-    and exactly otherwise.  Raises if ``s`` extends beyond the basis
-    truncation.
+    for true Lie elements in exact mode).  Each degree's coefficient
+    array goes to ``basis.coords_from_dense`` as stored: a float64 array
+    is read in float, an object array exactly.  Raises if ``s`` extends
+    beyond the basis truncation.
     """
     if s.max_degree > basis.max_degree:
         raise ValueError("series truncation exceeds basis truncation")
     if s.alphabet != basis.alphabet:
         raise ValueError("series alphabet does not match basis alphabet")
+    if s.constant_term():
+        raise ValueError("a Lie element has no constant term")
     coords: dict = {}
     residual = 0
-    dtype = float if any(isinstance(c, float) for _, c in s.items()) else object
     for d in s.degrees():
-        if d == 0:
-            if s.constant_term():
-                raise ValueError("a Lie element has no constant term")
-            continue
-        words = _degree_words(basis.generator_degrees, d)
-        index = {w: i for i, w in enumerate(words)}
-        vec = np.zeros(len(words), dtype=dtype)
-        for w, c in s.homogeneous(d).items():
-            vec[index[w]] = c
-        cvec, res = basis.coords_from_dense(d, vec)
+        cvec, res = basis.coords_from_dense(d, s.array(d))
         residual = max(residual, res)
         coords.update({e: c for e, c in zip(basis.by_degree.get(d, ()), cvec.tolist()) if c})
     return LieSeries(basis, coords), residual

@@ -744,6 +744,7 @@ def graph_from_text(text: str) -> InteractionGraph:
     periodic: tuple[bool, ...] | None = None
     sites = []
     inter = []
+    first_at: dict[str, int] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -751,6 +752,9 @@ def graph_from_text(text: str) -> InteractionGraph:
         head, *rest = line.split()
         if head not in ("dim", "periodic", "site", "interaction"):
             raise ValueError(f"line {ln}: unknown record {head!r}")
+        if head in ("dim", "periodic") and head in first_at:
+            raise ValueError(f"line {ln}: {head!r} record repeats line {first_at[head]}")
+        first_at.setdefault(head, ln)
         try:
             values = [int(v) for v in rest]
             if head == "dim":

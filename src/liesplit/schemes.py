@@ -507,7 +507,7 @@ def _product_log(scheme: Scheme, params, D: int):
             coords: dict = {}
             for d in degrees:
                 vec, res = basis.coords_from_dense(d, data[d])
-                if res > 1e-8:
+                if not res <= 1e-8:  # NaN fails too
                     raise RuntimeError(f"non-Lie residual {res:.2e} in numeric log")
                 coords.update({e: c for e, c in zip(basis.elements(d), vec) if c})
             return LieSeries(basis, coords)
@@ -573,8 +573,9 @@ def epsilon(scheme: Scheme, params, p: int, tolerance: float = 1e-10) -> ErrorRe
     bases = [_basis_for(scheme, D, o) for o in orderings]
     lies = [read(bases[0], range(1, D + 1))] + [read(b, (D,)) for b in bases[1:]]
     residuals = _order_residuals(lies[0], p)
-    worst = max(float(abs(v)) for v in residuals.values())
-    if worst > tolerance:
+    # a NaN residual counts as the worst and fails the check
+    worst = max((float(abs(v)) for v in residuals.values()), key=lambda r: (math.isnan(r), r))
+    if not worst <= tolerance:
         raise ValueError(f"scheme does not reach order {p}: max residual {worst:.3e}")
 
     exact = _series_mode(scheme.resolve_slots(params)) != "float"
@@ -713,7 +714,10 @@ def scheme_from_text(text: str):
         key, _, value = line.partition("=")
         if not _:
             raise ValueError(f"line {ln}: malformed line {line!r}")
-        fields[key.strip()] = (ln, value.strip())
+        key = key.strip()
+        if key in fields:
+            raise ValueError(f"line {ln}: field {key!r} repeats line {fields[key][0]}")
+        fields[key] = (ln, value.strip())
     try:
         n = int(fields.pop("n")[1])
         family = fields.pop("family")[1]

@@ -1,12 +1,14 @@
 """Exact arithmetic in the truncated free algebra, checked against the
 naive oracle in _naive.py and a handful of pinned expansions."""
 
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from liesplit import NCSeries, exp, log, make_alphabet, mul, series_from_generator
+from liesplit.polynomials import MultiPoly
 
 from _naive import n_exp, n_log, n_mul
 
@@ -78,6 +80,14 @@ def test_graded_word_degrees():
     assert s.degrees() == (4,)
     with pytest.raises(ValueError):
         NCSeries.from_words(gl, 3, {(0, 1): Fraction(1)})
+
+
+@pytest.mark.parametrize("word", [(-1,), (2,), (0, 5)])
+def test_words_with_letters_outside_the_alphabet_are_rejected(word):
+    with pytest.raises(ValueError, match=re.escape(str(word))):
+        from_words({word: Fraction(1)})
+    with pytest.raises(ValueError, match=re.escape(str(word))):
+        from_words({(0,): Fraction(1), (0, 1): Fraction(2)}).coeff(word)
 
 
 def test_exp_zero_and_log_one():
@@ -173,6 +183,44 @@ def test_log_matches_naive_oracle():
     eb = exp(series_from_generator(B, Fraction(-2), D, AB))
     prod = mul(ea, eb)
     assert as_dict(log(prod)) == n_log(as_dict(prod), (1, 1), D)
+
+
+_XY = ("x", "y")
+_x, _y = (MultiPoly.variable(v, _XY) for v in _XY)
+# Graded alphabets as the SL and SE condition pipelines use them, with
+# fixed sparse series a and b: rational, and one case with polynomials.
+GRADED_CASES = [
+    pytest.param(make_alphabet(["Z1", "Z3"], [1, 3]), 7,
+                 {(0,): Fraction(1, 2), (1,): Fraction(-2, 3)},
+                 {(0,): Fraction(3), (0, 1): Fraction(1, 5), (1, 0, 0): Fraction(-1)},
+                 id="Z1Z3-D7"),
+    pytest.param(make_alphabet("XYZ", [1, 2, 3]), 6,
+                 {(0,): Fraction(1), (1,): Fraction(-1, 4), (2,): Fraction(2, 7)},
+                 {(0, 1): Fraction(2), (2,): Fraction(-1, 3), (1, 0, 0): Fraction(5, 2)},
+                 id="XYZ-D6"),
+    pytest.param(make_alphabet("XYZ", [1, 2, 3]), 6,
+                 {(0,): _x, (1,): _x * _y + Fraction(1, 2), (2,): -_y},
+                 {(0, 0): _y, (1,): Fraction(1, 3) * _x, (2, 0): Fraction(-2)},
+                 id="XYZ-D6-poly"),
+]
+
+
+@pytest.mark.parametrize("alphabet,D,a,b", GRADED_CASES)
+def test_graded_mul_matches_naive_oracle(alphabet, D, a, b):
+    degrees = [g.degree for g in alphabet]
+    sa, sb = (NCSeries.from_words(alphabet, D, w) for w in (a, b))
+    assert as_dict(mul(sa, sb)) == n_mul(a, b, degrees, D)
+    assert as_dict(mul(sb, sa)) == n_mul(b, a, degrees, D)
+
+
+@pytest.mark.parametrize("alphabet,D,a,b", GRADED_CASES)
+def test_graded_exp_and_log_match_naive_oracle(alphabet, D, a, b):
+    degrees = [g.degree for g in alphabet]
+    sa, sb = (NCSeries.from_words(alphabet, D, w) for w in (a, b))
+    assert as_dict(exp(sa)) == n_exp(a, degrees, D)
+    assert as_dict(exp(sb)) == n_exp(b, degrees, D)
+    prod = mul(exp(sa), exp(sb))
+    assert as_dict(log(prod)) == n_log(as_dict(prod), degrees, D)
 
 
 # ------------------------------------------------ property-based checks

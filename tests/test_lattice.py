@@ -331,6 +331,15 @@ def test_graph_text_errors_name_the_line(text, match):
         graph_from_text(text)
 
 
+@pytest.mark.parametrize("text,match", [
+    ("dim 1\ndim 1\n", "line 2: 'dim' record repeats line 1"),
+    ("dim 1\nperiodic 1\nsite 0 0\nperiodic 0\n", "line 4: 'periodic' record repeats line 2"),
+])
+def test_graph_text_repeated_singletons_name_both_lines(text, match):
+    with pytest.raises(ValueError, match=match):
+        graph_from_text(text)
+
+
 def test_dot_export_colors_groups():
     g = build_chain(6)
     part = partition(g)

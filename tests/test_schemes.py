@@ -458,6 +458,21 @@ def test_text_parse_errors_name_the_line(text, match):
         scheme_from_text(text)
 
 
+@pytest.mark.parametrize("text,match", [
+    ("n = 2\nfamily = S\nm = 5\na_1 = 0.1\na_1 = 0.3\n", "line 5: field 'a_1' repeats line 4"),
+    ("n = 2\nfamily = S\nn = 3\nm = 5\n", "line 3: field 'n' repeats line 1"),
+])
+def test_text_repeated_field_names_both_lines(text, match):
+    with pytest.raises(ValueError, match=match):
+        scheme_from_text(text)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_epsilon_rejects_non_finite_parameters(value):
+    with pytest.raises((RuntimeError, ValueError)):
+        epsilon(build_scheme(2, "S", 5), {"a_1": value}, 2)
+
+
 def test_param_assignment_flags():
     assert ParamAssignment({"w_1": Fraction(1)}).is_exact()
     assert not ParamAssignment({"w_1": 0.5}).is_exact()
