@@ -1,26 +1,36 @@
-"""The float log of a product of generator exponentials, cheap enough for
-optimization loops with m ~ 100 factors at D = 7: the product is built in
-place on the word arrays of ``free_algebra``, each factor a right
-multiplication by exp(c*G) in strided vector updates."""
+"""The log of a product of generator exponentials, for float, exact and
+polynomial coefficients alike, cheap enough for optimization loops with
+m ~ 100 factors at D = 7: the product is built in place on the word
+arrays of ``free_algebra``, each factor a right multiplication by
+exp(c*G) (``rmul_exp``).  Float coefficients run on float64 arrays in
+strided vector updates; any other domain on object arrays."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .free_algebra import NCSeries, log, make_alphabet, rmul_exp
+from .free_algebra import Generator, NCSeries, degree_words, log, rmul_exp
+from .polynomials import MultiPoly
 
 __all__ = ["dense_product_log"]
 
 
-def dense_product_log(n: int, max_degree: int,
-                      factors: Sequence[tuple[int, float]]) -> list[np.ndarray]:
-    """log of prod_i exp(c_i * G_{g_i}) over n unit-degree generators, one
-    float array per degree 0..max_degree in the ``degree_words`` layout."""
-    data = {d: np.zeros(n ** d) for d in range(max_degree + 1)}
-    data[0][0] = 1.0
+def dense_product_log(alphabet: Sequence[Generator], max_degree: int,
+                      factors: Sequence[tuple[int, object]]) -> NCSeries:
+    """log of prod_i exp(c_i * G_{g_i}) over ``alphabet``, truncated at
+    ``max_degree``.  With a float c_i and no polynomial one, every c_i is
+    taken as a float and the log is float64; otherwise it holds exact
+    (``Fraction`` or ``MultiPoly``) coefficients."""
+    degrees = tuple(g.degree for g in alphabet)
+    coeffs = [c for _, c in factors]
+    polys = [c for c in coeffs if isinstance(c, MultiPoly)]
+    in_float = not polys and any(isinstance(c, float) for c in coeffs)
+    data = {d: np.zeros(len(degree_words(degrees, d)), dtype=float if in_float else object)
+            for d in range(max_degree + 1)}
+    data[0][0] = 1.0 if in_float else polys[0] ** 0 if polys else Fraction(1)
     for g, c in factors:
-        rmul_exp(data, (1,) * n, g, float(c))
-    series = log(NCSeries(make_alphabet([f"X{g}" for g in range(n)]), max_degree, data))
-    return [series.array(d) for d in range(max_degree + 1)]
+        rmul_exp(data, degrees, g, float(c) if in_float else c)
+    return log(NCSeries(alphabet, max_degree, data))

@@ -19,7 +19,11 @@ per degree d over ``degree_words``, the words of total degree d in
 lexicographic order of letter ids (for n unit-degree generators, g_1...g_d
 at index sum g_j n^(d-j)), float64 when every coefficient is a float and
 object otherwise.  All-zero degrees are not stored.  Products go through
-one cached concatenation index per pair of degrees (``concat_index``).
+one cached concatenation index per pair of degrees (``concat_index``):
+``mul`` of two series, and ``rmul_exp``, which right-multiplies a product
+by the exponential of one generator in place, on float64 and object
+arrays alike.  ``_dense`` builds the log of a scheme's product with it in
+every coefficient domain.
 """
 
 from __future__ import annotations
@@ -329,18 +333,29 @@ def mul(x: NCSeries, y: NCSeries) -> NCSeries:
     return x._with(out)
 
 
-def rmul_exp(arrays: dict[int, np.ndarray], degrees: tuple[int, ...], g: int, c: float) -> None:
-    """In place: ``arrays`` <- ``arrays`` * exp(c * G_g), for a float array
-    over ``degree_words`` at every degree from 0 up to the truncation."""
+def rmul_exp(arrays: dict[int, np.ndarray], degrees: tuple[int, ...], g: int, c) -> None:
+    """In place: ``arrays`` <- ``arrays`` * exp(c * G_g), for one array over
+    ``degree_words`` at every degree from 0 up to the truncation, all
+    float64 (with a float ``c``) or all object (exact or polynomial ``c``).
+    Object arrays multiply only their nonzero entries."""
     s, top = degrees[g], len(arrays) - 1
+    exact = arrays[0].dtype == object
     powers = [word_index(degrees, k * s)[(g,) * k] for k in range(1, top // s + 1)]
     # source degrees high -> low, so every target accumulates from
     # original values only (all writes go to strictly higher degrees)
     for d in range(top - s, -1, -1):
-        ck = 1.0
+        if not exact:
+            ck = 1.0
+            for k in range(1, (top - d) // s + 1):
+                ck *= c / k
+                arrays[d + k * s][_positions(degrees, d, k * s, powers[k - 1])] += ck * arrays[d]
+            continue
+        nz = np.flatnonzero(arrays[d])
+        src, ck = arrays[d][nz], 1
         for k in range(1, (top - d) // s + 1):
-            ck *= c / k
-            arrays[d + k * s][_positions(degrees, d, k * s, powers[k - 1])] += ck * arrays[d]
+            ck = ck * c * Fraction(1, k)
+            _add_at(arrays[d + k * s], concat_index(degrees, d, k * s)[nz, powers[k - 1]],
+                    src * ck)
 
 
 def _power_sum(result: NCSeries, u: NCSeries, coefficient) -> NCSeries:

@@ -350,15 +350,16 @@ def _max_leaf(e: HallElement) -> int:
     return max(_max_leaf(e[0]), _max_leaf(e[1]))
 
 
-def lie_coordinates(s: NCSeries, basis: HallBasis):
+def lie_coordinates(s: NCSeries, basis: HallBasis, degrees: Sequence[int] | None = None):
     """Hall coordinates of a word series, degree by degree.
 
     Returns ``(LieSeries, residual)`` where residual is the max-norm of
     the part of ``s`` not representable as a Lie element (exactly zero
-    for true Lie elements in exact mode).  Each degree's coefficient
-    array goes to ``basis.coords_from_dense`` as stored: a float64 array
-    is read in float, an object array exactly.  Raises if ``s`` extends
-    beyond the basis truncation.
+    for true Lie elements in exact mode, NaN if any degree's is).  Each
+    degree's coefficient array goes to ``basis.coords_from_dense`` as
+    stored: a float64 array is read in float, an object array exactly.
+    ``degrees`` limits the read to those degrees (default: all).  Raises
+    if ``s`` extends beyond the basis truncation.
     """
     if s.max_degree > basis.max_degree:
         raise ValueError("series truncation exceeds basis truncation")
@@ -367,12 +368,14 @@ def lie_coordinates(s: NCSeries, basis: HallBasis):
     if s.constant_term():
         raise ValueError("a Lie element has no constant term")
     coords: dict = {}
-    residual = 0
+    residuals = [0]
     for d in s.degrees():
+        if degrees is not None and d not in degrees:
+            continue
         cvec, res = basis.coords_from_dense(d, s.array(d))
-        residual = max(residual, res)
+        residuals.append(res)
         coords.update({e: c for e, c in zip(basis.by_degree.get(d, ()), cvec.tolist()) if c})
-    return LieSeries(basis, coords), residual
+    return LieSeries(basis, coords), max(residuals, key=lambda r: (r != r, r))  # NaN wins
 
 
 def _max_abs(values):

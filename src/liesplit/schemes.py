@@ -24,7 +24,9 @@ from itertools import permutations
 from typing import Mapping, Sequence
 
 from ._dense import dense_product_log
-from .free_algebra import NCSeries, exp, log, make_alphabet, series_from_generator
+# exp and log are unused here but stay bound: perfbench/tracing.py wraps
+# them by this module's name (tests/test_bench_sites.py pins that)
+from .free_algebra import NCSeries, exp, log, make_alphabet
 from .hall import HallBasis, LieSeries, build_hall_basis, lie_coordinates
 from .polynomials import MultiPoly
 
@@ -192,7 +194,8 @@ class Scheme:
         return replace(self, closures=())
 
     def resolve_slots(self, params: Mapping[str, object]) -> dict[str, object]:
-        """Full slot assignment; provided values win over closure formulas."""
+        """Full slot assignment; provided values win over closure formulas.
+        Raises ``ValueError`` naming the slot of a NaN or infinite value."""
         params = _param_values(params)
         values: dict[str, object] = {}
         closure = self.closure_map
@@ -203,6 +206,8 @@ class Scheme:
                 values[s] = closure[s].evaluate(values)
             else:
                 raise KeyError(f"no value for free parameter slot {s!r}")
+            if isinstance(values[s], float) and not math.isfinite(values[s]):
+                raise ValueError(f"parameter slot {s!r} is {values[s]}, not a finite number")
         return values
 
     def resolve(self, params: Mapping[str, object]) -> list[tuple[int, object]]:
@@ -210,12 +215,7 @@ class Scheme:
         return [(g, expr.evaluate(values)) for g, expr in self.factors]
 
     def coefficient_sum(self, letter: str) -> LinExpr:
-        g = self.letters.index(letter)
-        total = LinExpr()
-        for gi, expr in self.factors:
-            if gi == g:
-                total = total + expr
-        return total
+        return _letter_sum(self.factors, self.letters.index(letter))
 
     def label(self) -> str:
         return f"n{self.n}-{self.family.lower().replace('-', '')}-m{self.m}"
@@ -258,6 +258,11 @@ def _solve_letter_sum(total: LinExpr, dependent: str, target=_ONE) -> LinExpr:
     return (target - rest) * (_ONE / mu)
 
 
+def _letter_sum(factors: Sequence[tuple[int, LinExpr]], g: int) -> LinExpr:
+    """Sum of the coefficient expressions of the factors of letter g."""
+    return sum((expr for gi, expr in factors if gi == g), LinExpr())
+
+
 def _letter_closures(letters: Sequence[str],
                      factors: Sequence[tuple[int, LinExpr]],
                      slot_order: Sequence[str],
@@ -266,10 +271,7 @@ def _letter_closures(letters: Sequence[str],
     for g, letter in enumerate(letters):
         if only is not None and letter not in only:
             continue
-        total = LinExpr()
-        for gi, expr in factors:
-            if gi == g:
-                total = total + expr
+        total = _letter_sum(factors, g)
         present = [s for s in slot_order if any(n == s for n, _ in total.coeffs)]
         if not present:
             raise ValueError(f"generator {letter} never occurs in the template")
@@ -446,14 +448,6 @@ def _basis_for(scheme: Scheme, D: int, ordering: Sequence[str] | None) -> HallBa
 # ------------------------------------------------------------- log paths
 
 
-def _series_mode(values: Mapping[str, object]) -> str:
-    if any(isinstance(v, MultiPoly) for v in values.values()):
-        return "symbolic"
-    if all(isinstance(v, (int, Fraction)) for v in values.values()):
-        return "exact"
-    return "float"
-
-
 def symbolic_slot_values(scheme: Scheme) -> dict[str, MultiPoly]:
     """Free slots as polynomial variables, dependent slots via closures."""
     free = scheme.free_slots
@@ -463,65 +457,34 @@ def symbolic_slot_values(scheme: Scheme) -> dict[str, MultiPoly]:
     return values
 
 
-def _product_series(scheme: Scheme, factor_values, D: int, unit) -> NCSeries:
-    alphabet = make_alphabet(scheme.letters)
-    prod = NCSeries.one(alphabet, D, unit=unit)
-    for g, c in factor_values:
-        prod = prod * exp(series_from_generator(alphabet[g], c, D, alphabet))
-    return prod
-
-
 def log_scheme(scheme: Scheme, params, D: int,
                ordering: Sequence[str] | None = None) -> LieSeries:
     """log of the scheme's product as a LieSeries, truncated at degree D.
 
-    ``params`` may assign Fractions (exact path), floats (dense numeric
-    path), or be None for the symbolic path where free slots become
-    polynomial variables.
+    ``params`` may assign Fractions (exact coefficients), floats (float
+    coefficients), or be None for symbolic coefficients, where free slots
+    become polynomial variables.
     """
     if D < 1:
         raise ValueError("need D >= 1")
-    return _product_log(scheme, params, D)(_basis_for(scheme, D, ordering), range(1, D + 1))
+    return _read(_product_log(scheme, params, D), _basis_for(scheme, D, ordering))
 
 
-def _product_log(scheme: Scheme, params, D: int):
-    """Form the scheme's product and its log once, truncated at degree D.
+def _product_log(scheme: Scheme, params, D: int) -> NCSeries:
+    """The log of the scheme's product, truncated at degree D, in the
+    coefficient domain of ``params`` (see ``log_scheme``)."""
+    values = symbolic_slot_values(scheme) if params is None else scheme.resolve_slots(params)
+    return dense_product_log(make_alphabet(scheme.letters), D,
+                             [(g, e.evaluate(values)) for g, e in scheme.factors])
 
-    Returns ``read(basis, degrees)``: the log's Hall coordinates in
-    ``basis`` as a LieSeries, holding at least ``degrees`` (the exact and
-    symbolic paths return every degree).  Raises on a non-Lie residual.
-    """
-    if params is None:
-        values = symbolic_slot_values(scheme)
-        mode = "symbolic"
-    else:
-        values = scheme.resolve_slots(params)
-        mode = _series_mode(values)
-    factor_values = [(g, e.evaluate(values)) for g, e in scheme.factors]
 
-    if mode == "float":
-        data = dense_product_log(len(scheme.letters), D,
-                                 [(g, float(c)) for g, c in factor_values])
-
-        def read(basis: HallBasis, degrees) -> LieSeries:
-            coords: dict = {}
-            for d in degrees:
-                vec, res = basis.coords_from_dense(d, data[d])
-                if not res <= 1e-8:  # NaN fails too
-                    raise RuntimeError(f"non-Lie residual {res:.2e} in numeric log")
-                coords.update({e: c for e, c in zip(basis.elements(d), vec) if c})
-            return LieSeries(basis, coords)
-        return read
-
-    unit = _ONE if mode == "exact" else MultiPoly.constant(1, scheme.free_slots)
-    series = log(_product_series(scheme, factor_values, D, unit))
-
-    def read_exact(basis: HallBasis, degrees) -> LieSeries:
-        lie, residual = lie_coordinates(series, basis)
-        if residual:
-            raise RuntimeError(f"non-Lie residual {residual} in exact log")
-        return lie
-    return read_exact
+def _read(series: NCSeries, basis: HallBasis, degrees: Sequence[int] | None = None) -> LieSeries:
+    """``series``' Hall coordinates in ``basis`` (at ``degrees`` only, if
+    given); raises on a non-Lie residual above rounding, or any if exact."""
+    lie, residual = lie_coordinates(series, basis, degrees)
+    if not residual <= (1e-8 if isinstance(series.unit(), float) else 0):  # NaN fails too
+        raise RuntimeError(f"non-Lie residual {float(residual):.2e} in the product's log")
+    return lie
 
 
 def verify_order(scheme: Scheme, params, p: int,
@@ -568,17 +531,17 @@ def epsilon(scheme: Scheme, params, p: int, tolerance: float = 1e-10) -> ErrorRe
     if p < 1:
         raise ValueError("order must be >= 1")
     D = p + 1
-    read = _product_log(scheme, params, D)
+    series = _product_log(scheme, params, D)
     orderings = list(permutations(scheme.letters))  # the identity first
     bases = [_basis_for(scheme, D, o) for o in orderings]
-    lies = [read(bases[0], range(1, D + 1))] + [read(b, (D,)) for b in bases[1:]]
+    lies = [_read(series, bases[0])] + [_read(series, b, (D,)) for b in bases[1:]]
     residuals = _order_residuals(lies[0], p)
     # a NaN residual counts as the worst and fails the check
     worst = max((float(abs(v)) for v in residuals.values()), key=lambda r: (math.isnan(r), r))
     if not worst <= tolerance:
         raise ValueError(f"scheme does not reach order {p}: max residual {worst:.3e}")
 
-    exact = _series_mode(scheme.resolve_slots(params)) != "float"
+    exact = not isinstance(series.unit(), float)
     zero = _ZERO if exact else 0.0
     sums: dict[tuple[str, ...], object] = {}
     coeffs: dict[tuple[str, ...], tuple] = {}

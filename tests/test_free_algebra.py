@@ -1,13 +1,16 @@
 """Exact arithmetic in the truncated free algebra, checked against the
 naive oracle in _naive.py and a handful of pinned expansions."""
 
+import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from liesplit import NCSeries, exp, log, make_alphabet, mul, series_from_generator
+from liesplit.free_algebra import degree_words, rmul_exp
 from liesplit.polynomials import MultiPoly
 
 from _naive import n_exp, n_log, n_mul
@@ -221,6 +224,63 @@ def test_graded_exp_and_log_match_naive_oracle(alphabet, D, a, b):
     assert as_dict(exp(sb)) == n_exp(b, degrees, D)
     prod = mul(exp(sa), exp(sb))
     assert as_dict(log(prod)) == n_log(as_dict(prod), degrees, D)
+
+
+def _in_place_product(alphabet, D, factors, unit):
+    """prod exp(c * G_g) over ``factors``, built in place by ``rmul_exp``."""
+    degrees = tuple(g.degree for g in alphabet)
+    dtype = float if isinstance(unit, float) else object
+    data = {d: np.zeros(len(degree_words(degrees, d)), dtype=dtype) for d in range(D + 1)}
+    data[0][0] = unit
+    for g, c in factors:
+        rmul_exp(data, degrees, g, c)
+    return NCSeries(alphabet, D, data)
+
+
+def _random_factors(n, count, coefficient, seed):
+    """Every letter once and ``count`` random letters more, shuffled, with
+    random coefficients; then a zero coefficient and a repeated letter."""
+    rng = random.Random(seed)
+    letters = list(range(n)) + [rng.randrange(n) for _ in range(count)]
+    rng.shuffle(letters)
+    factors = [(g, coefficient(rng)) for g in letters]
+    g = rng.randrange(n)
+    return factors + [(g, coefficient(rng) * 0), (g, coefficient(rng)), (g, coefficient(rng))]
+
+
+def _fraction(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+
+def _poly(rng):
+    return _fraction(rng) * _x + _fraction(rng) * _y + _fraction(rng)
+
+
+@pytest.mark.parametrize("n,D", [(2, 6), (3, 4)])
+@pytest.mark.parametrize("coefficient,unit", [(_fraction, Fraction(1)),
+                                              (_poly, MultiPoly.constant(1, _XY))],
+                         ids=["fraction", "poly"])
+def test_object_rmul_exp_matches_naive_oracle(n, D, coefficient, unit):
+    alphabet = make_alphabet("ABC"[:n])
+    degrees = (1,) * n
+    factors = _random_factors(n, 5, coefficient, seed=10 * n + D)
+    expected = {(): Fraction(1)}
+    for g, c in factors:
+        expected = n_mul(expected, n_exp({(g,): c}, degrees, D), degrees, D)
+    assert as_dict(_in_place_product(alphabet, D, factors, unit)) == expected
+
+
+@pytest.mark.parametrize("n,D", [(2, 6), (3, 4)])
+def test_float_rmul_exp_agrees_with_exact(n, D):
+    alphabet = make_alphabet("ABC"[:n])
+    factors = _random_factors(n, 5, _fraction, seed=n + D)
+    exact = _in_place_product(alphabet, D, factors, Fraction(1))
+    approx = _in_place_product(alphabet, D, [(g, float(c)) for g, c in factors], 1.0)
+    want = [exact.array(d).astype(float) for d in range(D + 1)]
+    scale = max(np.abs(w).max() for w in want)
+    for d, w in enumerate(want):
+        assert approx.array(d).dtype == float
+        assert np.abs(approx.array(d) - w).max() <= 1e-14 * scale
 
 
 # ------------------------------------------------ property-based checks

@@ -1,6 +1,7 @@
 """Scheme templates: shapes, closures, logs, order checks, error measure."""
 
 import math
+import warnings
 from fractions import Fraction
 from itertools import permutations
 
@@ -257,6 +258,44 @@ def test_float_epsilon_forms_one_product(monkeypatch):
         assert len(calls) == 1, name
 
 
+def _counted_products(monkeypatch):
+    calls = []
+    real = schemes.dense_product_log
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(schemes, "dense_product_log", counted)
+    return calls
+
+
+# exact copies of the float catalog values up to order 4, and the entries
+# without parameters
+EXACT_CASES = [(name, e.scheme, {s: Fraction(v) for s, v in e.params.values.items()}, e.order)
+               for name, e in sorted(CATALOG.items())
+               if not e.params.is_exact() and e.order <= 4 or not e.params.values]
+
+
+def test_every_domain_forms_one_product(monkeypatch):
+    names = {name for name, *_ in EXACT_CASES}
+    assert {"n2-p2-sl-m3-leapfrog", "n3-p1-n-m3-euler", "n3-p2-sl-m5-leapfrog"} <= names
+    calls = _counted_products(monkeypatch)
+    for name, scheme, params, p in EXACT_CASES:
+        calls.clear()
+        rep = epsilon(scheme, params, p)
+        assert len(calls) == 1, name
+        assert isinstance(rep.epsilon, Fraction), name
+        calls.clear()
+        log_scheme(scheme, params, p)
+        assert len(calls) == 1, name
+    for n, family, m, D in [(2, "S", 9, 5), (3, "S", 9, 3)]:
+        calls.clear()
+        lie = log_scheme(build_scheme(n, family, m), None, D)
+        assert len(calls) == 1
+        assert all(isinstance(c, MultiPoly) for c in lie.coords.values())
+
+
 @pytest.mark.parametrize("name", sorted(CATALOG), ids=str)
 def test_epsilon_order_residuals_match_verify_order(name):
     e = CATALOG[name]
@@ -471,6 +510,17 @@ def test_text_repeated_field_names_both_lines(text, match):
 def test_epsilon_rejects_non_finite_parameters(value):
     with pytest.raises((RuntimeError, ValueError)):
         epsilon(build_scheme(2, "S", 5), {"a_1": value}, 2)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_parameter_is_named_before_any_product(value, monkeypatch):
+    calls = _counted_products(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="'a_1'"):
+            epsilon(build_scheme(2, "S", 5), {"a_1": value}, 2)
+    assert caught == []
+    assert calls == []
 
 
 def test_param_assignment_flags():
