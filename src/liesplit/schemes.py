@@ -487,11 +487,18 @@ def _read(series: NCSeries, basis: HallBasis, degrees: Sequence[int] | None = No
     return lie
 
 
+def _require_numeric(params, caller: str) -> None:
+    if params is None:
+        raise ValueError(f"{caller} needs numeric parameters; "
+                         "log_scheme(scheme, None, D) is the symbolic path")
+
+
 def verify_order(scheme: Scheme, params, p: int,
                  tolerance: float = 1e-10) -> tuple[bool, dict[int, float]]:
     """Check U = e^{tH} + O(t^{p+1}): unit degree-1 coords, zero at 2..p."""
     if p < 1:
         raise ValueError("order must be >= 1")
+    _require_numeric(params, "verify_order")
     residuals = _order_residuals(log_scheme(scheme, params, p), p)
     ok = all(float(abs(v)) <= tolerance for v in residuals.values())
     return ok, residuals
@@ -530,6 +537,7 @@ def epsilon(scheme: Scheme, params, p: int, tolerance: float = 1e-10) -> ErrorRe
     """
     if p < 1:
         raise ValueError("order must be >= 1")
+    _require_numeric(params, "epsilon")
     D = p + 1
     series = _product_log(scheme, params, D)
     orderings = list(permutations(scheme.letters))  # the identity first

@@ -523,6 +523,14 @@ def test_non_finite_parameter_is_named_before_any_product(value, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("check", [epsilon, verify_order], ids=lambda f: f.__name__)
+def test_symbolic_params_rejected_before_any_product(check, monkeypatch):
+    calls = _counted_products(monkeypatch)
+    with pytest.raises(ValueError, match=r"numeric parameters.*log_scheme\(scheme, None, D\)"):
+        check(build_scheme(2, "S", 5), None, 2)
+    assert calls == []
+
+
 def test_param_assignment_flags():
     assert ParamAssignment({"w_1": Fraction(1)}).is_exact()
     assert not ParamAssignment({"w_1": 0.5}).is_exact()

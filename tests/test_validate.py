@@ -1,11 +1,15 @@
 """Matrix-level validation: generators, products, scaling fits."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from liesplit import validate
 from liesplit.catalog import catalog
 from liesplit.validate import (
+    GeneratorSet,
     apply_scheme,
     build_generators,
     comparison_to_csv,
@@ -80,6 +84,65 @@ def test_generator_class_validation():
         build_generators("spin-chain-even-odd", n=2, chain_length=3)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_generator_rejected(bad):
+    good = build_generators("random-general", n=2, dim=4, seed=0)
+    broken = good.matrices[1].copy()
+    broken[2, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        GeneratorSet(2, 4, (good.matrices[0], broken), "random-general", 0)
+
+
+# ------------------------------------------------- per-call exponential
+
+_CLASS_SETS = {
+    "random-antihermitian": dict(n=2, dim=16, seed=2),
+    "random-general": dict(n=2, dim=16, seed=3),
+    "spin-chain-even-odd": dict(n=2, chain_length=6, seed=0),
+    "commuting-pair": dict(n=3, dim=8, seed=5),
+}
+
+
+@pytest.mark.parametrize("klass", sorted(_CLASS_SETS))
+def test_flow_matches_expm(klass):
+    gens = build_generators(klass, **_CLASS_SETS[klass])
+    for mat in gens.matrices + (gens.total(),):
+        flow = validate._flow(mat)
+        for s in (-0.9, -1e-3, 1e-3, 0.7, 1.4):
+            ref = expm(s * mat)
+            assert (operator_norm(flow(s) - ref)
+                    <= 1e-12 * operator_norm(ref))
+
+
+def _counted_expm(monkeypatch):
+    calls = []
+    real = validate.expm
+
+    def counted(mat):
+        calls.append(mat.shape)
+        return real(mat)
+
+    monkeypatch.setattr(validate, "expm", counted)
+    return calls
+
+
+def test_chain_fit_diagonalizes_instead_of_expm(cat, monkeypatch):
+    calls = _counted_expm(monkeypatch)
+    e = cat["n2-p4-s-m11-opt"]
+    gens = build_generators("spin-chain-even-odd", n=2, chain_length=6,
+                            seed=0)
+    scaling_fit(e.scheme, e.params, gens)
+    assert calls == []
+
+
+def test_general_fit_calls_expm_per_factor(cat, monkeypatch):
+    calls = _counted_expm(monkeypatch)
+    e = cat["n2-p4-s-m11-opt"]
+    gens = build_generators("random-general", n=2, dim=16, seed=3)
+    rep = scaling_fit(e.scheme, e.params, gens)
+    assert len(calls) == len(rep.t_grid) * (e.scheme.m + 1) == 28 * 12
+
+
 # ------------------------------------------------------- apply_scheme
 
 def test_apply_scheme_at_zero_is_identity(cat):
@@ -129,6 +192,35 @@ def test_slope_matches_order(cat, name, p):
     assert rep.fitted_slope == pytest.approx(p + 1, abs=0.15)
     assert len(rep.window) >= 5
     assert all(err > 0 for err in rep.errors)
+
+
+@pytest.mark.parametrize("name,p", [
+    ("n2-p2-sl-m3-leapfrog", 2),
+    ("n2-p4-s-m11-opt", 4),
+    ("n2-p6-sl-m19-opt", 6),
+])
+def test_chain_slope_matches_order(cat, name, p):
+    e = cat[name]
+    gens = build_generators("spin-chain-even-odd", n=2, chain_length=6,
+                            seed=0)
+    rep = scaling_fit(e.scheme, e.params, gens)
+    assert rep.fitted_slope == pytest.approx(p + 1, abs=0.15)
+    assert len(rep.window) >= 5
+
+
+@pytest.mark.parametrize("t_lo,t_hi,match", [
+    (0.0, 0.7, "t_lo must be positive"),
+    (-1.0, 0.7, "t_lo must be positive"),
+    (0.5, 0.5, "t_hi must exceed t_lo"),
+    (0.7, 3e-3, "t_hi must exceed t_lo"),
+    (math.nan, 0.7, "must be finite"),
+    (3e-3, math.inf, "must be finite"),
+])
+def test_scaling_grid_bounds_rejected(cat, t_lo, t_hi, match):
+    e = cat["n2-p2-sl-m3-leapfrog"]
+    gens = build_generators("random-general", n=2, dim=4, seed=0)
+    with pytest.raises(ValueError, match=match):
+        scaling_fit(e.scheme, e.params, gens, t_lo=t_lo, t_hi=t_hi)
 
 
 def test_scaling_window_excludes_floor_and_top(cat):
