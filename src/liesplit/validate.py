@@ -11,12 +11,11 @@ series algebra used to derive it.
 
 Each public call forms exp(s·M) one way per matrix M (every generator
 and H): an exactly Hermitian M is diagonalized once with ``eigh`` and
-every factor is V·diag(e^{sλ})·Vᴴ; an exactly anti-Hermitian M goes the
-same way through ``eigh(i·M)``; any other matrix (``random-general``,
-``commuting-pair``) gets scaling-and-squaring ``expm`` per factor, the
-general method, which a normal matrix does not need (Higham, SIAM J.
-Matrix Anal. Appl. 26:1179, 2005).  The decompositions live for one
-call only.
+every factor is V·diag(e^{sλ})·Vᴴ; any other matrix (``random-general``,
+``random-antihermitian``, ``commuting-pair``) gets scaling-and-squaring
+``expm`` per factor, the general method, which a Hermitian matrix does
+not need (Higham, SIAM J. Matrix Anal. Appl. 26:1179, 2005).  The
+decompositions live for one call only.
 """
 
 from __future__ import annotations
@@ -157,27 +156,21 @@ def _spin_chain(n: int, length: int, seed: int) -> GeneratorSet:
 
 def _flow(mat: np.ndarray):
     """s -> exp(s·mat) for real s: one ``eigh`` when mat is exactly
-    Hermitian or anti-Hermitian, ``expm`` per call otherwise."""
-    if np.array_equal(mat, mat.conj().T):
-        lam, vecs = np.linalg.eigh(mat)
-        rates = lam
-    elif np.array_equal(mat, -mat.conj().T):
-        lam, vecs = np.linalg.eigh(1j * mat)  # mat = -i·V·diag(λ)·Vᴴ
-        rates = -1j * lam
-    else:
+    Hermitian, ``expm`` per call otherwise."""
+    if not np.array_equal(mat, mat.conj().T):
         return lambda s: expm(s * mat)
+    lam, vecs = np.linalg.eigh(mat)
     vecs_h = vecs.conj().T
-    return lambda s: (vecs * np.exp(s * rates)) @ vecs_h
+    return lambda s: (vecs * np.exp(s * lam)) @ vecs_h
 
 
-def _stepper(scheme: Scheme, params, gens: GeneratorSet, flows=None):
-    """t -> the scheme's ordered product at step t, on the generator
-    flows (one ``_flow`` per matrix, built here unless given)."""
+def _stepper(scheme: Scheme, params, gens: GeneratorSet):
+    """t -> the scheme's ordered product at step t, on one ``_flow`` per
+    generator."""
     if scheme.n != gens.n:
         raise ValueError(f"scheme splits {scheme.n} terms but the "
                          f"generator set has {gens.n}")
-    if flows is None:
-        flows = [_flow(m) for m in gens.matrices]
+    flows = [_flow(m) for m in gens.matrices]
     factors = [(flows[g], float(coeff)) for g, coeff in scheme.resolve(params)]
 
     def step(t: float) -> np.ndarray:
@@ -192,8 +185,8 @@ def apply_scheme(scheme: Scheme, params, gens: GeneratorSet,
                  t: float) -> np.ndarray:
     """Ordered product of matrix exponentials for one time step.
 
-    Hermitian and anti-Hermitian generators are diagonalized once, other
-    generators go through ``expm`` per factor (see the module notes).
+    Hermitian generators are diagonalized once, other generators go
+    through ``expm`` per factor (see the module notes).
     """
     return _stepper(scheme, params, gens)(t)
 
@@ -230,8 +223,8 @@ def scaling_fit(scheme: Scheme, params, gens: GeneratorSet,
     the least-squares fit there.  An order-p scheme gives p + 1.
 
     Each generator and H are diagonalized once per call when exactly
-    Hermitian or anti-Hermitian (a spin chain); other generators take
-    one ``expm`` per factor and per grid point (see the module notes).
+    Hermitian (a spin chain); other generators take one ``expm`` per
+    factor and per grid point (see the module notes).
     """
     if points < 5:
         raise ValueError("need at least five grid points")
@@ -312,10 +305,9 @@ def equal_cost_comparison(entries: Sequence, gens: GeneratorSet,
     Every scheme gets about ``budget`` matrix exponentials: a scheme
     with m factors takes steps ~ budget/m of size t = T/steps, so
     cheaper-per-step schemes take more, smaller steps.  Rows keep the
-    input order; the rank column orders by error.  The generators and H
-    are diagonalized once per call where ``scaling_fit`` does so.
+    input order; the rank column orders by error.  Hermitian generators
+    are diagonalized once per scheme and a Hermitian H once per call.
     """
-    flows = [_flow(m) for m in gens.matrices]
     exact = _flow(gens.total())(total_time)
     items = []
     for entry in entries:
@@ -327,7 +319,7 @@ def equal_cost_comparison(entries: Sequence, gens: GeneratorSet,
                              f"of {label} (m={scheme.m})")
         steps = max(1, round(budget / scheme.m))
         t_step = total_time / steps
-        step_u = _stepper(scheme, params, gens, flows)(t_step)
+        step_u = _stepper(scheme, params, gens)(t_step)
         u = np.linalg.matrix_power(step_u, steps)
         err = operator_norm(u - exact)
         items.append((label, scheme.m, steps, t_step, steps * scheme.m,

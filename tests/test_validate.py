@@ -135,10 +135,12 @@ def test_chain_fit_diagonalizes_instead_of_expm(cat, monkeypatch):
     assert calls == []
 
 
-def test_general_fit_calls_expm_per_factor(cat, monkeypatch):
+@pytest.mark.parametrize("klass", ["random-general",
+                                   "random-antihermitian"])
+def test_non_hermitian_fit_calls_expm_per_factor(cat, klass, monkeypatch):
     calls = _counted_expm(monkeypatch)
     e = cat["n2-p4-s-m11-opt"]
-    gens = build_generators("random-general", n=2, dim=16, seed=3)
+    gens = build_generators(klass, n=2, dim=16, seed=3)
     rep = scaling_fit(e.scheme, e.params, gens)
     assert len(calls) == len(rep.t_grid) * (e.scheme.m + 1) == 28 * 12
 
