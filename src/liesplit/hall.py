@@ -39,8 +39,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
-from sympy import divisors
-from sympy.functions.combinatorial.numbers import mobius
 
 from .free_algebra import Generator, NCSeries, degree_words, make_alphabet, word_index
 
@@ -65,9 +63,23 @@ def witt_dimension(n: int, k: int) -> int:
     """
     if n < 1 or k < 1:
         raise ValueError("witt_dimension requires n >= 1 and k >= 1")
-    total = sum(int(mobius(j)) * n ** (k // j) for j in divisors(k))
+    total = sum(_mobius(j) * n ** (k // j) for j in range(1, k + 1) if k % j == 0)
     assert total % k == 0
     return total // k
+
+
+def _mobius(j: int) -> int:
+    """Moebius function by trial division: 0 on a square factor, else
+    (-1) to the number of prime factors."""
+    mu, q = 1, 2
+    while q * q <= j:
+        if j % q == 0:
+            j //= q
+            if j % q == 0:
+                return 0
+            mu = -mu
+        q += 1
+    return -mu if j > 1 else mu
 
 
 def hall_degree(e: HallElement, degrees: Sequence[int]) -> int:

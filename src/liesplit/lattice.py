@@ -16,6 +16,13 @@ plaquette checkerboards and L-shaped triples on the square lattice,
 three-colored triangles on the triangular lattice, edge directions on the
 honeycomb, and up/down triangles on the Kagome lattice, plus a greedy
 fallback for anything else.
+
+Every tiling strategy follows one placement rule.  Each interaction is
+read as an anchor site plus a lexicographically positive bond offset; the
+strategy maps that pair to a tile (an operator key) and colours the tiles
+so that tiles of one colour never share a site.  Interactions on one tile
+merge into one operator.  Tile keys are wrapped modulo the extent along
+periodic axes in one place, so each tile has exactly one key.
 """
 
 from __future__ import annotations
@@ -304,7 +311,7 @@ def reduce_to_nearest_neighbor(g: InteractionGraph
     while g.max_range() > 1:
         g, cmap = coarse_grain(g, 2 if g.dim == 1 else (2, 2))
         maps.append(cmap)
-    if g.dim == 2 and not _is_triangular_subset(g):
+    if g.dim == 2 and _triangular_diagonal(_signed_offsets(g)) is None:
         g, cmap = coarse_grain(g, (2, 1))
         maps.append(cmap)
     return g, maps
@@ -317,10 +324,17 @@ def _signed_offsets(g: InteractionGraph) -> set[tuple[int, ...]]:
     return {_bond_offset(pos, ext, g.periodic, inter)[1] for inter in g.interactions}
 
 
-def _is_triangular_subset(g: InteractionGraph) -> bool:
-    offs = _signed_offsets(g)
-    plain = {(1, 0), (0, 1), (0, 0)}
-    return offs <= plain | {(1, 1)} or offs <= plain | {(1, -1)}
+# the on-site offset and the two nearest-neighbor square-lattice offsets
+_SQUARE_OFFSETS = frozenset({(0, 0), (1, 0), (0, 1)})
+
+
+def _triangular_diagonal(offsets) -> tuple[int, int] | None:
+    """The diagonal, (1, 1) or (1, -1), that these offsets allow beside
+    the square ones, or None when they fit no triangular lattice."""
+    for diagonal in ((1, 1), (1, -1)):
+        if offsets <= _SQUARE_OFFSETS | {diagonal}:
+            return diagonal
+    return None
 
 
 # ------------------------------------------------------------ partitioning
@@ -394,7 +408,18 @@ def validate_partition(g: InteractionGraph,
     return (not violations, violations)
 
 
-def _finish(groups: dict, op_of: dict, certificate=None) -> Partition:
+def _place(g: InteractionGraph, place) -> dict:
+    """File each interaction under the (group, operator key) that
+    ``place(anchor, offset, interaction)`` picks for it."""
+    pos, ext = g.coords(), g.extents()
+    groups: dict = {}
+    for k, inter in enumerate(g.interactions):
+        group, key = place(*_bond_offset(pos, ext, g.periodic, inter), inter)
+        groups.setdefault(group, {}).setdefault(key, []).append(k)
+    return groups
+
+
+def _finish(g: InteractionGraph, groups: dict, certificate=None) -> Partition:
     """Assemble a Partition from {group: {operator_key: [indices]}}."""
     out_groups = []
     out_ops = []
@@ -405,15 +430,16 @@ def _finish(groups: dict, op_of: dict, certificate=None) -> Partition:
         for op_key in sorted(buckets, key=repr):
             members = buckets[op_key]
             idxs.extend(members)
-            ops.append(frozenset().union(*(op_of[k] for k in members)))
+            ops.append(frozenset().union(*(g.interactions[k] for k in members)))
         out_groups.append(tuple(sorted(idxs)))
         out_ops.append(tuple(ops))
     return Partition(tuple(out_groups), tuple(out_ops),
                      certificate=certificate)
 
 
-def _bucket(groups: dict, group, op_key, index) -> None:
-    groups.setdefault(group, {}).setdefault(op_key, []).append(index)
+def _wrap(g: InteractionGraph, ext: tuple[int, ...], *coords) -> tuple[int, ...]:
+    """Key coordinates reduced modulo the extent along periodic axes."""
+    return tuple(c % e if p else c for c, e, p in zip(coords, ext, g.periodic))
 
 
 def _require(condition: bool, message: str, certificate=None) -> None:
@@ -424,47 +450,41 @@ def _require(condition: bool, message: str, certificate=None) -> None:
 def _partition_chain_parity(g: InteractionGraph) -> Partition:
     """Even vs odd bonds; odd periodic rings get a third group."""
     _require(g.dim == 1, "chain strategy needs a 1d graph")
-    pos = g.coords()
-    length = g.extents()[0]
-    sup = {k: inter for k, inter in enumerate(g.interactions)}
-    groups: dict = {}
-    certificate = None
-    for k, inter in enumerate(g.interactions):
-        xs = sorted(pos[s][0] for s in inter)
+    (length,) = g.extents()
+    odd_ring = g.periodic[0] and length % 2
+
+    def place(anchor, delta, inter):
         _require(len(inter) <= 2, "chain-parity expects 2-local bonds",
                  certificate=set(inter))
-        if len(inter) == 1:
-            # ride along with the bond anchored at the same site
-            _bucket(groups, xs[0] % 2, ("bond", xs[0]), k)
-            continue
-        d = xs[1] - xs[0]
-        wrap = g.periodic[0] and d == length - 1
-        _require(wrap or d == 1, "chain-parity needs nearest-neighbor "
-                 "bonds; reduce the graph first", certificate=set(inter))
-        left = xs[1] if wrap else xs[0]
-        if wrap and length % 2:
-            # odd ring: the wrap bond has odd parity on both ends
-            _bucket(groups, 2, ("bond", left), k)
-            certificate = (f"odd periodic ring of length {length}: bond "
-                           f"({xs[1]},{xs[0]}) is uncolorable, third group "
-                           "added")
-            continue
-        _bucket(groups, left % 2, ("bond", left), k)
-    return _finish(groups, sup, certificate)
+        _require(len(inter) == 1 or delta == (1,), "chain-parity needs "
+                 "nearest-neighbor bonds; reduce the graph first",
+                 certificate=set(inter))
+        # an on-site term rides along with the bond anchored at its site;
+        # an odd ring's wrap bond has odd parity on both ends
+        (x,) = anchor
+        wrap = odd_ring and delta == (1,) and x == length - 1
+        return 2 if wrap else x % 2, ("bond", x)
+
+    groups = _place(g, place)
+    certificate = None
+    if 2 in groups:
+        certificate = (f"odd periodic ring of length {length}: bond "
+                       f"({length - 1},0) is uncolorable, third group added")
+    return _finish(g, groups, certificate)
 
 
 def _partition_chain_window3(g: InteractionGraph) -> Partition:
     """Width-3 windows keyed by min site mod 3 (NN + NNN chains)."""
     _require(g.dim == 1, "chain strategy needs a 1d graph")
     pos = g.coords()
-    length = g.extents()[0]
+    (length,) = g.extents()
     if g.periodic[0] and length % 3:
         raise PartitionError("periodic window-3 tiling needs length "
                              "divisible by 3",
                              certificate=f"length {length} % 3 != 0")
-    sup = {k: inter for k, inter in enumerate(g.interactions)}
-    groups: dict = {}
-    for k, inter in enumerate(g.interactions):
+
+    def place(anchor, delta, inter):
+        # windows take interactions of any size, so read every member
         xs = sorted(pos[s][0] for s in inter)
         span = xs[-1] - xs[0]
         start = xs[0]
@@ -474,8 +494,9 @@ def _partition_chain_window3(g: InteractionGraph) -> Partition:
             span = max((x - start) % length for x in xs)
         _require(span <= 2, "window strategy needs reach <= 2",
                  certificate=set(inter))
-        _bucket(groups, start % 3, ("window", start), k)
-    return _finish(groups, sup)
+        return start % 3, ("window", start)
+
+    return _finish(g, _place(g, place))
 
 
 def _wrap_ok(g: InteractionGraph, modulus: tuple[int, ...], what: str):
@@ -508,90 +529,63 @@ def _partition_square_4site(g: InteractionGraph) -> Partition:
     """2x2-plaquette checkerboard: two groups of four-site operators."""
     _require(g.dim == 2, "square strategy needs a 2d graph")
     _wrap_ok(g, (2, 2), "plaquette checkerboard")
-    pos = g.coords()
     ext = g.extents()
 
-    def cell_key(cx, cy):
-        if g.periodic[0]:
-            cx %= ext[0]
-        if g.periodic[1]:
-            cy %= ext[1]
-        return ("cell", cx, cy)
-
-    sup = {k: inter for k, inter in enumerate(g.interactions)}
-    groups: dict = {}
-    for k, inter in enumerate(g.interactions):
-        (x, y), delta = _bond_offset(pos, ext, g.periodic, inter)
-        if delta == (0, 0):
-            _bucket(groups, 0, cell_key(x - x % 2, y - y % 2), k)
-            continue
-        _require(delta in {(1, 0), (0, 1)},
+    def place(anchor, delta, inter):
+        _require(delta in _SQUARE_OFFSETS,
                  "plaquette checkerboard needs nearest-neighbor bonds",
                  certificate=set(inter))
-        if delta == (1, 0):
-            group = x % 2
-            _bucket(groups, group, cell_key(x, y - (y - group) % 2), k)
-        else:
-            group = y % 2
-            _bucket(groups, group, cell_key(x - (x - group) % 2, y), k)
-    return _finish(groups, sup)
+        # a bond of parity c along its axis lies in the cell whose corner
+        # has parity c along that axis and even parity across it
+        x, y = anchor
+        group = {(0, 0): 0, (1, 0): x % 2, (0, 1): y % 2}[delta]
+        cx = x if delta == (1, 0) else x - (x - group) % 2
+        cy = y if delta == (0, 1) else y - (y - group) % 2
+        return group, ("cell", *_wrap(g, ext, cx, cy))
+
+    return _finish(g, _place(g, place))
 
 
 def _partition_square_3site(g: InteractionGraph) -> Partition:
     """L-shaped triples anchored at the bond corner, 3-colored."""
     _require(g.dim == 2, "square strategy needs a 2d graph")
     _wrap_ok(g, (3, 3), "L-triple coloring")
-    pos = g.coords()
-    ext = g.extents()
-    sup = {k: inter for k, inter in enumerate(g.interactions)}
-    groups: dict = {}
-    for k, inter in enumerate(g.interactions):
-        (x, y), delta = _bond_offset(pos, ext, g.periodic, inter)
-        _require(delta in {(0, 0), (1, 0), (0, 1)},
+
+    def place(anchor, delta, inter):
+        _require(delta in _SQUARE_OFFSETS,
                  "L-triple strategy needs nearest-neighbor bonds",
                  certificate=set(inter))
-        _bucket(groups, (x + 2 * y) % 3, ("anchor", x, y), k)
-    return _finish(groups, sup)
+        x, y = anchor
+        return (x + 2 * y) % 3, ("anchor", x, y)
+
+    return _finish(g, _place(g, place))
 
 
 def _partition_triangular(g: InteractionGraph) -> Partition:
     """Triangle plaquettes three-colored so same-color ones are disjoint."""
     _require(g.dim == 2, "triangular strategy needs a 2d graph")
     offs = _signed_offsets(g)
-    plain = {(0, 0), (1, 0), (0, 1)}
-    if offs <= plain | {(1, 1)}:
-        mirror = False
-    elif offs <= plain | {(1, -1)}:
-        mirror = True
-    else:
+    diagonal = _triangular_diagonal(offs)
+    if diagonal is None:
         raise PartitionError("not a triangular-adjacency graph",
-                             certificate=sorted(offs - plain))
+                             certificate=sorted(offs - _SQUARE_OFFSETS))
     _wrap_ok(g, (3, 3), "triangle three-coloring")
-    pos = g.coords()
     ext = g.extents()
-    sup = {k: inter for k, inter in enumerate(g.interactions)}
-    groups: dict = {}
-    for k, inter in enumerate(g.interactions):
-        (x, y), delta = _bond_offset(pos, ext, g.periodic, inter)
-        if mirror:
+
+    def place(anchor, delta, inter):
+        x, y = anchor
+        if diagonal == (1, -1):
             # work in mirrored coordinates where the diagonal is (1, 1)
             x, delta = -x, (-delta[0], delta[1])
-            if delta[0] < 0 or (delta[0] == 0 and delta[1] < 0):
+            if delta < (0, 0):
                 x, y = x + delta[0], y + delta[1]
                 delta = (-delta[0], -delta[1])
         # face (a, b) owns bonds H(a,b) = (1,0), D(a,b) = (1,1) and
         # V(a+1,b): anchor of a vertical bond (x,y) lies in face (x-1, y)
-        if delta == (1, 1) or delta == (1, 0) or delta == (0, 0):
-            a, b = x, y
-        elif delta == (0, 1):
-            a, b = x - 1, y
-        else:
-            raise PartitionError("unexpected bond offset",
-                                 certificate=delta)
-        if g.periodic[0]:
-            a %= ext[0]
-        _bucket(groups, (a + b) % 3, ("face", a, b), k)
-    return _finish(groups, sup)
+        a, b = _wrap(g, ext, x - 1 if delta == (0, 1) else x, y)
+        return (a + b) % 3, ("face", a, b)
+
+    return _finish(g, _place(g, place))
 
 
 def _partition_honeycomb(g: InteractionGraph) -> Partition:
@@ -600,7 +594,6 @@ def _partition_honeycomb(g: InteractionGraph) -> Partition:
     _wrap_ok(g, (2, 2), "brick-wall edge coloring")
     pos = g.coords()
     ext = g.extents()
-    sup = {k: inter for k, inter in enumerate(g.interactions)}
     degree: dict[tuple[int, int], int] = {}
     for inter in g.interactions:
         if len(inter) == 2:
@@ -609,24 +602,22 @@ def _partition_honeycomb(g: InteractionGraph) -> Partition:
     if any(d > 3 for d in degree.values()):
         raise PartitionError("a site has more than three bonds; not a "
                              "honeycomb", certificate=max(degree.values()))
-    groups: dict = {}
-    for k, inter in enumerate(g.interactions):
-        (x, y), delta = _bond_offset(pos, ext, g.periodic, inter)
+
+    def place(anchor, delta, inter):
+        _require(delta in _SQUARE_OFFSETS, "honeycomb strategy needs "
+                 "nearest-neighbor bonds", certificate=set(inter))
+        x, y = anchor
+        _require(delta != (0, 1) or (x + y) % 2 == 0, "a vertical bond "
+                 "starts on an odd site; not a brick-wall honeycomb",
+                 certificate=set(inter))
         if delta == (1, 0):
-            _bucket(groups, x % 2, ("bond", x, y), k)
-        elif delta == (0, 1):
-            _bucket(groups, 2, ("bond", x, y), k)
-        elif delta == (0, 0):
+            return x % 2, ("bond", x, y)
+        if delta == (0, 0):
             # ride with the vertical bond touching this site
-            yv = y if (x + y) % 2 == 0 else y - 1
-            if g.periodic[1]:
-                yv %= ext[1]
-            _bucket(groups, 2, ("bond", x, yv), k)
-        else:
-            raise PartitionError("honeycomb strategy needs "
-                                 "nearest-neighbor bonds",
-                                 certificate=set(inter))
-    return _finish(groups, sup)
+            y -= (x + y) % 2
+        return 2, ("bond", *_wrap(g, ext, x, y))
+
+    return _finish(g, _place(g, place))
 
 
 def _partition_kagome(g: InteractionGraph) -> Partition:
@@ -641,64 +632,47 @@ def _partition_kagome(g: InteractionGraph) -> Partition:
                                  c for c in present
                                  if c[0] % 2 == 0 and c[1] % 2 == 0)[:3])
     ext = g.extents()
-    sup = {k: inter for k, inter in enumerate(g.interactions)}
-    groups: dict = {}
-    for k, inter in enumerate(g.interactions):
-        (x, y), delta = _bond_offset(pos, ext, g.periodic, inter)
-        # faces of the underlying triangular lattice: up(a,b) survives at
-        # (a,b) = (even, odd), down(a,b) at (odd, even); each bond sits in
-        # exactly one surviving face
-        candidates = []
-        if delta == (1, 0):
-            candidates = [("up", x, y), ("down", x, y - 1)]
-        elif delta == (0, 1):
-            candidates = [("up", x - 1, y), ("down", x, y)]
-        elif delta == (1, 1):
-            candidates = [("up", x, y), ("down", x, y)]
-        elif delta == (0, 0):
-            # every site is a corner of exactly one up triangle
-            if x % 2 == 0:
-                a, b = x, y
-            elif y % 2 == 1:
-                a, b = x - 1, y
-            else:
-                a, b = x - 1, y - 1
-            if g.periodic[0]:
-                a %= ext[0]
-            if g.periodic[1]:
-                b %= ext[1]
-            _bucket(groups, 0, ("up", a, b), k)
-            continue
-        else:
-            raise PartitionError("Kagome strategy needs nearest-neighbor "
-                                 "bonds", certificate=set(inter))
-        face = None
-        for kind, a, b in candidates:
-            if g.periodic[0]:
-                a %= ext[0]
-            if g.periodic[1]:
-                b %= ext[1]
-            if kind == "up" and a % 2 == 0 and b % 2 == 1:
-                face = (0, ("up", a, b))
-            if kind == "down" and a % 2 == 1 and b % 2 == 0:
-                face = (1, ("down", a, b))
-        if face is None:
-            raise PartitionError("bond not inside any Kagome triangle",
-                                 certificate=set(inter))
-        _bucket(groups, face[0], face[1], k)
-    return _finish(groups, sup)
+
+    def place(anchor, delta, inter):
+        # faces of the underlying triangular lattice, as (group, a, b):
+        # up(a,b) is group 0 and survives at (a,b) = (even, odd), down(a,b)
+        # is group 1 and survives at (odd, even); each bond sits in exactly
+        # one surviving face, and every site is a corner of exactly one up
+        # triangle
+        x, y = anchor
+        candidates = {(0, 0): [(0, x - x % 2, y - 1 + y % 2)],
+                      (1, 0): [(0, x, y), (1, x, y - 1)],
+                      (0, 1): [(0, x - 1, y), (1, x, y)],
+                      (1, 1): [(0, x, y), (1, x, y)]}.get(delta)
+        _require(candidates is not None, "Kagome strategy needs "
+                 "nearest-neighbor bonds", certificate=set(inter))
+        for group, a, b in candidates:
+            if a % 2 == group != b % 2:
+                return group, (("up", "down")[group], *_wrap(g, ext, a, b))
+        raise PartitionError("bond not inside any Kagome triangle",
+                             certificate=set(inter))
+
+    return _finish(g, _place(g, place))
 
 
 def _partition_greedy(g: InteractionGraph) -> Partition:
     """Conflict-graph coloring with limited backtracking."""
     budget = 2 if g.dim == 1 else 3
     k = len(g.interactions)
-    conflicts: list[set[int]] = [set() for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            if g.interactions[i] & g.interactions[j]:
-                conflicts[i].add(j)
-                conflicts[j].add(i)
+    # more than budget interactions on one site conflict pairwise, so no
+    # colouring exists; say so before a search that could run for minutes
+    on_site: dict[int, list[int]] = {}
+    for i, inter in enumerate(g.interactions):
+        for s in inter:
+            on_site.setdefault(s, []).append(i)
+    for s, _ in g.sites:
+        if len(on_site.get(s, ())) > budget:
+            raise PartitionError(
+                f"greedy coloring exceeded the n = {budget} budget: site {s} "
+                f"lies in {len(on_site[s])} interactions",
+                certificate={"site": s, "interactions": on_site[s]})
+    conflicts = [set().union(*(on_site[s] for s in inter)) - {i}
+                 for i, inter in enumerate(g.interactions)]
     order = sorted(range(k), key=lambda i: -len(conflicts[i]))
     colors: dict[int, int] = {}
     # depth-first search with an explicit stack: untried[i] holds the
@@ -721,10 +695,9 @@ def _partition_greedy(g: InteractionGraph) -> Partition:
             certificate={"interaction": sorted(g.interactions[blocked]),
                          "conflicts": sorted(conflicts[blocked])})
     groups: dict = {}
-    sup = {i: inter for i, inter in enumerate(g.interactions)}
     for i in range(k):
-        _bucket(groups, colors[i], ("op", i), i)
-    return _finish(groups, sup)
+        groups.setdefault(colors[i], {})[("op", i)] = [i]
+    return _finish(g, groups)
 
 
 # ------------------------------------------------------------------ files

@@ -336,13 +336,9 @@ def minimize_epsilon(problem: OptimizationProblem) -> OptimizationResult:
                        "converged": False}
         # track every carried sheet, then probe the raw guesses;
         # dedupe before the (much more expensive) error evaluation
-        carried: list[tuple[float | None, np.ndarray]] = []
+        carried: list[tuple[float, np.ndarray]] = []
         fresh: list[np.ndarray] = []
-        for prev_e, guess in ([(s[0], s[1]) for s in sheets]
-                              + [(None, np.asarray(g, float))
-                                 for g in raws]):
-            if dep and guess.shape != (dep,):
-                continue
+        for prev_e, guess in sheets + [(None, g) for g in raws]:
             try:
                 dv = man.solve(x0, guess)
             except ManifoldError:
@@ -357,10 +353,10 @@ def minimize_epsilon(problem: OptimizationProblem) -> OptimizationResult:
                 fresh.append(dv)
         # a fresh sheet always gets an error value; carried ones are
         # re-measured every third start to keep the sweep affordable
-        hits: list[tuple[float | None, np.ndarray]] = []
+        hits: list[tuple[float, np.ndarray]] = []
         measure = idx % 3 == 0 or idx == len(starts) - 1
         for prev_e, dv in carried:
-            if not measure and prev_e is not None:
+            if not measure:
                 hits.append((prev_e, dv))
                 continue
             try:
@@ -377,11 +373,9 @@ def minimize_epsilon(problem: OptimizationProblem) -> OptimizationResult:
             hits.append((e, dv))
             candidates.append((e, x0, dv))
         if hits:
-            hits.sort(key=lambda h: (h[0] is None, h[0] or 0.0,
-                                     tuple(h[1])))
-            entry.update(converged=True, sheets=len(hits))
-            if hits[0][0] is not None:
-                entry["epsilon"] = hits[0][0]
+            hits.sort(key=lambda h: (h[0], tuple(h[1])))
+            entry.update(converged=True, sheets=len(hits),
+                         epsilon=hits[0][0])
             sheets = hits[:max_sheets]
         diagnostics.append(entry)
 

@@ -2,7 +2,10 @@
 
 import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import divisors
 from sympy.functions.combinatorial.numbers import mobius
 
+import liesplit
 from liesplit import NCSeries, exp, log, make_alphabet, mul, series_from_generator
 from liesplit.polynomials import MultiPoly
 from liesplit.hall import (
@@ -19,6 +23,7 @@ from liesplit.hall import (
     hall_degree,
     hall_str,
     _invert_rational,
+    _mobius,
     lie_coordinates,
     witt_dimension,
 )
@@ -71,6 +76,21 @@ def test_witt_matches_generating_function_oracle():
         dims = graded_dims_oracle([1] * n, 9)
         for k in range(1, 10):
             assert witt_dimension(n, k) == dims[k]
+
+
+def test_mobius_matches_sympy():
+    assert [_mobius(j) for j in range(1, 3000)] == [
+        int(mobius(j)) for j in range(1, 3000)]
+
+
+def test_import_loads_no_sympy():
+    # a fresh interpreter: this test module itself imports sympy
+    src = str(Path(liesplit.__file__).parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import liesplit; "
+            "print(any(m.split('.')[0] == 'sympy' for m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code, src],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_basis_counts_match_witt_unit_degrees():

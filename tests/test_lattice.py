@@ -1,8 +1,10 @@
 """Interaction graphs, coarse-graining, and commuting-group partitions."""
 
 import math
+import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from liesplit.lattice import (
     CoarseMap,
@@ -24,9 +26,36 @@ from liesplit.lattice import (
 )
 
 
+STRATEGIES = ["chain-parity", "chain-window3", "square-4site", "square-3site",
+              "triangular-plaquette", "hexagonal-edges", "kagome-triangles",
+              "greedy", "auto"]
+
+
 def assert_valid(g, part):
     ok, violations = validate_partition(g, part)
     assert ok, violations
+
+
+def with_onsite(g):
+    """One on-site term per site, after the bonds."""
+    onsite = tuple(frozenset({s}) for s, _ in g.sites)
+    return InteractionGraph(g.dim, g.sites, g.interactions + onsite, g.periodic)
+
+
+def build_mirrored_triangular(lx, ly, periodic=False):
+    """Triangular lattice whose diagonal is (1, -1) instead of (1, 1)."""
+    ids = {(x, y): y * lx + x for y in range(ly) for x in range(lx)}
+    bonds = []
+    for (x, y), s in ids.items():
+        for dx, dy in ((1, 0), (0, 1), (1, -1)):
+            t = (x + dx, y + dy)
+            if periodic:
+                t = (t[0] % lx, t[1] % ly)
+            if t in ids and t != (x, y):
+                bonds.append(frozenset({s, ids[t]}))
+    sites = tuple((s, xy) for xy, s in ids.items())
+    return InteractionGraph(2, sites, tuple(dict.fromkeys(bonds)),
+                            (periodic, periodic))
 
 
 # ----------------------------------------------------------- graph type
@@ -229,6 +258,63 @@ def test_kagome_splits_in_two(periodic):
     assert_valid(g, part)
 
 
+@pytest.mark.parametrize("periodic", [False, True])
+def test_mirrored_triangular_splits_in_three(periodic):
+    g = build_mirrored_triangular(6, 6, periodic=periodic)
+    part = partition(g)
+    assert part.n == 3
+    assert_valid(g, part)
+
+
+def test_honeycomb_strategy_refuses_square_ladder():
+    # a 2-wide square strip has at most three bonds per site, but its
+    # vertical bonds start on both sublattices, so their tiles would overlap
+    g = build_square(2, 4)
+    with pytest.raises(PartitionError, match="not a brick-wall honeycomb"):
+        partition(g, "hexagonal-edges")
+    part = partition(g)
+    assert part.n == 2
+    assert_valid(g, part)
+
+
+@st.composite
+def small_lattices(draw):
+    kind = draw(st.sampled_from(["chain", "square", "square-diagonals",
+                                 "triangular", "mirrored", "honeycomb",
+                                 "kagome"]))
+    periodic = draw(st.booleans())
+    lx, ly = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+    if kind == "chain":
+        g = build_chain(lx, reach=draw(st.integers(1, 3)), periodic=periodic)
+    elif kind == "kagome":
+        if periodic:
+            lx, ly = lx + lx % 2, ly + ly % 2
+        g = build_kagome(lx, ly, periodic=periodic)
+    else:
+        g = {"square": lambda: build_square(lx, ly, periodic),
+             "square-diagonals": lambda: build_square(lx, ly, periodic,
+                                                      diagonals=True),
+             "triangular": lambda: build_triangular(lx, ly, periodic),
+             "mirrored": lambda: build_mirrored_triangular(lx, ly, periodic),
+             "honeycomb": lambda: build_honeycomb(lx, ly, periodic),
+             }[kind]()
+    return with_onsite(g) if draw(st.booleans()) else g
+
+
+@given(small_lattices())
+@example(build_mirrored_triangular(3, 3, periodic=True))
+@example(build_mirrored_triangular(6, 6, periodic=True))
+@settings(max_examples=120, deadline=3000)
+def test_every_strategy_partitions_validly_or_refuses(g):
+    for strategy in STRATEGIES:
+        try:
+            part = partition(g, strategy)
+        except PartitionError:
+            continue
+        ok, violations = validate_partition(g, part)
+        assert ok, (strategy, violations)
+
+
 def test_every_group_commutes_by_support():
     # disjoint supports is the whole point: check it directly once
     g = build_triangular(5, 4)
@@ -262,6 +348,19 @@ def test_greedy_reports_obstruction():
         partition(g, "greedy")
     except PartitionError as exc:
         assert "interaction" in exc.certificate
+
+
+def test_greedy_refuses_a_crowded_site_at_once():
+    # three bonds and an on-site term meet at every site; the search over
+    # three colours would run for minutes before giving up
+    g = with_onsite(build_honeycomb(5, 6, periodic=True))
+    t0 = time.perf_counter()
+    with pytest.raises(PartitionError, match="exceeded the n = 3 budget") as info:
+        partition(g)
+    assert time.perf_counter() - t0 < 1.0
+    cert = info.value.certificate
+    assert len(cert["interactions"]) == 4
+    assert all(cert["site"] in g.interactions[k] for k in cert["interactions"])
 
 
 def test_unknown_strategy():
