@@ -72,6 +72,8 @@ class InteractionGraph:
             raise ValueError("only 1d and 2d graphs are supported")
         if len(self.periodic) != self.dim:
             raise ValueError("one periodic flag per dimension")
+        if not self.sites:
+            raise ValueError("the graph has no sites")
         ids = {s for s, _ in self.sites}
         if len(ids) != len(self.sites):
             raise ValueError("duplicate site ids")

@@ -487,6 +487,19 @@ def _read(series: NCSeries, basis: HallBasis, degrees: Sequence[int] | None = No
     return lie
 
 
+def _read_top(scheme: Scheme, series: NCSeries, D: int) -> dict[tuple[str, ...], tuple]:
+    """``series``' degree-D Hall coordinates in every generator ordering,
+    the identity first: ``(element, coefficient)`` pairs in basis order,
+    zeros included.  Float, exact and polynomial series alike."""
+    zero = 0.0 if isinstance(series.unit(), float) else _ZERO
+    out = {}
+    for ordering in permutations(scheme.letters):
+        basis = _basis_for(scheme, D, ordering)
+        cd = _read(series, basis, (D,)).coords_at_degree(D)
+        out[ordering] = tuple((e, cd.get(e, zero)) for e in basis.elements(D))
+    return out
+
+
 def _require_numeric(params, caller: str) -> None:
     if params is None:
         raise ValueError(f"{caller} needs numeric parameters; "
@@ -540,23 +553,18 @@ def epsilon(scheme: Scheme, params, p: int, tolerance: float = 1e-10) -> ErrorRe
     _require_numeric(params, "epsilon")
     D = p + 1
     series = _product_log(scheme, params, D)
-    orderings = list(permutations(scheme.letters))  # the identity first
-    bases = [_basis_for(scheme, D, o) for o in orderings]
-    lies = [_read(series, bases[0])] + [_read(series, b, (D,)) for b in bases[1:]]
-    residuals = _order_residuals(lies[0], p)
+    low = _read(series, _basis_for(scheme, D, None), range(1, D))
+    coeffs = _read_top(scheme, series, D)
+    residuals = _order_residuals(low, p)
     # a NaN residual counts as the worst and fails the check
     worst = max((float(abs(v)) for v in residuals.values()), key=lambda r: (math.isnan(r), r))
     if not worst <= tolerance:
         raise ValueError(f"scheme does not reach order {p}: max residual {worst:.3e}")
 
     exact = not isinstance(series.unit(), float)
-    zero = _ZERO if exact else 0.0
     sums: dict[tuple[str, ...], object] = {}
-    coeffs: dict[tuple[str, ...], tuple] = {}
-    for ordering, basis, lie in zip(orderings, bases, lies):
-        cd = lie.coords_at_degree(D)
-        coeffs[ordering] = tuple((e, cd.get(e, zero)) for e in basis.elements(D))
-        total = sum(abs(c) for c in cd.values())
+    for ordering, pairs in coeffs.items():
+        total = sum(abs(c) for _, c in pairs if c)
         sums[ordering] = total if exact else float(total)
     prefactor = Fraction(scheme.m, p) ** p if exact else (scheme.m / p) ** p
 

@@ -76,6 +76,14 @@ def test_graph_validation():
         InteractionGraph(1, sites, (), (False, False))
 
 
+def test_graph_without_sites_is_rejected():
+    # the Kagome lattice drops the even-even sites, which is all of 1 x 1
+    with pytest.raises(ValueError, match="no sites"):
+        build_kagome(1, 1)
+    with pytest.raises(ValueError, match="no sites"):
+        InteractionGraph(2, (), (), (False, False))
+
+
 def test_ranges_see_periodic_wrap():
     ring = build_chain(8, periodic=True)
     assert len(ring.interactions) == 8

@@ -135,6 +135,33 @@ def test_result_json_round_trips(m9_result):
     assert doc["minima"][0]["epsilon"] == m9_result.best[1].epsilon
 
 
+@pytest.fixture(scope="module")
+def b1_eight():
+    problem = OptimizationProblem(build_scheme(2, "S", 9), 4,
+                                  free_slots=("b_1",), starts=8, seed=0)
+    return minimize_epsilon(problem)
+
+
+def test_result_json_counts_sweep_starts_only(b1_eight):
+    polished = [d for d in b1_eight.diagnostics if "polish" in d]
+    assert polished
+    assert json.loads(b1_eight.to_json())["starts"] == 8
+
+
+def test_search_record_names_the_objective(b1_eight):
+    record = b1_eight.diagnostics[-1]
+    # perfbench reads start, polish and nfev off the other records
+    assert set(record) == {"objective", "compile_s", "compiled_evals",
+                           "epsilon_calls"}
+    assert record["objective"] == "compiled"
+    assert record["compile_s"] >= 0.0
+    # epsilon vets each polish seed and re-measures each minimum; the
+    # compiled rows take every other probe
+    polished = [d for d in b1_eight.diagnostics if "polish" in d]
+    assert record["epsilon_calls"] == 2 * len(polished)
+    assert record["compiled_evals"] > sum(d["nfev"] for d in polished) // 2
+
+
 def test_same_seed_same_result():
     def run():
         problem = OptimizationProblem(build_scheme(2, "SL", 11), 4,
@@ -234,3 +261,59 @@ def test_conditions_built_once_per_scheme_and_order(monkeypatch):
     res.to_json()
     solve_on_manifold(scheme, 4, {"w_2": 0.6})
     assert len(calls) == 1
+
+
+# ----------------------------------------------------- compiled error rows
+
+@pytest.mark.parametrize("template, p, free", [
+    ((2, "S", 9), 4, ("b_1",)),
+    ((2, "SL", 11), 4, ("w_2",)),
+    ((3, "SE", 17), 4, ("u_2",)),
+], ids=["s9-p4-b_1", "sl11-p4-w_2", "n3-se17-p4-u_2"])
+def test_compiled_error_sums_match_epsilon(template, p, free):
+    scheme = build_scheme(*template)
+    rows = optimizer._error_rows(scheme, p)
+    rng = np.random.default_rng(3)
+    checked = 0
+    for _ in range(12):
+        pin = dict(zip(free, rng.uniform(-1.5, 1.5, len(free)).tolist()))
+        try:
+            pa = solve_on_manifold(scheme, p, pin)
+            rep = epsilon(scheme, pa, p)
+        except (ManifoldError, ValueError, RuntimeError):
+            continue
+        x = [pa.values[s] for s in scheme.free_slots]
+        want = np.array([rep.sums_per_ordering[o] for o in rows.orderings])
+        got = rows.sums(x)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(want)
+        assert rows.value(x) == pytest.approx(rep.epsilon, rel=1e-10)
+        checked += 1
+    assert checked >= 4
+
+
+def test_error_rows_built_once_per_scheme_and_order(monkeypatch):
+    optimizer._error_rows.cache_clear()
+    products = []
+    real = optimizer._product_log
+
+    def counting(*args):
+        products.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(optimizer, "_product_log", counting)
+    problem = OptimizationProblem(build_scheme(2, "S", 9), 4,
+                                  free_slots=("b_1",), starts=2, seed=0)
+    for _ in range(2):
+        assert minimize_epsilon(problem).diagnostics[-1]["objective"] == "compiled"
+    assert len(products) == 1
+    # a root search has no free direction: epsilon throughout, no rows
+    root = minimize_epsilon(OptimizationProblem(
+        build_scheme(2, "SL", 15), 6, free_slots=(), starts=6, seed=0,
+        bounds=(-2.0, 2.0)))
+    assert len(products) == 1
+    assert optimizer._error_rows.cache_info().currsize == 1
+    record = root.diagnostics[-1]
+    assert record["objective"] == "epsilon"
+    assert record["compile_s"] == 0.0 and record["compiled_evals"] == 0
+    assert record["epsilon_calls"] > 0
