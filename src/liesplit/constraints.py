@@ -212,6 +212,9 @@ class FreedomReport:
     real_solution_count: int | None
     eliminant: MultiPoly | None
     groebner: GroebnerBasis
+    # exponents of the monomials outside the leading-term ideal: a basis
+    # of the quotient ring when it is finite-dimensional, else empty
+    standard_monomials: tuple[tuple[int, ...], ...] = ()
 
 
 def _lead_exponents(gb: GroebnerBasis) -> list[tuple[int, ...]]:
@@ -231,12 +234,9 @@ def _independent_sets(supports, nvars: int):
     return 0, [frozenset()]
 
 
-def _standard_monomial_count(leads, bounds) -> int:
-    count = 0
-    for tup in product(*[range(b) for b in bounds]):
-        if not any(all(tup[i] >= e[i] for i in range(len(tup))) for e in leads):
-            count += 1
-    return count
+def _standard_monomials(leads, bounds) -> tuple[tuple[int, ...], ...]:
+    return tuple(tup for tup in product(*[range(b) for b in bounds])
+                 if not any(all(t >= k for t, k in zip(tup, e)) for e in leads))
 
 
 def _univariate_eliminant(polys, variables, keep: str) -> MultiPoly | None:
@@ -327,8 +327,19 @@ def analyze_freedom(cs: ConstraintSystem,
 
     When the variety is zero-dimensional, the eliminant is the generator of
     the elimination ideal in ``eliminate_to`` (default: the last slot), and
-    real solutions are counted as its distinct real roots.
+    real solutions are counted as its distinct real roots.  Reports are
+    memoized per (system, slot): an equal ``ConstraintSystem`` from another
+    ``symbolic_log`` call hits the same entry, so the optimizer's root
+    search reuses the Gröbner basis of a caller's analysis.
     """
+    keep = eliminate_to if eliminate_to is not None else cs.variables[-1]
+    if keep not in cs.variables:
+        raise ValueError(f"unknown slot {keep!r}")
+    return _analyze(cs, keep)
+
+
+@functools.lru_cache(maxsize=None)
+def _analyze(cs: ConstraintSystem, keep: str) -> FreedomReport:
     variables = cs.variables
     gb = buchberger(cs.polys, GREVLEX)
     if gb.is_trivial:
@@ -346,12 +357,8 @@ def analyze_freedom(cs: ConstraintSystem,
         pure = [e[i] for e in leads
                 if all(k == 0 for j, k in enumerate(e) if j != i) and e[i]]
         bounds.append(min(pure))
-    total = _standard_monomial_count(leads, bounds)
-
-    keep = eliminate_to if eliminate_to is not None else variables[-1]
-    if keep not in variables:
-        raise ValueError(f"unknown slot {keep!r}")
-    eliminant = _power_eliminant(gb, variables, keep, total)
+    standard = _standard_monomials(leads, bounds)
+    eliminant = _power_eliminant(gb, variables, keep, len(standard))
     _, coeffs = eliminant.univariate_coefficients()
     real = _sturm_real_roots(coeffs)
-    return FreedomReport(0, (), True, total, real, eliminant, gb)
+    return FreedomReport(0, (), True, len(standard), real, eliminant, gb, standard)

@@ -20,8 +20,15 @@ in about a millisecond.  They carry none of ``epsilon``'s checks, so a
 point seeds a polish only once ``epsilon`` accepts it, and every reported
 minimum is re-measured by ``epsilon``.  Compiling costs 0.03 s for S m9
 p4 but 0.8 s for SL m15 and 2.5 s for SL m19 at p = 6 (cold, 2-vCPU VM).
-A root search (no free direction) has too few probes to repay that and
-calls ``epsilon`` throughout.
+
+A root search (no free direction) compiles nothing.  When its conditions
+form a zero-dimensional ideal whose eliminant in the last slot has full
+degree, it reads every real root off the (memoized)
+``constraints.analyze_freedom`` of the conditions by the eigenvalue
+method, checks their number against the Sturm count and measures each
+with ``epsilon``; ``starts``, ``seed`` and ``bounds`` have no effect
+there.  Any other root search is a multi-start calling ``epsilon`` once
+per distinct root it meets.
 """
 
 from __future__ import annotations
@@ -36,7 +43,8 @@ import numpy as np
 from scipy import optimize as sciopt
 from scipy.stats import qmc
 
-from .constraints import symbolic_log
+from .constraints import ConstraintSystem, analyze_freedom, symbolic_log
+from .polynomials import MultiPoly
 from .schemes import (ErrorReport, ParamAssignment, Scheme, _product_log, _read_top,
                       epsilon, ordering_str, symbolic_slot_values)
 
@@ -56,7 +64,7 @@ _DEDUP_TOL = 1e-5
 
 
 class ManifoldError(RuntimeError):
-    """Newton could not reach the constraint manifold."""
+    """No point of the constraint manifold could be reached or verified."""
 
 
 def _compile(rows, nvars: int) -> tuple[np.ndarray, np.ndarray]:
@@ -79,16 +87,17 @@ def _compile(rows, nvars: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
-def _conditions(scheme: Scheme, p: int) -> tuple[np.ndarray, np.ndarray]:
+def _conditions(scheme: Scheme, p: int) -> tuple[ConstraintSystem, np.ndarray, np.ndarray]:
     """The order conditions left by the template closures, compiled once.
 
-    With the closures substituted they are polynomials in
-    ``scheme.free_slots``, compiled by ``_compile``.
+    Returns ``symbolic_log``'s system, in every raw slot, and the
+    conditions with the closures substituted, polynomials in
+    ``scheme.free_slots`` compiled by ``_compile``.
     """
     cs = symbolic_log(scheme, p)
     values = symbolic_slot_values(scheme)
-    return _compile([poly.evaluate(values) for d, poly in zip(cs.degrees, cs.polys) if d > 1],
-                    len(scheme.free_slots))
+    return cs, *_compile([poly.evaluate(values) for d, poly in zip(cs.degrees, cs.polys) if d > 1],
+                         len(scheme.free_slots))
 
 
 class _ErrorRows:
@@ -140,7 +149,7 @@ class _Manifold:
         self.dependent = tuple(s for s in slots if s not in free)
         self._free_at = [slots.index(s) for s in free]
         self._dep_at = [slots.index(s) for s in self.dependent]
-        self._exps, self._coeffs = _conditions(scheme, p)
+        self.system, self._exps, self._coeffs = _conditions(scheme, p)
         if len(self._coeffs) != len(self.dependent):
             raise ManifoldError(
                 f"{len(self.dependent)} dependent slot(s) against "
@@ -310,7 +319,7 @@ def _problem_free(problem: OptimizationProblem) -> tuple[str, ...]:
     if problem.free_slots is not None:
         return tuple(problem.free_slots)
     scheme = problem.scheme
-    nfree = len(scheme.free_slots) - len(_conditions(scheme, problem.p)[1])
+    nfree = len(scheme.free_slots) - len(_conditions(scheme, problem.p)[2])
     if nfree < 0:
         raise ManifoldError("more conditions than slots; no chart exists")
     return scheme.free_slots[len(scheme.free_slots) - nfree:]
@@ -349,43 +358,14 @@ def _start_points(problem: OptimizationProblem, f: int, dep: int):
             for s in starts]
 
 
-def minimize_epsilon(problem: OptimizationProblem) -> OptimizationResult:
-    """Multi-start error minimization over a chart of the manifold.
-
-    Two passes.  The sweep pass walks the start points in free-coordinate
-    order and carries every Newton sheet of the dependent slots it has
-    discovered along the sweep (new sheets are seeded from the raw
-    low-discrepancy guesses), so disconnected solution branches all get
-    charted.  The polish pass runs Nelder-Mead from the best sweep
-    candidates, solving the order conditions at every probe.
-
-    With a free direction (``f > 0``) both passes rank points by the
-    compiled error rows (see the module docstring), built once per
-    (scheme, p): 0.03 s for S m9 p4, 0.8 s for SL m15 p6 and 2.5 s for SL
-    m19 p6 cold, so a search pays for them once it makes more probes
-    than that time over the 1-2 ms of an ``epsilon`` call.  A candidate
-    seeds a polish only once ``epsilon`` accepts it.  With no free
-    direction the search is a root search: it calls ``epsilon``
-    throughout and compiles nothing.  Either way every reported minimum
-    is re-measured by ``epsilon`` and has passed its order and non-Lie
-    checks.  Minima are deduplicated and sorted by error.  The last
-    ``diagnostics`` record names the objective (``"compiled"`` or
-    ``"epsilon"``), the compile time and the counts of compiled
-    evaluations and ``epsilon`` calls.  Fixed seed means an identical
-    result list.
-    """
-    t0 = time.perf_counter()
+def _multi_start(problem: OptimizationProblem, man: _Manifold, report_at,
+                 counts: dict, diagnostics: list) -> tuple[list, float]:
+    """The sweep and polish passes of ``minimize_epsilon``: (found minima
+    as (free vector, dependent vector, report), compile time)."""
     scheme, p = problem.scheme, problem.p
-    man = _Manifold(scheme, p, _problem_free(problem))
     f, dep = len(man.free), len(man.dependent)
     lo, hi = problem.bounds
     wall = 3.0 * max(abs(lo), abs(hi))
-    counts = {"compiled_evals": 0, "epsilon_calls": 0}
-
-    def report_at(free_vec, dep_vec) -> ErrorReport:
-        counts["epsilon_calls"] += 1
-        return epsilon(scheme, man.params(free_vec, dep_vec), p)
-
     compile_s = 0.0
     if f:
         tc = time.perf_counter()
@@ -399,14 +379,28 @@ def minimize_epsilon(problem: OptimizationProblem) -> OptimizationResult:
                 raise ValueError(f"non-finite error sums {e}")
             return e
     else:
+        # the sweep meets the same few roots again and again: measure each
+        # distinct point once, None where epsilon rejects it
+        measured: list[tuple[np.ndarray, ErrorReport | None]] = []
+
         def error_at(free_vec, dep_vec) -> float:
-            return float(report_at(free_vec, dep_vec).epsilon)
+            for dv, rep in measured:
+                if np.max(np.abs(dv - dep_vec), initial=0.0) <= 1e-8:
+                    break
+            else:
+                try:
+                    rep = report_at(free_vec, dep_vec)
+                except (ValueError, RuntimeError):
+                    rep = None
+                measured.append((dep_vec, rep))
+            if rep is None:
+                raise ValueError("epsilon rejects this point")
+            return float(rep.epsilon)
 
     # ---- sweep pass: chart the sheets, rank candidate points
     starts = _start_points(problem, f, dep)
     sheets: list[tuple[float, np.ndarray]] = []  # (last eps, dep vector)
     candidates: list[tuple[float, np.ndarray, np.ndarray]] = []
-    diagnostics: list[dict] = []
     max_sheets = 16
     for idx, (x0, raws) in enumerate(starts):
         entry: dict = {"start": idx, "x0": [float(v) for v in x0],
@@ -457,64 +451,183 @@ def minimize_epsilon(problem: OptimizationProblem) -> OptimizationResult:
         diagnostics.append(entry)
 
     if f == 0:
-        found = [(x0, dv, report_at(x0, dv)) for _, x0, dv in candidates]
-    else:
-        # ---- polish pass: Nelder-Mead from the most promising candidates
-        candidates.sort(key=lambda c: (c[0], tuple(c[1]), tuple(c[2])))
-        seeds: list[tuple[float, np.ndarray, np.ndarray]] = []
-        budget = max(8, min(32, len(starts) // 6))
-        # neighbours on one sheet sit a sweep step apart; seeding them
-        # all would just polish the same minimum repeatedly
-        radius = max(1e-3, 3.0 * (hi - lo) / max(len(starts), 1))
-        for cand in candidates:
-            point = np.concatenate([cand[1], cand[2]])
-            if any(np.max(np.abs(point - np.concatenate([s[1], s[2]])),
-                          initial=0.0) <= radius for s in seeds):
-                continue
-            # the compiled rows check nothing: a point epsilon rejects
-            # (a non-Lie residual far out) must not seed a polish
+        return [(np.zeros(0), dv, rep) for dv, rep in measured if rep is not None], compile_s
+    # ---- polish pass: Nelder-Mead from the most promising candidates
+    candidates.sort(key=lambda c: (c[0], tuple(c[1]), tuple(c[2])))
+    seeds: list[tuple[float, np.ndarray, np.ndarray]] = []
+    budget = max(8, min(32, len(starts) // 6))
+    # neighbours on one sheet sit a sweep step apart; seeding them
+    # all would just polish the same minimum repeatedly
+    radius = max(1e-3, 3.0 * (hi - lo) / max(len(starts), 1))
+    for cand in candidates:
+        point = np.concatenate([cand[1], cand[2]])
+        if any(np.max(np.abs(point - np.concatenate([s[1], s[2]])),
+                      initial=0.0) <= radius for s in seeds):
+            continue
+        # the compiled rows check nothing: a point epsilon rejects
+        # (a non-Lie residual far out) must not seed a polish
+        try:
+            report_at(cand[1], cand[2])
+        except (ValueError, RuntimeError):
+            continue
+        seeds.append(cand)
+        if len(seeds) >= budget:
+            break
+
+    found = []
+    for e0, x0, g0 in seeds:
+        warm = [np.asarray(g0, float)]
+
+        def objective(x) -> float:
+            if np.any(np.abs(x) > wall):
+                return 1e12 + float(np.sum(np.abs(x)))
             try:
-                report_at(cand[1], cand[2])
-            except (ValueError, RuntimeError):
-                continue
-            seeds.append(cand)
-            if len(seeds) >= budget:
-                break
-
-        found = []
-        for e0, x0, g0 in seeds:
-            warm = [np.asarray(g0, float)]
-
-            def objective(x) -> float:
-                if np.any(np.abs(x) > wall):
-                    return 1e12 + float(np.sum(np.abs(x)))
-                try:
-                    dv = man.solve(x, warm[0])
-                    e = error_at(x, dv)
-                except (ManifoldError, ValueError, RuntimeError):
-                    return float("inf")
-                # Newton refuses a root whose residual cancels in rounding
-                # (near the singular chart b_1 = 0 of S m9), so only a true
-                # root warm-starts the next probe
-                warm[0] = dv
-                return e
-
-            try:
-                res = sciopt.minimize(
-                    objective, x0, method="Nelder-Mead",
-                    options={"xatol": 1e-12, "fatol": 1e-12,
-                             "maxiter": 400 * f, "maxfev": 600 * f})
-                xmin = np.asarray(res.x, float)
-                dv = man.solve(xmin, warm[0])
-                rep = report_at(xmin, dv)
+                dv = man.solve(x, warm[0])
+                e = error_at(x, dv)
             except (ManifoldError, ValueError, RuntimeError):
-                continue
-            found.append((xmin, dv, rep))
-            diagnostics.append({"polish": [float(v) for v in x0],
-                                "nfev": int(res.nfev),
-                                "epsilon": float(rep.epsilon)})
-    diagnostics.append({"objective": "compiled" if f else "epsilon",
-                        "compile_s": compile_s, **counts})
+                return float("inf")
+            # Newton refuses a root whose residual cancels in rounding
+            # (near the singular chart b_1 = 0 of S m9), so only a true
+            # root warm-starts the next probe
+            warm[0] = dv
+            return e
+
+        try:
+            res = sciopt.minimize(
+                objective, x0, method="Nelder-Mead",
+                options={"xatol": 1e-12, "fatol": 1e-12,
+                         "maxiter": 400 * f, "maxfev": 600 * f})
+            xmin = np.asarray(res.x, float)
+            dv = man.solve(xmin, warm[0])
+            rep = report_at(xmin, dv)
+        except (ManifoldError, ValueError, RuntimeError):
+            continue
+        found.append((xmin, dv, rep))
+        diagnostics.append({"polish": [float(v) for v in x0],
+                            "nfev": int(res.nfev),
+                            "epsilon": float(rep.epsilon)})
+    return found, compile_s
+
+
+def _eigenvalue_search(man: _Manifold, report_at):
+    """Every real root of a search with no free direction, read off the
+    quotient ring of its order conditions, polished by Newton and measured
+    by ``epsilon``, as (free, dependent, report) triples; None where the
+    reading does not apply.
+
+    The eigenvalue method (Cox, Little & O'Shea, *Using Algebraic
+    Geometry*, ch. 2 §4; Auzinger & Stetter 1988): on the standard
+    monomials ``b`` the matrix of multiplication by the last slot has, for
+    each solution, the left eigenvector ``b(solution)`` with eigenvalue
+    that slot's value, and every slot is its normal form dotted with that
+    vector.  It applies when the ideal is zero-dimensional and the
+    eliminant in the last slot has degree ``solution_count``: then each
+    eigenvalue has one eigenvector.  (The conditions fit
+    ``symbolic_log``'s caps, or the manifold would not exist.)  The number
+    of distinct polished roots must be the Sturm count of real solutions.
+    """
+    report = analyze_freedom(man.system)
+    if report.eliminant is None or report.eliminant.total_degree() != report.solution_count:
+        return None
+    variables, basis = man.system.variables, report.standard_monomials
+    column = {e: k for k, e in enumerate(basis)}
+
+    def coordinates(poly) -> np.ndarray:
+        row = np.zeros(len(basis))
+        for e, c in poly.terms.items():
+            row[column[e]] = float(c)
+        return row
+
+    mult = np.zeros((len(basis), len(basis)))
+    for j, b in enumerate(basis):
+        e = b[:-1] + (b[-1] + 1,)
+        if e in column:  # inside the staircase no reduction is needed
+            mult[column[e], j] = 1.0
+        else:
+            mult[:, j] = coordinates(report.groebner.reduce(MultiPoly(variables, {e: 1})))
+    slots = np.array([coordinates(report.groebner.reduce(MultiPoly.variable(v, variables)))
+                      for v in variables])[[variables.index(s) for s in man.dependent]]
+    values, vectors = np.linalg.eig(mult.T)
+    one = column[(0,) * len(variables)]
+    readings = [(slots @ (u / u[one])).real
+                for lam, u in zip(values, vectors.T)
+                if abs(lam.imag) <= 1e-8 * max(1.0, abs(lam))]
+
+    roots: list[np.ndarray] = []
+    for guess in readings:
+        try:
+            dv = man.solve([], guess)
+        except ManifoldError:
+            continue
+        if all(np.max(np.abs(dv - r), initial=0.0) > _DEDUP_TOL for r in roots):
+            roots.append(dv)
+    if len(roots) != report.real_solution_count:
+        raise ManifoldError(
+            f"{len(roots)} distinct real root(s) polished from {len(readings)} real "
+            f"eigenvalue(s), against {report.real_solution_count} real solution(s) "
+            f"counted by the Sturm chain")
+    if not roots:
+        raise ManifoldError(f"none of the {report.solution_count} complex solutions "
+                            f"of the order conditions is real")
+    return [(np.zeros(0), dv, report_at([], dv)) for dv in roots]
+
+
+def minimize_epsilon(problem: OptimizationProblem) -> OptimizationResult:
+    """Error minimization over a chart of the manifold.
+
+    A search with no free direction is a root search, and it takes one of
+    two routes.  The eigenvalue route reads every real root off the
+    Gröbner analysis of the order conditions (see ``_eigenvalue_search``),
+    polishes each with one Newton solve and measures it with ``epsilon``;
+    ``starts``, ``seed`` and ``bounds`` have no effect on it.  The number
+    of distinct polished roots must equal the Sturm count of real
+    solutions, or ``ManifoldError`` names both counts.  It runs whenever
+    the ideal of the conditions is zero-dimensional and its eliminant in
+    the last slot has degree ``solution_count``.
+    ``constraints.analyze_freedom`` is memoized, so the route reuses a
+    caller's analysis of the same system.  Every other search takes the
+    multi-start route.
+
+    The multi-start route makes two passes.  The sweep pass walks the
+    start points in free-coordinate order and carries every Newton sheet
+    of the dependent slots it has discovered along the sweep (new sheets
+    are seeded from the raw low-discrepancy guesses), so disconnected
+    solution branches all get charted.  The polish pass runs Nelder-Mead
+    from the best sweep candidates, solving the order conditions at every
+    probe.
+
+    With a free direction (``f > 0``) both passes rank points by the
+    compiled error rows (see the module docstring), built once per
+    (scheme, p): 0.03 s for S m9 p4, 0.8 s for SL m15 p6 and 2.5 s for SL
+    m19 p6 cold, so a search pays for them once it makes more probes
+    than that time over the 1-2 ms of an ``epsilon`` call.  A candidate
+    seeds a polish only once ``epsilon`` accepts it.  A multi-start root
+    search calls ``epsilon`` once per distinct root it meets and compiles
+    nothing.  Either way every reported minimum is re-measured by
+    ``epsilon`` and has passed its order and non-Lie checks.  Minima are
+    deduplicated and sorted by error.  The last ``diagnostics`` record
+    names the route (``"eigenvalue"`` or ``"multi-start"``), the
+    objective (``"compiled"`` or ``"epsilon"``), the compile time and the
+    counts of compiled evaluations and ``epsilon`` calls.  Fixed seed
+    means an identical result list.
+    """
+    t0 = time.perf_counter()
+    scheme, p = problem.scheme, problem.p
+    man = _Manifold(scheme, p, _problem_free(problem))
+    counts = {"compiled_evals": 0, "epsilon_calls": 0}
+
+    def report_at(free_vec, dep_vec) -> ErrorReport:
+        counts["epsilon_calls"] += 1
+        return epsilon(scheme, man.params(free_vec, dep_vec), p)
+
+    diagnostics: list[dict] = []
+    found = None if man.free else _eigenvalue_search(man, report_at)
+    route, compile_s = "eigenvalue", 0.0
+    if found is None:
+        route = "multi-start"
+        found, compile_s = _multi_start(problem, man, report_at, counts, diagnostics)
+    diagnostics.append({"objective": "compiled" if man.free else "epsilon",
+                        "compile_s": compile_s, **counts, "route": route})
 
     if not found:
         raise ManifoldError("every start failed to reach the manifold")

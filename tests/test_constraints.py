@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from liesplit import constraints
 from liesplit.catalog import catalog
 from liesplit.constraints import (
     GroebnerBasis,
@@ -199,6 +200,51 @@ def test_freedom_three_real_solutions():
     assert report.zero_dimensional
     assert report.solution_count == 39
     assert report.real_solution_count == 3
+
+
+def test_standard_monomials_span_the_quotient():
+    cs = symbolic_log(build_scheme(2, "SL", 15), 6)
+    report = analyze_freedom(cs)
+    basis = report.standard_monomials
+    assert len(basis) == len(set(basis)) == report.solution_count == 39
+    assert (0, 0, 0, 0) in basis
+    # a standard monomial is its own normal form
+    for e in basis:
+        mono = MultiPoly(cs.variables, {e: 1})
+        assert report.groebner.reduce(mono) == mono
+    assert analyze_freedom(symbolic_log(build_scheme(2, "S", 9), 4)).standard_monomials == ()
+
+
+@pytest.mark.parametrize("template, p", [((2, "S", 9), 4), ((2, "SL", 15), 6)],
+                         ids=["s9-p4-one-parameter", "sl15-p6-zero-dimensional"])
+def test_unknown_elimination_slot_fails_before_buchberger(monkeypatch, template, p):
+    cs = symbolic_log(build_scheme(*template), p)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Buchberger ran before the slot was checked")
+
+    monkeypatch.setattr(constraints, "buchberger_basis", refuse)
+    with pytest.raises(ValueError, match="unknown slot 'zz'"):
+        analyze_freedom(cs, eliminate_to="zz")
+
+
+def test_analysis_is_memoized_per_system(monkeypatch):
+    constraints._analyze.cache_clear()
+    calls = []
+    real = constraints.buchberger_basis
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(constraints, "buchberger_basis", counting)
+    scheme = build_scheme(3, "SL", 17)
+    first = analyze_freedom(symbolic_log(scheme, 4))
+    # an equal system from a second symbolic_log call, and the default
+    # slot named explicitly, hit the same entry
+    assert analyze_freedom(symbolic_log(scheme, 4), eliminate_to="w_2") is first
+    assert len(calls) == 1
+    assert analyze_freedom(symbolic_log(scheme, 4), eliminate_to="w_1") is not first
 
 
 # symbolic_log(build_scheme(2, "SL", 15), 6).to_text(), pinned byte for byte

@@ -1,12 +1,13 @@
 """Manifold solving and multi-start error minimization."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from _naive import central_difference_jacobian, condition_residual
-from liesplit import optimizer
+from liesplit import constraints, optimizer
 from liesplit.catalog import build_scheme, catalog
 from liesplit.optimizer import (
     ManifoldError,
@@ -152,8 +153,9 @@ def test_search_record_names_the_objective(b1_eight):
     record = b1_eight.diagnostics[-1]
     # perfbench reads start, polish and nfev off the other records
     assert set(record) == {"objective", "compile_s", "compiled_evals",
-                           "epsilon_calls"}
+                           "epsilon_calls", "route"}
     assert record["objective"] == "compiled"
+    assert record["route"] == "multi-start"
     assert record["compile_s"] >= 0.0
     # epsilon vets each polish seed and re-measures each minimum; the
     # compiled rows take every other probe
@@ -192,6 +194,105 @@ def test_zero_free_directions_enumerates_real_solutions():
                                              rel=1e-3)
     others = sorted(rep.epsilon for _, rep in res.local_minima)[1:]
     assert others == pytest.approx([5.716708, 5.881016], rel=1e-4)
+
+
+# --------------------------------------------- eigenvalue route of root searches
+
+def _force_multi_start(monkeypatch):
+    """Make the eigenvalue route inapplicable: report more complex
+    solutions than the eliminant's degree, as where the last slot takes
+    one value at two solutions."""
+    real = optimizer.analyze_freedom
+
+    def derogatory(cs):
+        report = real(cs)
+        return dataclasses.replace(report, solution_count=report.solution_count + 1)
+
+    monkeypatch.setattr(optimizer, "analyze_freedom", derogatory)
+
+
+def _minima(res):
+    return [(float(rep.epsilon), pa.values) for pa, rep in res.local_minima]
+
+
+def test_root_search_reads_every_real_root(monkeypatch):
+    problem = OptimizationProblem(build_scheme(2, "SL", 15), 6, free_slots=(),
+                                  starts=6, seed=0, bounds=(-2.0, 2.0))
+    eig = minimize_epsilon(problem)
+    assert eig.diagnostics[-1]["route"] == "eigenvalue"
+    assert eig.diagnostics[-1]["epsilon_calls"] == 3
+    assert [e for e, _ in _minima(eig)] == pytest.approx([0.445732, 5.716708, 5.881016],
+                                                         rel=1e-5)
+    # the multi-start fallback measures each distinct root it meets once
+    # and finds the same three
+    _force_multi_start(monkeypatch)
+    multi = minimize_epsilon(problem)
+    record = multi.diagnostics[-1]
+    assert record["route"] == "multi-start"
+    assert record["epsilon_calls"] <= len(multi.local_minima) == 3
+    for (ea, pa), (eb, pb) in zip(_minima(eig), _minima(multi)):
+        assert ea == pytest.approx(eb, rel=1e-9)
+        assert all(abs(pa[k] - pb[k]) <= 1e-9 for k in pa)
+
+
+@pytest.mark.parametrize("template, p", [
+    ((2, "SL", 7), 4), ((2, "S", 7), 4), ((3, "SL", 13), 4)],
+    ids=["sl7-p4", "s7-p4", "n3-sl13-p4"])
+def test_root_search_finds_the_triple_jump(monkeypatch, template, p):
+    scheme = build_scheme(*template)
+    problem = OptimizationProblem(scheme, p, starts=16, seed=0)
+    eig = minimize_epsilon(problem)
+    assert eig.diagnostics[-1]["route"] == "eigenvalue"
+    assert len(eig.local_minima) == 1
+    # the one real root of the Forest-Ruth / Yoshida triple jump
+    outer = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+    values = eig.best[0].values
+    assert values[scheme.free_slots[-1]] == pytest.approx(outer, abs=1e-12)
+    _force_multi_start(monkeypatch)
+    multi = minimize_epsilon(problem)
+    assert multi.diagnostics[-1]["route"] == "multi-start"
+    assert len(multi.local_minima) == 1
+    assert all(abs(values[k] - v) <= 1e-9 for k, v in multi.best[0].values.items())
+    assert float(eig.best[1].epsilon) == pytest.approx(float(multi.best[1].epsilon), rel=1e-9)
+
+
+@pytest.mark.parametrize("template, p", [
+    ((2, "SL", 9), 4), ((3, "SL", 17), 4), ((2, "N", 5), 3)],
+    ids=["sl9-p4", "n3-sl17-p4", "n5-p3"])
+def test_root_search_without_real_roots_raises(template, p):
+    problem = OptimizationProblem(build_scheme(*template), p, starts=4, seed=0)
+    with pytest.raises(ManifoldError, match="none of the 2 complex solutions"):
+        minimize_epsilon(problem)
+
+
+def test_root_count_mismatch_raises_with_both_counts(monkeypatch):
+    real = optimizer.analyze_freedom
+
+    def miscounted(cs):
+        return dataclasses.replace(real(cs), real_solution_count=2)
+
+    monkeypatch.setattr(optimizer, "analyze_freedom", miscounted)
+    problem = OptimizationProblem(build_scheme(2, "SL", 15), 6, free_slots=(),
+                                  starts=6, seed=0)
+    with pytest.raises(ManifoldError, match=r"^3 distinct real root.*against 2 real"):
+        minimize_epsilon(problem)
+
+
+def test_root_search_reuses_the_callers_analysis(monkeypatch):
+    constraints._analyze.cache_clear()
+    calls = []
+    real = constraints.buchberger_basis
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(constraints, "buchberger_basis", counting)
+    scheme = build_scheme(2, "SL", 15)
+    report = constraints.analyze_freedom(constraints.symbolic_log(scheme, 6))
+    res = minimize_epsilon(OptimizationProblem(scheme, 6, free_slots=(), starts=6, seed=0))
+    assert len(calls) == 1
+    assert len(res.local_minima) == report.real_solution_count
 
 
 def test_every_start_failing_raises():
