@@ -267,20 +267,22 @@ def _admissible_slots(polys, variables) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _power_eliminant(gb: GroebnerBasis, variables, keep: str,
+def _power_eliminant(gb: GroebnerBasis, form: MultiPoly, name: str,
                      quotient_dim: int) -> MultiPoly:
-    """Generator of the elimination ideal in ``keep`` of a zero-dimensional
-    ideal.
+    """Minimal polynomial of ``form`` modulo a zero-dimensional ideal, in
+    one variable called ``name``; for ``form`` a slot, the generator of the
+    elimination ideal in that slot.
 
     Works by linear algebra in the quotient ring: the normal forms of
-    ``1, keep, keep**2, ...`` live in a ``quotient_dim``-dimensional space,
+    ``1, form, form**2, ...`` live in a ``quotient_dim``-dimensional space,
     so some prefix becomes linearly dependent, and the first dependence is
-    the monic minimal polynomial of ``keep`` on the variety -- the same
-    polynomial lexicographic elimination would produce, without the blowup.
+    the monic minimal polynomial of ``form`` on the variety -- for a slot
+    the same polynomial lexicographic elimination would produce, without
+    the blowup.
     """
     key = functools.cache(gb.monomial_order.descending)  # once per exponent
-    v = MultiPoly.variable(keep, variables)
-    power = MultiPoly.constant(1, variables)
+    v = form
+    power = MultiPoly.constant(1, form.variables)
     # row echelon over the standard monomials on integer rows: a vector's
     # numerators and those of the combination of powers of ``keep`` it came
     # from, filed under its leading monomial with the lead's numerator; a
@@ -316,7 +318,7 @@ def _power_eliminant(gb: GroebnerBasis, variables, keep: str,
             for j, q in pcombo.items():
                 combo[j] = combo.get(j, 0) - b * q
         else:
-            return MultiPoly((keep,), {(j,): Fraction(q, combo[k]) for j, q in combo.items()})
+            return MultiPoly((name,), {(j,): Fraction(q, combo[k]) for j, q in combo.items()})
         power = gb.reduce(power * v)
     raise RuntimeError("power iteration exceeded the quotient dimension")
 
@@ -358,7 +360,7 @@ def _analyze(cs: ConstraintSystem, keep: str) -> FreedomReport:
                 if all(k == 0 for j, k in enumerate(e) if j != i) and e[i]]
         bounds.append(min(pure))
     standard = _standard_monomials(leads, bounds)
-    eliminant = _power_eliminant(gb, variables, keep, len(standard))
+    eliminant = _power_eliminant(gb, MultiPoly.variable(keep, variables), keep, len(standard))
     _, coeffs = eliminant.univariate_coefficients()
     real = _sturm_real_roots(coeffs)
     return FreedomReport(0, (), True, len(standard), real, eliminant, gb, standard)

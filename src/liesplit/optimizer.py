@@ -21,14 +21,12 @@ point seeds a polish only once ``epsilon`` accepts it, and every reported
 minimum is re-measured by ``epsilon``.  Compiling costs 0.03 s for S m9
 p4 but 0.8 s for SL m15 and 2.5 s for SL m19 at p = 6 (cold, 2-vCPU VM).
 
-A root search (no free direction) compiles nothing.  When its conditions
-form a zero-dimensional ideal whose eliminant in the last slot has full
-degree, it reads every real root off the (memoized)
-``constraints.analyze_freedom`` of the conditions by the eigenvalue
-method, checks their number against the Sturm count and measures each
-with ``epsilon``; ``starts``, ``seed`` and ``bounds`` have no effect
-there.  Any other root search is a multi-start calling ``epsilon`` once
-per distinct root it meets.
+A root search (no free direction) compiles nothing and starts nothing:
+it reads every real root off the (memoized) ``constraints.analyze_freedom``
+of the conditions by the eigenvalue method, checks their number against
+the Sturm count and measures each with ``epsilon``; ``starts``, ``seed``
+and ``bounds`` have no effect there.  Conditions with no solution or
+infinitely many give ``ManifoldError``.
 """
 
 from __future__ import annotations
@@ -43,8 +41,8 @@ import numpy as np
 from scipy import optimize as sciopt
 from scipy.stats import qmc
 
-from .constraints import ConstraintSystem, analyze_freedom, symbolic_log
-from .polynomials import MultiPoly
+from .constraints import ConstraintSystem, _power_eliminant, analyze_freedom, symbolic_log
+from .polynomials import MultiPoly, sturm_real_roots
 from .schemes import (ErrorReport, ParamAssignment, Scheme, _product_log, _read_top,
                       epsilon, ordering_str, symbolic_slot_values)
 
@@ -360,42 +358,23 @@ def _start_points(problem: OptimizationProblem, f: int, dep: int):
 
 def _multi_start(problem: OptimizationProblem, man: _Manifold, report_at,
                  counts: dict, diagnostics: list) -> tuple[list, float]:
-    """The sweep and polish passes of ``minimize_epsilon``: (found minima
-    as (free vector, dependent vector, report), compile time)."""
+    """The sweep and polish passes of ``minimize_epsilon`` on a chart with
+    a free direction: (found minima as (free vector, dependent vector,
+    report), compile time)."""
     scheme, p = problem.scheme, problem.p
     f, dep = len(man.free), len(man.dependent)
     lo, hi = problem.bounds
     wall = 3.0 * max(abs(lo), abs(hi))
-    compile_s = 0.0
-    if f:
-        tc = time.perf_counter()
-        rows = _error_rows(scheme, p)
-        compile_s = time.perf_counter() - tc
+    tc = time.perf_counter()
+    rows = _error_rows(scheme, p)
+    compile_s = time.perf_counter() - tc
 
-        def error_at(free_vec, dep_vec) -> float:
-            counts["compiled_evals"] += 1
-            e = rows.value(man.point(free_vec, dep_vec))
-            if not np.isfinite(e):
-                raise ValueError(f"non-finite error sums {e}")
-            return e
-    else:
-        # the sweep meets the same few roots again and again: measure each
-        # distinct point once, None where epsilon rejects it
-        measured: list[tuple[np.ndarray, ErrorReport | None]] = []
-
-        def error_at(free_vec, dep_vec) -> float:
-            for dv, rep in measured:
-                if np.max(np.abs(dv - dep_vec), initial=0.0) <= 1e-8:
-                    break
-            else:
-                try:
-                    rep = report_at(free_vec, dep_vec)
-                except (ValueError, RuntimeError):
-                    rep = None
-                measured.append((dep_vec, rep))
-            if rep is None:
-                raise ValueError("epsilon rejects this point")
-            return float(rep.epsilon)
+    def error_at(free_vec, dep_vec) -> float:
+        counts["compiled_evals"] += 1
+        e = rows.value(man.point(free_vec, dep_vec))
+        if not np.isfinite(e):
+            raise ValueError(f"non-finite error sums {e}")
+        return e
 
     # ---- sweep pass: chart the sheets, rank candidate points
     starts = _start_points(problem, f, dep)
@@ -450,8 +429,6 @@ def _multi_start(problem: OptimizationProblem, man: _Manifold, report_at,
             sheets = hits[:max_sheets]
         diagnostics.append(entry)
 
-    if f == 0:
-        return [(np.zeros(0), dv, rep) for dv, rep in measured if rep is not None], compile_s
     # ---- polish pass: Nelder-Mead from the most promising candidates
     candidates.sort(key=lambda c: (c[0], tuple(c[1]), tuple(c[2])))
     seeds: list[tuple[float, np.ndarray, np.ndarray]] = []
@@ -509,27 +486,51 @@ def _multi_start(problem: OptimizationProblem, man: _Manifold, report_at,
     return found, compile_s
 
 
-def _eigenvalue_search(man: _Manifold, report_at):
+def _root_search(man: _Manifold, report_at):
     """Every real root of a search with no free direction, read off the
     quotient ring of its order conditions, polished by Newton and measured
-    by ``epsilon``, as (free, dependent, report) triples; None where the
-    reading does not apply.
+    by ``epsilon``, as (free, dependent, report) triples.
 
     The eigenvalue method (Cox, Little & O'Shea, *Using Algebraic
     Geometry*, ch. 2 §4; Auzinger & Stetter 1988): on the standard
-    monomials ``b`` the matrix of multiplication by the last slot has, for
-    each solution, the left eigenvector ``b(solution)`` with eigenvalue
-    that slot's value, and every slot is its normal form dotted with that
-    vector.  It applies when the ideal is zero-dimensional and the
-    eliminant in the last slot has degree ``solution_count``: then each
-    eigenvalue has one eigenvector.  (The conditions fit
-    ``symbolic_log``'s caps, or the manifold would not exist.)  The number
-    of distinct polished roots must be the Sturm count of real solutions.
+    monomials ``b`` the matrix of multiplication by a form has, for each
+    solution, the left eigenvector ``b(solution)`` with eigenvalue the
+    form's value there, and every slot is its normal form dotted with that
+    vector.  The form is the last slot when its eliminant has degree
+    ``solution_count``, so that each eigenvalue has one eigenvector, and
+    otherwise a fixed integer linear form of the slots (Prop. 4.7), whose
+    minimal polynomial must then have that degree.  Real solutions are the
+    Sturm count of the form's minimal polynomial, and the number of
+    distinct polished roots must equal it.  Every failure is a
+    ``ManifoldError``: no Gröbner analysis, no or infinitely many
+    solutions, a count mismatch or a root ``epsilon`` rejects.
     """
-    report = analyze_freedom(man.system)
-    if report.eliminant is None or report.eliminant.total_degree() != report.solution_count:
-        return None
+    try:
+        report = analyze_freedom(man.system)
+    except RuntimeError as exc:  # Buchberger's size guard
+        raise ManifoldError(f"no Gröbner analysis of the order conditions: {exc}") from exc
+    if not report.zero_dimensional:
+        raise ManifoldError(
+            f"the order conditions leave {report.free_count} free direction(s); "
+            f"pin some of {report.suggested_free_slots}")
+    if not report.solution_count:
+        raise ManifoldError("the order conditions have no solution")
     variables, basis = man.system.variables, report.standard_monomials
+    count, real = report.solution_count, report.real_solution_count
+    weights = (0,) * (len(variables) - 1) + (1,)
+    if report.eliminant.total_degree() != count:
+        # the last slot takes one value at two solutions, or a solution is
+        # multiple; the form w_1 + 2 w_2 + 3 w_3 + ... separates distinct
+        # solutions unless the conditions conspire against it
+        weights = tuple(range(1, len(variables) + 1))
+        form = sum(c * MultiPoly.variable(v, variables) for c, v in zip(weights, variables))
+        minimal = _power_eliminant(report.groebner, form, "t", count)
+        if minimal.total_degree() != count:
+            raise ManifoldError(
+                f"the minimal polynomial of a linear form has degree "
+                f"{minimal.total_degree()} against {count} complex solutions: "
+                f"a solution is multiple")
+        real = sturm_real_roots(minimal.univariate_coefficients()[1])
     column = {e: k for k, e in enumerate(basis)}
 
     def coordinates(poly) -> np.ndarray:
@@ -538,13 +539,18 @@ def _eigenvalue_search(man: _Manifold, report_at):
             row[column[e]] = float(c)
         return row
 
-    mult = np.zeros((len(basis), len(basis)))
-    for j, b in enumerate(basis):
-        e = b[:-1] + (b[-1] + 1,)
-        if e in column:  # inside the staircase no reduction is needed
-            mult[column[e], j] = 1.0
-        else:
-            mult[:, j] = coordinates(report.groebner.reduce(MultiPoly(variables, {e: 1})))
+    def multiplication(i: int) -> np.ndarray:
+        """The matrix of multiplication by slot ``i`` on ``basis``."""
+        out = np.zeros((len(basis), len(basis)))
+        for j, b in enumerate(basis):
+            e = b[:i] + (b[i] + 1,) + b[i + 1:]
+            if e in column:  # inside the staircase no reduction is needed
+                out[column[e], j] = 1.0
+            else:
+                out[:, j] = coordinates(report.groebner.reduce(MultiPoly(variables, {e: 1})))
+        return out
+
+    mult = sum(c * multiplication(i) for i, c in enumerate(weights) if c)
     slots = np.array([coordinates(report.groebner.reduce(MultiPoly.variable(v, variables)))
                       for v in variables])[[variables.index(s) for s in man.dependent]]
     values, vectors = np.linalg.eig(mult.T)
@@ -561,49 +567,52 @@ def _eigenvalue_search(man: _Manifold, report_at):
             continue
         if all(np.max(np.abs(dv - r), initial=0.0) > _DEDUP_TOL for r in roots):
             roots.append(dv)
-    if len(roots) != report.real_solution_count:
+    if len(roots) != real:
         raise ManifoldError(
             f"{len(roots)} distinct real root(s) polished from {len(readings)} real "
-            f"eigenvalue(s), against {report.real_solution_count} real solution(s) "
-            f"counted by the Sturm chain")
+            f"eigenvalue(s), against {real} real solution(s) counted by the Sturm chain")
     if not roots:
-        raise ManifoldError(f"none of the {report.solution_count} complex solutions "
+        raise ManifoldError(f"none of the {count} complex solutions "
                             f"of the order conditions is real")
-    return [(np.zeros(0), dv, report_at([], dv)) for dv in roots]
+    found = []
+    for dv in roots:
+        try:
+            found.append((np.zeros(0), dv, report_at([], dv)))
+        except (ValueError, RuntimeError) as exc:
+            raise ManifoldError(f"epsilon rejects the real root "
+                                f"{man.params([], dv)}: {exc}") from exc
+    return found
 
 
 def minimize_epsilon(problem: OptimizationProblem) -> OptimizationResult:
     """Error minimization over a chart of the manifold.
 
-    A search with no free direction is a root search, and it takes one of
-    two routes.  The eigenvalue route reads every real root off the
-    Gröbner analysis of the order conditions (see ``_eigenvalue_search``),
-    polishes each with one Newton solve and measures it with ``epsilon``;
-    ``starts``, ``seed`` and ``bounds`` have no effect on it.  The number
-    of distinct polished roots must equal the Sturm count of real
-    solutions, or ``ManifoldError`` names both counts.  It runs whenever
-    the ideal of the conditions is zero-dimensional and its eliminant in
-    the last slot has degree ``solution_count``.
+    A search with no free direction is a root search and takes the
+    eigenvalue route: it reads every real root off the Gröbner analysis of
+    the order conditions (see ``_root_search``), polishes each with one
+    Newton solve and measures it with ``epsilon``; ``starts``, ``seed``
+    and ``bounds`` have no effect on it.  The number of distinct polished
+    roots must equal the Sturm count of real solutions, or
+    ``ManifoldError`` names both counts; an ideal with no solution or of
+    positive dimension, and a root ``epsilon`` rejects, raise it too.
     ``constraints.analyze_freedom`` is memoized, so the route reuses a
-    caller's analysis of the same system.  Every other search takes the
-    multi-start route.
+    caller's analysis of the same system.
 
-    The multi-start route makes two passes.  The sweep pass walks the
-    start points in free-coordinate order and carries every Newton sheet
-    of the dependent slots it has discovered along the sweep (new sheets
-    are seeded from the raw low-discrepancy guesses), so disconnected
-    solution branches all get charted.  The polish pass runs Nelder-Mead
+    A search with a free direction takes the multi-start route, in two
+    passes.  The sweep pass walks the start points in free-coordinate
+    order and carries every Newton sheet of the dependent slots it has
+    discovered along the sweep (new sheets are seeded from the raw
+    low-discrepancy guesses), so disconnected solution branches all get
+    charted.  The polish pass runs Nelder-Mead
     from the best sweep candidates, solving the order conditions at every
     probe.
 
-    With a free direction (``f > 0``) both passes rank points by the
-    compiled error rows (see the module docstring), built once per
-    (scheme, p): 0.03 s for S m9 p4, 0.8 s for SL m15 p6 and 2.5 s for SL
-    m19 p6 cold, so a search pays for them once it makes more probes
-    than that time over the 1-2 ms of an ``epsilon`` call.  A candidate
-    seeds a polish only once ``epsilon`` accepts it.  A multi-start root
-    search calls ``epsilon`` once per distinct root it meets and compiles
-    nothing.  Either way every reported minimum is re-measured by
+    Both passes rank points by the compiled error rows (see the module
+    docstring), built once per (scheme, p): 0.03 s for S m9 p4, 0.8 s for
+    SL m15 p6 and 2.5 s for SL m19 p6 cold, so a search pays for them
+    once it makes more probes than that time over the 1-2 ms of an
+    ``epsilon`` call.  A candidate seeds a polish only once ``epsilon``
+    accepts it.  On either route every reported minimum is measured by
     ``epsilon`` and has passed its order and non-Lie checks.  Minima are
     deduplicated and sorted by error.  The last ``diagnostics`` record
     names the route (``"eigenvalue"`` or ``"multi-start"``), the
@@ -621,11 +630,12 @@ def minimize_epsilon(problem: OptimizationProblem) -> OptimizationResult:
         return epsilon(scheme, man.params(free_vec, dep_vec), p)
 
     diagnostics: list[dict] = []
-    found = None if man.free else _eigenvalue_search(man, report_at)
-    route, compile_s = "eigenvalue", 0.0
-    if found is None:
+    if man.free:
         route = "multi-start"
         found, compile_s = _multi_start(problem, man, report_at, counts, diagnostics)
+    else:
+        route, compile_s = "eigenvalue", 0.0
+        found = _root_search(man, report_at)
     diagnostics.append({"objective": "compiled" if man.free else "epsilon",
                         "compile_s": compile_s, **counts, "route": route})
 

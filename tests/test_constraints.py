@@ -133,6 +133,17 @@ def test_buchberger_zero_dimensional():
     assert set(gb.polys) == {x - y, y ** 2 - 2}
 
 
+def test_power_eliminant_of_a_separating_form():
+    # the solutions (1, 1) and (-1, 1) share y, whose eliminant y - 1 falls
+    # short of the two solutions; x + 2y takes the values 3 and 1 there
+    v = ("x", "y")
+    x, y = _var("x", v), _var("y", v)
+    gb = buchberger([x ** 2 - 1, y - 1], GREVLEX)
+    assert constraints._power_eliminant(gb, y, "y", 2) == _var("y", ("y",)) - 1
+    t = _var("t", ("t",))
+    assert constraints._power_eliminant(gb, x + 2 * y, "t", 2) == t ** 2 - 4 * t + 3
+
+
 def test_buchberger_inconsistent_system_is_trivial():
     v = ("x",)
     x = _var("x", v)

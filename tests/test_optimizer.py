@@ -16,6 +16,7 @@ from liesplit.optimizer import (
     minimize_epsilon,
     solve_on_manifold,
 )
+from liesplit.polynomials import MultiPoly
 from liesplit.schemes import epsilon
 
 
@@ -198,62 +199,66 @@ def test_zero_free_directions_enumerates_real_solutions():
 
 # --------------------------------------------- eigenvalue route of root searches
 
-def _force_multi_start(monkeypatch):
-    """Make the eigenvalue route inapplicable: report more complex
-    solutions than the eliminant's degree, as where the last slot takes
-    one value at two solutions."""
+def _replace_report(monkeypatch, **changes):
     real = optimizer.analyze_freedom
 
-    def derogatory(cs):
-        report = real(cs)
-        return dataclasses.replace(report, solution_count=report.solution_count + 1)
+    def replaced(cs):
+        return dataclasses.replace(real(cs), **changes)
 
-    monkeypatch.setattr(optimizer, "analyze_freedom", derogatory)
-
-
-def _minima(res):
-    return [(float(rep.epsilon), pa.values) for pa, rep in res.local_minima]
+    monkeypatch.setattr(optimizer, "analyze_freedom", replaced)
 
 
-def test_root_search_reads_every_real_root(monkeypatch):
-    problem = OptimizationProblem(build_scheme(2, "SL", 15), 6, free_slots=(),
-                                  starts=6, seed=0, bounds=(-2.0, 2.0))
-    eig = minimize_epsilon(problem)
-    assert eig.diagnostics[-1]["route"] == "eigenvalue"
-    assert eig.diagnostics[-1]["epsilon_calls"] == 3
-    assert [e for e, _ in _minima(eig)] == pytest.approx([0.445732, 5.716708, 5.881016],
-                                                         rel=1e-5)
-    # the multi-start fallback measures each distinct root it meets once
-    # and finds the same three
-    _force_multi_start(monkeypatch)
-    multi = minimize_epsilon(problem)
-    record = multi.diagnostics[-1]
-    assert record["route"] == "multi-start"
-    assert record["epsilon_calls"] <= len(multi.local_minima) == 3
-    for (ea, pa), (eb, pb) in zip(_minima(eig), _minima(multi)):
-        assert ea == pytest.approx(eb, rel=1e-9)
-        assert all(abs(pa[k] - pb[k]) <= 1e-9 for k in pa)
+def _sl15_root_search():
+    return minimize_epsilon(OptimizationProblem(build_scheme(2, "SL", 15), 6, free_slots=(),
+                                                starts=6, seed=0, bounds=(-2.0, 2.0)))
+
+
+def test_root_search_reads_every_real_root():
+    res = _sl15_root_search()
+    record = res.diagnostics[-1]
+    assert record["route"] == "eigenvalue"
+    assert record["epsilon_calls"] == 3
+    assert not any("start" in d for d in res.diagnostics)
+    assert [float(rep.epsilon) for _, rep in res.local_minima] == pytest.approx(
+        [0.445732, 5.716708, 5.881016], rel=1e-5)
+
+
+def test_derogatory_last_slot_takes_a_linear_form(monkeypatch):
+    # where the last slot's eliminant falls short of solution_count, the
+    # route multiplies by a linear form of every slot and counts real
+    # solutions on that form's minimal polynomial, not on the report
+    want = _sl15_root_search()
+    w_4 = MultiPoly.variable("w_4", ("w_4",))
+    _replace_report(monkeypatch, eliminant=w_4 * w_4 - 1, real_solution_count=0)
+    forms = []
+    real = optimizer._power_eliminant
+
+    def recording(gb, form, name, quotient_dim):
+        forms.append(form)
+        return real(gb, form, name, quotient_dim)
+
+    monkeypatch.setattr(optimizer, "_power_eliminant", recording)
+    got = _sl15_root_search()
+    assert len(forms) == 1
+    assert forms[0].total_degree() == 1 and len(forms[0].terms) == 4
+    assert got.diagnostics[-1]["route"] == "eigenvalue"
+    assert len(got.local_minima) == len(want.local_minima) == 3
+    for (pa, ra), (pb, rb) in zip(got.local_minima, want.local_minima):
+        assert all(abs(pa.values[k] - v) <= 1e-9 for k, v in pb.values.items())
+        assert float(ra.epsilon) == pytest.approx(float(rb.epsilon), rel=1e-9)
 
 
 @pytest.mark.parametrize("template, p", [
     ((2, "SL", 7), 4), ((2, "S", 7), 4), ((3, "SL", 13), 4)],
     ids=["sl7-p4", "s7-p4", "n3-sl13-p4"])
-def test_root_search_finds_the_triple_jump(monkeypatch, template, p):
+def test_root_search_finds_the_triple_jump(template, p):
     scheme = build_scheme(*template)
-    problem = OptimizationProblem(scheme, p, starts=16, seed=0)
-    eig = minimize_epsilon(problem)
-    assert eig.diagnostics[-1]["route"] == "eigenvalue"
-    assert len(eig.local_minima) == 1
+    res = minimize_epsilon(OptimizationProblem(scheme, p, starts=16, seed=0))
+    assert res.diagnostics[-1]["route"] == "eigenvalue"
+    assert len(res.local_minima) == 1
     # the one real root of the Forest-Ruth / Yoshida triple jump
     outer = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-    values = eig.best[0].values
-    assert values[scheme.free_slots[-1]] == pytest.approx(outer, abs=1e-12)
-    _force_multi_start(monkeypatch)
-    multi = minimize_epsilon(problem)
-    assert multi.diagnostics[-1]["route"] == "multi-start"
-    assert len(multi.local_minima) == 1
-    assert all(abs(values[k] - v) <= 1e-9 for k, v in multi.best[0].values.items())
-    assert float(eig.best[1].epsilon) == pytest.approx(float(multi.best[1].epsilon), rel=1e-9)
+    assert res.best[0].values[scheme.free_slots[-1]] == pytest.approx(outer, abs=1e-12)
 
 
 @pytest.mark.parametrize("template, p", [
@@ -266,16 +271,46 @@ def test_root_search_without_real_roots_raises(template, p):
 
 
 def test_root_count_mismatch_raises_with_both_counts(monkeypatch):
-    real = optimizer.analyze_freedom
-
-    def miscounted(cs):
-        return dataclasses.replace(real(cs), real_solution_count=2)
-
-    monkeypatch.setattr(optimizer, "analyze_freedom", miscounted)
-    problem = OptimizationProblem(build_scheme(2, "SL", 15), 6, free_slots=(),
-                                  starts=6, seed=0)
+    _replace_report(monkeypatch, real_solution_count=2)
     with pytest.raises(ManifoldError, match=r"^3 distinct real root.*against 2 real"):
-        minimize_epsilon(problem)
+        _sl15_root_search()
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(zero_dimensional=False, free_count=1, suggested_free_slots=("w_4",)),
+     r"leave 1 free direction\(s\); pin some of \('w_4',\)"),
+    (dict(solution_count=0, real_solution_count=0), "have no solution"),
+], ids=["positive-dimensional", "trivial"])
+def test_root_search_without_finitely_many_solutions_raises(monkeypatch, changes, message):
+    _replace_report(monkeypatch, **changes)
+    with pytest.raises(ManifoldError, match=message):
+        _sl15_root_search()
+
+
+def test_root_search_without_groebner_basis_raises(monkeypatch):
+    def guarded(cs):
+        raise RuntimeError("Groebner basis exceeded 400 elements")
+
+    monkeypatch.setattr(optimizer, "analyze_freedom", guarded)
+    with pytest.raises(ManifoldError, match="no Gröbner analysis.*exceeded 400"):
+        _sl15_root_search()
+
+
+def test_root_epsilon_rejects_raises_naming_it(monkeypatch):
+    real = optimizer.epsilon
+    calls = []
+
+    def rejecting(scheme, params, p):
+        calls.append(params)
+        if len(calls) == 2:
+            raise ValueError("scheme does not reach order 6")
+        return real(scheme, params, p)
+
+    monkeypatch.setattr(optimizer, "epsilon", rejecting)
+    with pytest.raises(ManifoldError, match=r"epsilon rejects the real root \{'w_1': .*"
+                                            r"does not reach order 6"):
+        _sl15_root_search()
+    assert len(calls) == 2
 
 
 def test_root_search_reuses_the_callers_analysis(monkeypatch):
