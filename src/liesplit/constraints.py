@@ -26,6 +26,8 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations, product
 from math import gcd
 
+import numpy as np
+
 from .free_algebra import NCSeries, exp, log, make_alphabet
 from .hall import build_hall_basis, lie_coordinates
 from .polynomials import (
@@ -34,6 +36,7 @@ from .polynomials import (
     MonomialOrder,
     MultiPoly,
     buchberger_basis,
+    is_square_free,
     normal_form,
 )
 from .polynomials import sturm_real_roots as _sturm_real_roots
@@ -90,10 +93,10 @@ def _condition_degrees(family: str, p: int) -> tuple[int, ...]:
     return tuple(d for d in range(1, p + 1) if d % 2)
 
 
-def _emit(series, basis, degrees, D, variables) -> tuple[list, list, list]:
+def _emit(series, degrees, variables) -> tuple[list, list, list]:
     zero = MultiPoly.constant(0, variables)
     polys, labels, at = [], [], []
-    for d in range(1, D + 1):
+    for d in range(1, max(degrees) + 1):
         coords = series.coords_at_degree(d)
         if d not in degrees:
             bad = [e for e, c in coords.items() if c]
@@ -101,7 +104,7 @@ def _emit(series, basis, degrees, D, variables) -> tuple[list, list, list]:
                 raise RuntimeError(
                     f"degree-{d} terms should vanish identically, got {bad}")
             continue
-        for e in basis.elements(d):
+        for e in series.basis.elements(d):
             c = coords.get(e, zero)
             polys.append(c - 1 if d == 1 else c)
             labels.append(e)
@@ -109,48 +112,26 @@ def _emit(series, basis, degrees, D, variables) -> tuple[list, list, list]:
     return polys, labels, at
 
 
-def _graded_log(stage_terms, names, degrees, D):
-    alphabet = make_alphabet(names, degrees=degrees)
-    prod = None
-    for terms in stage_terms:
-        gen = NCSeries.from_words(alphabet, D, {(g.id,): c for g, c in zip(alphabet, terms)})
-        factor = exp(gen)
-        prod = factor if prod is None else prod * factor
-    basis = build_hall_basis(alphabet, D)
-    series, residual = lie_coordinates(log(prod), basis)
-    if residual:
-        raise RuntimeError(f"non-Lie residual {residual} in graded log")
-    return series, basis
-
-
-def _graded_system(scheme: Scheme, p: int, D: int) -> ConstraintSystem:
+def _graded_log(scheme: Scheme, D: int):
     # SL: leapfrog generators Z_k, k odd.  SE: Euler generators E_k; the
     # stages alternate forward/reversed Euler terms starting forward, and a
     # reversed term flips the sign of the even-degree generators.
     leapfrog = scheme.family == "SL"
     ks = tuple(k for k in range(1, D + 1) if k % 2 or not leapfrog)
+    alphabet = make_alphabet([f"{'Z' if leapfrog else 'E'}{k}" for k in ks], degrees=list(ks))
     values = symbolic_slot_values(scheme)
-    stage_terms = []
+    prod = None
     for i, expr in enumerate(scheme.stage_weights):
         tau = expr.evaluate(values)
         sign = 1 if leapfrog or i % 2 == 0 else -1
-        stage_terms.append([(tau ** k) * (sign ** (k + 1)) for k in ks])
-    series, basis = _graded_log(stage_terms, [f"{'Z' if leapfrog else 'E'}{k}" for k in ks],
-                                list(ks), D)
-    polys, labels, at = _emit(series, basis, _condition_degrees(scheme.family, p), D,
-                              scheme.param_slots)
-    return ConstraintSystem(scheme, p, "leapfrog" if leapfrog else "euler",
-                            scheme.param_slots, tuple(polys), tuple(labels), tuple(at))
-
-
-def _word_system(scheme: Scheme, p: int, D: int) -> ConstraintSystem:
-    series = log_scheme(scheme, None, D)
-    basis = series.basis
-    polys, labels, at = _emit(series, basis,
-                              _condition_degrees(scheme.family, p), D,
-                              scheme.param_slots)
-    return ConstraintSystem(scheme, p, "word", scheme.param_slots,
-                            tuple(polys), tuple(labels), tuple(at))
+        terms = [(tau ** k) * (sign ** (k + 1)) for k in ks]
+        gen = NCSeries.from_words(alphabet, D, {(g.id,): c for g, c in zip(alphabet, terms)})
+        factor = exp(gen)
+        prod = factor if prod is None else prod * factor
+    series, residual = lie_coordinates(log(prod), build_hall_basis(alphabet, D))
+    if residual:
+        raise RuntimeError(f"non-Lie residual {residual} in graded log")
+    return series
 
 
 def symbolic_log(scheme: Scheme, p: int) -> ConstraintSystem:
@@ -173,13 +154,18 @@ def symbolic_log(scheme: Scheme, p: int) -> ConstraintSystem:
             raise ValueError(
                 f"graded expansion capped at degree {_GRADED_DEGREE_CAP}, "
                 f"order {p} needs {D}")
-        return _graded_system(raw, p, D)
-    cap = _WORD_DEGREE_CAP[raw.n]
-    if D > cap:
-        raise ValueError(
-            f"word expansion for n={raw.n} capped at degree {cap}, "
-            f"order {p} needs {D}")
-    return _word_system(raw, p, D)
+        pipeline = "leapfrog" if raw.family == "SL" else "euler"
+        series = _graded_log(raw, D)
+    else:
+        cap = _WORD_DEGREE_CAP[raw.n]
+        if D > cap:
+            raise ValueError(
+                f"word expansion for n={raw.n} capped at degree {cap}, "
+                f"order {p} needs {D}")
+        pipeline, series = "word", log_scheme(raw, None, D)
+    polys, labels, at = _emit(series, degrees, raw.param_slots)
+    return ConstraintSystem(raw, p, pipeline, raw.param_slots,
+                            tuple(polys), tuple(labels), tuple(at))
 
 
 # -------------------------------------------------------- Gröbner analysis
@@ -205,6 +191,9 @@ def buchberger(polys, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
 
 @dataclass(frozen=True)
 class FreedomReport:
+    """What ``analyze_freedom`` finds; real solutions are counted and read
+    on a form that takes a distinct value at each solution."""
+
     free_count: int
     suggested_free_slots: tuple[str, ...]
     zero_dimensional: bool
@@ -215,23 +204,19 @@ class FreedomReport:
     # exponents of the monomials outside the leading-term ideal: a basis
     # of the quotient ring when it is finite-dimensional, else empty
     standard_monomials: tuple[tuple[int, ...], ...] = ()
+    # float readings of the real solutions, ordered like the variables: ()
+    # if none is real, None if the ideal has positive dimension or a multiple root
+    real_solutions: tuple[tuple[float, ...], ...] | None = None
 
 
-def _lead_exponents(gb: GroebnerBasis) -> list[tuple[int, ...]]:
-    return [g.leading(gb.monomial_order)[0] for g in gb.polys]
-
-
-def _independent_sets(supports, nvars: int):
-    """Variable subsets not containing the support of any leading monomial."""
-    by_size: dict[int, list[frozenset[int]]] = {}
-    for size in range(nvars, -1, -1):
-        for combo in combinations(range(nvars), size):
-            s = frozenset(combo)
-            if all(not sup <= s for sup in supports):
-                by_size.setdefault(size, []).append(s)
-        if size in by_size:
-            return size, by_size[size]
-    return 0, [frozenset()]
+def _dimension(supports, nvars: int) -> int:
+    """Size of the largest variable subset containing the support of no
+    leading monomial: the dimension of the variety."""
+    for size in range(nvars, 0, -1):
+        if any(all(not sup <= frozenset(combo) for sup in supports)
+               for combo in combinations(range(nvars), size)):
+            return size
+    return 0
 
 
 def _standard_monomials(leads, bounds) -> tuple[tuple[int, ...], ...]:
@@ -239,31 +224,23 @@ def _standard_monomials(leads, bounds) -> tuple[tuple[int, ...], ...]:
                  if not any(all(t >= k for t, k in zip(tup, e)) for e in leads))
 
 
-def _univariate_eliminant(polys, variables, keep: str) -> MultiPoly | None:
-    order_vars = tuple(v for v in variables if v != keep) + (keep,)
-    reordered = [p.restrict(order_vars) for p in polys]
-    gb = buchberger_basis(reordered, LEX)
-    cands = [g for g in gb if set(g.used_variables()) <= {keep}]
-    if not cands:
-        return None
-    return min(cands, key=lambda g: g.total_degree())
-
-
 def _admissible_slots(polys, variables) -> tuple[str, ...]:
     """Slots that carry no univariate relation, i.e. may be chosen freely.
 
     Whether a single slot can serve as the free parameter is a property of
     the ideal, not of any particular basis: ``x`` qualifies exactly when the
-    elimination ideal in ``x`` alone is zero.  Slots whose elimination blows
-    past the size guard are left out rather than guessed at.
+    lexicographic basis with ``x`` last holds no polynomial in ``x`` alone.
+    Slots whose elimination blows past the size guard are left out.
     """
     out = []
     for v in variables:
+        order_vars = tuple(u for u in variables if u != v) + (v,)
         try:
-            if _univariate_eliminant(polys, variables, v) is None:
-                out.append(v)
+            gb = buchberger_basis([p.restrict(order_vars) for p in polys], LEX)
         except RuntimeError:
             continue
+        if not any(set(g.used_variables()) <= {v} for g in gb):
+            out.append(v)
     return tuple(out)
 
 
@@ -323,16 +300,57 @@ def _power_eliminant(gb: GroebnerBasis, form: MultiPoly, name: str,
     raise RuntimeError("power iteration exceeded the quotient dimension")
 
 
+def _real_solutions(gb: GroebnerBasis, variables, basis,
+                    weights) -> tuple[tuple[float, ...], ...]:
+    """One float reading per real eigenvalue of multiplication by the
+    linear form with integer ``weights``, which must take a distinct value
+    at each of ``len(basis)`` solutions.
+
+    The eigenvalue method (Cox, Little & O'Shea, *Using Algebraic
+    Geometry*, ch. 2 §4; Auzinger & Stetter 1988): on the standard
+    monomials ``basis`` that matrix has, for each solution, the left
+    eigenvector ``basis(solution)`` with eigenvalue the form's value there,
+    and every slot is its normal form dotted with that vector.
+    """
+    column = {e: k for k, e in enumerate(basis)}
+
+    def coordinates(e) -> np.ndarray:
+        """The normal form of the monomial ``e`` on ``basis``."""
+        row = np.zeros(len(basis))
+        if e in column:  # inside the staircase no reduction is needed
+            row[column[e]] = 1.0
+        else:
+            for f, c in gb.reduce(MultiPoly(variables, {e: 1})).terms.items():
+                row[column[f]] = float(c)
+        return row
+
+    def raised(e, i: int) -> tuple[int, ...]:
+        return e[:i] + (e[i] + 1,) + e[i + 1:]
+
+    one = (0,) * len(variables)
+    mult = sum(c * np.array([coordinates(raised(b, i)) for b in basis]).T
+               for i, c in enumerate(weights) if c)
+    slots = np.array([coordinates(raised(one, i)) for i in range(len(variables))])
+    values, vectors = np.linalg.eig(mult.T)
+    return tuple(tuple((slots @ (u / u[column[one]])).real.tolist())
+                 for lam, u in zip(values, vectors.T)
+                 if abs(lam.imag) <= 1e-8 * max(1.0, abs(lam)))
+
+
 def analyze_freedom(cs: ConstraintSystem,
                     eliminate_to: str | None = None) -> FreedomReport:
-    """Dimension, admissible free slots, and solution counts of the ideal.
+    """Dimension, admissible free slots, and the solutions of the ideal.
 
     When the variety is zero-dimensional, the eliminant is the generator of
-    the elimination ideal in ``eliminate_to`` (default: the last slot), and
-    real solutions are counted as its distinct real roots.  Reports are
-    memoized per (system, slot): an equal ``ConstraintSystem`` from another
-    ``symbolic_log`` call hits the same entry, so the optimizer's root
-    search reuses the Gröbner basis of a caller's analysis.
+    the elimination ideal in ``eliminate_to`` (default: the last slot).
+    Real solutions are counted and read on a separating form: that slot if
+    its eliminant has degree ``solution_count``, else ``w_1 + 2 w_2 + ...``
+    (Cox, Little & O'Shea, ch. 2 §4, Prop. 4.7).  ``real_solution_count``
+    is the Sturm count of the form's minimal polynomial, and
+    ``real_solutions`` reads every real solution by the eigenvalue method,
+    or is ``None`` where that polynomial has fewer than ``solution_count``
+    distinct roots (a multiple solution).  Reports are memoized per
+    (system, slot), so the optimizer's root search reuses a caller's.
     """
     keep = eliminate_to if eliminate_to is not None else cs.variables[-1]
     if keep not in cs.variables:
@@ -345,11 +363,11 @@ def _analyze(cs: ConstraintSystem, keep: str) -> FreedomReport:
     variables = cs.variables
     gb = buchberger(cs.polys, GREVLEX)
     if gb.is_trivial:
-        return FreedomReport(0, (), True, 0, 0, None, gb)
+        return FreedomReport(0, (), True, 0, 0, None, gb, real_solutions=())
 
-    leads = _lead_exponents(gb)
+    leads = [g.leading(gb.monomial_order)[0] for g in gb.polys]
     supports = [frozenset(i for i, k in enumerate(e) if k) for e in leads]
-    dim, _ = _independent_sets(supports, len(variables))
+    dim = _dimension(supports, len(variables))
     if dim > 0:
         suggested = _admissible_slots(gb.polys, variables)
         return FreedomReport(dim, suggested, False, None, None, None, gb)
@@ -360,7 +378,16 @@ def _analyze(cs: ConstraintSystem, keep: str) -> FreedomReport:
                 if all(k == 0 for j, k in enumerate(e) if j != i) and e[i]]
         bounds.append(min(pure))
     standard = _standard_monomials(leads, bounds)
-    eliminant = _power_eliminant(gb, MultiPoly.variable(keep, variables), keep, len(standard))
-    _, coeffs = eliminant.univariate_coefficients()
-    real = _sturm_real_roots(coeffs)
-    return FreedomReport(0, (), True, len(standard), real, eliminant, gb, standard)
+    count = len(standard)
+    eliminant = _power_eliminant(gb, MultiPoly.variable(keep, variables), keep, count)
+    weights, minimal = tuple(int(v == keep) for v in variables), eliminant
+    if eliminant.total_degree() != count:  # two solutions share its value, or one is multiple
+        weights = tuple(range(1, len(variables) + 1))
+        form = sum(c * MultiPoly.variable(v, variables) for c, v in zip(weights, variables))
+        minimal = _power_eliminant(gb, form, "t", count)
+    coeffs = minimal.univariate_coefficients()[1]
+    # count distinct eigenvalues, one per solution: else a solution is multiple
+    distinct = minimal.total_degree() == count and is_square_free(coeffs)
+    solutions = _real_solutions(gb, variables, standard, weights) if distinct else None
+    return FreedomReport(0, (), True, count, _sturm_real_roots(coeffs), eliminant, gb,
+                         standard, solutions)

@@ -422,17 +422,27 @@ def _place(g: InteractionGraph, place) -> dict:
 
 
 def _finish(g: InteractionGraph, groups: dict, certificate=None) -> Partition:
-    """Assemble a Partition from {group: {operator_key: [indices]}}."""
+    """Assemble a Partition from {group: {operator_key: [indices]}};
+    refuses a group whose operators share a site."""
     out_groups = []
     out_ops = []
     for key in sorted(groups):
         buckets = groups[key]
         idxs = []
         ops = []
+        owner: dict[int, int] = {}  # site -> the group's operator on it
         for op_key in sorted(buckets, key=repr):
             members = buckets[op_key]
             idxs.extend(members)
-            ops.append(frozenset().union(*(g.interactions[k] for k in members)))
+            op = frozenset().union(*(g.interactions[k] for k in members))
+            hit = min((owner[s] for s in op if s in owner), default=None)
+            if hit is not None:
+                cert = {"group": len(out_groups), "operators": (hit, len(ops)),
+                        "sites": sorted(op & ops[hit])}
+                raise PartitionError(f"group {cert['group']}: operators {hit} and {len(ops)} "
+                                     f"overlap on sites {cert['sites']}", cert)
+            owner.update(dict.fromkeys(op, len(ops)))
+            ops.append(op)
         out_groups.append(tuple(sorted(idxs)))
         out_ops.append(tuple(ops))
     return Partition(tuple(out_groups), tuple(out_ops),

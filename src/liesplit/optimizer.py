@@ -22,11 +22,11 @@ minimum is re-measured by ``epsilon``.  Compiling costs 0.03 s for S m9
 p4 but 0.8 s for SL m15 and 2.5 s for SL m19 at p = 6 (cold, 2-vCPU VM).
 
 A root search (no free direction) compiles nothing and starts nothing:
-it reads every real root off the (memoized) ``constraints.analyze_freedom``
-of the conditions by the eigenvalue method, checks their number against
-the Sturm count and measures each with ``epsilon``; ``starts``, ``seed``
-and ``bounds`` have no effect there.  Conditions with no solution or
-infinitely many give ``ManifoldError``.
+it polishes the real solutions the memoized ``analyze_freedom`` reads
+and counts on a separating form, checks their number against that count
+and measures each with ``epsilon``; ``starts``, ``seed`` and ``bounds``
+have no effect there.  Conditions with no solution or infinitely many
+give ``ManifoldError``.
 """
 
 from __future__ import annotations
@@ -41,10 +41,9 @@ import numpy as np
 from scipy import optimize as sciopt
 from scipy.stats import qmc
 
-from .constraints import ConstraintSystem, _power_eliminant, analyze_freedom, symbolic_log
-from .polynomials import MultiPoly, sturm_real_roots
-from .schemes import (ErrorReport, ParamAssignment, Scheme, _product_log, _read_top,
-                      epsilon, ordering_str, symbolic_slot_values)
+from .constraints import ConstraintSystem, analyze_freedom, symbolic_log
+from .schemes import (_NON_LIE_TOL, ErrorReport, ParamAssignment, Scheme, _product_log,
+                      _read_top, epsilon, ordering_str, symbolic_slot_values)
 
 __all__ = [
     "ManifoldError",
@@ -55,9 +54,6 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-12
-# ``epsilon``'s non-Lie threshold: where machine epsilon times the largest
-# term exceeds it, a zero residual is cancellation in rounding, not a root
-_ROUNDING_TOL = 1e-8
 _DEDUP_TOL = 1e-5
 
 
@@ -214,7 +210,9 @@ class _Manifold:
             raise ManifoldError(f"no convergence: residual {rn:.3e}")
         terms = np.prod(np.abs(self.point(free_values, x)) ** self._exps, axis=1)
         scale = float(np.max(np.abs(self._coeffs) @ terms))
-        if np.finfo(float).eps * scale > _ROUNDING_TOL:
+        # where machine epsilon times the largest term exceeds ``epsilon``'s
+        # non-Lie threshold, a zero residual is cancellation in rounding
+        if np.finfo(float).eps * scale > _NON_LIE_TOL:
             raise ManifoldError(f"spurious root: terms of size {scale:.3e} cancel in rounding")
         return x
 
@@ -487,23 +485,13 @@ def _multi_start(problem: OptimizationProblem, man: _Manifold, report_at,
 
 
 def _root_search(man: _Manifold, report_at):
-    """Every real root of a search with no free direction, read off the
-    quotient ring of its order conditions, polished by Newton and measured
-    by ``epsilon``, as (free, dependent, report) triples.
-
-    The eigenvalue method (Cox, Little & O'Shea, *Using Algebraic
-    Geometry*, ch. 2 §4; Auzinger & Stetter 1988): on the standard
-    monomials ``b`` the matrix of multiplication by a form has, for each
-    solution, the left eigenvector ``b(solution)`` with eigenvalue the
-    form's value there, and every slot is its normal form dotted with that
-    vector.  The form is the last slot when its eliminant has degree
-    ``solution_count``, so that each eigenvalue has one eigenvector, and
-    otherwise a fixed integer linear form of the slots (Prop. 4.7), whose
-    minimal polynomial must then have that degree.  Real solutions are the
-    Sturm count of the form's minimal polynomial, and the number of
-    distinct polished roots must equal it.  Every failure is a
-    ``ManifoldError``: no Gröbner analysis, no or infinitely many
-    solutions, a count mismatch or a root ``epsilon`` rejects.
+    """Every real root of a search with no free direction, as (free,
+    dependent, report) triples: each of the ``real_solutions`` that the
+    memoized ``analyze_freedom`` reads and counts on a separating form,
+    polished by one Newton solve and measured by ``epsilon``.  Every
+    failure is a ``ManifoldError``: no Gröbner analysis, no, infinitely many
+    or a multiple solution, distinct roots other than counted, or a root
+    ``epsilon`` rejects.
     """
     try:
         report = analyze_freedom(man.system)
@@ -515,54 +503,16 @@ def _root_search(man: _Manifold, report_at):
             f"pin some of {report.suggested_free_slots}")
     if not report.solution_count:
         raise ManifoldError("the order conditions have no solution")
-    variables, basis = man.system.variables, report.standard_monomials
     count, real = report.solution_count, report.real_solution_count
-    weights = (0,) * (len(variables) - 1) + (1,)
-    if report.eliminant.total_degree() != count:
-        # the last slot takes one value at two solutions, or a solution is
-        # multiple; the form w_1 + 2 w_2 + 3 w_3 + ... separates distinct
-        # solutions unless the conditions conspire against it
-        weights = tuple(range(1, len(variables) + 1))
-        form = sum(c * MultiPoly.variable(v, variables) for c, v in zip(weights, variables))
-        minimal = _power_eliminant(report.groebner, form, "t", count)
-        if minimal.total_degree() != count:
-            raise ManifoldError(
-                f"the minimal polynomial of a linear form has degree "
-                f"{minimal.total_degree()} against {count} complex solutions: "
-                f"a solution is multiple")
-        real = sturm_real_roots(minimal.univariate_coefficients()[1])
-    column = {e: k for k, e in enumerate(basis)}
-
-    def coordinates(poly) -> np.ndarray:
-        row = np.zeros(len(basis))
-        for e, c in poly.terms.items():
-            row[column[e]] = float(c)
-        return row
-
-    def multiplication(i: int) -> np.ndarray:
-        """The matrix of multiplication by slot ``i`` on ``basis``."""
-        out = np.zeros((len(basis), len(basis)))
-        for j, b in enumerate(basis):
-            e = b[:i] + (b[i] + 1,) + b[i + 1:]
-            if e in column:  # inside the staircase no reduction is needed
-                out[column[e], j] = 1.0
-            else:
-                out[:, j] = coordinates(report.groebner.reduce(MultiPoly(variables, {e: 1})))
-        return out
-
-    mult = sum(c * multiplication(i) for i, c in enumerate(weights) if c)
-    slots = np.array([coordinates(report.groebner.reduce(MultiPoly.variable(v, variables)))
-                      for v in variables])[[variables.index(s) for s in man.dependent]]
-    values, vectors = np.linalg.eig(mult.T)
-    one = column[(0,) * len(variables)]
-    readings = [(slots @ (u / u[one])).real
-                for lam, u in zip(values, vectors.T)
-                if abs(lam.imag) <= 1e-8 * max(1.0, abs(lam))]
-
+    readings = report.real_solutions
+    if readings is None:
+        raise ManifoldError(f"the {count} complex solutions of the order conditions "
+                            f"include a multiple one")
+    at = [man.system.variables.index(s) for s in man.dependent]
     roots: list[np.ndarray] = []
-    for guess in readings:
+    for reading in readings:
         try:
-            dv = man.solve([], guess)
+            dv = man.solve([], np.array(reading)[at])
         except ManifoldError:
             continue
         if all(np.max(np.abs(dv - r), initial=0.0) > _DEDUP_TOL for r in roots):
@@ -588,15 +538,14 @@ def minimize_epsilon(problem: OptimizationProblem) -> OptimizationResult:
     """Error minimization over a chart of the manifold.
 
     A search with no free direction is a root search and takes the
-    eigenvalue route: it reads every real root off the Gröbner analysis of
-    the order conditions (see ``_root_search``), polishes each with one
-    Newton solve and measures it with ``epsilon``; ``starts``, ``seed``
-    and ``bounds`` have no effect on it.  The number of distinct polished
-    roots must equal the Sturm count of real solutions, or
-    ``ManifoldError`` names both counts; an ideal with no solution or of
-    positive dimension, and a root ``epsilon`` rejects, raise it too.
-    ``constraints.analyze_freedom`` is memoized, so the route reuses a
-    caller's analysis of the same system.
+    eigenvalue route: ``constraints.analyze_freedom`` of the order
+    conditions reads every real solution and counts them on a separating
+    form, and the route polishes each with one Newton solve and measures
+    it with ``epsilon`` (see ``_root_search``); ``starts``, ``seed`` and
+    ``bounds`` have no effect on it.  The number of distinct roots must
+    equal that count, or ``ManifoldError`` names both counts; no, infinitely
+    many or a multiple solution, and a root ``epsilon`` rejects, raise it
+    too.  The memoized analysis of a caller is reused.
 
     A search with a free direction takes the multi-start route, in two
     passes.  The sweep pass walks the start points in free-coordinate

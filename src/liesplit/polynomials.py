@@ -30,9 +30,11 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = ["MultiPoly", "MonomialOrder", "GREVLEX", "LEX", "normal_form", "s_polynomial",
-           "buchberger_basis", "is_groebner_basis", "sturm_real_roots"]
+           "buchberger_basis", "is_groebner_basis", "is_square_free", "sturm_real_roots"]
 
 Exponents = tuple[int, ...]
+# Buchberger gives up once its basis grows past this many elements
+_MAX_BASIS = 400
 
 
 class MonomialOrder:
@@ -376,8 +378,8 @@ def s_polynomial(f: MultiPoly, g: MultiPoly, order: MonomialOrder = GREVLEX) -> 
     return mf * f - mg * g
 
 
-def buchberger_basis(polys: Sequence[MultiPoly], order: MonomialOrder = GREVLEX,
-                     max_basis: int = 400) -> list[MultiPoly]:
+def buchberger_basis(polys: Sequence[MultiPoly],
+                     order: MonomialOrder = GREVLEX) -> list[MultiPoly]:
     """Reduced Groebner basis via Buchberger + Gebauer-Moeller pair pruning."""
     basis = [p.monic(order) for p in polys if p]
     if not basis:
@@ -405,7 +407,7 @@ def buchberger_basis(polys: Sequence[MultiPoly], order: MonomialOrder = GREVLEX,
         basis.append(r.monic(order))
         divisors += _divisors(basis[-1:], order)
         leads.append(divisors[-1][0])
-        if len(basis) > max_basis:
+        if len(basis) > _MAX_BASIS:
             raise RuntimeError("Groebner basis computation exceeded the size guard")
         admit(len(basis) - 1)
     return _interreduce(basis, order)
@@ -495,21 +497,34 @@ def _sign_changes(values: Iterable[int]) -> int:
     return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
 
 
-def sturm_real_roots(coeffs: Sequence[Fraction]) -> int:
-    """Number of distinct real roots of a univariate polynomial.
-
-    The chain p, p', -prem, ... ends in g = gcd(p, p'); divided through by
-    g it is the Sturm chain of the square-free part, and that division
-    flips every sign at +-infinity alike, so the count is the same."""
+def _sturm_chain(coeffs: Sequence[Fraction]) -> list[list[int]]:
+    """p, p', -prem, ... on primitive integer coefficients, ending in
+    gcd(p, p'); empty for a constant."""
     c = [_as_fraction(x) for x in coeffs]
     den = lcm(*(x.denominator for x in c))
     c = [x.numerator * (den // x.denominator) for x in c]
     while c and not c[-1]:
         c.pop()
     if len(c) <= 1:
-        return 0
+        return []
     chain = [_primitive(c), _primitive(_derivative(c))]
     while len(chain[-1]) > 1 and (rem := _pseudo_remainder(chain[-2], chain[-1])):
         chain.append([-x for x in _primitive(rem)])
+    return chain
+
+
+def is_square_free(coeffs: Sequence[Fraction]) -> bool:
+    """True when a univariate polynomial has no repeated complex root."""
+    chain = _sturm_chain(coeffs)
+    return not chain or len(chain[-1]) == 1
+
+
+def sturm_real_roots(coeffs: Sequence[Fraction]) -> int:
+    """Number of distinct real roots of a univariate polynomial.
+
+    The chain p, p', -prem, ... ends in g = gcd(p, p'); divided through by
+    g it is the Sturm chain of the square-free part, and that division
+    flips every sign at +-infinity alike, so the count is the same."""
+    chain = _sturm_chain(coeffs)
     at_minus = [p[-1] * (-1) ** (len(p) - 1) for p in chain]
     return _sign_changes(at_minus) - _sign_changes(p[-1] for p in chain)

@@ -40,7 +40,6 @@ __all__ = [
     "log_scheme",
     "verify_order",
     "epsilon",
-    "catalog",
     "yoshida_recursive",
     "suzuki_recursive",
     "se_chart_names",
@@ -54,6 +53,9 @@ __all__ = [
 ]
 
 FAMILIES = {2: ("N", "S", "SL"), 3: ("N", "S", "S-abc", "SE", "SL")}
+
+# the largest non-Lie residual a float log may carry: rounding, not error
+_NON_LIE_TOL = 1e-8
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -482,7 +484,7 @@ def _read(series: NCSeries, basis: HallBasis, degrees: Sequence[int] | None = No
     """``series``' Hall coordinates in ``basis`` (at ``degrees`` only, if
     given); raises on a non-Lie residual above rounding, or any if exact."""
     lie, residual = lie_coordinates(series, basis, degrees)
-    if not residual <= (1e-8 if isinstance(series.unit(), float) else 0):  # NaN fails too
+    if not residual <= (_NON_LIE_TOL if isinstance(series.unit(), float) else 0):  # NaN fails too
         raise RuntimeError(f"non-Lie residual {float(residual):.2e} in the product's log")
     return lie
 
@@ -725,9 +727,3 @@ def _parse_scalar(text: str, ln: int):
     except (ValueError, ZeroDivisionError):
         pass
     raise ValueError(f"line {ln}: {text!r} is not a finite number")
-
-
-def catalog():
-    """Named schemes with published parameters; see the catalog module."""
-    from . import catalog as cat
-    return cat.catalog()

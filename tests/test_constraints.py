@@ -8,6 +8,7 @@ import sympy
 from liesplit import constraints
 from liesplit.catalog import catalog
 from liesplit.constraints import (
+    ConstraintSystem,
     GroebnerBasis,
     analyze_freedom,
     buchberger,
@@ -224,6 +225,53 @@ def test_standard_monomials_span_the_quotient():
         mono = MultiPoly(cs.variables, {e: 1})
         assert report.groebner.reduce(mono) == mono
     assert analyze_freedom(symbolic_log(build_scheme(2, "S", 9), 4)).standard_monomials == ()
+
+
+def _hand_system(polys, variables):
+    return ConstraintSystem(None, 0, "by hand", variables, tuple(polys),
+                            tuple(range(len(polys))), (0,) * len(polys))
+
+
+def test_derogatory_last_slot_counts_on_a_linear_form():
+    # the solutions (1, 1) and (-1, 1) share y, whose eliminant y - 1 has
+    # one root: both solutions are counted and read on x + 2y instead
+    v = ("x", "y")
+    x, y = _var("x", v), _var("y", v)
+    report = analyze_freedom(_hand_system([x ** 2 - 1, y - x ** 2], v))
+    assert report.eliminant == _var("y", ("y",)) - 1
+    assert (report.solution_count, report.real_solution_count) == (2, 2)
+    got = sorted(report.real_solutions)
+    assert len(got) == 2
+    for point, want in zip(got, [(-1.0, 1.0), (1.0, 1.0)]):
+        assert max(abs(a - b) for a, b in zip(point, want)) <= 1e-12
+
+
+@pytest.mark.parametrize("polys, counts", [
+    (lambda x, y: [x ** 2, y ** 2], (4, 1)),
+    # (3, 9) is double: float eigenvalues of its defective block can split
+    # off the real axis and drop a real solution from the readings
+    (lambda x, y: [(x - 3) ** 2 * (x + 1), y - x ** 2], (3, 2)),
+], ids=["fourfold-origin", "double-root"])
+def test_multiple_solution_has_no_readings(polys, counts):
+    v = ("x", "y")
+    report = analyze_freedom(_hand_system(polys(_var("x", v), _var("y", v)), v))
+    assert (report.solution_count, report.real_solution_count) == counts
+    assert report.real_solutions is None
+
+
+def test_real_solutions_of_the_sl15_p6_conditions():
+    cs = symbolic_log(build_scheme(2, "SL", 15), 6)
+    report = analyze_freedom(cs)
+    assert len(report.real_solutions) == report.real_solution_count == 3
+    for point in report.real_solutions:
+        values = dict(zip(cs.variables, point))
+        assert max(abs(r) for r in cs.evaluate(values)) <= 1e-9
+    entry = CATALOG["n2-p6-sl-m15-yoshida"]
+    yoshida = entry.scheme.resolve_slots(entry.params)
+    assert any(max(abs(a - float(yoshida[v])) for v, a in zip(cs.variables, point)) <= 1e-9
+               for point in report.real_solutions)
+    assert analyze_freedom(symbolic_log(build_scheme(2, "S", 9), 4)).real_solutions is None
+    assert analyze_freedom(symbolic_log(build_scheme(3, "SL", 17), 4)).real_solutions == ()
 
 
 @pytest.mark.parametrize("template, p", [((2, "S", 9), 4), ((2, "SL", 15), 6)],

@@ -371,6 +371,33 @@ def test_greedy_refuses_a_crowded_site_at_once():
     assert all(cert["site"] in g.interactions[k] for k in cert["interactions"])
 
 
+def _square_with_triangle():
+    # a three-site term whose first and last sorted sites wrap the open
+    # square the long way: read as a bond, its tile overlaps another
+    g = build_square(4, 4)
+    ids = {c: i for i, c in g.sites}
+    extra = frozenset({ids[(0, 0)], ids[(1, 0)], ids[(0, 3)]})
+    return InteractionGraph(2, g.sites, g.interactions + (extra,), g.periodic)
+
+
+@pytest.mark.parametrize("strategy", ["square-4site", "square-3site",
+                                      "triangular-plaquette"])
+def test_overlapping_operators_are_refused(strategy):
+    g = _square_with_triangle()
+    with pytest.raises(PartitionError, match=r"group \d+: operators \d+ and \d+ overlap "
+                                             r"on sites \[12\]") as info:
+        partition(g, strategy)
+    cert = info.value.certificate
+    first, second = cert["operators"]
+    assert first < second and cert["sites"] == [12]
+    assert set(cert) == {"group", "operators", "sites"}
+
+
+def test_auto_refuses_rather_than_overlap():
+    with pytest.raises(PartitionError, match="site 1 lies in 4 interactions"):
+        partition(_square_with_triangle())
+
+
 def test_unknown_strategy():
     with pytest.raises(ValueError, match="unknown strategy"):
         partition(build_chain(4), "voronoi")

@@ -16,7 +16,6 @@ from liesplit.optimizer import (
     minimize_epsilon,
     solve_on_manifold,
 )
-from liesplit.polynomials import MultiPoly
 from liesplit.schemes import epsilon
 
 
@@ -223,29 +222,20 @@ def test_root_search_reads_every_real_root():
         [0.445732, 5.716708, 5.881016], rel=1e-5)
 
 
-def test_derogatory_last_slot_takes_a_linear_form(monkeypatch):
-    # where the last slot's eliminant falls short of solution_count, the
-    # route multiplies by a linear form of every slot and counts real
-    # solutions on that form's minimal polynomial, not on the report
-    want = _sl15_root_search()
-    w_4 = MultiPoly.variable("w_4", ("w_4",))
-    _replace_report(monkeypatch, eliminant=w_4 * w_4 - 1, real_solution_count=0)
-    forms = []
-    real = optimizer._power_eliminant
+def test_root_search_makes_no_normal_form(monkeypatch):
+    # the analysis owns the quotient ring: once it is memoized, the root
+    # search only polishes and measures its readings
+    scheme = build_scheme(2, "SL", 15)
+    constraints.analyze_freedom(constraints.symbolic_log(scheme, 6))
 
-    def recording(gb, form, name, quotient_dim):
-        forms.append(form)
-        return real(gb, form, name, quotient_dim)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the root search reduced a polynomial")
 
-    monkeypatch.setattr(optimizer, "_power_eliminant", recording)
-    got = _sl15_root_search()
-    assert len(forms) == 1
-    assert forms[0].total_degree() == 1 and len(forms[0].terms) == 4
-    assert got.diagnostics[-1]["route"] == "eigenvalue"
-    assert len(got.local_minima) == len(want.local_minima) == 3
-    for (pa, ra), (pb, rb) in zip(got.local_minima, want.local_minima):
-        assert all(abs(pa.values[k] - v) <= 1e-9 for k, v in pb.values.items())
-        assert float(ra.epsilon) == pytest.approx(float(rb.epsilon), rel=1e-9)
+    monkeypatch.setattr(constraints.GroebnerBasis, "reduce", refuse)
+    monkeypatch.setattr(constraints, "normal_form", refuse)
+    res = _sl15_root_search()
+    assert [float(rep.epsilon) for _, rep in res.local_minima] == pytest.approx(
+        [0.445732, 5.716708, 5.881016], rel=1e-5)
 
 
 @pytest.mark.parametrize("template, p", [
@@ -280,7 +270,8 @@ def test_root_count_mismatch_raises_with_both_counts(monkeypatch):
     (dict(zero_dimensional=False, free_count=1, suggested_free_slots=("w_4",)),
      r"leave 1 free direction\(s\); pin some of \('w_4',\)"),
     (dict(solution_count=0, real_solution_count=0), "have no solution"),
-], ids=["positive-dimensional", "trivial"])
+    (dict(real_solutions=None), "the 39 complex solutions .* include a multiple one"),
+], ids=["positive-dimensional", "trivial", "multiple"])
 def test_root_search_without_finitely_many_solutions_raises(monkeypatch, changes, message):
     _replace_report(monkeypatch, **changes)
     with pytest.raises(ManifoldError, match=message):

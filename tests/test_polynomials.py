@@ -17,6 +17,7 @@ from liesplit.polynomials import (
     MultiPoly,
     buchberger_basis,
     is_groebner_basis,
+    is_square_free,
     normal_form,
     s_polynomial,
     sturm_real_roots,
@@ -345,3 +346,4 @@ def test_sturm_counts_distinct_roots_of_factored_polynomials(linear, quadratic, 
     expected = poly.count_roots() if poly.degree() > 0 else 0
     assert expected == len({r for r, _ in linear})
     assert sturm_real_roots(coeffs) == expected
+    assert is_square_free(coeffs) == (sympy.degree(sympy.gcd(poly, poly.diff(t)), t) <= 0)
