@@ -20,10 +20,10 @@ coefficients are checked to vanish identically and are not emitted.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd
 
 import numpy as np
@@ -35,6 +35,8 @@ from .polynomials import (
     LEX,
     MonomialOrder,
     MultiPoly,
+    _layout,
+    _unpack,
     buchberger_basis,
     is_square_free,
     normal_form,
@@ -220,8 +222,13 @@ def _dimension(supports, nvars: int) -> int:
 
 
 def _standard_monomials(leads, bounds) -> tuple[tuple[int, ...], ...]:
-    return tuple(tup for tup in product(*[range(b) for b in bounds])
-                 if not any(all(t >= k for t, k in zip(tup, e)) for e in leads))
+    """The exponents below ``bounds`` that no packed lead divides, in the
+    order of ``itertools.product``."""
+    _, guard, units = _layout(len(bounds))
+    box = [0]
+    for unit, b in zip(units, bounds):
+        box = [m + k * unit for m in box for k in range(b)]
+    return tuple(_unpack(m, len(bounds)) for m in box if all((m - e) & guard for e in leads))
 
 
 def _admissible_slots(polys, variables) -> tuple[str, ...]:
@@ -257,18 +264,19 @@ def _power_eliminant(gb: GroebnerBasis, form: MultiPoly, name: str,
     the same polynomial lexicographic elimination would produce, without
     the blowup.
     """
-    key = functools.cache(gb.monomial_order.descending)  # once per exponent
+    key = functools.cache(gb.monomial_order.packed(len(form.variables)))  # once per monomial
     v = form
     power = MultiPoly.constant(1, form.variables)
     # row echelon over the standard monomials on integer rows: a vector's
     # numerators and those of the combination of powers of ``keep`` it came
     # from, filed under its leading monomial with the lead's numerator; a
-    # heap finds each lead, and rows are only ever scaled by positive integers
-    pivots: dict[tuple[int, ...], tuple[int, dict, dict]] = {}
+    # heap of negated keys finds each lead, and rows are only ever scaled
+    # by positive integers
+    pivots: dict[int, tuple[int, dict, dict]] = {}
     for k in range(quotient_dim + 1):
-        vec, den = power.numerators()
+        vec, den = dict(power._num), power._den
         combo = {k: den}
-        heap = [(key(e), e) for e in vec]
+        heap = [(-key(e), e) for e in vec]
         heapify(heap)
         while heap:
             lead = heappop(heap)[1]
@@ -290,7 +298,7 @@ def _power_eliminant(gb: GroebnerBasis, form: MultiPoly, name: str,
                 combo = {j: q * a for j, q in combo.items()}
             for e, q in pvec.items():
                 if e not in vec:
-                    heappush(heap, (key(e), e))
+                    heappush(heap, (-key(e), e))
                 vec[e] = vec.get(e, 0) - b * q
             for j, q in pcombo.items():
                 combo[j] = combo.get(j, 0) - b * q
@@ -349,35 +357,60 @@ def analyze_freedom(cs: ConstraintSystem,
     is the Sturm count of the form's minimal polynomial, and
     ``real_solutions`` reads every real solution by the eigenvalue method,
     or is ``None`` where that polynomial has fewer than ``solution_count``
-    distinct roots (a multiple solution).  Reports are memoized per
-    (system, slot), so the optimizer's root search reuses a caller's.
+    distinct roots (a multiple solution).  The Gröbner basis, dimension,
+    admissible slots and standard monomials are memoized per system and
+    the rest of each report per (system, slot), so a second slot runs no
+    second Buchberger and the optimizer's root search reuses a caller's.
     """
     keep = eliminate_to if eliminate_to is not None else cs.variables[-1]
     if keep not in cs.variables:
         raise ValueError(f"unknown slot {keep!r}")
-    return _analyze(cs, keep)
+    ideal = _analyze(cs)
+    if keep not in ideal.reports:
+        ideal.reports[keep] = _slot_report(cs, ideal, keep)
+    return ideal.reports[keep]
+
+
+@dataclass
+class _Ideal:
+    """What every slot's report shares, and those reports by slot."""
+
+    groebner: GroebnerBasis
+    dimension: int | None  # None for the unit ideal
+    suggested: tuple[str, ...]
+    standard: tuple[tuple[int, ...], ...]
+    reports: dict[str, FreedomReport] = field(default_factory=dict)
 
 
 @functools.lru_cache(maxsize=None)
-def _analyze(cs: ConstraintSystem, keep: str) -> FreedomReport:
+def _analyze(cs: ConstraintSystem) -> _Ideal:
     variables = cs.variables
     gb = buchberger(cs.polys, GREVLEX)
     if gb.is_trivial:
-        return FreedomReport(0, (), True, 0, 0, None, gb, real_solutions=())
+        return _Ideal(gb, None, (), ())
 
-    leads = [g.leading(gb.monomial_order)[0] for g in gb.polys]
-    supports = [frozenset(i for i, k in enumerate(e) if k) for e in leads]
+    key = GREVLEX.packed(len(variables))
+    leads = [max(g._num, key=key) for g in gb.polys]
+    exps = [_unpack(e, len(variables)) for e in leads]
+    supports = [frozenset(i for i, k in enumerate(e) if k) for e in exps]
     dim = _dimension(supports, len(variables))
     if dim > 0:
-        suggested = _admissible_slots(gb.polys, variables)
-        return FreedomReport(dim, suggested, False, None, None, None, gb)
+        return _Ideal(gb, dim, _admissible_slots(gb.polys, variables), ())
 
     bounds = []
     for i in range(len(variables)):
-        pure = [e[i] for e in leads
+        pure = [e[i] for e in exps
                 if all(k == 0 for j, k in enumerate(e) if j != i) and e[i]]
         bounds.append(min(pure))
-    standard = _standard_monomials(leads, bounds)
+    return _Ideal(gb, 0, (), _standard_monomials(leads, bounds))
+
+
+def _slot_report(cs: ConstraintSystem, ideal: _Ideal, keep: str) -> FreedomReport:
+    variables, gb, standard = cs.variables, ideal.groebner, ideal.standard
+    if ideal.dimension is None:
+        return FreedomReport(0, (), True, 0, 0, None, gb, real_solutions=())
+    if ideal.dimension:
+        return FreedomReport(ideal.dimension, ideal.suggested, False, None, None, None, gb)
     count = len(standard)
     eliminant = _power_eliminant(gb, MultiPoly.variable(keep, variables), keep, count)
     weights, minimal = tuple(int(v == keep) for v in variables), eliminant

@@ -1,19 +1,42 @@
 """Exact multivariate polynomials, Groebner bases, and Sturm chains.
 
-``MultiPoly`` is a sparse exponent-vector map over a fixed, ordered
-variable tuple, stored as integer numerators over one positive common
-denominator with no factor common to all, so equal polynomials compare
-and hash equal; ``terms`` is a read-only view with ``Fraction`` values.
-It implements the small ring interface the series code needs (``+``,
-``-``, ``*``, multiplication by rationals, truth testing, ``** 0`` as the
-unit), so order conditions can be extracted by running the ordinary BCH
-pipeline with polynomial-valued coefficients.  Only the public
-constructor checks its input; arithmetic builds results through ``_poly``.
+``MultiPoly`` is a sparse map from monomials to coefficients over a fixed,
+ordered variable tuple, stored as integer numerators over one positive
+common denominator with no factor common to all, so equal polynomials
+compare and hash equal; ``terms`` is a read-only view with exponent-tuple
+keys and ``Fraction`` values.  It implements the small ring interface the
+series code needs (``+``, ``-``, ``*``, multiplication by rationals, truth
+testing, ``** 0`` as the unit), so order conditions can be extracted by
+running the ordinary BCH pipeline with polynomial-valued coefficients.
+Only the public constructor checks its input; arithmetic builds results
+through ``_poly``.
+
+Inside, a monomial is one packed int (Monagan & Pearce, CASC 2007).  Each
+of the n variables owns a 16-bit field, the first variable the highest;
+the top bit of a field is a guard bit that a valid monomial leaves clear,
+so an exponent is at most ``MAX_EXPONENT`` = 2**15 - 1.  Then:
+
+* multiplying monomials is one int addition.  A field that passes
+  ``MAX_EXPONENT`` sets its guard bit and never carries into the next
+  field, and every product, power, S-polynomial and reduction step whose
+  result sets one raises ``ValueError``, as the constructor does for an
+  exponent outside 0..``MAX_EXPONENT``;
+* ``d`` divides ``m`` exactly when ``(m - d) & guard`` is zero, ``guard``
+  holding every guard bit: a field that would go negative borrows from the
+  next one and sets its own guard bit;
+* each monomial order has an integer key linear in the exponents: the
+  packed int itself for LEX, and for GREVLEX the vector (degree,
+  a_1 + ... + a_(n-1), ..., a_1) packed in 32-bit fields.  A product's key
+  is the sum of its factors' keys, so division finds the key of each term
+  it adds with one more addition.
+
+Exponent tuples appear only at the public edge: the constructor, ``terms``,
+``numerators``, ``leading``, ``restrict``, ``univariate_coefficients``,
+``evaluate``, ``repr`` and ``MonomialOrder.key``.
 
 The Groebner machinery is plain Buchberger with the Gebauer-Moeller pair
 criteria, adequate for the desk-scale ideals that arise here.  Division
-takes leading terms from a heap, each exponent's order key computed once,
-and reduces on integer numerators (Monagan & Pearce, CASC 2007).  Real
+takes leading terms from a heap and reduces on integer numerators.  Real
 roots of univariate eliminants are counted with a Sturm chain formed as a
 primitive remainder sequence over the integers (Brown & Traub, J. ACM
 18:505, 1971): each pseudo-remainder is scaled by a positive factor and
@@ -22,43 +45,80 @@ divided by its positive content, which keeps the signs the count reads.
 
 from __future__ import annotations
 
+import functools
+import struct
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import add, index, le, sub
+from operator import index, mul, or_
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
-__all__ = ["MultiPoly", "MonomialOrder", "GREVLEX", "LEX", "normal_form", "s_polynomial",
-           "buchberger_basis", "is_groebner_basis", "is_square_free", "sturm_real_roots"]
+__all__ = ["MultiPoly", "MonomialOrder", "GREVLEX", "LEX", "MAX_EXPONENT", "normal_form",
+           "s_polynomial", "buchberger_basis", "is_groebner_basis", "is_square_free",
+           "sturm_real_roots"]
 
 Exponents = tuple[int, ...]
 # Buchberger gives up once its basis grows past this many elements
 _MAX_BASIS = 400
+# one unsigned 16-bit field per variable ("H"), its top bit the guard bit
+_BITS = 16
+MAX_EXPONENT = (1 << (_BITS - 1)) - 1
+_OVERFLOW = f"a product would raise an exponent past MAX_EXPONENT = {MAX_EXPONENT}"
+# a GREVLEX key field holds a sum of up to n exponents
+_KEY_BITS = 2 * _BITS
+
+
+@functools.cache
+def _layout(n: int) -> tuple[struct.Struct, int, tuple[int, ...]]:
+    """The n fields as a struct, the mask of their guard bits, and the
+    packed monomial of each variable."""
+    units = tuple(1 << (_BITS * (n - 1 - i)) for i in range(n))
+    return struct.Struct(f">{n}H"), sum(units) << (_BITS - 1), units
+
+
+def _pack(e: Sequence[int]) -> int:
+    return int.from_bytes(_layout(len(e))[0].pack(*e), "big")
+
+
+def _unpack(m: int, n: int) -> Exponents:
+    return _layout(n)[0].unpack(m.to_bytes(2 * n, "big"))
+
+
+def _exp_lcm(a: int, b: int, guard: int) -> int:
+    """Field-wise maximum: ``ge`` keeps the guard bit of each field where
+    a >= b, and ``ge - (ge >> 15)`` widens it to that field's exponent bits."""
+    ge = ((a | guard) - b) & guard
+    pick = ge - (ge >> (_BITS - 1))
+    return (a & pick) | (b & ~pick)
+
+
+def _grevlex_packed(n: int) -> Callable[[int], int]:
+    # key field q, counted from the lowest, holds a_1 + ... + a_(q+1), the
+    # top one the degree; so variable i counts in fields i to n - 1
+    weights = tuple(sum(1 << (_KEY_BITS * q) for q in range(i, n)) for i in range(n))
+    unpack, size = _layout(n)[0].unpack, 2 * n
+    return lambda m: sum(map(mul, unpack(m.to_bytes(size, "big")), weights))
 
 
 class MonomialOrder:
-    """A monomial order given by a sort key; larger key = larger monomial."""
+    """A monomial order: ``key`` sorts exponent tuples, larger key = larger
+    monomial, and ``packed(n)`` is the equivalent integer key, linear in
+    the exponents, on packed monomials of n variables."""
 
-    def __init__(self, name: str, key: Callable[[Exponents], tuple]):
+    def __init__(self, name: str, key: Callable[[Exponents], tuple],
+                 packed: Callable[[int], Callable[[int], int]]):
         self.name = name
         self.key = key
-
-    def descending(self, e: Exponents) -> tuple:
-        """A heap key for e: heapq's smallest entry is the largest monomial."""
-        return _negated(self.key(e))
+        self.packed = functools.cache(packed)
 
     def __repr__(self) -> str:
         return f"MonomialOrder({self.name})"
 
 
-def _negated(key):
-    return tuple(map(_negated, key)) if isinstance(key, tuple) else -key
-
-
 GREVLEX = MonomialOrder(
-    "grevlex", lambda e: (sum(e), tuple(-x for x in reversed(e))))
-LEX = MonomialOrder("lex", lambda e: e)
+    "grevlex", lambda e: (sum(e), tuple(-x for x in reversed(e))), _grevlex_packed)
+LEX = MonomialOrder("lex", lambda e: e, lambda n: lambda m: m)
 
 
 def _as_fraction(value) -> Fraction:
@@ -69,7 +129,7 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected a rational coefficient, got {type(value).__name__}")
 
 
-def _poly(variables: tuple[str, ...], num: dict[Exponents, int], den: int = 1) -> "MultiPoly":
+def _poly(variables: tuple[str, ...], num: dict[int, int], den: int = 1) -> "MultiPoly":
     """Trusted constructor: ``num`` holds no zeros; divide out the factor
     common to ``den`` and every numerator and make ``den`` positive."""
     g = gcd(den, *num.values())
@@ -86,13 +146,13 @@ def _poly(variables: tuple[str, ...], num: dict[Exponents, int], den: int = 1) -
 class MultiPoly:
     """Sparse polynomial over ordered variables with exact coefficients."""
 
-    __slots__ = ("variables", "_num", "_den")
+    __slots__ = ("variables", "_num", "_den", "_division")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponents, Fraction] | None = None):
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise ValueError(f"repeated variable names in {variables}")
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[int, Fraction] = {}
         for e, c in (terms or {}).items():
             c = _as_fraction(c)
             if len(e) != len(variables):
@@ -103,8 +163,10 @@ class MultiPoly:
                 raise ValueError(f"non-integer exponent in {e}") from None
             if min(e, default=0) < 0:
                 raise ValueError(f"negative exponent in {e}")
+            if max(e, default=0) > MAX_EXPONENT:
+                raise ValueError(f"exponent in {e} exceeds MAX_EXPONENT = {MAX_EXPONENT}")
             if c:
-                clean[e] = c
+                clean[_pack(e)] = c
         # the lcm of reduced denominators shares no factor with all numerators
         self._den = lcm(*(c.denominator for c in clean.values()))
         self._num = {e: c.numerator * (self._den // c.denominator) for e, c in clean.items()}
@@ -125,11 +187,14 @@ class MultiPoly:
     @property
     def terms(self) -> Mapping[Exponents, Fraction]:
         """Read-only map from exponent vectors to nonzero coefficients."""
-        return MappingProxyType({e: Fraction(n, self._den) for e, n in self._num.items()})
+        n = len(self.variables)
+        return MappingProxyType({_unpack(e, n): Fraction(c, self._den)
+                                 for e, c in self._num.items()})
 
     def numerators(self) -> tuple[dict[Exponents, int], int]:
         """(exponents -> integer numerators, their positive denominator)."""
-        return dict(self._num), self._den
+        n = len(self.variables)
+        return {_unpack(e, n): c for e, c in self._num.items()}, self._den
 
     # -- ring interface ---------------------------------------------------
 
@@ -176,15 +241,24 @@ class MultiPoly:
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
             other = self._coerce(other)
-            out: dict[Exponents, int] = {}
-            get = out.get
             right = list(other._num.items())
-            for e1, n1 in self._num.items():
-                for e2, n2 in right:
-                    e = tuple(map(add, e1, e2))
-                    out[e] = get(e, 0) + n1 * n2
-            return _poly(self.variables, {e: n for e, n in out.items() if n},
-                         self._den * other._den)
+            if len(right) == 1 or len(self._num) == 1:
+                # one factor is a term: the products are distinct and nonzero
+                out = {e1 + e2: n1 * n2 for e1, n1 in self._num.items() for e2, n2 in right}
+            else:
+                out = {}
+                for e1, n1 in self._num.items():
+                    for e2, n2 in right:
+                        e = e1 + e2
+                        if e in out:
+                            out[e] += n1 * n2
+                        else:
+                            out[e] = n1 * n2
+                if not all(out.values()):
+                    out = {e: n for e, n in out.items() if n}
+            if out and functools.reduce(or_, out) & _layout(len(self.variables))[1]:
+                raise ValueError(_OVERFLOW)
+            return _poly(self.variables, out, self._den * other._den)
         if isinstance(other, (int, Fraction)):
             n, d = other.numerator, other.denominator
             if not n:
@@ -221,17 +295,22 @@ class MultiPoly:
     def __hash__(self):
         return hash((self.variables, self._den, frozenset(self._num.items())))
 
+    def __reduce__(self):
+        # without the division record, whose order holds unpicklable keys
+        return _poly, (self.variables, self._num, self._den)
+
     # -- inspection -------------------------------------------------------
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self._num), default=0)
+        n = len(self.variables)
+        return max((sum(_unpack(e, n)) for e in self._num), default=0)
 
     def degree_in(self, name: str) -> int:
-        idx = self.variables.index(name)
-        return max((e[idx] for e in self._num), default=0)
+        shift = _BITS * (len(self.variables) - 1 - self.variables.index(name))
+        return max((e >> shift & MAX_EXPONENT for e in self._num), default=0)
 
     def used_variables(self) -> tuple[str, ...]:
-        used = [any(x) for x in zip(*self._num)] or [False] * len(self.variables)
+        used = _unpack(functools.reduce(or_, self._num, 0), len(self.variables))
         return tuple(v for v, u in zip(self.variables, used) if u)
 
     def coefficient_magnitudes(self) -> Iterable[Fraction]:
@@ -240,24 +319,26 @@ class MultiPoly:
     def leading(self, order: MonomialOrder = GREVLEX) -> tuple[Exponents, Fraction]:
         if not self._num:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self._num, key=order.key)
-        return e, Fraction(self._num[e], self._den)
+        n = len(self.variables)
+        e = max(self._num, key=order.packed(n))
+        return _unpack(e, n), Fraction(self._num[e], self._den)
 
     def monic(self, order: MonomialOrder = GREVLEX) -> "MultiPoly":
         if not self._num:
             return self
         # num/den divided by its lead num[e]/den
-        return _poly(self.variables, self._num, self._num[max(self._num, key=order.key)])
+        lead = max(self._num, key=order.packed(len(self.variables)))
+        return _poly(self.variables, self._num, self._num[lead])
 
     def evaluate(self, values: Mapping[str, object]):
         """Evaluate at a point; values may be Fractions, floats, or polys."""
         missing = [v for v in self.used_variables() if v not in values]
         if missing:
             raise KeyError(f"no value for variable(s) {missing}")
-        total = None
-        for e, c in self.terms.items():
-            term = c
-            for name, k in zip(self.variables, e):
+        n, total = len(self.variables), None
+        for e, c in self._num.items():
+            term = Fraction(c, self._den)
+            for name, k in zip(self.variables, _unpack(e, n)):
                 if k:
                     term = term * values[name] ** k
             total = term if total is None else total + term
@@ -306,41 +387,53 @@ class MultiPoly:
 # ---------------------------------------------------------------- division
 
 
-def _divides(e1: Exponents, e2: Exponents) -> bool:
-    return all(map(le, e1, e2))
-
-
-def _exp_sub(e1: Exponents, e2: Exponents) -> Exponents:
-    return tuple(map(sub, e1, e2))
-
-
-def _exp_lcm(e1: Exponents, e2: Exponents) -> Exponents:
-    return tuple(map(max, e1, e2))
-
-
 def _divisors(basis: Iterable[MultiPoly], order: MonomialOrder) -> list:
-    """(lead exponents, lead numerator, numerators) of each nonzero element."""
-    leads = [(max(g._num, key=order.key), g._num) for g in basis if g]
-    return [(e, num[e], num) for e, num in leads]
+    """The division record of each nonzero element: (lead, lead numerator,
+    lead key, tail, top), the tail holding (monomial, numerator, key) of
+    every other term in stored order and ``top`` the field-wise maximum of
+    the tail's monomials.  A polynomial keeps its last record, so a basis
+    that divides many times builds each record once."""
+    out = []
+    for g in basis:
+        if not g:
+            continue
+        kept = getattr(g, "_division", None)
+        if kept is None or kept[0] is not order:
+            key, guard = order.packed(len(g.variables)), _layout(len(g.variables))[1]
+            keys = {e: key(e) for e in g._num}
+            lead = max(keys, key=keys.__getitem__)
+            tail = [(e, c, keys[e]) for e, c in g._num.items() if e != lead]
+            top = functools.reduce(lambda a, t: _exp_lcm(a, t[0], guard), tail, 0)
+            kept = g._division = (order, (lead, g._num[lead], keys[lead], tail, top))
+        out.append(kept[1])
+    return out
 
 
 def _reduce(p: MultiPoly, divisors: list, order: MonomialOrder) -> MultiPoly:
     """Full remainder of p on division by ``_divisors`` output.
 
     ``num`` holds integer numerators over ``den``: the remainder so far
-    and the terms still to reduce, which wait in a heap.  Every term a
-    reduction adds is smaller than the lead it cancels, so each exponent
-    enters the heap once and leaves it in decreasing order."""
-    key, num, den = order.descending, dict(p._num), p._den
-    heap = [(key(e), e) for e in num]
+    and the terms still to reduce, which wait in a heap under their
+    negated keys.  Every term a reduction adds is smaller than the lead it
+    cancels, so each monomial enters the heap once and leaves it in
+    decreasing order."""
+    key, guard = order.packed(len(p.variables)), _layout(len(p.variables))[1]
+    num, den = dict(p._num), p._den
+    heap = [(-key(e), e) for e in num]
     heapify(heap)
     while heap:
-        e = heappop(heap)[1]
+        k, e = heappop(heap)
         c = num[e]
-        hit = next((d for d in divisors if _divides(d[0], e)), None) if c else None
-        if hit is None:
+        if not c:
             continue
-        lead, lc, gnum = hit
+        for lead, lc, lk, tail, top in divisors:
+            if not (e - lead) & guard:
+                break
+        else:
+            continue
+        shift = e - lead
+        if (top + shift) & guard:
+            raise ValueError(_OVERFLOW)
         # num - c/lc * shift(g), scaled by a = |lc|/h > 0
         h = gcd(c, lc)
         a, b = abs(lc) // h, (c if lc > 0 else -c) // h
@@ -348,14 +441,13 @@ def _reduce(p: MultiPoly, divisors: list, order: MonomialOrder) -> MultiPoly:
             num = {t: v * a for t, v in num.items()}
             den *= a
         del num[e]
-        shift = _exp_sub(e, lead)
-        for ge, gn in gnum.items():
-            if ge != lead:
-                t = tuple(map(add, ge, shift))
-                v = num.get(t)
-                if v is None:
-                    heappush(heap, (key(t), t))
-                num[t] = (v or 0) - b * gn
+        k += lk  # a tail term's negated key is k + lk - its key
+        for ge, gn, gk in tail:
+            t = ge + shift
+            v = num.get(t)
+            if v is None:
+                heappush(heap, (k - gk, t))
+            num[t] = (v or 0) - b * gn
         if a != 1 and (g := gcd(den, *num.values())) != 1:
             num = {t: v // g for t, v in num.items()}
             den //= g
@@ -370,11 +462,11 @@ def normal_form(p: MultiPoly, basis: Sequence[MultiPoly],
 
 def s_polynomial(f: MultiPoly, g: MultiPoly, order: MonomialOrder = GREVLEX) -> MultiPoly:
     """lcm/LT(f) * f - lcm/LT(g) * g, the leading terms cancelling."""
-    (ef, cf, _), (eg, cg, _) = _divisors((f, g), order)
-    lcm_e = _exp_lcm(ef, eg)
+    (ef, cf, *_), (eg, cg, *_) = _divisors((f, g), order)
+    lcm_e = _exp_lcm(ef, eg, _layout(len(f.variables))[1])
     # LT(f) = x^ef * cf / f._den, so lcm/LT(f) = x^(lcm-ef) * f._den / cf
-    mf = _poly(f.variables, {_exp_sub(lcm_e, ef): f._den}, cf)
-    mg = _poly(g.variables, {_exp_sub(lcm_e, eg): g._den}, cg)
+    mf = _poly(f.variables, {lcm_e - ef: f._den}, cf)
+    mg = _poly(g.variables, {lcm_e - eg: g._den}, cg)
     return mf * f - mg * g
 
 
@@ -384,17 +476,19 @@ def buchberger_basis(polys: Sequence[MultiPoly],
     basis = [p.monic(order) for p in polys if p]
     if not basis:
         return []
+    n = len(basis[0].variables)
+    key, guard = order.packed(n), _layout(n)[1]
     divisors = _divisors(basis, order)
     leads = [d[0] for d in divisors]
     pairs: set[tuple[int, int]] = set()
-    pair_key: dict[tuple[int, int], tuple] = {}
+    pair_key: dict[tuple[int, int], int] = {}
 
     def admit(t: int) -> None:
         nonlocal pairs
-        pairs = _update_pairs(pairs, leads, t)
+        pairs = _update_pairs(pairs, leads, t, n)
         for i, j in pairs:
             if (i, j) not in pair_key:
-                pair_key[i, j] = order.key(_exp_lcm(leads[i], leads[j]))
+                pair_key[i, j] = key(_exp_lcm(leads[i], leads[j], guard))
 
     for i in range(len(basis)):
         admit(i)
@@ -413,24 +507,23 @@ def buchberger_basis(polys: Sequence[MultiPoly],
     return _interreduce(basis, order)
 
 
-def _update_pairs(pairs: set, leads: list[Exponents], t: int) -> set:
+def _update_pairs(pairs: set, leads: list[int], t: int, n: int) -> set:
     """Gebauer-Moeller update when element t joins the basis."""
-    lt = leads[t]
-    cand = {i: _exp_lcm(leads[i], lt) for i in range(t)}  # new candidate pairs (i, t)
+    lt, guard, grevlex = leads[t], _layout(n)[1], GREVLEX.packed(n)
+    cand = {i: _exp_lcm(leads[i], lt, guard) for i in range(t)}  # new candidate pairs (i, t)
     keep: set[int] = set()
-    for i in sorted(cand, key=lambda i: GREVLEX.key(cand[i])):
+    for i in sorted(cand, key=lambda i: grevlex(cand[i])):
         # criterion B: coprime leading terms reduce to zero; criterion M: a
         # kept lcm properly divides this one; criterion F: one of equal lcms
-        if cand[i] == tuple(map(add, leads[i], lt)) or any(
-                _divides(cand[j], cand[i]) for j in keep):
+        if cand[i] == leads[i] + lt or any(not (cand[i] - cand[j]) & guard for j in keep):
             continue
         keep.add(i)
     # prune old pairs made redundant by lt
     survivors = set()
     for (i, j) in pairs:
-        lcm_ij = _exp_lcm(leads[i], leads[j])
-        if not (_divides(lt, lcm_ij) and _exp_lcm(leads[i], lt) != lcm_ij
-                and _exp_lcm(leads[j], lt) != lcm_ij):
+        lcm_ij = _exp_lcm(leads[i], leads[j], guard)
+        if not (not (lcm_ij - lt) & guard and _exp_lcm(leads[i], lt, guard) != lcm_ij
+                and _exp_lcm(leads[j], lt, guard) != lcm_ij):
             survivors.add((i, j))
     survivors.update((i, t) for i in keep)
     return survivors
@@ -442,15 +535,16 @@ def _interreduce(basis: list[MultiPoly], order: MonomialOrder) -> list[MultiPoly
     divisors = _divisors(basis, order)
     basis = [g for g in basis if g]
     leads = [d[0] for d in divisors]
+    guard = _layout(len(basis[0].variables))[1]
     kept = [i for i in range(len(basis))
-            if not any(j != i and _divides(leads[j], leads[i])
+            if not any(j != i and not (leads[i] - leads[j]) & guard
                        and (leads[j] != leads[i] or j < i) for j in range(len(basis)))]
     reduced = []
     for i in kept:
         others = [divisors[j] for j in kept if j != i]
         r = _reduce(basis[i], others, order) if others else basis[i]
         if r:
-            reduced.append((order.key(leads[i]), r.monic(order)))
+            reduced.append((divisors[i][2], r.monic(order)))
     reduced.sort(key=lambda kr: kr[0], reverse=True)
     return [r for _, r in reduced]
 

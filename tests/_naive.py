@@ -1,9 +1,10 @@
 """Deliberately naive reference implementations used as test oracles.
 
-Everything here works on plain ``{word-tuple: Fraction}`` dicts with no
-packing, no degree bucketing and no truncation cleverness, so that the
-library's optimized arithmetic can be checked against an independent
-route.  Slow on purpose; only exercised at small degree.
+Everything here works on plain ``{word-tuple: Fraction}`` dicts, or
+``{exponent-tuple: Fraction}`` ones for polynomials (``n_add`` serves
+both), with no packing, no degree bucketing and no truncation
+cleverness, so that the library's optimized arithmetic can be checked
+against an independent route.  Slow on purpose; only exercised at small degree.
 """
 
 from fractions import Fraction
@@ -108,3 +109,14 @@ def central_difference_jacobian(f, x, h: float = 1e-3) -> np.ndarray:
 
     cols = [(4.0 * central(i, h / 2) - central(i, h)) / 3.0 for i in range(len(x))]
     return np.array(cols).T.reshape(len(f(x)), len(x))
+
+
+def p_mul(a: dict, b: dict) -> dict:
+    """Product of two ``{exponent-tuple: Fraction}`` polynomials, exponents
+    added as tuples, with no bound on their size."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}

@@ -306,6 +306,30 @@ def test_analysis_is_memoized_per_system(monkeypatch):
     assert analyze_freedom(symbolic_log(scheme, 4), eliminate_to="w_1") is not first
 
 
+
+def test_second_slot_reuses_the_basis(monkeypatch):
+    """Only the eliminant, the separating form and the readings depend on
+    the slot: a second slot runs no second Buchberger, and each report
+    equals an analysis of that slot alone."""
+    cs = symbolic_log(build_scheme(2, "SL", 15), 6)
+    constraints._analyze.cache_clear()
+    calls = []
+    real = constraints.buchberger_basis
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(constraints, "buchberger_basis", counting)
+    reports = {slot: analyze_freedom(cs, eliminate_to=slot) for slot in ("w_4", "w_1")}
+    assert len(calls) == 1
+    assert reports["w_1"].eliminant.variables == ("w_1",)
+    for slot, report in reports.items():
+        constraints._analyze.cache_clear()
+        alone = analyze_freedom(cs, eliminate_to=slot)
+        assert alone is not report and alone == report
+    assert len(calls) == 3
+
 # symbolic_log(build_scheme(2, "SL", 15), 6).to_text(), pinned byte for byte
 SL15_P6_CONDITIONS = (
     'variables: w_1 w_2 w_3 w_4\n'

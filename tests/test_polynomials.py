@@ -5,15 +5,19 @@ is independent of ours; Sturm counts against sympy's exact root counting.
 """
 
 import math
+import pickle
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from _naive import n_add, n_scale, p_mul
 from liesplit.polynomials import (
     GREVLEX,
     LEX,
+    MAX_EXPONENT,
     MultiPoly,
     buchberger_basis,
     is_groebner_basis,
@@ -145,6 +149,12 @@ def test_univariate_coefficients():
         (x + y).univariate_coefficients()
 
 
+def test_division_record_is_not_pickled():
+    g = x * x + y
+    normal_form(x ** 3, [g])
+    assert pickle.loads(pickle.dumps(g)) == g
+
+
 def test_coefficient_magnitudes():
     p = 3 * x - Fraction(1, 2) * y
     assert sorted(p.coefficient_magnitudes()) == [Fraction(1, 2), Fraction(3)]
@@ -157,6 +167,49 @@ def test_grevlex_textbook_sequence():
     # x^2 > xy > y^2 > xz > yz > z^2 for x > y > z
     monos = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
     assert sorted(monos, key=GREVLEX.key, reverse=True) == monos
+
+
+# ------------------------------------------------------ packed monomials
+# B = 16 bits per variable, the top one a guard bit: 2**(B-1) - 1 is the
+# largest exponent
+
+
+def test_field_limit_is_fifteen_bits():
+    assert MAX_EXPONENT == 2 ** 15 - 1
+
+
+def test_constructor_rejects_exponent_past_the_field():
+    assert MultiPoly(V3, {(MAX_EXPONENT, 0, 1): 1}).degree_in("x") == MAX_EXPONENT
+    for e in [(MAX_EXPONENT + 1, 0, 0), (0, 0, MAX_EXPONENT + 1), (0, 2 ** 40, 0)]:
+        with pytest.raises(ValueError, match="MAX_EXPONENT"):
+            MultiPoly(V3, {e: 1})
+
+
+def test_product_at_the_top_of_the_field_raises_and_never_carries():
+    top = x ** MAX_EXPONENT
+    assert (x ** (MAX_EXPONENT - 1) * x) == top
+    assert (top * y).terms == {(MAX_EXPONENT, 1, 0): Fraction(1)}
+    # a carry out of y's field would read as x * y^0
+    for bad in (lambda: top * x, lambda: x * top, lambda: (y ** MAX_EXPONENT) * (y + z),
+                lambda: x ** (MAX_EXPONENT + 1), lambda: (top + 1) ** 2,
+                lambda: (z ** MAX_EXPONENT + x) * (z * y + 1)):
+        with pytest.raises(ValueError, match="MAX_EXPONENT"):
+            bad()
+
+
+def test_s_polynomial_and_reduction_shift_raise_past_the_field():
+    top = y ** MAX_EXPONENT
+    # lcm(x, x*y) / x = y multiplies x + y^MAX
+    with pytest.raises(ValueError, match="MAX_EXPONENT"):
+        s_polynomial(x + top, x * y - 1, LEX)
+    # x * y^MAX reduces by x + y (grevlex lead x): the shift y^MAX lifts
+    # the tail y to y^(MAX+1)
+    with pytest.raises(ValueError, match="MAX_EXPONENT"):
+        normal_form(x * top, [x + y])
+    with pytest.raises(ValueError, match="MAX_EXPONENT"):
+        buchberger_basis([x + top, x * y - 1], LEX)
+    # one below the limit reduces
+    assert normal_form(x * y ** (MAX_EXPONENT - 1), [x + y]) == -top
 
 
 def test_lex_vs_grevlex_leading_terms():
@@ -298,6 +351,54 @@ def test_buchberger_output_is_groebner_and_contains_ideal(polys):
     assert is_groebner_basis(gb)
     for p in polys:
         assert not normal_form(p, gb)
+
+
+# exponents anywhere in the field, its top included
+field_st = st.one_of(st.integers(0, 3), st.integers(MAX_EXPONENT - 3, MAX_EXPONENT),
+                     st.integers(0, MAX_EXPONENT))
+term_map_st = st.dictionaries(st.tuples(field_st, field_st, field_st), coeff_st, max_size=4)
+
+
+@given(term_map_st, term_map_st)
+@settings(max_examples=150, deadline=None)
+def test_packed_arithmetic_matches_tuple_oracle(a, b):
+    p, q = MultiPoly(V3, a), MultiPoly(V3, b)
+    a, b = dict(p.terms), dict(q.terms)
+    assert p.terms == a and q.terms == b
+    assert (p + q).terms == n_add(a, b)
+    assert (p - q).terms == n_add(a, n_scale(b, Fraction(-1)))
+    product = p_mul(a, b)
+    if any(k > MAX_EXPONENT for e in product for k in e):
+        with pytest.raises(ValueError, match="MAX_EXPONENT"):
+            p * q
+    else:
+        assert (p * q).terms == product
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.tuples(*[field_st] * n), min_size=2, max_size=8)))
+@settings(max_examples=150, deadline=None)
+def test_packed_keys_order_like_tuple_keys(exps):
+    names = tuple("abcdef"[:len(exps[0])])
+    packed = [next(iter(MultiPoly(names, {e: 1})._num)) for e in exps]
+    for order in (GREVLEX, LEX):
+        key = order.packed(len(names))
+        for (e, m), (f, k) in combinations(zip(exps, packed), 2):
+            assert (order.key(e) < order.key(f)) == (key(m) < key(k))
+            assert (e == f) == (key(m) == key(k))
+
+
+@given(poly_st, st.lists(poly_st, min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_normal_form_matches_sympy_reduced(p, basis):
+    # small exponents: division takes a step per unit of exponent it removes
+    basis = [g for g in basis if g]
+    if not basis:
+        return
+    syms = sympy.symbols("x y z")
+    _, rem = sympy.reduced(to_sympy(p, syms), [to_sympy(g, syms) for g in basis],
+                           *syms, order="grevlex")
+    assert normal_form(p, basis) == from_sympy(rem, syms, V3)
 
 
 # ------------------------------------------------------------------ Sturm
