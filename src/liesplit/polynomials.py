@@ -454,9 +454,16 @@ def _reduce(p: MultiPoly, divisors: list, order: MonomialOrder) -> MultiPoly:
     return _poly(p.variables, {e: n for e, n in num.items() if n}, den)
 
 
+def _one_variable_tuple(polys: Iterable[MultiPoly]) -> None:
+    # packed monomials over different variable tuples do not line up
+    if len({p.variables for p in polys}) > 1:
+        raise ValueError("polynomials over different variable tuples")
+
+
 def normal_form(p: MultiPoly, basis: Sequence[MultiPoly],
                 order: MonomialOrder = GREVLEX) -> MultiPoly:
     """Full remainder of p on division by basis (every term reduced)."""
+    _one_variable_tuple([p, *basis])
     return _reduce(p, _divisors(basis, order), order)
 
 
@@ -473,6 +480,7 @@ def s_polynomial(f: MultiPoly, g: MultiPoly, order: MonomialOrder = GREVLEX) -> 
 def buchberger_basis(polys: Sequence[MultiPoly],
                      order: MonomialOrder = GREVLEX) -> list[MultiPoly]:
     """Reduced Groebner basis via Buchberger + Gebauer-Moeller pair pruning."""
+    _one_variable_tuple(polys)
     basis = [p.monic(order) for p in polys if p]
     if not basis:
         return []

@@ -109,6 +109,11 @@ def test_mixed_variable_tuples_rejected():
     other = MultiPoly.variable("x", ("x", "y"))
     with pytest.raises(ValueError):
         _ = x + other
+    # x^2 mod (x + 1) would be 1 over one tuple
+    for bad in (lambda: normal_form(x * x, [other + 1]), lambda: normal_form(other, [x]),
+                lambda: buchberger_basis([x * x, other + 1])):
+        with pytest.raises(ValueError, match="different variable tuples"):
+            bad()
 
 
 def test_degrees_and_used_variables():
