@@ -365,7 +365,7 @@ term_map_st = st.dictionaries(st.tuples(field_st, field_st, field_st), coeff_st,
 
 
 @given(term_map_st, term_map_st)
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=80, deadline=None)
 def test_packed_arithmetic_matches_tuple_oracle(a, b):
     p, q = MultiPoly(V3, a), MultiPoly(V3, b)
     a, b = dict(p.terms), dict(q.terms)
@@ -382,7 +382,7 @@ def test_packed_arithmetic_matches_tuple_oracle(a, b):
 
 @given(st.integers(1, 6).flatmap(lambda n: st.lists(
     st.tuples(*[field_st] * n), min_size=2, max_size=8)))
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_packed_keys_order_like_tuple_keys(exps):
     names = tuple("abcdef"[:len(exps[0])])
     packed = [next(iter(MultiPoly(names, {e: 1})._num)) for e in exps]
@@ -394,7 +394,7 @@ def test_packed_keys_order_like_tuple_keys(exps):
 
 
 @given(poly_st, st.lists(poly_st, min_size=1, max_size=3))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=40, deadline=None)
 def test_normal_form_matches_sympy_reduced(p, basis):
     # small exponents: division takes a step per unit of exponent it removes
     basis = [g for g in basis if g]
