@@ -9,13 +9,21 @@ so the log-log slope over the asymptotic window is the observable that
 either confirms or refutes a claimed order — independently of all the
 series algebra used to derive it.
 
-Each public call forms exp(s·M) one way per matrix M (every generator
-and H): an exactly Hermitian M is diagonalized once with ``eigh`` and
-every factor is V·diag(e^{sλ})·Vᴴ; any other matrix (``random-general``,
-``random-antihermitian``, ``commuting-pair``) gets scaling-and-squaring
-``expm`` per factor, the general method, which a Hermitian matrix does
-not need (Higham, SIAM J. Matrix Anal. Appl. 26:1179, 2005).  The
-decompositions live for one call only.
+Each public call builds the scheme's product one of two ways.  When
+every generator is exactly Hermitian (the spin chain, which is real
+symmetric, so all of its arithmetic is real), each generator is
+diagonalized once with ``eigh``, A = V·diag(λ)·Vᴴ, and the product runs
+in the generators' eigenbases: with W = V_aᴴ·V_b formed once per
+adjacent pair, each factor is one dense product and one diagonal
+scaling, ``out = (out @ W) * e^{sλ_b}``, and the step is
+V_first·core·V_lastᴴ.  Any other set (``random-general``,
+``random-antihermitian``, ``commuting-pair``, or a mix) forms each
+factor exp(s·M) on its own: one ``eigh`` per Hermitian M and
+V·diag(e^{sλ})·Vᴴ per factor, and scaling-and-squaring ``expm`` per
+factor for any other M, the general method, which a Hermitian matrix
+does not need (Higham, SIAM J. Matrix Anal. Appl. 26:1179, 2005).  The
+exact flow e^{tH} takes the same per-matrix rule.  The decompositions
+live for one call only.
 """
 
 from __future__ import annotations
@@ -46,11 +54,13 @@ __all__ = [
 _CLASSES = ("random-antihermitian", "random-general",
             "spin-chain-even-odd", "commuting-pair")
 
-_PAULI = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+# The Pauli pairs σᵃ⊗σᵃ of a Heisenberg bond as (sign, real 2x2 factor):
+# σʸ⊗σʸ = −(iσʸ)⊗(iσʸ) and iσʸ is real, so the chain is real symmetric.
+_BOND_PAIRS = (
+    (1.0, np.array([[0.0, 1.0], [1.0, 0.0]])),
+    (-1.0, np.array([[0.0, 1.0], [-1.0, 0.0]])),
+    (1.0, np.array([[1.0, 0.0], [0.0, -1.0]])),
+)
 
 
 @dataclass(frozen=True)
@@ -123,15 +133,15 @@ def build_generators(klass: str, n: int = 2, dim: int = 16,
 
 
 def _heisenberg_bond(i: int, j: int, length: int) -> np.ndarray:
-    out = np.zeros((2 ** length, 2 ** length), dtype=complex)
-    for axis in "xyz":
-        ops = [np.eye(2, dtype=complex)] * length
-        ops[i] = _PAULI[axis] / 2
-        ops[j] = _PAULI[axis] / 2
+    out = np.zeros((2 ** length, 2 ** length))
+    for sign, pauli in _BOND_PAIRS:
+        ops = [np.eye(2)] * length
+        ops[i] = pauli / 2
+        ops[j] = pauli / 2
         term = ops[0]
         for op in ops[1:]:
             term = np.kron(term, op)
-        out += term
+        out += sign * term
     return out
 
 
@@ -145,7 +155,7 @@ def _spin_chain(n: int, length: int, seed: int) -> GeneratorSet:
     pos = graph.coords()
     mats = []
     for group in part.groups:
-        term = np.zeros((2 ** length, 2 ** length), dtype=complex)
+        term = np.zeros((2 ** length, 2 ** length))
         for k in group:
             i, j = sorted(pos[s][0] for s in graph.interactions[k])
             term += _heisenberg_bond(i, j, length)
@@ -154,10 +164,14 @@ def _spin_chain(n: int, length: int, seed: int) -> GeneratorSet:
                         seed)
 
 
+def _is_hermitian(mat: np.ndarray) -> bool:
+    return np.array_equal(mat, mat.conj().T)
+
+
 def _flow(mat: np.ndarray):
     """s -> exp(s·mat) for real s: one ``eigh`` when mat is exactly
     Hermitian, ``expm`` per call otherwise."""
-    if not np.array_equal(mat, mat.conj().T):
+    if not _is_hermitian(mat):
         return lambda s: expm(s * mat)
     lam, vecs = np.linalg.eigh(mat)
     vecs_h = vecs.conj().T
@@ -165,19 +179,46 @@ def _flow(mat: np.ndarray):
 
 
 def _stepper(scheme: Scheme, params, gens: GeneratorSet):
-    """t -> the scheme's ordered product at step t, on one ``_flow`` per
-    generator."""
+    """t -> the scheme's ordered product at step t.
+
+    With every generator exactly Hermitian the product runs in their
+    eigenbases: ``eigh`` once per generator, W = V_aᴴ·V_b once per
+    adjacent pair of distinct generators, then per factor one product
+    by W and one scaling of the columns by e^{c t λ_b}.  The dtype is
+    the generators' (real for the spin chain).  Any other set, or a
+    scheme with no factors, takes one ``_flow`` per generator and one
+    complex product per factor.
+    """
     if scheme.n != gens.n:
         raise ValueError(f"scheme splits {scheme.n} terms but the "
                          f"generator set has {gens.n}")
-    flows = [_flow(m) for m in gens.matrices]
-    factors = [(flows[g], float(coeff)) for g, coeff in scheme.resolve(params)]
+    factors = [(g, float(coeff)) for g, coeff in scheme.resolve(params)]
+    if not (factors and all(_is_hermitian(m) for m in gens.matrices)):
+        flows = [_flow(m) for m in gens.matrices]
+
+        def step(t: float) -> np.ndarray:
+            out = np.eye(gens.dim, dtype=complex)
+            for g, coeff in factors:
+                out = out @ flows[g](coeff * t)
+            return out
+        return step
+
+    lams, vecs = zip(*(np.linalg.eigh(m) for m in gens.matrices))
+    order = [g for g, _ in factors]
+    links = {(a, b): vecs[a].conj().T @ vecs[b]
+             for a, b in zip(order, order[1:]) if a != b}
+    (first, first_coeff), *rest = factors
+    last_h = vecs[order[-1]].conj().T
 
     def step(t: float) -> np.ndarray:
-        out = np.eye(gens.dim, dtype=complex)
-        for flow, coeff in factors:
-            out = out @ flow(coeff * t)
-        return out
+        out = vecs[first] * np.exp(first_coeff * t * lams[first])
+        prev = first
+        for g, coeff in rest:
+            if g != prev:
+                out = out @ links[prev, g]
+            out *= np.exp(coeff * t * lams[g])
+            prev = g
+        return out @ last_h
     return step
 
 
@@ -185,9 +226,13 @@ def apply_scheme(scheme: Scheme, params, gens: GeneratorSet,
                  t: float) -> np.ndarray:
     """Ordered product of matrix exponentials for one time step.
 
-    Hermitian generators are diagonalized once, other generators go
-    through ``expm`` per factor (see the module notes).
+    An all-Hermitian generator set is multiplied in the generators'
+    eigenbases; any other set forms each factor on its own, ``expm``
+    for a non-Hermitian generator (see the module notes).  Raises
+    ``ValueError`` for a non-finite ``t``.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"step t must be finite, got {t}")
     return _stepper(scheme, params, gens)(t)
 
 
@@ -222,9 +267,11 @@ def scaling_fit(scheme: Scheme, params, gens: GeneratorSet,
     whose point-to-point slopes agree within 0.1; the reported slope is
     the least-squares fit there.  An order-p scheme gives p + 1.
 
-    Each generator and H are diagonalized once per call when exactly
-    Hermitian (a spin chain); other generators take one ``expm`` per
-    factor and per grid point (see the module notes).
+    An all-Hermitian set (a spin chain) is diagonalized once per call
+    and every grid point's product runs in the generators' eigenbases,
+    one dense product per factor; H is diagonalized once too.  Other
+    sets take one ``expm`` per non-Hermitian factor and per grid point
+    (see the module notes).
     """
     if points < 5:
         raise ValueError("need at least five grid points")
@@ -307,7 +354,11 @@ def equal_cost_comparison(entries: Sequence, gens: GeneratorSet,
     cheaper-per-step schemes take more, smaller steps.  Rows keep the
     input order; the rank column orders by error.  Hermitian generators
     are diagonalized once per scheme and a Hermitian H once per call.
+    Raises ``ValueError`` unless ``total_time`` is finite and positive.
     """
+    if not (math.isfinite(total_time) and total_time > 0):
+        raise ValueError(f"total_time must be finite and positive, got "
+                         f"{total_time}")
     exact = _flow(gens.total())(total_time)
     items = []
     for entry in entries:

@@ -61,7 +61,8 @@ def test_spin_chain_even_odd_structure():
                             seed=0)
     assert gens.dim == 16
     even, odd = gens.matrices
-    # hermitian, and the even/odd split leaves non-commuting halves
+    # real symmetric, and the even/odd split leaves non-commuting halves
+    assert even.dtype == odd.dtype == np.float64
     assert operator_norm(even - even.conj().T) < 1e-14
     assert operator_norm(odd - odd.conj().T) < 1e-14
     assert operator_norm(even @ odd - odd @ even) > 1e-3
@@ -145,6 +146,52 @@ def test_non_hermitian_fit_calls_expm_per_factor(cat, klass, monkeypatch):
     assert len(calls) == len(rep.t_grid) * (e.scheme.m + 1) == 28 * 12
 
 
+def _expm_stepper(scheme, params, gens):
+    """Reference step: the ordered product of ``scipy.linalg.expm``
+    factors, one per factor of the scheme."""
+    factors = [(gens.matrices[g], float(c)) for g, c in scheme.resolve(params)]
+
+    def step(t):
+        out = np.eye(gens.dim)
+        for mat, coeff in factors:
+            out = out @ expm(coeff * t * mat)
+        return out
+    return step
+
+
+@pytest.mark.parametrize("length", [4, 6])
+@pytest.mark.parametrize("name", ["n2-p2-sl-m3-leapfrog", "n2-p4-s-m11-opt",
+                                  "n2-p6-sl-m19-opt", "n2-p4-sl-m11-suzuki"])
+def test_chain_eigenbasis_fit_matches_expm_product(cat, name, length,
+                                                   monkeypatch):
+    e = cat[name]
+    gens = build_generators("spin-chain-even-odd", n=2, chain_length=length,
+                            seed=0)
+    rep = scaling_fit(e.scheme, e.params, gens)
+    monkeypatch.setattr(validate, "_stepper", _expm_stepper)
+    monkeypatch.setattr(validate, "_flow", lambda m: lambda s: expm(s * m))
+    ref = scaling_fit(e.scheme, e.params, gens)
+    h = gens.total()
+    for t, err, ref_err in zip(rep.t_grid, rep.errors, ref.errors):
+        assert abs(err - ref_err) <= 1e-12 * operator_norm(expm(t * h))
+    assert rep.window == ref.window
+
+
+def test_mixed_set_takes_per_factor_path(cat, monkeypatch):
+    rng = np.random.default_rng(4)
+    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    herm = (g + g.conj().T) / 2
+    general = build_generators("random-general", n=2, dim=6, seed=4)
+    gens = GeneratorSet(2, 6, (herm, general.matrices[1]), "mixed", None)
+    e = cat["n2-p4-s-m11-opt"]
+    non_hermitian = sum(1 for g, _ in e.scheme.factors if g == 1)
+    calls = _counted_expm(monkeypatch)
+    u = apply_scheme(e.scheme, e.params, gens, 0.4)
+    assert len(calls) == non_hermitian > 0
+    ref = _expm_stepper(e.scheme, e.params, gens)(0.4)
+    assert operator_norm(u - ref) <= 1e-12 * operator_norm(ref)
+
+
 # ------------------------------------------------------- apply_scheme
 
 def test_apply_scheme_at_zero_is_identity(cat):
@@ -223,6 +270,22 @@ def test_scaling_grid_bounds_rejected(cat, t_lo, t_hi, match):
     gens = build_generators("random-general", n=2, dim=4, seed=0)
     with pytest.raises(ValueError, match=match):
         scaling_fit(e.scheme, e.params, gens, t_lo=t_lo, t_hi=t_hi)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_apply_scheme_rejects_non_finite_step(cat, t):
+    e = cat["n2-p2-sl-m3-leapfrog"]
+    gens = build_generators("random-general", n=2, dim=4, seed=0)
+    with pytest.raises(ValueError, match="must be finite"):
+        apply_scheme(e.scheme, e.params, gens, t)
+
+
+@pytest.mark.parametrize("total_time", [math.nan, math.inf, 0.0, -1.0])
+def test_equal_cost_rejects_bad_total_time(cat, total_time):
+    e = cat["n2-p2-sl-m3-leapfrog"]
+    gens = build_generators("random-general", n=2, dim=4, seed=0)
+    with pytest.raises(ValueError, match="finite and positive"):
+        equal_cost_comparison([e], gens, total_time, budget=30)
 
 
 def test_scaling_window_excludes_floor_and_top(cat):
