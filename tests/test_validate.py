@@ -179,8 +179,8 @@ def test_chain_eigenbasis_fit_matches_expm_product(cat, name, length,
 
 def test_mixed_set_takes_per_factor_path(cat, monkeypatch):
     rng = np.random.default_rng(4)
-    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    herm = (g + g.conj().T) / 2
+    draw = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    herm = (draw + draw.conj().T) / 2
     general = build_generators("random-general", n=2, dim=6, seed=4)
     gens = GeneratorSet(2, 6, (herm, general.matrices[1]), "mixed", None)
     e = cat["n2-p4-s-m11-opt"]
