@@ -3,14 +3,17 @@
 The order conditions of a decomposition template are the coefficients of
 Hall basis elements in ``log U``, viewed as polynomials in the template's
 parameter slots (closures removed, so consistency sums reappear as
-degree-one conditions).  Three expansion pipelines are used:
+degree-one conditions).  Every pipeline forms ``log U`` with the one
+product-log, ``_dense.dense_product_log``, and reads it under the same
+exact non-Lie rule as ``schemes``; the three differ in the alphabet and in
+what a factor is:
 
-* ``word`` -- types N, S and S-abc expand directly in the letter algebra;
-* ``leapfrog`` -- type SL expands in a graded algebra with one generator
-  ``Z_k`` per odd degree, since each leapfrog block is a symmetric
-  second-order integrator with ``log U_L(s) = s Z_1 + s^3 Z_3 + ...``;
-* ``euler`` -- type SE expands in a graded algebra with one generator
-  ``E_k`` per degree, where reversed Euler terms flip the sign of the
+* ``word`` -- types N, S and S-abc: the letters, one factor per letter;
+* ``leapfrog`` -- type SL: one graded generator ``Z_k`` per odd degree,
+  since each leapfrog block is a symmetric second-order integrator with
+  ``log U_L(s) = s Z_1 + s^3 Z_3 + ...``, one factor per block;
+* ``euler`` -- type SE: one graded generator ``E_k`` per degree, one
+  factor per Euler term, where reversed terms flip the sign of the
   even-degree generators.
 
 Symmetric templates only produce odd-degree conditions; the even-degree
@@ -28,7 +31,10 @@ from math import gcd
 
 import numpy as np
 
-from .free_algebra import NCSeries, exp, log, make_alphabet
+from . import _dense
+# exp, log and lie_coordinates are unused here but stay bound: perfbench/tracing.py
+# wraps them by this module's name (tests/test_bench_sites.py pins that)
+from .free_algebra import exp, log, make_alphabet
 from .hall import build_hall_basis, lie_coordinates
 from .polynomials import (
     GREVLEX,
@@ -42,7 +48,7 @@ from .polynomials import (
     normal_form,
 )
 from .polynomials import sturm_real_roots as _sturm_real_roots
-from .schemes import Scheme, log_scheme, symbolic_slot_values
+from .schemes import Scheme, _order_conditions, _read, log_scheme, symbolic_slot_values
 
 __all__ = [
     "ConstraintSystem",
@@ -99,41 +105,32 @@ def _emit(series, degrees, variables) -> tuple[list, list, list]:
     zero = MultiPoly.constant(0, variables)
     polys, labels, at = [], [], []
     for d in range(1, max(degrees) + 1):
-        coords = series.coords_at_degree(d)
         if d not in degrees:
-            bad = [e for e, c in coords.items() if c]
+            bad = [e for e, c in series.coords_at_degree(d).items() if c]
             if bad:
                 raise RuntimeError(
                     f"degree-{d} terms should vanish identically, got {bad}")
             continue
-        for e in series.basis.elements(d):
-            c = coords.get(e, zero)
-            polys.append(c - 1 if d == 1 else c)
-            labels.append(e)
-            at.append(d)
+        polys += _order_conditions(series, d, zero)
+        labels += series.basis.elements(d)
+        at += [d] * len(series.basis.elements(d))
     return polys, labels, at
 
 
 def _graded_log(scheme: Scheme, D: int):
-    # SL: leapfrog generators Z_k, k odd.  SE: Euler generators E_k; the
-    # stages alternate forward/reversed Euler terms starting forward, and a
-    # reversed term flips the sign of the even-degree generators.
+    # One factor exp(sum_k c_k G_k) per stage.  SL: leapfrog generators Z_k, k
+    # odd.  SE: Euler generators E_k; the stages alternate forward/reversed Euler
+    # terms starting forward, and a reversed term flips the even-degree signs.
     leapfrog = scheme.family == "SL"
     ks = tuple(k for k in range(1, D + 1) if k % 2 or not leapfrog)
     alphabet = make_alphabet([f"{'Z' if leapfrog else 'E'}{k}" for k in ks], degrees=list(ks))
     values = symbolic_slot_values(scheme)
-    prod = None
+    stages = []
     for i, expr in enumerate(scheme.stage_weights):
         tau = expr.evaluate(values)
         sign = 1 if leapfrog or i % 2 == 0 else -1
-        terms = [(tau ** k) * (sign ** (k + 1)) for k in ks]
-        gen = NCSeries.from_words(alphabet, D, {(g.id,): c for g, c in zip(alphabet, terms)})
-        factor = exp(gen)
-        prod = factor if prod is None else prod * factor
-    series, residual = lie_coordinates(log(prod), build_hall_basis(alphabet, D))
-    if residual:
-        raise RuntimeError(f"non-Lie residual {residual} in graded log")
-    return series
+        stages.append([(g, (tau ** k) * (sign ** (k + 1))) for g, k in enumerate(ks)])
+    return _read(_dense.dense_product_log(alphabet, D, stages), build_hall_basis(alphabet, D))
 
 
 def symbolic_log(scheme: Scheme, p: int) -> ConstraintSystem:

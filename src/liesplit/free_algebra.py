@@ -21,9 +21,10 @@ at index sum g_j n^(d-j)), float64 when every coefficient is a float and
 object otherwise.  All-zero degrees are not stored.  Products go through
 one cached concatenation index per pair of degrees (``concat_index``):
 ``mul`` of two series, and ``rmul_exp``, which right-multiplies a product
-by the exponential of one generator in place, on float64 and object
-arrays alike.  ``_dense`` builds the log of a scheme's product with it in
-every coefficient domain.
+in place by the exponential of a sum of generators (a single letter for a
+scheme's factor, a stage's graded generators for the order-condition
+pipelines), on float64 and object arrays alike.  ``_dense`` builds every
+product-log with it, in every coefficient domain.
 """
 
 from __future__ import annotations
@@ -333,29 +334,38 @@ def mul(x: NCSeries, y: NCSeries) -> NCSeries:
     return x._with(out)
 
 
-def rmul_exp(arrays: dict[int, np.ndarray], degrees: tuple[int, ...], g: int, c) -> None:
-    """In place: ``arrays`` <- ``arrays`` * exp(c * G_g), for one array over
-    ``degree_words`` at every degree from 0 up to the truncation, all
-    float64 (with a float ``c``) or all object (exact or polynomial ``c``).
-    Object arrays multiply only their nonzero entries."""
-    s, top = degrees[g], len(arrays) - 1
+def rmul_exp(arrays: dict[int, np.ndarray], degrees: tuple[int, ...],
+             exponent: Sequence[tuple[int, object]]) -> None:
+    """In place: ``arrays`` <- ``arrays`` * exp(sum_g c_g * G_g) over the
+    ``(g, c_g)`` pairs of ``exponent``, for one array over ``degree_words``
+    at every degree from 0 up to the truncation, all float64 (every c_g
+    taken as a float) or all object (exact or polynomial c_g).  Object
+    arrays multiply only their nonzero entries.  The exponential's words
+    are listed once, shortest first, with coefficient(u g) = coefficient(u)
+    * c_g / len(u g): for one generator, its powers with c^k / k!."""
+    top = len(arrays) - 1
     exact = arrays[0].dtype == object
-    powers = [word_index(degrees, k * s)[(g,) * k] for k in range(1, top // s + 1)]
+    # (word, degree, coefficient, position among the words of that degree)
+    words = [((), 0, 1 if exact else 1.0, 0)]
+    for u, du, cu, _ in words:
+        for g, c in exponent:
+            dw, w = du + degrees[g], u + (g,)
+            if dw <= top:
+                cw = cu * c * Fraction(1, len(w)) if exact else cu * (float(c) / len(w))
+                words.append((w, dw, cw, word_index(degrees, dw)[w]))
     # source degrees high -> low, so every target accumulates from
     # original values only (all writes go to strictly higher degrees)
-    for d in range(top - s, -1, -1):
-        if not exact:
-            ck = 1.0
-            for k in range(1, (top - d) // s + 1):
-                ck *= c / k
-                arrays[d + k * s][_positions(degrees, d, k * s, powers[k - 1])] += ck * arrays[d]
-            continue
-        nz = np.flatnonzero(arrays[d])
-        src, ck = arrays[d][nz], 1
-        for k in range(1, (top - d) // s + 1):
-            ck = ck * c * Fraction(1, k)
-            _add_at(arrays[d + k * s], concat_index(degrees, d, k * s)[nz, powers[k - 1]],
-                    src * ck)
+    for d in range(top - 1, -1, -1):
+        if exact:
+            nz = np.flatnonzero(arrays[d])
+            src = arrays[d][nz]
+        for _, dw, cw, col in words[1:]:
+            if d + dw > top:
+                continue
+            if exact:
+                _add_at(arrays[d + dw], concat_index(degrees, d, dw)[nz, col], src * cw)
+            else:
+                arrays[d + dw][_positions(degrees, d, dw, col)] += cw * arrays[d]
 
 
 def _power_sum(result: NCSeries, u: NCSeries, coefficient) -> NCSeries:

@@ -477,7 +477,7 @@ def _product_log(scheme: Scheme, params, D: int) -> NCSeries:
     coefficient domain of ``params`` (see ``log_scheme``)."""
     values = symbolic_slot_values(scheme) if params is None else scheme.resolve_slots(params)
     return dense_product_log(make_alphabet(scheme.letters), D,
-                             [(g, e.evaluate(values)) for g, e in scheme.factors])
+                             [((g, e.evaluate(values)),) for g, e in scheme.factors])
 
 
 def _read(series: NCSeries, basis: HallBasis, degrees: Sequence[int] | None = None) -> LieSeries:
@@ -514,18 +514,26 @@ def verify_order(scheme: Scheme, params, p: int,
     if p < 1:
         raise ValueError("order must be >= 1")
     _require_numeric(params, "verify_order")
-    residuals = _order_residuals(log_scheme(scheme, params, p), p)
+    residuals = _order_residuals(_product_log(scheme, params, p), _basis_for(scheme, p, None), p)
     ok = all(float(abs(v)) <= tolerance for v in residuals.values())
     return ok, residuals
 
 
-def _order_residuals(lie: LieSeries, p: int) -> dict[int, object]:
-    deg1 = lie.coords_at_degree(1)
-    residuals = {1: max(abs(deg1.get(g, 0) - 1) for g in lie.basis.elements(1))}
-    for d in range(2, p + 1):
-        cd = lie.coords_at_degree(d)
-        residuals[d] = max((abs(c) for c in cd.values()), default=residuals[1] * 0)
-    return residuals
+def _order_conditions(lie: LieSeries, d: int, zero) -> list:
+    """The degree-``d`` order conditions on ``lie``, one per Hall element in
+    basis order: a degree-1 coordinate minus one, one of degree 2..p as it
+    is (``zero`` if absent).  A product has order p when those of 1..p vanish."""
+    coords = lie.coords_at_degree(d)
+    return [coords.get(e, zero) - 1 if d == 1 else coords.get(e, zero)
+            for e in lie.basis.elements(d)]
+
+
+def _order_residuals(series: NCSeries, basis: HallBasis, p: int) -> dict[int, object]:
+    """The largest order condition in magnitude at each degree 1..p of
+    ``series``, read in ``basis``; a NaN one wins."""
+    lie, zero = _read(series, basis, range(1, p + 1)), series.unit() * 0
+    return {d: max((abs(c) for c in _order_conditions(lie, d, zero)), key=lambda r: (r != r, r))
+            for d in range(1, p + 1)}
 
 
 @dataclass(frozen=True)
@@ -555,9 +563,8 @@ def epsilon(scheme: Scheme, params, p: int, tolerance: float = 1e-10) -> ErrorRe
     _require_numeric(params, "epsilon")
     D = p + 1
     series = _product_log(scheme, params, D)
-    low = _read(series, _basis_for(scheme, D, None), range(1, D))
+    residuals = _order_residuals(series, _basis_for(scheme, D, None), p)
     coeffs = _read_top(scheme, series, D)
-    residuals = _order_residuals(low, p)
     # a NaN residual counts as the worst and fails the check
     worst = max((float(abs(v)) for v in residuals.values()), key=lambda r: (math.isnan(r), r))
     if not worst <= tolerance:

@@ -301,35 +301,19 @@ def scaling_fit(scheme: Scheme, params, gens: GeneratorSet,
 
 
 def _stable_window(grid, errors, floor, top):
+    """The longest run of >= 5 consecutive points in (floor, top) whose log-log
+    slopes agree within 0.1, the earliest on ties; None if there is none."""
     valid = (errors > floor) & (errors < top)
-    runs = []
-    start = None
-    for i, ok in enumerate(valid):
-        if ok and start is None:
-            start = i
-        if not ok and start is not None:
-            runs.append(range(start, i))
-            start = None
-    if start is not None:
-        runs.append(range(start, len(valid)))
-
-    best = None
-    for run in runs:
-        idx = list(run)
-        if len(idx) < 5:
-            continue
-        slopes = np.diff(np.log(errors[idx])) / np.diff(np.log(grid[idx]))
-        # longest sub-window with mutually consistent local slopes
-        for size in range(len(idx), 4, -1):
-            for off in range(len(idx) - size + 1):
-                s = slopes[off:off + size - 1]
-                if np.max(s) - np.min(s) <= 0.1:
-                    cand = tuple(idx[off:off + size])
-                    if best is None or len(cand) > len(best):
-                        best = cand
-                    break
-            if best is not None and len(best) >= size:
-                break
+    # no log of an invalid (maybe zero) error: no window spans its slopes
+    slopes = np.diff(np.log(np.where(valid, errors, 1.0))) / np.diff(np.log(grid))
+    best, start = None, 0
+    for end in range(len(errors)):
+        if not valid[end]:
+            start = end + 1
+        while end - start > 1 and np.ptp(slopes[start:end]) > 0.1:
+            start += 1
+        if end - start >= max(4, len(best or ())):
+            best = tuple(range(start, end + 1))
     return best
 
 

@@ -88,7 +88,7 @@ def test_entry_reaches_claimed_order(name):
 def test_published_error_reproduces(name):
     e = CATALOG[name]
     rep = epsilon(e.scheme, e.params, e.order)
-    if e.tolerance == 0.0:
+    if isinstance(e.epsilon, Fraction):
         assert rep.epsilon == e.epsilon
     else:
         rel = abs(float(rep.epsilon) - float(e.epsilon)) / abs(float(e.epsilon))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liesplit import NCSeries, exp, log, make_alphabet, mul, series_from_generator
+from liesplit._dense import dense_product_log
 from liesplit.free_algebra import degree_words, rmul_exp
 from liesplit.polynomials import MultiPoly
 
@@ -226,15 +227,50 @@ def test_graded_exp_and_log_match_naive_oracle(alphabet, D, a, b):
     assert as_dict(log(prod)) == n_log(as_dict(prod), degrees, D)
 
 
-def _in_place_product(alphabet, D, factors, unit):
-    """prod exp(c * G_g) over ``factors``, built in place by ``rmul_exp``."""
+def _in_place_product(alphabet, D, exponents, unit):
+    """prod exp(sum c_g * G_g) over ``exponents``, each a list of (g, c_g)
+    pairs, built in place by ``rmul_exp``."""
     degrees = tuple(g.degree for g in alphabet)
     dtype = float if isinstance(unit, float) else object
     data = {d: np.zeros(len(degree_words(degrees, d)), dtype=dtype) for d in range(D + 1)}
     data[0][0] = unit
-    for g, c in factors:
-        rmul_exp(data, degrees, g, c)
+    for exponent in exponents:
+        rmul_exp(data, degrees, exponent)
     return NCSeries(alphabet, D, data)
+
+
+def _letters(words):
+    """The one-letter words of a series as an exponent of (g, c_g) pairs."""
+    return [(w[0], c) for w, c in words.items() if len(w) == 1]
+
+
+def _exponents(a, b):
+    """Three exponents from GRADED_CASES' a and b: a's letters, b's, and
+    a's again times -2."""
+    return [_letters(a), _letters(b), [(g, -2 * c) for g, c in _letters(a)]]
+
+
+@pytest.mark.parametrize("alphabet,D,a,b", GRADED_CASES)
+def test_multi_generator_rmul_exp_matches_naive_oracle(alphabet, D, a, b):
+    degrees = [g.degree for g in alphabet]
+    exponents = _exponents(a, b)
+    expected = {(): Fraction(1)}
+    for exponent in exponents:
+        expected = n_mul(expected, n_exp({(g,): c for g, c in exponent}, degrees, D),
+                         degrees, D)
+    unit = next((c ** 0 for c in a.values() if isinstance(c, MultiPoly)), Fraction(1))
+    assert as_dict(_in_place_product(alphabet, D, exponents, unit)) == expected
+
+
+@pytest.mark.parametrize("alphabet,D,a,b", GRADED_CASES)
+def test_graded_dense_product_log_matches_generic_ops(alphabet, D, a, b):
+    # the reference: each factor's exponential and their product by the
+    # generic series operations
+    exponents = _exponents(a, b)
+    factors = [exp(NCSeries.from_words(alphabet, D, {(g,): c for g, c in exponent}))
+               for exponent in exponents]
+    want = log(mul(mul(factors[0], factors[1]), factors[2]))
+    assert dense_product_log(alphabet, D, exponents) == want
 
 
 def _random_factors(n, count, coefficient, seed):
@@ -267,15 +303,15 @@ def test_object_rmul_exp_matches_naive_oracle(n, D, coefficient, unit):
     expected = {(): Fraction(1)}
     for g, c in factors:
         expected = n_mul(expected, n_exp({(g,): c}, degrees, D), degrees, D)
-    assert as_dict(_in_place_product(alphabet, D, factors, unit)) == expected
+    assert as_dict(_in_place_product(alphabet, D, [((g, c),) for g, c in factors], unit)) == expected
 
 
 @pytest.mark.parametrize("n,D", [(2, 6), (3, 4)])
 def test_float_rmul_exp_agrees_with_exact(n, D):
     alphabet = make_alphabet("ABC"[:n])
     factors = _random_factors(n, 5, _fraction, seed=n + D)
-    exact = _in_place_product(alphabet, D, factors, Fraction(1))
-    approx = _in_place_product(alphabet, D, [(g, float(c)) for g, c in factors], 1.0)
+    exact = _in_place_product(alphabet, D, [((g, c),) for g, c in factors], Fraction(1))
+    approx = _in_place_product(alphabet, D, [((g, float(c)),) for g, c in factors], 1.0)
     want = [exact.array(d).astype(float) for d in range(D + 1)]
     scale = max(np.abs(w).max() for w in want)
     for d, w in enumerate(want):

@@ -74,6 +74,19 @@ def test_non_finite_guess_raises():
         solve_on_manifold(scheme, 4, {"w_2": 0.6}, guess=[float("nan")])
 
 
+def test_mapping_guess_is_read_by_slot_name():
+    scheme = build_scheme(2, "S", 9)
+    pin = {"b_1": -0.359059226989746}
+    by_name = solve_on_manifold(scheme, 4, pin, guess={"a_2": -0.03, "a_1": 0.27})
+    assert by_name.values == solve_on_manifold(scheme, 4, pin, guess=[0.27, -0.03]).values
+
+
+def test_guess_of_the_wrong_length_is_rejected():
+    scheme = build_scheme(2, "SL", 11)
+    with pytest.raises(ValueError, match="guess must assign 1 dependent slot"):
+        solve_on_manifold(scheme, 4, {"w_2": 2 / 3}, guess=[0.3, 0.1])
+
+
 def test_root_where_the_residual_cancels_in_rounding_is_rejected():
     # near the singular chart b_1 = 0 Newton runs to |a_1| ~ 1.9e13, where
     # the compiled residual cancels to 0.0 in rounding; epsilon rejects the
@@ -319,6 +332,14 @@ def test_root_search_reuses_the_callers_analysis(monkeypatch):
     res = minimize_epsilon(OptimizationProblem(scheme, 6, free_slots=(), starts=6, seed=0))
     assert len(calls) == 1
     assert len(res.local_minima) == report.real_solution_count
+
+
+def test_explicit_start_list():
+    problem = OptimizationProblem(build_scheme(2, "S", 9), 4,
+                                  free_slots=("b_1",), starts=[[-0.36]], seed=0)
+    pa, rep = minimize_epsilon(problem).best
+    assert float(rep.epsilon) == pytest.approx(0.0681608, rel=1e-5)
+    assert pa.values["b_1"] == pytest.approx(-0.359059, abs=1e-5)
 
 
 def test_every_start_failing_raises():

@@ -305,6 +305,17 @@ def test_no_window_on_commuting_inputs(cat):
         scaling_fit(e.scheme, e.params, gens)
 
 
+@pytest.mark.parametrize("bad, want", [
+    (4, range(5, 13)),  # 4 | 8 valid points: the longer run
+    (6, range(0, 6)),   # 6 | 6: the earlier run on a tie
+], ids=["longer-run", "tie"])
+def test_window_does_not_cross_a_floor_point(bad, want):
+    grid = np.geomspace(1e-3, 0.5, 13)
+    errors = grid ** 4
+    errors[bad] = 0.0  # below the floor, where no log may be taken
+    assert validate._stable_window(grid, errors, 1e-14, 1e-1) == tuple(want)
+
+
 def test_scaling_report_csv(cat):
     e = cat["n2-p2-sl-m3-leapfrog"]
     gens = build_generators("random-general", n=2, dim=8, seed=9)
