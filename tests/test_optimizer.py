@@ -75,10 +75,15 @@ def test_non_finite_guess_raises():
 
 
 def test_mapping_guess_is_read_by_slot_name():
-    scheme = build_scheme(2, "S", 9)
-    pin = {"b_1": -0.359059226989746}
-    by_name = solve_on_manifold(scheme, 4, pin, guess={"a_2": -0.03, "a_1": 0.27})
-    assert by_name.values == solve_on_manifold(scheme, 4, pin, guess=[0.27, -0.03]).values
+    # keys out of slot order: read by position, these values do not converge
+    scheme = build_scheme(2, "SL", 19)
+    entry = catalog()["n2-p6-sl-m19-opt"]
+    guess = {"w_4": -0.84, "w_3": 0.13, "w_1": 0.19}
+    pa = solve_on_manifold(scheme, 6, {"w_2": 0.5553}, guess=guess)
+    for slot in guess:
+        assert pa.values[slot] == pytest.approx(float(entry.params.values[slot]), abs=1e-12)
+    with pytest.raises(ManifoldError):
+        solve_on_manifold(scheme, 6, {"w_2": 0.5553}, guess=list(guess.values()))
 
 
 def test_guess_of_the_wrong_length_is_rejected():
