@@ -23,11 +23,16 @@ place: ``HallBasis.coords_from_dense``.  Renaming generator
 canonical basis: identity-ordered, with this basis's generator degrees
 in rank order.  So one solver per (degrees in rank order, degree) serves
 every ordering and truncation, after gathering the word vector into the
-canonical letters.  A float vector is solved in least squares with the
-pseudo-inverse of M.  An exact vector (Fraction or polynomial entries)
-is solved with the rational inverse of the square block of M on the
-rows where a float LU of M places its pivots; the other rows give its
-residual.
+canonical letters.  Each Hall element expands into rearrangements of its
+own leaves, so M is zero outside its letter-content blocks (the fine
+grading of the free Lie algebra; Reutenauer, *Free Lie Algebras*, 1993):
+at n = 3, degree 7, the 2187 x 312 matrix splits into 33 blocks, the
+largest 210 x 30.  The solvers are built per letter-content block.  A
+float vector is solved in least squares with the pseudo-inverse of M,
+assembled from one pseudo-inverse per block.  An exact vector (Fraction
+or polynomial entries) is solved with the rational inverse of M on the
+rows where a float LU of each block places its pivots, inverted block by
+block; the other rows give its residual.
 """
 
 from __future__ import annotations
@@ -187,7 +192,7 @@ class HallBasis:
 
     def expand_words(self, e: HallElement) -> dict[tuple[int, ...], Fraction]:
         """Expansion of a commutator tree into words (letter-id tuples)."""
-        return _expand_words(e)
+        return {w: Fraction(c) for w, c in _expand_words(e).items()}
 
     def expansion(self, e: HallElement) -> NCSeries:
         return NCSeries.from_words(self.alphabet, self.max_degree, self.expand_words(e))
@@ -198,8 +203,9 @@ class HallBasis:
         """(pivots, inv, others, rest) for degree d, exact.
 
         ``pivots`` are the r word rows of the expansion matrix M on which
-        a float LU of M places its pivots, and ``inv`` is the rational
-        inverse of M on those rows; ``others`` are the remaining rows and
+        a float LU of each letter-content block of M places its pivots,
+        and ``inv`` is the rational inverse of M on those rows, inverted
+        per block; ``others`` are the remaining rows and
         ``rest`` is M on them.  ``inv`` and ``rest`` are sparse: one
         (columns, Fraction entries) pair per row.  Rows are canonical
         words (see the module docstring); the solver is shared by every
@@ -209,7 +215,8 @@ class HallBasis:
 
     def float_solver(self, d: int):
         """(M, pinv) for degree d: the float64 expansion matrix on the
-        canonical words, in id-lex order, and its pseudo-inverse."""
+        canonical words, in id-lex order, and its pseudo-inverse, taken
+        per letter-content block."""
         return _float_solver(self._canon_degrees, d)
 
     def coords_from_dense(self, d: int, vec: np.ndarray) -> tuple[np.ndarray, object]:
@@ -238,42 +245,74 @@ class HallBasis:
 
 
 @functools.lru_cache(maxsize=None)
-def _expand_words(e: HallElement) -> dict[tuple[int, ...], Fraction]:
+def _expand_words(e: HallElement) -> dict[tuple[int, ...], int]:
     if isinstance(e, int):
-        return {(e,): Fraction(1)}
+        return {(e,): 1}
     left, right = _expand_words(e[0]), _expand_words(e[1])
-    result: dict[tuple[int, ...], Fraction] = {}
+    result: dict[tuple[int, ...], int] = {}
     for w1, c1 in left.items():
         for w2, c2 in right.items():
             c = c1 * c2
             w = w1 + w2
-            result[w] = result.get(w, Fraction(0)) + c
+            result[w] = result.get(w, 0) + c
             w = w2 + w1
-            result[w] = result.get(w, Fraction(0)) - c
+            result[w] = result.get(w, 0) - c
     return {w: c for w, c in result.items() if c}
 
 
 @functools.lru_cache(maxsize=None)
-def _float_solver(degrees: tuple[int, ...], d: int):
+def _expansion_matrix(degrees: tuple[int, ...], d: int):
+    """(M, blocks) for the canonical basis over ``degrees`` at degree d.
+
+    M is the float64 expansion matrix (id-lex words x Hall elements, integer
+    entries).  Each element expands into rearrangements of its own leaves,
+    so M is zero outside its letter-content blocks: ``blocks`` holds one
+    (rows, columns) index pair per letter content that some element has.
+    Rows of the other contents are zero.
+    """
     alphabet = make_alphabet([f"X{g}" for g in range(len(degrees))], degrees)
+    words = degree_words(degrees, d)
     index = word_index(degrees, d)
     elements = _cached_basis(alphabet, d, tuple(range(len(degrees)))).elements(d)
-    m = np.zeros((len(index), len(elements)))
+    m = np.zeros((len(words), len(elements)))
+    columns: dict[tuple[int, ...], list[int]] = {}
     for j, e in enumerate(elements):
-        for w, c in _expand_words(e).items():
-            m[index[w], j] = float(c)
-    return m, np.linalg.pinv(m)
+        expansion = _expand_words(e)
+        for w, c in expansion.items():
+            m[index[w], j] = c
+        columns.setdefault(tuple(sorted(next(iter(expansion)))), []).append(j)
+    rows: dict[tuple[int, ...], list[int]] = {}
+    for i, w in enumerate(words):
+        rows.setdefault(tuple(sorted(w)), []).append(i)
+    return m, [(np.array(rows[key]), np.array(cols)) for key, cols in columns.items()]
+
+
+@functools.lru_cache(maxsize=None)
+def _float_solver(degrees: tuple[int, ...], d: int):
+    m, blocks = _expansion_matrix(degrees, d)
+    pinv = np.zeros(m.T.shape)
+    for rows, cols in blocks:
+        pinv[np.ix_(cols, rows)] = np.linalg.pinv(m[np.ix_(rows, cols)])
+    return m, pinv
 
 
 @functools.lru_cache(maxsize=None)
 def _exact_solver(degrees: tuple[int, ...], d: int):
-    m, _ = _float_solver(degrees, d)
-    # row i of M is row perm[i] of L, so the pivot rows are those with perm < r
-    perm = scipy.linalg.lu(m, p_indices=True)[0]
-    pivots = np.flatnonzero(perm < m.shape[1])
+    m, blocks = _expansion_matrix(degrees, d)
+    pivot_rows: list[int] = []
+    inv: list = [None] * m.shape[1]
+    for rows, cols in blocks:
+        # row i of the block is row perm[i] of L, so its pivot rows are those with perm < r
+        perm = scipy.linalg.lu(m[np.ix_(rows, cols)], p_indices=True)[0]
+        block_pivots = rows[perm < len(cols)]
+        block_inv = _invert_rational([[Fraction(int(x)) for x in m[i, cols]] for i in block_pivots])
+        # the block's inverse reads its pivots where they sit in pivot_rows
+        for j, (at, vals) in zip(cols, _sparse(block_inv)):
+            inv[j] = (at + len(pivot_rows), vals)
+        pivot_rows.extend(block_pivots.tolist())
+    pivots = np.array(pivot_rows, dtype=np.intp)
     others = np.setdiff1d(np.arange(len(m)), pivots)
-    inv = _invert_rational([[Fraction(int(x)) for x in m[i]] for i in pivots])
-    return pivots, _sparse(inv), others, _sparse(m[others])
+    return pivots, inv, others, _sparse(m[others])
 
 
 @functools.lru_cache(maxsize=None)
@@ -299,7 +338,7 @@ def _invert_rational(m: list[list[Fraction]]) -> list[list[Fraction]]:
         for i in range(n):
             if i != j and aug[i][j]:
                 f = aug[i][j]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[j])]
+                aug[i] = [a - f * b if b else a for a, b in zip(aug[i], aug[j])]
     return [row[n:] for row in aug]
 
 

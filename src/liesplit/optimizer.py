@@ -18,8 +18,9 @@ generator ordering, read off one symbolic product-log; evaluating them
 costs tens of microseconds where ``epsilon`` forms a float product-log
 in about a millisecond.  They carry none of ``epsilon``'s checks, so a
 point seeds a polish only once ``epsilon`` accepts it, and every reported
-minimum is re-measured by ``epsilon``.  Compiling costs 0.03 s for S m9
-p4 but 0.8 s for SL m15 and 2.5 s for SL m19 at p = 6 (cold, 2-vCPU VM).
+minimum is re-measured by ``epsilon``.  Compiling costs 0.02 s for S m9
+p4 but 0.4 s for SL m15 and 1.2 s for SL m19 at p = 6, and 31-36 s for
+n = 3 SL m37 at p = 6 (cold, one BLAS thread, 2-vCPU VM).
 
 A root search (no free direction) compiles nothing and starts nothing:
 it polishes the real solutions the memoized ``analyze_freedom`` reads
@@ -557,8 +558,8 @@ def minimize_epsilon(problem: OptimizationProblem) -> OptimizationResult:
     probe.
 
     Both passes rank points by the compiled error rows (see the module
-    docstring), built once per (scheme, p): 0.03 s for S m9 p4, 0.8 s for
-    SL m15 p6 and 2.5 s for SL m19 p6 cold, so a search pays for them
+    docstring), built once per (scheme, p): 0.02 s for S m9 p4, 0.4 s for
+    SL m15 p6 and 1.2 s for SL m19 p6 cold, so a search pays for them
     once it makes more probes than that time over the 1-2 ms of an
     ``epsilon`` call.  A candidate seeds a polish only once ``epsilon``
     accepts it.  On either route every reported minimum is measured by

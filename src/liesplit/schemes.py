@@ -57,6 +57,11 @@ FAMILIES = {2: ("N", "S", "SL"), 3: ("N", "S", "S-abc", "SE", "SL")}
 # the largest non-Lie residual a float log may carry: rounding, not error
 _NON_LIE_TOL = 1e-8
 
+# float 1-norms within this relative distance of the least count as tied:
+# exact ties differ by roundoff (below 1e-15 relative in the catalog),
+# real gaps between orderings by at least 2.6e-3
+_TIE_RTOL = 1e-12
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
@@ -577,7 +582,12 @@ def epsilon(scheme: Scheme, params, p: int, tolerance: float = 1e-10) -> ErrorRe
         sums[ordering] = total if exact else float(total)
     prefactor = Fraction(scheme.m, p) ** p if exact else (scheme.m / p) ** p
 
-    best = min(sums, key=lambda o: float(sums[o]))
+    if exact:
+        best = min(sums, key=sums.__getitem__)
+    else:
+        # of the tied orderings, the first in permutation order, as in exact
+        least = min(sums.values())
+        best = next((o for o in sums if sums[o] <= least * (1 + _TIE_RTOL)), next(iter(sums)))
     return ErrorReport(p=p, m=scheme.m, prefactor=prefactor,
                        ordering_best=best, epsilon=prefactor * sums[best],
                        sums_per_ordering=sums, coeffs_per_ordering=coeffs,

@@ -97,6 +97,24 @@ def test_published_error_reproduces(name):
         assert ordering_str(rep.ordering_best) in e.orderings
 
 
+@pytest.mark.parametrize("name", sorted(CATALOG), ids=str)
+def test_best_ordering_is_first_tied(name):
+    """Orderings whose sums tie exactly differ in float by roundoff, which
+    must not pick the best: it is the first tied ordering in permutation
+    order, and sums apart are far apart.  Through order 4 the exact sums
+    at the same parameters, read as Fractions, pick the same ordering."""
+    e = CATALOG[name]
+    rep = epsilon(e.scheme, e.params, e.order)
+    sums = rep.sums_per_ordering
+    least = min(sums.values())
+    gaps = [(s - least) / least for s in sums.values()]
+    assert all(g <= 1e-14 or g >= 1e-3 for g in gaps), gaps
+    assert rep.ordering_best == next(o for o, g in zip(sums, gaps) if g <= 1e-14)
+    if e.order <= 4 and e.params.values:
+        exact = epsilon(e.scheme, {k: Fraction(v) for k, v in e.params.values.items()}, e.order)
+        assert exact.ordering_best == rep.ordering_best
+
+
 def test_exact_error_values_are_rational():
     assert CATALOG["n2-p2-sl-m3-leapfrog"].epsilon == Fraction(9, 32)
     assert CATALOG["n3-p1-n-m3-euler"].epsilon == Fraction(9, 2)

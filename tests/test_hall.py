@@ -15,6 +15,7 @@ from sympy.functions.combinatorial.numbers import mobius
 
 import liesplit
 from liesplit import NCSeries, exp, log, make_alphabet, mul, series_from_generator
+from liesplit.free_algebra import degree_words
 from liesplit.polynomials import MultiPoly
 from liesplit.hall import (
     HallBasis,
@@ -22,6 +23,7 @@ from liesplit.hall import (
     expand_hall,
     hall_degree,
     hall_str,
+    _expansion_matrix,
     _invert_rational,
     _mobius,
     lie_coordinates,
@@ -422,8 +424,37 @@ def test_exact_dense_non_lie_vector_has_residual(entry):
         assert residual != 0
 
 
-@pytest.mark.parametrize("degrees,D", [
-    ((1, 1), 8), ((1, 1, 1), 5), ((1, 3, 5, 7), 7), (tuple(range(1, 8)), 7)])
+SOLVER_CASES = [((1, 1), 8), ((1, 1, 1), 5), ((1, 3, 5, 7), 7), (tuple(range(1, 8)), 7),
+                ((1, 1, 1), 7)]
+
+
+def _leaves(e):
+    return (e,) if isinstance(e, int) else _leaves(e[0]) + _leaves(e[1])
+
+
+@pytest.mark.parametrize("degrees,D", SOLVER_CASES)
+def test_solver_blocks_follow_letter_content(degrees, D):
+    """M is zero outside its letter-content blocks, each block pairs the
+    words and elements of one content, and the pseudo-inverse built block
+    by block is that of the whole of M."""
+    alphabet = make_alphabet([f"Z{k}" for k in range(len(degrees))], degrees)
+    basis = build_hall_basis(alphabet, D)
+    for d in range(1, D + 1):
+        m, pinv = basis.float_solver(d)
+        words, elements = degree_words(degrees, d), basis.elements(d)
+        outside = m.copy()
+        for rows, cols in _expansion_matrix(degrees, d)[1]:
+            contents = {tuple(sorted(words[i])) for i in rows}
+            contents |= {tuple(sorted(_leaves(elements[j]))) for j in cols}
+            assert len(contents) == 1, (d, contents)
+            outside[np.ix_(rows, cols)] = 0
+        assert not outside.any(), d
+        reference = np.linalg.pinv(m)
+        assert np.max(np.abs(pinv - reference), initial=0.0) <= 1e-13 * np.max(
+            np.abs(reference), initial=0.0), d
+
+
+@pytest.mark.parametrize("degrees,D", SOLVER_CASES)
 def test_lu_pivot_block_is_exactly_invertible(degrees, D):
     """The rows a float LU picks hold an exactly invertible integer block,
     and ``exact_solver`` holds its exact inverse, for the unit alphabets
@@ -436,10 +467,13 @@ def test_lu_pivot_block_is_exactly_invertible(degrees, D):
         r = m.shape[1]
         assert len(pivots) == len(inv) == r
         assert sorted([*pivots, *others]) == list(range(len(m)))
-        block = [[int(v) for v in m[i]] for i in pivots]
+        block = [{j: int(v) for j, v in enumerate(m[i]) if v} for i in pivots]
         for i, (cols, vals) in enumerate(inv):
-            product = [sum(v * block[c][j] for c, v in zip(cols, vals)) for j in range(r)]
-            assert product == [int(i == j) for j in range(r)], (d, i)
+            product = {}
+            for c, v in zip(cols, vals):
+                for j, b in block[c].items():
+                    product[j] = product.get(j, 0) + v * b
+            assert {j: x for j, x in product.items() if x} == {i: 1}, (d, i)
 
 
 def test_invert_rational_names_the_singular_column():
