@@ -561,7 +561,8 @@ def epsilon(scheme: Scheme, params, p: int, tolerance: float = 1e-10) -> ErrorRe
     Forms one product and its log at D = p+1.  Its degrees 1..p in the
     identity ordering give the order residuals, the same values
     ``verify_order`` returns; its degree p+1 gives the 1-norm for every
-    ordering.
+    ordering.  Of orderings that tie, ``ordering_best`` is the first in
+    permutation order; float sums within 1e-12 relative of the least tie.
     """
     if p < 1:
         raise ValueError("order must be >= 1")
@@ -585,7 +586,6 @@ def epsilon(scheme: Scheme, params, p: int, tolerance: float = 1e-10) -> ErrorRe
     if exact:
         best = min(sums, key=sums.__getitem__)
     else:
-        # of the tied orderings, the first in permutation order, as in exact
         least = min(sums.values())
         best = next((o for o in sums if sums[o] <= least * (1 + _TIE_RTOL)), next(iter(sums)))
     return ErrorReport(p=p, m=scheme.m, prefactor=prefactor,
