@@ -18,12 +18,16 @@ Words have one layout, shared with ``hall`` and ``_dense``: one 1-D array
 per degree d over ``degree_words``, the words of total degree d in
 lexicographic order of letter ids (for n unit-degree generators, g_1...g_d
 at index sum g_j n^(d-j)), float64 when every coefficient is a float and
-object otherwise.  All-zero degrees are not stored.  Products go through
-one cached concatenation index per pair of degrees (``concat_index``):
-``mul`` of two series, and ``rmul_exp``, which right-multiplies a product
-in place by the exponential of a sum of generators (a single letter for a
-scheme's factor, a stage's graded generators for the order-condition
-pipelines), on float64 and object arrays alike.  ``_dense`` builds every
+object otherwise.  All-zero degrees are not stored.  ``mul`` of two series
+goes through one cached concatenation index per pair of degrees
+(``concat_index``).  A product of many exponentials is built in place on
+one flat array holding every degree's words back to back, degree blocks in
+order (``degree_offsets``): ``rmul_exp`` right-multiplies it by the
+exponential of a sum of generators (a single letter for a scheme's factor,
+a stage's graded generators for the order-condition pipelines), on float64
+and object arrays alike.  For unit degrees, word j of the flat array
+followed by letter g sits at n j + 1 + g, so appending a word of length k
+to every shorter word is one slice of step n^k.  ``_dense`` builds every
 product-log with it, in every coefficient domain.
 """
 
@@ -109,15 +113,43 @@ def concat_index(degrees: tuple[int, ...], d1: int, d2: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _positions(degrees: tuple[int, ...], d1: int, d2: int, column: int | None = None):
-    """``concat_index`` raveled, or its ``column``, as a slice (which numpy
-    applies as a view) when it steps evenly upward, as for unit degrees."""
-    idx = concat_index(degrees, d1, d2)
-    idx = idx.ravel() if column is None else idx[:, column]
+def degree_offsets(degrees: tuple[int, ...], max_degree: int) -> tuple[int, ...]:
+    """Start of each degree 0..max_degree in the flat layout of ``rmul_exp``,
+    every degree's ``degree_words`` back to back, and its total length last."""
+    offsets = [0]
+    for d in range(max_degree + 1):
+        offsets.append(offsets[-1] + len(degree_words(degrees, d)))
+    return tuple(offsets)
+
+
+def _as_slice(idx: np.ndarray):
+    """``idx`` as a slice (which numpy applies as a view) when it steps
+    evenly upward, as for unit degrees; otherwise ``idx`` itself."""
     step = int(idx[1] - idx[0]) if len(idx) > 1 else 1
     if len(idx) and step > 0 and (np.diff(idx) == step).all():
         return slice(int(idx[0]), int(idx[-1]) + 1, step)
     return idx
+
+
+@functools.lru_cache(maxsize=None)
+def _positions(degrees: tuple[int, ...], d1: int, d2: int):
+    """``concat_index`` raveled, as a slice where it steps evenly."""
+    return _as_slice(concat_index(degrees, d1, d2).ravel())
+
+
+@functools.lru_cache(maxsize=None)
+def _appended(degrees: tuple[int, ...], max_degree: int, word: tuple[int, ...]):
+    """(index, where) for ``word`` in the flat layout truncated at
+    ``max_degree``: ``index[j]`` is the flat position of the word at j
+    followed by ``word``, for every j holding a word short enough, and
+    ``where`` is ``index`` as a slice where it steps evenly (step n^k for a
+    word of length k over n unit-degree letters)."""
+    dw = sum(degrees[g] for g in word)
+    offsets = degree_offsets(degrees, max_degree)
+    col = word_index(degrees, dw)[word]
+    index = np.concatenate([offsets[d + dw] + concat_index(degrees, d, dw)[:, col]
+                            for d in range(max_degree - dw + 1)])
+    return index, _as_slice(index)
 
 
 def _add_at(acc: np.ndarray, pos: np.ndarray, vals: np.ndarray) -> None:
@@ -334,38 +366,48 @@ def mul(x: NCSeries, y: NCSeries) -> NCSeries:
     return x._with(out)
 
 
-def rmul_exp(arrays: dict[int, np.ndarray], degrees: tuple[int, ...],
+def rmul_exp(flat: np.ndarray, degrees: tuple[int, ...], max_degree: int,
              exponent: Sequence[tuple[int, object]]) -> None:
-    """In place: ``arrays`` <- ``arrays`` * exp(sum_g c_g * G_g) over the
-    ``(g, c_g)`` pairs of ``exponent``, for one array over ``degree_words``
-    at every degree from 0 up to the truncation, all float64 (every c_g
-    taken as a float) or all object (exact or polynomial c_g).  Object
-    arrays multiply only their nonzero entries.  The exponential's words
-    are listed once, shortest first, with coefficient(u g) = coefficient(u)
-    * c_g / len(u g): for one generator, its powers with c^k / k!."""
-    top = len(arrays) - 1
-    exact = arrays[0].dtype == object
-    # (word, degree, coefficient, position among the words of that degree)
-    words = [((), 0, 1 if exact else 1.0, 0)]
-    for u, du, cu, _ in words:
+    """In place: ``flat`` <- ``flat`` * exp(sum_g c_g * G_g) over the
+    ``(g, c_g)`` pairs of ``exponent``, for ``flat`` holding every degree
+    0..``max_degree`` in the layout of ``degree_offsets``, float64 (every
+    c_g taken as a float) or object (exact or polynomial c_g).  The
+    exponential's words are listed once, shortest first, with
+    coefficient(u g) = coefficient(u) * c_g / len(u g): for one generator,
+    its powers with c^k / k!.  Each word is one update over every source
+    degree at once, at its ``_appended`` positions; sources are copied
+    before the first, so every target accumulates from original values, in
+    ascending power.  Object arrays update only their nonzero sources.
+    Raises ``ValueError`` on a generator id outside ``degrees`` or a
+    non-finite float c_g."""
+    for g, c in exponent:
+        if not 0 <= g < len(degrees):
+            raise ValueError(f"generator id {g} is outside the alphabet of {len(degrees)} letters")
+        if isinstance(c, float) and not math.isfinite(c):
+            raise ValueError(f"non-finite coefficient {c} for generator {g}")
+    exact = flat.dtype == object
+    # (word, degree, coefficient)
+    words = [((), 0, 1 if exact else 1.0)]
+    for u, du, cu in words:
         for g, c in exponent:
             dw, w = du + degrees[g], u + (g,)
-            if dw <= top:
-                cw = cu * c * Fraction(1, len(w)) if exact else cu * (float(c) / len(w))
-                words.append((w, dw, cw, word_index(degrees, dw)[w]))
-    # source degrees high -> low, so every target accumulates from
-    # original values only (all writes go to strictly higher degrees)
-    for d in range(top - 1, -1, -1):
+            if dw <= max_degree:
+                words.append((w, dw, cu * c * Fraction(1, len(w)) if exact
+                              else cu * (float(c) / len(w))))
+    # every word below the top degree is a source
+    sources = degree_offsets(degrees, max_degree)[max_degree]
+    if exact:
+        nz = np.flatnonzero(flat[:sources])
+        src = flat[nz]
+    else:
+        src = flat[:sources].copy()
+    for w, _, cw in words[1:]:
+        index, where = _appended(degrees, max_degree, w)
         if exact:
-            nz = np.flatnonzero(arrays[d])
-            src = arrays[d][nz]
-        for _, dw, cw, col in words[1:]:
-            if d + dw > top:
-                continue
-            if exact:
-                _add_at(arrays[d + dw], concat_index(degrees, d, dw)[nz, col], src * cw)
-            else:
-                arrays[d + dw][_positions(degrees, d, dw, col)] += cw * arrays[d]
+            short = np.searchsorted(nz, len(index))  # nonzero sources that fit w
+            _add_at(flat, index[nz[:short]], src[:short] * cw)
+        else:
+            flat[where] += cw * src[:len(index)]
 
 
 def _power_sum(result: NCSeries, u: NCSeries, coefficient) -> NCSeries:

@@ -29,8 +29,10 @@ grading of the free Lie algebra; Reutenauer, *Free Lie Algebras*, 1993):
 at n = 3, degree 7, the 2187 x 312 matrix splits into 33 blocks, the
 largest 210 x 30.  The solvers are built per letter-content block.  A
 float vector is solved in least squares with the pseudo-inverse of M,
-assembled from one pseudo-inverse per block.  An exact vector (Fraction
-or polynomial entries) is solved with the rational inverse of M on the
+a CSR matrix assembled from one pseudo-inverse per block (38,976 entries
+at n = 3, degree 7, where a dense one would hold 682,344), and its
+residual is taken with M in CSR form.  An exact vector (Fraction or
+polynomial entries) is solved with the rational inverse of M on the
 rows where a float LU of each block places its pivots, inverted block by
 block; the other rows give its residual.
 """
@@ -44,6 +46,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .free_algebra import Generator, NCSeries, degree_words, make_alphabet, word_index
 
@@ -214,9 +217,10 @@ class HallBasis:
         return _exact_solver(self._canon_degrees, d)
 
     def float_solver(self, d: int):
-        """(M, pinv) for degree d: the float64 expansion matrix on the
-        canonical words, in id-lex order, and its pseudo-inverse, taken
-        per letter-content block."""
+        """(M, pinv) for degree d as float64 CSR matrices: the expansion
+        matrix on the canonical words, in id-lex order, and its
+        pseudo-inverse, taken per letter-content block and holding every
+        entry of each block: |rows| * |cols| entries per block."""
         return _float_solver(self._canon_degrees, d)
 
     def coords_from_dense(self, d: int, vec: np.ndarray) -> tuple[np.ndarray, object]:
@@ -225,9 +229,10 @@ class HallBasis:
         ``vec`` lists the words of this basis's alphabet in the order of
         ``free_algebra.degree_words``, the layout of ``NCSeries``.  A float vector is
         solved in least squares; an object vector (Fraction or polynomial
-        entries) exactly.  Returns (coords, residual), where residual is
-        the max-norm of the remainder that no Lie element represents
-        (exactly zero for a Lie element in exact mode).
+        entries) exactly, both by sparse products.  Returns (coords,
+        residual), where residual is the max-norm of the remainder that
+        no Lie element represents (exactly zero for a Lie element in exact
+        mode).
         """
         vec = vec[_gather(self.generator_degrees, self.ordering, d)]
         if vec.dtype != object:
@@ -290,10 +295,12 @@ def _expansion_matrix(degrees: tuple[int, ...], d: int):
 @functools.lru_cache(maxsize=None)
 def _float_solver(degrees: tuple[int, ...], d: int):
     m, blocks = _expansion_matrix(degrees, d)
-    pinv = np.zeros(m.T.shape)
-    for rows, cols in blocks:
-        pinv[np.ix_(cols, rows)] = np.linalg.pinv(m[np.ix_(rows, cols)])
-    return m, pinv
+    # pinv row j (element j) holds its block's pinv row at the block's word rows
+    parts = [(np.repeat(cols, len(rows)), np.tile(rows, len(cols)),
+              np.linalg.pinv(m[np.ix_(rows, cols)]).ravel()) for rows, cols in blocks]
+    at_element, at_word, values = map(np.concatenate, zip(*parts)) if parts else ([], [], [])
+    pinv = scipy.sparse.csr_array((values, (at_element, at_word)), shape=m.T.shape)
+    return scipy.sparse.csr_array(m), pinv
 
 
 @functools.lru_cache(maxsize=None)

@@ -15,8 +15,9 @@ Both the conditions and, when the chart has a free direction, the error
 measure are compiled once per (scheme, p) into polynomials in the free
 slots.  The error rows are the degree-(p+1) Hall coordinates of every
 generator ordering, read off one symbolic product-log; evaluating them
-costs tens of microseconds where ``epsilon`` forms a float product-log
-in about a millisecond.  They carry none of ``epsilon``'s checks, so a
+costs 15-50 microseconds where an ``epsilon`` call takes 0.4-0.9 ms (S m9
+p4, SL m15 and SL m19 at p = 6, warm, one BLAS thread, 2-vCPU VM).  They
+carry none of ``epsilon``'s checks, so a
 point seeds a polish only once ``epsilon`` accepts it, and every reported
 minimum is re-measured by ``epsilon``.  Compiling costs 0.02 s for S m9
 p4 but 0.4 s for SL m15 and 1.2 s for SL m19 at p = 6, and 31-36 s for
@@ -560,7 +561,7 @@ def minimize_epsilon(problem: OptimizationProblem) -> OptimizationResult:
     Both passes rank points by the compiled error rows (see the module
     docstring), built once per (scheme, p): 0.02 s for S m9 p4, 0.4 s for
     SL m15 p6 and 1.2 s for SL m19 p6 cold, so a search pays for them
-    once it makes more probes than that time over the 1-2 ms of an
+    once it makes more probes than that time over the 0.4-0.9 ms of an
     ``epsilon`` call.  A candidate seeds a polish only once ``epsilon``
     accepts it.  On either route every reported minimum is measured by
     ``epsilon`` and has passed its order and non-Lie checks.  Minima are

@@ -5,6 +5,8 @@ Everything here works on plain ``{word-tuple: Fraction}`` dicts, or
 both), with no packing, no degree bucketing and no truncation
 cleverness, so that the library's optimized arithmetic can be checked
 against an independent route.  Slow on purpose; only exercised at small degree.
+The exception is ``n_rmul_exp``, the per-degree array kernel that the
+flat product kernel is checked against, value for value.
 """
 
 from fractions import Fraction
@@ -13,6 +15,7 @@ from math import factorial
 import numpy as np
 
 from liesplit.constraints import symbolic_log
+from liesplit.free_algebra import _add_at, concat_index, word_index
 from liesplit.hall import hall_degree
 
 
@@ -55,6 +58,36 @@ def n_log(x: dict, degrees, D: int) -> dict:
         power = n_mul(power, u, degrees, D)
         out = n_add(out, n_scale(power, Fraction((-1) ** (k + 1), k)))
     return out
+
+
+def n_rmul_exp(arrays: dict, degrees, exponent) -> None:
+    """In place: ``arrays`` <- ``arrays`` * exp(sum_g c_g * G_g), for one
+    array over ``degree_words`` at every degree from 0 up to the
+    truncation, all float64 or all object: one update per (source degree,
+    word of the exponential), source degrees high to low, so every target
+    accumulates from original values in ascending power.  The per-degree
+    kernel that the flat ``free_algebra.rmul_exp`` replaced."""
+    top = len(arrays) - 1
+    exact = arrays[0].dtype == object
+    # (word, degree, coefficient, position among the words of that degree)
+    words = [((), 0, 1 if exact else 1.0, 0)]
+    for u, du, cu, _ in words:
+        for g, c in exponent:
+            dw, w = du + degrees[g], u + (g,)
+            if dw <= top:
+                cw = cu * c * Fraction(1, len(w)) if exact else cu * (float(c) / len(w))
+                words.append((w, dw, cw, word_index(degrees, dw)[w]))
+    for d in range(top - 1, -1, -1):
+        if exact:
+            nz = np.flatnonzero(arrays[d])
+            src = arrays[d][nz]
+        for _, dw, cw, col in words[1:]:
+            if d + dw > top:
+                continue
+            if exact:
+                _add_at(arrays[d + dw], concat_index(degrees, d, dw)[nz, col], src * cw)
+            else:
+                arrays[d + dw][concat_index(degrees, d, dw)[:, col]] += cw * arrays[d]
 
 
 def n_commutator(a: dict, b: dict, degrees, D: int) -> dict:

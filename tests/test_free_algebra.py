@@ -11,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from liesplit import NCSeries, exp, log, make_alphabet, mul, series_from_generator
 from liesplit._dense import dense_product_log
-from liesplit.free_algebra import degree_words, rmul_exp
+from liesplit.catalog import catalog
+from liesplit.free_algebra import degree_offsets, degree_words, rmul_exp
 from liesplit.polynomials import MultiPoly
 
-from _naive import n_exp, n_log, n_mul
+from _naive import n_exp, n_log, n_mul, n_rmul_exp
 
 AB = make_alphabet("AB")
 A, B = AB
@@ -229,14 +230,36 @@ def test_graded_exp_and_log_match_naive_oracle(alphabet, D, a, b):
 
 def _in_place_product(alphabet, D, exponents, unit):
     """prod exp(sum c_g * G_g) over ``exponents``, each a list of (g, c_g)
-    pairs, built in place by ``rmul_exp``."""
+    pairs, built in place by ``rmul_exp`` on one flat array."""
+    degrees = tuple(g.degree for g in alphabet)
+    offsets = degree_offsets(degrees, D)
+    flat = np.zeros(offsets[-1], dtype=float if isinstance(unit, float) else object)
+    flat[0] = unit
+    for exponent in exponents:
+        rmul_exp(flat, degrees, D, exponent)
+    return NCSeries(alphabet, D, {d: flat[offsets[d]:offsets[d + 1]] for d in range(D + 1)})
+
+
+def _oracle_product(alphabet, D, exponents, unit):
+    """The same product by ``_naive.n_rmul_exp``, one array per degree."""
     degrees = tuple(g.degree for g in alphabet)
     dtype = float if isinstance(unit, float) else object
     data = {d: np.zeros(len(degree_words(degrees, d)), dtype=dtype) for d in range(D + 1)}
     data[0][0] = unit
     for exponent in exponents:
-        rmul_exp(data, degrees, exponent)
+        n_rmul_exp(data, degrees, exponent)
     return NCSeries(alphabet, D, data)
+
+
+def _assert_same_product(alphabet, D, exponents, unit):
+    """The flat kernel's product equals the per-degree oracle's, value for
+    value: ``float.hex``-identical in float, equal when exact."""
+    flat, oracle = (f(alphabet, D, exponents, unit) for f in (_in_place_product, _oracle_product))
+    for d in range(D + 1):
+        a, b = flat.array(d).tolist(), oracle.array(d).tolist()
+        if isinstance(unit, float):
+            a, b = [x.hex() for x in a], [x.hex() for x in b]
+        assert a == b, d
 
 
 def _letters(words):
@@ -304,6 +327,33 @@ def test_object_rmul_exp_matches_naive_oracle(n, D, coefficient, unit):
     for g, c in factors:
         expected = n_mul(expected, n_exp({(g,): c}, degrees, D), degrees, D)
     assert as_dict(_in_place_product(alphabet, D, [((g, c),) for g, c in factors], unit)) == expected
+
+
+@pytest.mark.parametrize("name", sorted(catalog()))
+def test_flat_product_matches_per_degree_oracle_on_catalog(name):
+    """Float entries ``float.hex``-identical, exact ones equal, at D = p+1,
+    on the factors ``epsilon`` forms."""
+    entry = catalog()[name]
+    values = entry.scheme.resolve_slots(entry.params)
+    factors = [((g, e.evaluate(values)),) for g, e in entry.scheme.factors]
+    in_float = any(isinstance(c, float) for (_, c), in factors)
+    _assert_same_product(make_alphabet(entry.scheme.letters), entry.order + 1, factors,
+                         1.0 if in_float else Fraction(1))
+
+
+@pytest.mark.parametrize("n,D", [(2, 6), (3, 4)])
+@pytest.mark.parametrize("coefficient,unit", [(_fraction, Fraction(1)),
+                                              (_poly, MultiPoly.constant(1, _XY))],
+                         ids=["fraction", "poly"])
+def test_flat_product_matches_per_degree_oracle_on_random_factors(n, D, coefficient, unit):
+    factors = _random_factors(n, 5, coefficient, seed=10 * n + D)
+    _assert_same_product(make_alphabet("ABC"[:n]), D, [((g, c),) for g, c in factors], unit)
+
+
+@pytest.mark.parametrize("alphabet,D,a,b", GRADED_CASES)
+def test_flat_product_matches_per_degree_oracle_on_graded_stages(alphabet, D, a, b):
+    unit = next((c ** 0 for c in a.values() if isinstance(c, MultiPoly)), Fraction(1))
+    _assert_same_product(alphabet, D, _exponents(a, b), unit)
 
 
 @pytest.mark.parametrize("n,D", [(2, 6), (3, 4)])

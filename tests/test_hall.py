@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 from sympy import divisors
 from sympy.functions.combinatorial.numbers import mobius
@@ -440,7 +441,7 @@ def test_solver_blocks_follow_letter_content(degrees, D):
     alphabet = make_alphabet([f"Z{k}" for k in range(len(degrees))], degrees)
     basis = build_hall_basis(alphabet, D)
     for d in range(1, D + 1):
-        m, pinv = basis.float_solver(d)
+        m, pinv = (x.toarray() for x in basis.float_solver(d))
         words, elements = degree_words(degrees, d), basis.elements(d)
         outside = m.copy()
         for rows, cols in _expansion_matrix(degrees, d)[1]:
@@ -455,6 +456,39 @@ def test_solver_blocks_follow_letter_content(degrees, D):
 
 
 @pytest.mark.parametrize("degrees,D", SOLVER_CASES)
+def test_float_solver_is_sparse_over_the_blocks(degrees, D):
+    """No dense pseudo-inverse: the CSR pinv holds exactly the entries of
+    its letter-content blocks."""
+    alphabet = make_alphabet([f"Z{k}" for k in range(len(degrees))], degrees)
+    basis = build_hall_basis(alphabet, D)
+    for d in range(1, D + 1):
+        m, pinv = basis.float_solver(d)
+        assert scipy.sparse.issparse(m) and scipy.sparse.issparse(pinv)
+        blocks = _expansion_matrix(degrees, d)[1]
+        assert pinv.nnz == sum(len(rows) * len(cols) for rows, cols in blocks), d
+    if (degrees, D) == ((1, 1, 1), 7):  # pinv is degree 7's
+        assert pinv.nnz == 38976
+
+
+@pytest.mark.parametrize("degrees,D", SOLVER_CASES)
+def test_float_coords_match_dense_least_squares(degrees, D):
+    """Float ``coords_from_dense`` gives the dense pseudo-inverse's
+    solution and residual, for Lie and non-Lie vectors."""
+    alphabet = make_alphabet([f"Z{k}" for k in range(len(degrees))], degrees)
+    basis = build_hall_basis(alphabet, D)
+    rng = np.random.default_rng(len(degrees) * 10 + D)
+    for d in range(1, D + 1):
+        m = _expansion_matrix(degrees, d)[0]
+        for vec in (m @ rng.standard_normal(m.shape[1]), rng.standard_normal(m.shape[0])):
+            coords, residual = basis.coords_from_dense(d, vec)
+            reference = np.linalg.pinv(m) @ vec
+            scale = max(np.max(np.abs(reference), initial=0.0), np.max(np.abs(vec)))
+            assert np.max(np.abs(coords - reference), initial=0.0) <= 1e-13 * scale, d
+            want = np.max(np.abs(m @ reference - vec), initial=0.0)
+            assert abs(residual - want) <= 1e-13 * scale, d
+
+
+@pytest.mark.parametrize("degrees,D", SOLVER_CASES)
 def test_lu_pivot_block_is_exactly_invertible(degrees, D):
     """The rows a float LU picks hold an exactly invertible integer block,
     and ``exact_solver`` holds its exact inverse, for the unit alphabets
@@ -462,7 +496,7 @@ def test_lu_pivot_block_is_exactly_invertible(degrees, D):
     alphabet = make_alphabet([f"Z{k}" for k in range(len(degrees))], degrees)
     basis = build_hall_basis(alphabet, D)
     for d in range(1, D + 1):
-        m, _ = basis.float_solver(d)
+        m = basis.float_solver(d)[0].toarray()
         pivots, inv, others, rest = basis.exact_solver(d)
         r = m.shape[1]
         assert len(pivots) == len(inv) == r

@@ -1,8 +1,12 @@
 """Bad input fails fast with a ``ValueError`` that names the problem."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from liesplit._dense import dense_product_log
 from liesplit.constraints import symbolic_log
 from liesplit.free_algebra import make_alphabet
 from liesplit.hall import build_hall_basis, witt_dimension
@@ -11,6 +15,7 @@ from liesplit.validate import GeneratorSet, build_generators, scaling_fit
 
 _SL3 = build_scheme(2, "SL", 3)  # the leapfrog: no free slot, params {}
 _EYE = np.eye(2)
+_AB = make_alphabet("AB")
 
 GUARDS = {
     "symbolic_log-p0": (lambda: symbolic_log(_SL3, 0), "need p >= 1"),
@@ -34,6 +39,12 @@ GUARDS = {
     "make_alphabet-degree-0": (lambda: make_alphabet("AB", [1, 0]), "degrees must be >= 1"),
     "build_hall_basis-D0": (lambda: build_hall_basis(make_alphabet("AB"), 0), "D must be >= 1"),
     "witt_dimension-n0": (lambda: witt_dimension(0, 1), "n >= 1 and k >= 1"),
+    "dense_product_log-id-2": (lambda: dense_product_log(_AB, 3, [((0, 0.5),), ((2, 1.0),)]),
+                               "generator id 2 is outside"),
+    "dense_product_log-id-minus-1": (
+        lambda: dense_product_log(_AB, 3, [((-1, Fraction(1)),)]), "generator id -1 is outside"),
+    "dense_product_log-nan": (lambda: dense_product_log(_AB, 3, [((0, 0.5),), ((1, math.nan),)]),
+                              "non-finite coefficient"),
 }
 
 
