@@ -35,11 +35,23 @@ residual is taken with M in CSR form.  An exact vector (Fraction or
 polynomial entries) is solved with the rational inverse of M on the
 rows where a float LU of each block places its pivots, inverted block by
 block; the other rows give its residual.
+
+``coords_from_dense`` also takes a 2-D block, one word vector per column,
+and solves every column with one product.  Over equal generator degrees
+every ordering's canonical basis is the identity one, so
+``ordering_block`` stacks each ordering's word gather into one index: a
+vector's block of relabelings, read in the identity basis, gives its
+coordinates in every ordering at once.  Relabeling the letters maps the
+free Lie algebra onto itself, so a vector is Lie in one ordering exactly
+when it is in all: a float block's residual still covers every column,
+but an exact block's is taken on its first column only, once per vector
+rather than once per ordering.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -57,6 +69,7 @@ __all__ = [
     "expand_hall",
     "hall_str",
     "lie_coordinates",
+    "ordering_block",
     "witt_dimension",
 ]
 
@@ -224,15 +237,18 @@ class HallBasis:
         return _float_solver(self._canon_degrees, d)
 
     def coords_from_dense(self, d: int, vec: np.ndarray) -> tuple[np.ndarray, object]:
-        """Coordinates for a dense degree-d word vector.
+        """Coordinates for a dense degree-d word vector, or a block of them.
 
         ``vec`` lists the words of this basis's alphabet in the order of
-        ``free_algebra.degree_words``, the layout of ``NCSeries``.  A float vector is
-        solved in least squares; an object vector (Fraction or polynomial
-        entries) exactly, both by sparse products.  Returns (coords,
-        residual), where residual is the max-norm of the remainder that
-        no Lie element represents (exactly zero for a Lie element in exact
-        mode).
+        ``free_algebra.degree_words``, the layout of ``NCSeries``; a 2-D
+        block (words x columns) holds one such vector per column, and
+        the coordinates come back as (elements x columns).  A float
+        vector is solved in least squares; an object vector (Fraction or
+        polynomial entries) exactly, both by sparse products.  Returns
+        (coords, residual), where residual is the max-norm of the
+        remainder that no Lie element represents (exactly zero for a Lie
+        element in exact mode).  A float block's residual covers every
+        column; an object block's only its first (see ``ordering_block``).
         """
         vec = vec[_gather(self.generator_degrees, self.ordering, d)]
         if vec.dtype != object:
@@ -240,9 +256,14 @@ class HallBasis:
             coords = pinv @ vec
             return coords, float(np.max(np.abs(m @ coords - vec), initial=0.0))
         pivots, inv, others, rest = self.exact_solver(d)
-        # the pivot rows hold exactly by construction
+        # the pivot rows hold exactly by construction.  The columns of an
+        # object block are relabelings of one vector (``ordering_block``),
+        # and relabeling the letters maps the free Lie algebra onto itself,
+        # so in exact arithmetic one column's residual is zero exactly when
+        # every column's is: the first column's check stands for all
         coords = _sparse_apply(inv, vec[pivots])
-        return coords, _max_abs(_sparse_apply(rest, coords) - vec[others])
+        c0, v0 = (coords[:, 0], vec[:, 0]) if vec.ndim == 2 else (coords, vec)
+        return coords, _max_abs(_sparse_apply(rest, c0) - v0[others])
 
     def __repr__(self) -> str:
         labels = ",".join(self.alphabet[g].label for g in self.ordering)
@@ -331,6 +352,30 @@ def _gather(degrees: tuple[int, ...], ordering: tuple[int, ...], d: int) -> np.n
     return np.array([index[tuple(ordering[l] for l in w)] for w in canonical], dtype=np.intp)
 
 
+@functools.lru_cache(maxsize=None)
+def ordering_block(degrees: tuple[int, ...], d: int):
+    """(orderings, elements, gather) for reading a degree-d word vector
+    over ``degrees`` in every generator ordering at once.
+
+    ``orderings`` lists every permutation of the generator ids in
+    ``itertools.permutations`` order, ``elements`` each one's degree-d
+    Hall elements in basis order, and row k of the (orderings x words)
+    index ``gather`` is ordering k's ``_gather``.  For a word vector
+    ``vec``, column k of ``vec[gather.T]`` read in the identity basis
+    gives ``vec``'s coordinates in ordering k, so one solve covers every
+    ordering.  Needs equal generator degrees, the case in which every
+    ordering's canonical basis is the identity one.
+    """
+    if len(set(degrees)) > 1:
+        raise ValueError(f"orderings share one solver only over equal degrees, not {degrees}")
+    alphabet = make_alphabet([f"X{g}" for g in range(len(degrees))], degrees)
+    orderings = tuple(itertools.permutations(range(len(degrees))))
+    elements = tuple(_cached_basis(alphabet, d, o).elements(d) for o in orderings)
+    gather = np.stack([_gather(degrees, o, d) for o in orderings])
+    gather.setflags(write=False)
+    return orderings, elements, gather
+
+
 def _invert_rational(m: list[list[Fraction]]) -> list[list[Fraction]]:
     n = len(m)
     aug = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
@@ -357,9 +402,10 @@ def _sparse(rows) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _sparse_apply(rows, vec: np.ndarray) -> np.ndarray:
-    """The product of ``_sparse`` rows with an object vector."""
-    out = np.empty(len(rows), dtype=object)
-    out[:] = [np.dot(vals, vec[cols]) for cols, vals in rows]
+    """The product of ``_sparse`` rows with an object vector or block."""
+    out = np.empty((len(rows),) + vec.shape[1:], dtype=object)
+    for i, (cols, vals) in enumerate(rows):
+        out[i] = np.dot(vals, vec[cols])
     return out
 
 

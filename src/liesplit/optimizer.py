@@ -19,8 +19,8 @@ costs 15-50 microseconds where an ``epsilon`` call takes 0.4-0.9 ms (S m9
 p4, SL m15 and SL m19 at p = 6, warm, one BLAS thread, 2-vCPU VM).  They
 carry none of ``epsilon``'s checks, so a
 point seeds a polish only once ``epsilon`` accepts it, and every reported
-minimum is re-measured by ``epsilon``.  Compiling costs 0.02 s for S m9
-p4 but 0.4 s for SL m15 and 1.2 s for SL m19 at p = 6, and 31-36 s for
+minimum is re-measured by ``epsilon``.  Compiling costs 0.01 s for S m9
+p4 but 0.2 s for SL m15 and 0.6 s for SL m19 at p = 6, and 14-15 s for
 n = 3 SL m37 at p = 6 (cold, one BLAS thread, 2-vCPU VM).
 
 A root search (no free direction) compiles nothing and starts nothing:
@@ -108,10 +108,10 @@ class _ErrorRows:
 
     def __init__(self, scheme: Scheme, p: int):
         D = p + 1
-        top = _read_top(scheme, _product_log(scheme, None, D), D)
-        self.orderings = tuple(top)
+        orderings, _, columns = _read_top(scheme, _product_log(scheme, None, D), D)
+        self.orderings = tuple(orderings)
         self.prefactor = (scheme.m / p) ** p
-        self.exps, self.coeffs = _compile([c for pairs in top.values() for _, c in pairs],
+        self.exps, self.coeffs = _compile([c for col in columns for c in col],
                                           len(scheme.free_slots))
 
     def sums(self, x) -> np.ndarray:

@@ -20,14 +20,13 @@ import math
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import permutations
 from typing import Mapping, Sequence
 
 from ._dense import dense_product_log
 # exp and log are unused here but stay bound: perfbench/tracing.py wraps
 # them by this module's name (tests/test_bench_sites.py pins that)
 from .free_algebra import NCSeries, exp, log, make_alphabet
-from .hall import HallBasis, LieSeries, build_hall_basis, lie_coordinates
+from .hall import HallBasis, LieSeries, build_hall_basis, lie_coordinates, ordering_block
 from .polynomials import MultiPoly
 
 __all__ = [
@@ -489,22 +488,31 @@ def _read(series: NCSeries, basis: HallBasis, degrees: Sequence[int] | None = No
     """``series``' Hall coordinates in ``basis`` (at ``degrees`` only, if
     given); raises on a non-Lie residual above rounding, or any if exact."""
     lie, residual = lie_coordinates(series, basis, degrees)
-    if not residual <= (_NON_LIE_TOL if isinstance(series.unit(), float) else 0):  # NaN fails too
-        raise RuntimeError(f"non-Lie residual {float(residual):.2e} in the product's log")
+    _check_lie(residual, series)
     return lie
 
 
-def _read_top(scheme: Scheme, series: NCSeries, D: int) -> dict[tuple[str, ...], tuple]:
-    """``series``' degree-D Hall coordinates in every generator ordering,
-    the identity first: ``(element, coefficient)`` pairs in basis order,
-    zeros included.  Float, exact and polynomial series alike."""
+def _check_lie(residual, series: NCSeries) -> None:
+    """Raise on a non-Lie residual above rounding, or any if exact."""
+    if not residual <= (_NON_LIE_TOL if isinstance(series.unit(), float) else 0):  # NaN fails too
+        raise RuntimeError(f"non-Lie residual {float(residual):.2e} in the product's log")
+
+
+def _read_top(scheme: Scheme, series: NCSeries, D: int) -> tuple[tuple, tuple, list]:
+    """``series``' degree-D Hall coordinates in every generator ordering:
+    (orderings, elements, columns), the orderings of ``scheme.letters`` in
+    permutation order (the identity first), each one's degree-D Hall
+    elements in basis order and the coefficients on them, zeros included
+    as the domain's zero.  Float, exact and polynomial series alike; one
+    solve in the identity basis covers every ordering
+    (``hall.ordering_block``).  Raises as ``_read`` does."""
+    basis = _basis_for(scheme, D, None)
+    ids, elements, gather = ordering_block(basis.generator_degrees, D)
+    coords, residual = basis.coords_from_dense(D, series.array(D)[gather.T])
+    _check_lie(residual, series)
     zero = 0.0 if isinstance(series.unit(), float) else _ZERO
-    out = {}
-    for ordering in permutations(scheme.letters):
-        basis = _basis_for(scheme, D, ordering)
-        cd = _read(series, basis, (D,)).coords_at_degree(D)
-        out[ordering] = tuple((e, cd.get(e, zero)) for e in basis.elements(D))
-    return out
+    columns = [[c if c else zero for c in col] for col in coords.T.tolist()]
+    return tuple(tuple(scheme.letters[g] for g in o) for o in ids), elements, columns
 
 
 def _require_numeric(params, caller: str) -> None:
@@ -570,7 +578,7 @@ def epsilon(scheme: Scheme, params, p: int, tolerance: float = 1e-10) -> ErrorRe
     D = p + 1
     series = _product_log(scheme, params, D)
     residuals = _order_residuals(series, _basis_for(scheme, D, None), p)
-    coeffs = _read_top(scheme, series, D)
+    orderings, elements, columns = _read_top(scheme, series, D)
     # a NaN residual counts as the worst and fails the check
     worst = max((float(abs(v)) for v in residuals.values()), key=lambda r: (math.isnan(r), r))
     if not worst <= tolerance:
@@ -578,9 +586,12 @@ def epsilon(scheme: Scheme, params, p: int, tolerance: float = 1e-10) -> ErrorRe
 
     exact = not isinstance(series.unit(), float)
     sums: dict[tuple[str, ...], object] = {}
-    for ordering, pairs in coeffs.items():
-        total = sum(abs(c) for _, c in pairs if c)
-        sums[ordering] = total if exact else float(total)
+    coeffs: dict[tuple[str, ...], tuple] = {}
+    for ordering, es, col in zip(orderings, elements, columns):
+        # left to right in Python, as each ordering was summed when read
+        # alone; a float zero adds nothing, an exact one would make 0 a Fraction
+        sums[ordering] = sum(abs(c) for c in col if c) if exact else float(sum(map(abs, col)))
+        coeffs[ordering] = tuple(zip(es, col))
     prefactor = Fraction(scheme.m, p) ** p if exact else (scheme.m / p) ** p
 
     if exact:

@@ -5,11 +5,15 @@ Everything here works on plain ``{word-tuple: Fraction}`` dicts, or
 both), with no packing, no degree bucketing and no truncation
 cleverness, so that the library's optimized arithmetic can be checked
 against an independent route.  Slow on purpose; only exercised at small degree.
-The exception is ``n_rmul_exp``, the per-degree array kernel that the
-flat product kernel is checked against, value for value.
+The exceptions are ``n_rmul_exp``, the per-degree array kernel that the
+flat product kernel is checked against, value for value, and
+``n_read_top``/``n_epsilon``, which read the top degree one generator
+ordering at a time, each in its own basis, where ``schemes.epsilon``
+reads every ordering in one solve.
 """
 
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 import numpy as np
@@ -17,6 +21,8 @@ import numpy as np
 from liesplit.constraints import symbolic_log
 from liesplit.free_algebra import _add_at, concat_index, word_index
 from liesplit.hall import hall_degree
+from liesplit.schemes import (_TIE_RTOL, ErrorReport, _basis_for, _order_residuals,
+                              _product_log, _read, _require_numeric)
 
 
 def n_mul(a: dict, b: dict, degrees, D: int) -> dict:
@@ -153,3 +159,43 @@ def p_mul(a: dict, b: dict) -> dict:
             e = tuple(x + y for x, y in zip(e1, e2))
             out[e] = out.get(e, Fraction(0)) + c1 * c2
     return {e: c for e, c in out.items() if c}
+
+
+def n_read_top(scheme, series, D: int) -> dict:
+    """``series``' degree-D Hall coordinates in every generator ordering,
+    each read by its own ``lie_coordinates`` call in its own basis:
+    ``(element, coefficient)`` pairs in basis order, zeros included."""
+    zero = 0.0 if isinstance(series.unit(), float) else Fraction(0)
+    out = {}
+    for ordering in permutations(scheme.letters):
+        basis = _basis_for(scheme, D, ordering)
+        cd = _read(series, basis, (D,)).coords_at_degree(D)
+        out[ordering] = tuple((e, cd.get(e, zero)) for e in basis.elements(D))
+    return out
+
+
+def n_epsilon(scheme, params, p: int, tolerance: float = 1e-10) -> ErrorReport:
+    """``schemes.epsilon`` with the top degree read by ``n_read_top``."""
+    _require_numeric(params, "epsilon")
+    D = p + 1
+    series = _product_log(scheme, params, D)
+    residuals = _order_residuals(series, _basis_for(scheme, D, None), p)
+    coeffs = n_read_top(scheme, series, D)
+    worst = max((float(abs(v)) for v in residuals.values()), key=lambda r: (r != r, r))
+    if not worst <= tolerance:
+        raise ValueError(f"scheme does not reach order {p}: max residual {worst:.3e}")
+    exact = not isinstance(series.unit(), float)
+    sums = {}
+    for ordering, pairs in coeffs.items():
+        total = sum(abs(c) for _, c in pairs if c)
+        sums[ordering] = total if exact else float(total)
+    prefactor = Fraction(scheme.m, p) ** p if exact else (scheme.m / p) ** p
+    if exact:
+        best = min(sums, key=sums.__getitem__)
+    else:
+        least = min(sums.values())
+        best = next((o for o in sums if sums[o] <= least * (1 + _TIE_RTOL)), next(iter(sums)))
+    return ErrorReport(p=p, m=scheme.m, prefactor=prefactor,
+                       ordering_best=best, epsilon=prefactor * sums[best],
+                       sums_per_ordering=sums, coeffs_per_ordering=coeffs,
+                       order_residuals=residuals)

@@ -28,6 +28,7 @@ from liesplit.hall import (
     _invert_rational,
     _mobius,
     lie_coordinates,
+    ordering_block,
     witt_dimension,
 )
 
@@ -423,6 +424,72 @@ def test_exact_dense_non_lie_vector_has_residual(entry):
         vec[13] = entry                      # the word BBB (ids 1, 1, 1)
         _, residual = basis.coords_from_dense(3, vec)
         assert residual != 0
+
+
+BLOCK_CASES = [((1, 1), 6), ((1, 1, 1), 5)]
+
+
+@pytest.mark.parametrize("degrees,D", BLOCK_CASES)
+@pytest.mark.parametrize("kind", ["float", "fraction", "poly"])
+def test_ordering_block_reads_every_ordering_in_one_solve(degrees, D, kind):
+    """Column k of a vector's ``ordering_block`` gather, read in the
+    identity basis as one block, holds what ordering k's own basis reads
+    from the vector, element for element (bit for bit in float), and the
+    block's residual is each column's."""
+    alphabet = make_alphabet("ABC"[:len(degrees)], degrees)
+    identity = build_hall_basis(alphabet, D)
+    rng = random.Random(repr((degrees, kind)))
+    x = MultiPoly.variable("x", _XY)
+    for d in range(1, D + 1):
+        orderings, elements, gather = ordering_block(degrees, d)
+        assert orderings == tuple(itertools.permutations(range(len(degrees))))
+        assert gather.shape == (len(orderings), len(degree_words(degrees, d)))
+        # a Lie vector: the expansion of a few identity-basis elements
+        vec = np.zeros(gather.shape[1], dtype=float if kind == "float" else object)
+        row = {w: i for i, w in enumerate(degree_words(degrees, d))}
+        for e in rng.sample(identity.elements(d), min(4, len(identity.elements(d)))):
+            c = rng.choice([-2, 1, 3])
+            c = float(c) / 3 if kind == "float" else Fraction(c, 3) * (x if kind == "poly" else 1)
+            for w, f in identity.expand_words(e).items():
+                vec[row[w]] = vec[row[w]] + f * c
+        block, residual = identity.coords_from_dense(d, vec[gather.T])
+        assert block.shape == (len(elements[0]), len(orderings))
+        assert residual == 0 if kind != "float" else residual < 1e-12
+        for k, ordering in enumerate(orderings):
+            basis = build_hall_basis(alphabet, D, ordering)
+            assert elements[k] == basis.elements(d)
+            coords, res = basis.coords_from_dense(d, vec)
+            assert res == 0 if kind != "float" else res < 1e-12
+            if kind == "float":
+                assert [c.hex() for c in block[:, k].tolist()] == [c.hex() for c in coords.tolist()]
+            else:
+                assert block[:, k].tolist() == coords.tolist()
+
+
+def test_float_block_residual_covers_every_column():
+    basis = build_hall_basis(ABC, 3)
+    _, _, gather = ordering_block((1, 1, 1), 3)
+    block = np.zeros((27, 6))
+    block[13, 4] = 1e-3                      # the word BBB, fifth column only
+    _, residual = basis.coords_from_dense(3, block)
+    assert residual == pytest.approx(1e-3)
+    assert basis.coords_from_dense(3, block[:, :4])[1] == 0
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 3), MultiPoly.variable("x", _XY)])
+def test_exact_block_non_lie_relabelings_have_residual(entry):
+    """An object block whose columns relabel a non-Lie vector has a
+    nonzero residual, though only its first column is checked."""
+    vec = np.zeros(27, dtype=object)
+    vec[5] = entry                           # the word ABC (ids 0, 1, 2)
+    _, _, gather = ordering_block((1, 1, 1), 3)
+    _, residual = build_hall_basis(ABC, 3).coords_from_dense(3, vec[gather.T])
+    assert residual != 0
+
+
+def test_ordering_block_needs_equal_degrees():
+    with pytest.raises(ValueError, match="equal degrees"):
+        ordering_block((1, 2), 3)
 
 
 SOLVER_CASES = [((1, 1), 8), ((1, 1, 1), 5), ((1, 3, 5, 7), 7), (tuple(range(1, 8)), 7),

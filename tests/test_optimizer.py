@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from _naive import central_difference_jacobian, condition_residual
+from _naive import central_difference_jacobian, condition_residual, n_read_top
 from liesplit import constraints, optimizer
 from liesplit.catalog import build_scheme, catalog
 from liesplit.optimizer import (
@@ -16,7 +16,7 @@ from liesplit.optimizer import (
     minimize_epsilon,
     solve_on_manifold,
 )
-from liesplit.schemes import epsilon
+from liesplit.schemes import _product_log, epsilon
 
 
 # ----------------------------------------------------- solve_on_manifold
@@ -443,6 +443,23 @@ def test_compiled_error_sums_match_epsilon(template, p, free):
         assert rows.value(x) == pytest.approx(rep.epsilon, rel=1e-10)
         checked += 1
     assert checked >= 4
+
+
+@pytest.mark.parametrize("template, p", [((2, "S", 9), 4), ((2, "SL", 11), 4), ((3, "SE", 17), 4)],
+                         ids=["s9-p4", "sl11-p4", "n3-se17-p4"])
+def test_error_rows_match_per_ordering_reads(template, p):
+    """The compiled rows equal those compiled from a symbolic log read one
+    ordering at a time, each in its own basis: same orderings, same
+    monomials, bit-identical coefficients."""
+    scheme = build_scheme(*template)
+    rows = optimizer._error_rows(scheme, p)
+    top = n_read_top(scheme, _product_log(scheme, None, p + 1), p + 1)
+    exps, coeffs = optimizer._compile([c for pairs in top.values() for _, c in pairs],
+                                      len(scheme.free_slots))
+    assert rows.orderings == tuple(top)
+    assert rows.exps.tolist() == exps.tolist()
+    assert rows.coeffs.shape == coeffs.shape
+    assert rows.coeffs.tobytes() == coeffs.tobytes()
 
 
 def test_error_rows_built_once_per_scheme_and_order(monkeypatch):

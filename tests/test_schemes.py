@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from liesplit import schemes
 from liesplit.catalog import catalog
-from liesplit.free_algebra import exp, log, make_alphabet, series_from_generator
-from liesplit.hall import build_hall_basis, lie_coordinates
+from liesplit.free_algebra import NCSeries, exp, log, make_alphabet, series_from_generator
+from liesplit.hall import HallBasis, build_hall_basis, lie_coordinates
 from liesplit.polynomials import MultiPoly
 from liesplit.schemes import (
     LinExpr,
@@ -31,6 +31,8 @@ from liesplit.schemes import (
     verify_order,
     yoshida_recursive,
 )
+
+from _naive import n_epsilon, n_read_top
 
 ALL_CASES = [
     (2, "N", 6), (2, "N", 7),
@@ -301,6 +303,97 @@ def test_epsilon_order_residuals_match_verify_order(name):
     e = CATALOG[name]
     rep = epsilon(e.scheme, e.params, e.order)
     assert rep.order_residuals == verify_order(e.scheme, e.params, e.order)[1]
+
+
+# ------------------------------------------ one top-degree read, every ordering
+
+
+def _hex(x):
+    return x.hex() if isinstance(x, float) else repr(x)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG), ids=str)
+def test_batched_epsilon_matches_per_ordering_reads(name):
+    """The one-solve top-degree read gives the report that reading each
+    ordering in its own basis gives, bit for bit: every coefficient (and
+    its type), every sum, epsilon, the best ordering, the residuals."""
+    e = CATALOG[name]
+    got, want = epsilon(e.scheme, e.params, e.order), n_epsilon(e.scheme, e.params, e.order)
+    assert got.ordering_best == want.ordering_best
+    assert _hex(got.epsilon) == _hex(want.epsilon)
+    assert list(got.sums_per_ordering) == list(want.sums_per_ordering)
+    assert [_hex(v) for v in got.sums_per_ordering.values()] == \
+        [_hex(v) for v in want.sums_per_ordering.values()]
+    assert list(got.coeffs_per_ordering) == list(want.coeffs_per_ordering)
+    for ordering, pairs in want.coeffs_per_ordering.items():
+        assert [(el, type(c), _hex(c)) for el, c in got.coeffs_per_ordering[ordering]] == \
+            [(el, type(c), _hex(c)) for el, c in pairs], ordering
+    assert {d: _hex(v) for d, v in got.order_residuals.items()} == \
+        {d: _hex(v) for d, v in want.order_residuals.items()}
+
+
+@pytest.mark.parametrize("name", ["n2-p4-s-m9-opt", "n3-p4-sl-m21-opt"])
+def test_epsilon_reads_the_top_degree_once(name, monkeypatch):
+    """p reads of degrees 1..p in the identity ordering and one of degree
+    p+1 for every ordering at once, not one per ordering."""
+    e = CATALOG[name]
+    reads = []
+    real = HallBasis.coords_from_dense
+
+    def counted(self, d, vec):
+        reads.append((d, vec.shape[1:]))
+        return real(self, d, vec)
+
+    monkeypatch.setattr(HallBasis, "coords_from_dense", counted)
+    epsilon(e.scheme, e.params, e.order)
+    orderings = math.factorial(e.scheme.n)
+    assert reads == [(d, ()) for d in range(1, e.order + 1)] + [(e.order + 1, (orderings,))]
+
+
+def _with_top_word(series, D, index, delta):
+    """``series`` with ``delta`` added to its degree-D word at ``index``."""
+    arrays = {d: series.array(d).copy() for d in series.degrees()}
+    arrays[D][index] = arrays[D][index] + delta
+    return NCSeries(series.alphabet, series.max_degree, arrays)
+
+
+@pytest.mark.parametrize("name", ["n2-p4-s-m9-opt", "n3-p4-sl-m21-opt"])
+def test_top_read_rejects_a_perturbed_float_log(name):
+    e = CATALOG[name]
+    D = e.order + 1
+    series = schemes._product_log(e.scheme, e.params, D)
+    schemes._read_top(e.scheme, series, D)
+    for index in (1, len(series.array(D)) // 2):
+        with pytest.raises(RuntimeError, match="non-Lie residual"):
+            schemes._read_top(e.scheme, _with_top_word(series, D, index, 1e-6), D)
+
+
+@pytest.mark.parametrize("n,family,m,p", [(2, "S", 9, 4), (3, "SE", 17, 4)])
+def test_top_read_rejects_a_non_lie_polynomial_term(n, family, m, p):
+    scheme = build_scheme(n, family, m)
+    D = p + 1
+    series = schemes._product_log(scheme, None, D)
+    schemes._read_top(scheme, series, D)
+    x = MultiPoly.variable(scheme.free_slots[0], scheme.free_slots)
+    for index in (1, len(series.array(D)) // 2):
+        with pytest.raises(RuntimeError, match="non-Lie residual"):
+            schemes._read_top(scheme, _with_top_word(series, D, index, x), D)
+
+
+@pytest.mark.parametrize("symbolic", [False, True], ids=["fraction", "poly"])
+def test_top_read_of_an_absent_degree_gives_exact_zeros(symbolic):
+    """A palindrome's log has no degree 4, so an exact or polynomial read
+    there gives ``Fraction(0)`` in every ordering, as per-ordering reads do,
+    not the float zeros the missing degree's array holds."""
+    scheme = build_scheme(2, "S", 5)
+    series = schemes._product_log(scheme, None if symbolic else rational_params(scheme), 4)
+    assert 4 not in series.degrees()
+    orderings, elements, columns = schemes._read_top(scheme, series, 4)
+    want = n_read_top(scheme, series, 4)
+    assert orderings == tuple(want)
+    for ordering, es, col in zip(orderings, elements, columns):
+        assert list(zip(es, col)) == list(want[ordering])
+        assert all(type(c) is Fraction and c == 0 for c in col)
 
 
 # ----------------------------------------------- recursive constructions
