@@ -37,7 +37,7 @@ def main() -> None:
 def epsilon(scheme_file, name, order, as_json) -> None:
     """Error measure of SCHEME_FILE (scheme_to_text format) or a catalog entry."""
     if (scheme_file is None) == (name is None):
-        raise click.UsageError("give a scheme file or --catalog NAME, not both")
+        raise click.UsageError("give exactly one of a scheme file and --catalog NAME")
     if name is not None:
         entry = catalog().get(name)
         if entry is None:

@@ -588,8 +588,8 @@ def epsilon(scheme: Scheme, params, p: int, tolerance: float = 1e-10) -> ErrorRe
     sums: dict[tuple[str, ...], object] = {}
     coeffs: dict[tuple[str, ...], tuple] = {}
     for ordering, es, col in zip(orderings, elements, columns):
-        # left to right in Python, as each ordering was summed when read
-        # alone; a float zero adds nothing, an exact one would make 0 a Fraction
+        # a float zero adds nothing to a left-to-right sum; exact zeros are
+        # skipped so that an all-zero sum stays the int 0
         sums[ordering] = sum(abs(c) for c in col if c) if exact else float(sum(map(abs, col)))
         coeffs[ordering] = tuple(zip(es, col))
     prefactor = Fraction(scheme.m, p) ** p if exact else (scheme.m / p) ** p

@@ -62,7 +62,7 @@ def test_epsilon_reads_a_scheme_file(tmp_path):
 
 
 @pytest.mark.parametrize("args,message", [
-    ([], "not both"),
+    ([], "exactly one"),
     (["--catalog", "no-such-entry"], "no catalog entry"),
     (["--catalog", "n2-p4-s-m9-opt", "--order", "6"], "does not reach order 6"),
 ])
