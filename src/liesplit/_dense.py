@@ -6,8 +6,9 @@ factor (one letter of a scheme, or one stage of a graded order-condition
 pipeline) a right multiplication by exp(sum c_g G_g) (``rmul_exp``), one
 vector update per word of the exponential over all source degrees at
 once.  Float coefficients run on a float64 array in strided updates; any
-other domain on an object array.  The log reads the product through its
-per-degree slices, as an ``NCSeries``."""
+other domain on an object array.  The log (``free_algebra.log``, one
+truncated Horner sum) reads the product through its per-degree slices,
+as an ``NCSeries``."""
 
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .free_algebra import Generator, NCSeries, degree_offsets, log, rmul_exp
+from . import free_algebra
+from .free_algebra import Generator, NCSeries, degree_offsets, rmul_exp
 from .polynomials import MultiPoly
 
 __all__ = ["dense_product_log"]
@@ -39,5 +41,7 @@ def dense_product_log(alphabet: Sequence[Generator], max_degree: int,
     flat[0] = 1.0 if in_float else polys[0] ** 0 if polys else Fraction(1)
     for exponent in factors:
         rmul_exp(flat, degrees, max_degree, exponent)
-    return log(NCSeries(alphabet, max_degree, {d: flat[offsets[d]:offsets[d + 1]]
-                                               for d in range(max_degree + 1)}))
+    # by module attribute, so that a wrapper of free_algebra.log sees the call
+    return free_algebra.log(NCSeries(alphabet, max_degree,
+                                     {d: flat[offsets[d]:offsets[d + 1]]
+                                      for d in range(max_degree + 1)}))

@@ -15,13 +15,13 @@ Both the conditions and, when the chart has a free direction, the error
 measure are compiled once per (scheme, p) into polynomials in the free
 slots.  The error rows are the degree-(p+1) Hall coordinates of every
 generator ordering, read off one symbolic product-log; evaluating them
-costs 15-50 microseconds where an ``epsilon`` call takes 0.4-0.9 ms (S m9
+costs 8-19 microseconds where an ``epsilon`` call takes 0.25-0.5 ms (S m9
 p4, SL m15 and SL m19 at p = 6, warm, one BLAS thread, 2-vCPU VM).  They
 carry none of ``epsilon``'s checks, so a
 point seeds a polish only once ``epsilon`` accepts it, and every reported
-minimum is re-measured by ``epsilon``.  Compiling costs 0.01 s for S m9
-p4 but 0.2 s for SL m15 and 0.6 s for SL m19 at p = 6, and 14-15 s for
-n = 3 SL m37 at p = 6 (cold, one BLAS thread, 2-vCPU VM).
+minimum is re-measured by ``epsilon``.  Compiling costs 0.007 s for S m9
+p4 but 0.15 s for SL m15 and 0.4 s for SL m19 at p = 6, and 9-10 s for
+n = 3 SL m37 at p = 6 (fresh interpreter, one BLAS thread, 2-vCPU VM).
 
 A root search (no free direction) compiles nothing and starts nothing:
 it polishes the real solutions the memoized ``analyze_freedom`` reads
@@ -559,9 +559,10 @@ def minimize_epsilon(problem: OptimizationProblem) -> OptimizationResult:
     probe.
 
     Both passes rank points by the compiled error rows (see the module
-    docstring), built once per (scheme, p): 0.02 s for S m9 p4, 0.4 s for
-    SL m15 p6 and 1.2 s for SL m19 p6 cold, so a search pays for them
-    once it makes more probes than that time over the 0.4-0.9 ms of an
+    docstring), built once per (scheme, p): 0.007 s for S m9 p4, 0.15 s
+    for SL m15 p6 and 0.4 s for SL m19 p6 in a fresh interpreter, so a
+    search pays for them
+    once it makes more probes than that time over the 0.25-0.5 ms of an
     ``epsilon`` call.  A candidate seeds a polish only once ``epsilon``
     accepts it.  On either route every reported minimum is measured by
     ``epsilon`` and has passed its order and non-Lie checks.  Minima are

@@ -137,7 +137,12 @@ class LinExpr:
     def evaluate(self, values: Mapping[str, object]):
         out = self.const
         for s, c in self.coeffs:
-            out = out + c * values[s]
+            v = values[s]
+            if isinstance(v, float) and isinstance(out, (Fraction, float)):
+                # what Fraction's float fallback computes, without the fallback
+                out = float(out) + float(c) * v
+            else:
+                out = out + c * v
         return out
 
     def __str__(self) -> str:
@@ -541,12 +546,29 @@ def _order_conditions(lie: LieSeries, d: int, zero) -> list:
             for e in lie.basis.elements(d)]
 
 
+def _nan_high(r):
+    """A ``max`` key under which NaN beats every number."""
+    return (r != r, r)
+
+
 def _order_residuals(series: NCSeries, basis: HallBasis, p: int) -> dict[int, object]:
     """The largest order condition in magnitude at each degree 1..p of
-    ``series``, read in ``basis``; a NaN one wins."""
-    lie, zero = _read(series, basis, range(1, p + 1)), series.unit() * 0
-    return {d: max((abs(c) for c in _order_conditions(lie, d, zero)), key=lambda r: (r != r, r))
-            for d in range(1, p + 1)}
+    ``series``, read in ``basis``: a degree-1 coordinate minus one, one of
+    degree 2..p as it is, an absent degree's coordinates the domain's
+    zero; a NaN one wins.  Reads each degree's coordinate array from
+    ``coords_from_dense`` as it comes and raises as ``_read`` does."""
+    zero, present = series.unit() * 0, series.degrees()
+    columns, residuals = {}, [0]
+    for d in range(1, p + 1):
+        if d in present:
+            coords, residual = basis.coords_from_dense(d, series.array(d))
+            residuals.append(residual)
+            columns[d] = [c if c else zero for c in coords.tolist()]
+        else:
+            columns[d] = [zero] * len(basis.elements(d))
+    _check_lie(max(residuals, key=_nan_high), series)
+    return {d: max((abs(c - 1 if d == 1 else c) for c in col), key=_nan_high)
+            for d, col in columns.items()}
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ adjacent pair, each factor is one dense product and one diagonal
 scaling, ``out = (out @ W) * e^{sλ_b}``, and the step is
 V_first·core·V_lastᴴ.  Any other set (``random-general``,
 ``random-antihermitian``, ``commuting-pair``, or a mix) forms each
-factor exp(s·M) on its own: one ``eigh`` per Hermitian M and
+distinct factor exp(s·M) on its own, once per step (a palindromic
+scheme repeats its factors): one ``eigh`` per Hermitian M and
 V·diag(e^{sλ})·Vᴴ per factor, and scaling-and-squaring ``expm`` per
 factor for any other M, the general method, which a Hermitian matrix
 does not need (Higham, SIAM J. Matrix Anal. Appl. 26:1179, 2005).  The
@@ -186,8 +187,9 @@ def _stepper(scheme: Scheme, params, gens: GeneratorSet):
     adjacent pair of distinct generators, then per factor one product
     by W and one scaling of the columns by e^{c t λ_b}.  The dtype is
     the generators' (real for the spin chain).  Any other set, or a
-    scheme with no factors, takes one ``_flow`` per generator and one
-    complex product per factor.
+    scheme with no factors, takes one ``_flow`` per generator, one
+    matrix per distinct (generator, coefficient) factor and one complex
+    product per factor.
     """
     if scheme.n != gens.n:
         raise ValueError(f"scheme splits {scheme.n} terms but the "
@@ -197,9 +199,14 @@ def _stepper(scheme: Scheme, params, gens: GeneratorSet):
         flows = [_flow(m) for m in gens.matrices]
 
         def step(t: float) -> np.ndarray:
+            # palindromic schemes repeat factors: one flow per distinct one
+            done: dict[tuple[int, float], np.ndarray] = {}
             out = np.eye(gens.dim, dtype=complex)
             for g, coeff in factors:
-                out = out @ flows[g](coeff * t)
+                f = done.get((g, coeff))
+                if f is None:
+                    f = done[g, coeff] = flows[g](coeff * t)
+                out = out @ f
             return out
         return step
 
@@ -227,8 +234,8 @@ def apply_scheme(scheme: Scheme, params, gens: GeneratorSet,
     """Ordered product of matrix exponentials for one time step.
 
     An all-Hermitian generator set is multiplied in the generators'
-    eigenbases; any other set forms each factor on its own, ``expm``
-    for a non-Hermitian generator (see the module notes).  Raises
+    eigenbases; any other set forms each distinct factor on its own,
+    ``expm`` for a non-Hermitian generator (see the module notes).  Raises
     ``ValueError`` for a non-finite ``t``.
     """
     if not math.isfinite(t):
@@ -270,8 +277,8 @@ def scaling_fit(scheme: Scheme, params, gens: GeneratorSet,
     An all-Hermitian set (a spin chain) is diagonalized once per call
     and every grid point's product runs in the generators' eigenbases,
     one dense product per factor; H is diagonalized once too.  Other
-    sets take one ``expm`` per non-Hermitian factor and per grid point
-    (see the module notes).
+    sets take one ``expm`` per distinct non-Hermitian factor and per grid
+    point (see the module notes).
     """
     if points < 5:
         raise ValueError("need at least five grid points")

@@ -6,10 +6,15 @@ both), with no packing, no degree bucketing and no truncation
 cleverness, so that the library's optimized arithmetic can be checked
 against an independent route.  Slow on purpose; only exercised at small degree.
 The exceptions are ``n_rmul_exp``, the per-degree array kernel that the
-flat product kernel is checked against, value for value, and
-``n_read_top``/``n_epsilon``, which read the top degree one generator
-ordering at a time, each in its own basis, where ``schemes.epsilon``
-reads every ordering in one solve.
+flat product kernel is checked against, value for value;
+``n_series_exp``/``n_series_log``, which sum the power series on
+``NCSeries`` one full power u^k at a time, where ``free_algebra`` runs
+one truncated Horner sum; ``n_read_top``/``n_epsilon``, which read the
+top degree one generator ordering at a time, each in its own basis,
+where ``schemes.epsilon`` reads every ordering in one solve; and
+``n_order_residuals`` and ``n_evaluate``, the routes through a
+``LieSeries`` and through ``Fraction`` arithmetic that
+``schemes._order_residuals`` and ``LinExpr.evaluate`` shortcut.
 """
 
 from fractions import Fraction
@@ -19,9 +24,9 @@ from math import factorial
 import numpy as np
 
 from liesplit.constraints import symbolic_log
-from liesplit.free_algebra import _add_at, concat_index, word_index
+from liesplit.free_algebra import NCSeries, _add_at, concat_index, mul, word_index
 from liesplit.hall import hall_degree
-from liesplit.schemes import (_TIE_RTOL, ErrorReport, _basis_for, _order_residuals,
+from liesplit.schemes import (_TIE_RTOL, ErrorReport, _basis_for, _order_conditions,
                               _product_log, _read, _require_numeric)
 
 
@@ -64,6 +69,33 @@ def n_log(x: dict, degrees, D: int) -> dict:
         power = n_mul(power, u, degrees, D)
         out = n_add(out, n_scale(power, Fraction((-1) ** (k + 1), k)))
     return out
+
+
+def _power_sum(result: NCSeries, u: NCSeries, coefficient) -> NCSeries:
+    """``result`` + sum_{k<=D} coefficient(k) u^k, each power u^k formed in
+    full by ``mul`` and added by the series ``+``, for a rational
+    ``coefficient`` taken in u's coefficient domain."""
+    in_float, power = isinstance(u.unit(), float), u
+    for k in range(1, u.max_degree + 1):
+        c = coefficient(k)
+        result = result + (power if c == 1 else power.scale(float(c) if in_float else c))
+        power = mul(power, u)
+        if not power:
+            break
+    return result
+
+
+def n_series_exp(x: NCSeries) -> NCSeries:
+    """sum_{k<=D} x^k / k! by ``_power_sum``."""
+    return _power_sum(NCSeries.one(x.alphabet, x.max_degree, unit=x.unit()), x,
+                      lambda k: Fraction(1, factorial(k)))
+
+
+def n_series_log(x: NCSeries) -> NCSeries:
+    """sum_{k<=D} (-1)^(k+1) (x-1)^k / k by ``_power_sum``."""
+    u = NCSeries(x.alphabet, x.max_degree, {d: x.array(d) for d in x.degrees() if d})
+    return _power_sum(NCSeries.zero(x.alphabet, x.max_degree), u,
+                      lambda k: Fraction((-1) ** (k + 1), k))
 
 
 def n_rmul_exp(arrays: dict, degrees, exponent) -> None:
@@ -174,12 +206,31 @@ def n_read_top(scheme, series, D: int) -> dict:
     return out
 
 
+def n_order_residuals(series, basis, p: int) -> dict:
+    """``schemes._order_residuals`` by way of a ``LieSeries``: the
+    coordinates of degrees 1..p as one dict, each degree's order
+    conditions (``_order_conditions``) from it."""
+    lie, zero = _read(series, basis, range(1, p + 1)), series.unit() * 0
+    return {d: max((abs(c) for c in _order_conditions(lie, d, zero)), key=lambda r: (r != r, r))
+            for d in range(1, p + 1)}
+
+
+def n_evaluate(expr, values):
+    """``LinExpr.evaluate`` in the expression's own ``Fraction`` arithmetic,
+    float slot values through ``Fraction``'s float fallback."""
+    out = expr.const
+    for s, c in expr.coeffs:
+        out = out + c * values[s]
+    return out
+
+
 def n_epsilon(scheme, params, p: int, tolerance: float = 1e-10) -> ErrorReport:
-    """``schemes.epsilon`` with the top degree read by ``n_read_top``."""
+    """``schemes.epsilon`` with the top degree read by ``n_read_top`` and
+    the order residuals by ``n_order_residuals``."""
     _require_numeric(params, "epsilon")
     D = p + 1
     series = _product_log(scheme, params, D)
-    residuals = _order_residuals(series, _basis_for(scheme, D, None), p)
+    residuals = n_order_residuals(series, _basis_for(scheme, D, None), p)
     coeffs = n_read_top(scheme, series, D)
     worst = max((float(abs(v)) for v in residuals.values()), key=lambda r: (r != r, r))
     if not worst <= tolerance:

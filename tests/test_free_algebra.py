@@ -9,13 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liesplit import NCSeries, exp, log, make_alphabet, mul, series_from_generator
+from liesplit import NCSeries, exp, free_algebra, log, make_alphabet, mul, series_from_generator
 from liesplit._dense import dense_product_log
 from liesplit.catalog import catalog
+from liesplit.constraints import symbolic_log
 from liesplit.free_algebra import degree_offsets, degree_words, rmul_exp
 from liesplit.polynomials import MultiPoly
+from liesplit.schemes import build_scheme
 
-from _naive import n_exp, n_log, n_mul, n_rmul_exp
+from _naive import n_exp, n_log, n_mul, n_rmul_exp, n_series_exp, n_series_log
 
 AB = make_alphabet("AB")
 A, B = AB
@@ -367,6 +369,100 @@ def test_float_rmul_exp_agrees_with_exact(n, D):
     for d, w in enumerate(want):
         assert approx.array(d).dtype == float
         assert np.abs(approx.array(d) - w).max() <= 1e-14 * scale
+
+
+# ------------------------------------- Horner kernel against the power sum
+
+
+def _same_series(got, want):
+    """Equal words and coefficients, and the same type for each."""
+    assert got == want
+    assert [type(c) for _, c in got.items()] == [type(c) for _, c in want.items()]
+
+
+@pytest.mark.parametrize("alphabet,D,a,b", GRADED_CASES)
+def test_horner_matches_power_sum_on_graded_cases(alphabet, D, a, b):
+    sa, sb = (NCSeries.from_words(alphabet, D, w) for w in (a, b))
+    for s in (sa, sb):
+        _same_series(exp(s), n_series_exp(s))
+    prod = n_series_exp(sa) * n_series_exp(sb)
+    _same_series(log(prod), n_series_log(prod))
+
+
+@pytest.mark.parametrize("n,D", [(2, 6), (3, 4)])
+@pytest.mark.parametrize("coefficient,unit", [(_fraction, Fraction(1)),
+                                              (_poly, MultiPoly.constant(1, _XY))],
+                         ids=["fraction", "poly"])
+def test_horner_log_matches_power_sum_on_random_factors(n, D, coefficient, unit):
+    factors = _random_factors(n, 5, coefficient, seed=10 * n + D)
+    prod = _in_place_product(make_alphabet("ABC"[:n]), D, [((g, c),) for g, c in factors], unit)
+    _same_series(log(prod), n_series_log(prod))
+
+
+# the design benchmark's condition-count and freedom templates (n, family, m, p)
+TEMPLATES = [(2, "N", 7, 5), (2, "S", 9, 5), (2, "SL", 15, 8), (3, "S", 9, 3),
+             (3, "SL", 17, 6), (3, "SE", 21, 6), (2, "S", 9, 4), (3, "SL", 17, 4),
+             (2, "SL", 15, 6)]
+
+
+@pytest.mark.parametrize("n,family,m,p", TEMPLATES, ids=lambda v: str(v))
+def test_horner_log_matches_power_sum_on_templates(n, family, m, p, monkeypatch):
+    """The polynomial products ``symbolic_log`` forms, each taken through
+    ``free_algebra.log`` as a module attribute (where a tracer wraps it)."""
+    products, real = [], free_algebra.log
+
+    def recorded(x):
+        products.append(x)
+        return real(x)
+
+    monkeypatch.setattr(free_algebra, "log", recorded)
+    symbolic_log(build_scheme(n, family, m), p)
+    assert len(products) == 1
+    _same_series(real(products[0]), n_series_log(products[0]))
+
+
+_FLOAT_ENTRIES = sorted(name for name, e in catalog().items()
+                        if any(isinstance(v, float) for v in e.params.values.values()))
+
+
+@pytest.mark.parametrize("name", _FLOAT_ENTRIES)
+def test_float_log_agrees_with_exact_log(name):
+    """A float catalog product-log against the exact one of the same
+    factor coefficients, each converted to a ``Fraction``: within 8 D
+    machine epsilons of the largest exact coefficient."""
+    entry = catalog()[name]
+    values = entry.scheme.resolve_slots(entry.params)
+    factors = [(g, e.evaluate(values)) for g, e in entry.scheme.factors]
+    alphabet, D = make_alphabet(entry.scheme.letters), entry.order + 1
+    approx = dense_product_log(alphabet, D, [((g, float(c)),) for g, c in factors])
+    exact = dense_product_log(alphabet, D, [((g, Fraction(c)),) for g, c in factors])
+    want = {d: exact.array(d).astype(float) for d in range(1, D + 1)}
+    scale = max(np.abs(w).max() for w in want.values())
+    for d, w in want.items():
+        assert approx.array(d).dtype == float
+        assert np.abs(approx.array(d) - w).max() <= 8 * D * np.finfo(float).eps * scale, d
+
+
+@pytest.mark.parametrize("n,D,products", [(2, 5, 288), (2, 7, 2088), (3, 7, 24624)])
+def test_horner_log_truncates_inner_terms(n, D, products, monkeypatch):
+    """Coefficient products of a dense float log, counted per block: the
+    power sum takes 444, 4,092 and 59,868."""
+    count, real = [], free_algebra._positions
+
+    def counted(degrees, d1, d2):
+        count.append(len(degree_words(degrees, d1)) * len(degree_words(degrees, d2)))
+        return real(degrees, d1, d2)
+
+    rng = np.random.default_rng(n + D)
+    arrays = {d: 0.1 * rng.standard_normal(n ** d) for d in range(1, D + 1)}
+    x = NCSeries(make_alphabet("ABC"[:n]), D, {0: [1.0], **arrays})
+    monkeypatch.setattr(free_algebra, "_positions", counted)
+    got = log(x)
+    assert sum(count) == products
+    monkeypatch.setattr(free_algebra, "_positions", real)
+    want = n_series_log(x)
+    for d in range(1, D + 1):
+        assert np.abs(got.array(d) - want.array(d)).max() <= 1e-14
 
 
 # ------------------------------------------------ property-based checks

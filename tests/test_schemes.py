@@ -32,7 +32,7 @@ from liesplit.schemes import (
     yoshida_recursive,
 )
 
-from _naive import n_epsilon, n_read_top
+from _naive import n_epsilon, n_evaluate, n_order_residuals, n_read_top
 
 ALL_CASES = [
     (2, "N", 6), (2, "N", 7),
@@ -303,6 +303,58 @@ def test_epsilon_order_residuals_match_verify_order(name):
     e = CATALOG[name]
     rep = epsilon(e.scheme, e.params, e.order)
     assert rep.order_residuals == verify_order(e.scheme, e.params, e.order)[1]
+
+
+def _typed(residuals):
+    return {d: (type(v), v.hex() if isinstance(v, float) else v) for d, v in residuals.items()}
+
+
+@pytest.mark.parametrize("words,p", [
+    ({(0,): Fraction(1), (1,): Fraction(1)}, 3),                  # degrees 2, 3 absent
+    ({(0, 1): Fraction(2), (1, 0): Fraction(-2)}, 3),             # degree 1 absent
+    ({(0,): 0.5, (1,): 1.0, (0, 1): 1e-3, (1, 0): -1e-3}, 4),     # float, 3 and 4 absent
+], ids=["exact-top-absent", "exact-first-absent", "float"])
+def test_order_residuals_of_absent_degrees(words, p):
+    """Degrees with no stored words count as zero coordinates, in the
+    series' domain, as the route through a ``LieSeries`` counts them."""
+    alphabet = make_alphabet("AB")
+    series = NCSeries.from_words(alphabet, p, words)
+    basis = build_hall_basis(alphabet, p)
+    assert _typed(schemes._order_residuals(series, basis, p)) == \
+        _typed(n_order_residuals(series, basis, p))
+
+
+def test_order_residuals_reject_a_non_lie_series():
+    alphabet = make_alphabet("AB")
+    series = NCSeries.from_words(alphabet, 2, {(0,): Fraction(1), (0, 1): Fraction(1)})
+    with pytest.raises(RuntimeError, match="non-Lie residual"):
+        schemes._order_residuals(series, build_hall_basis(alphabet, 2), 2)
+
+
+def test_linexpr_float_evaluation_matches_fraction_arithmetic():
+    """Every catalog factor's coefficient, float or exact, is the value and
+    type that ``Fraction`` arithmetic gives (floats ``float.hex``-equal)."""
+    count = 0
+    for e in CATALOG.values():
+        values = e.scheme.resolve_slots(e.params)
+        for _, expr in e.scheme.factors:
+            got, want = expr.evaluate(values), n_evaluate(expr, values)
+            assert type(got) is type(want)
+            assert (got.hex() if isinstance(got, float) else got) == \
+                (want.hex() if isinstance(want, float) else want)
+            count += 1
+    assert count == sum(e.scheme.m for e in CATALOG.values())
+
+
+def test_linexpr_evaluation_keeps_exact_and_polynomial_types():
+    a, b = LinExpr.slot("a"), LinExpr.slot("b")
+    e = Fraction(1, 3) + 2 * a - b
+    x = MultiPoly.variable("x", ("x",))
+    assert e.evaluate({"a": Fraction(1, 2), "b": 2}) == Fraction(-2, 3)
+    assert type(e.evaluate({"a": Fraction(1, 2), "b": 2})) is Fraction
+    assert e.evaluate({"a": x, "b": Fraction(1)}) == 2 * x - Fraction(2, 3)
+    assert e.evaluate({"a": 0.25, "b": 1.5}).hex() == n_evaluate(e, {"a": 0.25, "b": 1.5}).hex()
+    assert type(LinExpr.constant(3).evaluate({})) is Fraction
 
 
 # ------------------------------------------ one top-degree read, every ordering

@@ -136,14 +136,20 @@ def test_chain_fit_diagonalizes_instead_of_expm(cat, monkeypatch):
     assert calls == []
 
 
+def _distinct_factors(scheme, params):
+    return {(g, float(c)) for g, c in scheme.resolve(params)}
+
+
 @pytest.mark.parametrize("klass", ["random-general",
                                    "random-antihermitian"])
 def test_non_hermitian_fit_calls_expm_per_factor(cat, klass, monkeypatch):
+    # one expm per distinct factor (6 of m11's 11) and one for e^{tH}
     calls = _counted_expm(monkeypatch)
     e = cat["n2-p4-s-m11-opt"]
     gens = build_generators(klass, n=2, dim=16, seed=3)
     rep = scaling_fit(e.scheme, e.params, gens)
-    assert len(calls) == len(rep.t_grid) * (e.scheme.m + 1) == 28 * 12
+    distinct = len(_distinct_factors(e.scheme, e.params))
+    assert len(calls) == len(rep.t_grid) * (distinct + 1) == 28 * 7
 
 
 def _expm_stepper(scheme, params, gens):
@@ -184,12 +190,27 @@ def test_mixed_set_takes_per_factor_path(cat, monkeypatch):
     general = build_generators("random-general", n=2, dim=6, seed=4)
     gens = GeneratorSet(2, 6, (herm, general.matrices[1]), "mixed", None)
     e = cat["n2-p4-s-m11-opt"]
-    non_hermitian = sum(1 for g, _ in e.scheme.factors if g == 1)
+    non_hermitian = sum(1 for g, _ in _distinct_factors(e.scheme, e.params) if g == 1)
     calls = _counted_expm(monkeypatch)
     u = apply_scheme(e.scheme, e.params, gens, 0.4)
     assert len(calls) == non_hermitian > 0
     ref = _expm_stepper(e.scheme, e.params, gens)(0.4)
     assert operator_norm(u - ref) <= 1e-12 * operator_norm(ref)
+
+
+@pytest.mark.parametrize("name,m,distinct", [("n2-p2-sl-m3-leapfrog", 3, 2),
+                                             ("n2-p4-s-m11-opt", 11, 6),
+                                             ("n2-p6-sl-m19-opt", 19, 10)])
+def test_repeated_factors_share_one_expm(cat, name, m, distinct, monkeypatch):
+    e = cat[name]
+    gens = build_generators("random-general", n=2, dim=8, seed=5)
+    ref = [_expm_stepper(e.scheme, e.params, gens)(t) for t in (0.05, 0.3)]
+    calls = _counted_expm(monkeypatch)
+    got = [apply_scheme(e.scheme, e.params, gens, t) for t in (0.05, 0.3)]
+    assert e.scheme.m == m and len(_distinct_factors(e.scheme, e.params)) == distinct
+    assert len(calls) == 2 * distinct
+    for u, r in zip(got, ref):
+        assert np.array_equal(u, r)
 
 
 # ------------------------------------------------------- apply_scheme
