@@ -454,7 +454,7 @@ def _max_leaf(e: HallElement) -> int:
     return max(_max_leaf(e[0]), _max_leaf(e[1]))
 
 
-def lie_coordinates(s: NCSeries, basis: HallBasis, degrees: Sequence[int] | None = None):
+def lie_coordinates(s: NCSeries, basis: HallBasis):
     """Hall coordinates of a word series, degree by degree.
 
     Returns ``(LieSeries, residual)`` where residual is the max-norm of
@@ -462,8 +462,7 @@ def lie_coordinates(s: NCSeries, basis: HallBasis, degrees: Sequence[int] | None
     for true Lie elements in exact mode, NaN if any degree's is).  Each
     degree's coefficient array goes to ``basis.coords_from_dense`` as
     stored: a float64 array is read in float, an object array exactly.
-    ``degrees`` limits the read to those degrees (default: all).  Raises
-    if ``s`` extends beyond the basis truncation.
+    Raises if ``s`` extends beyond the basis truncation.
     """
     if s.max_degree > basis.max_degree:
         raise ValueError("series truncation exceeds basis truncation")
@@ -474,8 +473,6 @@ def lie_coordinates(s: NCSeries, basis: HallBasis, degrees: Sequence[int] | None
     coords: dict = {}
     residuals = [0]
     for d in s.degrees():
-        if degrees is not None and d not in degrees:
-            continue
         cvec, res = basis.coords_from_dense(d, s.array(d))
         residuals.append(res)
         coords.update({e: c for e, c in zip(basis.by_degree.get(d, ()), cvec.tolist()) if c})

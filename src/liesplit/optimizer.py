@@ -11,6 +11,16 @@ a leading coefficient changes sign.  Gradient descent is useless there, so
 the outer loop is seeded low-discrepancy multi-start plus Nelder-Mead,
 re-solving the constraints at every probe.
 
+Newton's line search tries the full step, then the halvings t = 2**-1 ...
+2**-29 in three chunks of 4, 8 and 17 step lengths, each chunk evaluated
+in one batched residual call; it takes the largest t whose max residual
+is below the current one, which is the rule of trying them one at a time,
+and gives bit-identical roots.  Residual and Jacobian are read off one
+table of slot powers, and the step is one LAPACK ``dgesv``.  Along a
+sweep and within a Nelder-Mead polish, each solve starts from a secant
+predictor: the sheet's last root moved along the chord through its last
+two roots (see ``_predicted``).
+
 Both the conditions and, when the chart has a free direction, the error
 measure are compiled once per (scheme, p) into polynomials in the free
 slots.  The error rows are the degree-(p+1) Hall coordinates of every
@@ -41,6 +51,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import optimize as sciopt
+from scipy.linalg import lapack
 from scipy.stats import qmc
 
 from .constraints import ConstraintSystem, analyze_freedom, symbolic_log
@@ -57,6 +68,9 @@ __all__ = [
 
 _RESIDUAL_TOL = 1e-12
 _DEDUP_TOL = 1e-5
+# the step fractions of Newton's line search: the full step, then the
+# halvings 2**-1 ... 2**-29 in geometric chunks, each evaluated at once
+_HALVINGS = (np.ones(1), *np.split(np.ldexp(1.0, -np.arange(1, 30)), [4, 12]))
 
 
 class ManifoldError(RuntimeError):
@@ -129,7 +143,15 @@ def _error_rows(scheme: Scheme, p: int) -> _ErrorRows:
 
 class _Manifold:
     """Square Newton system for the dependent slots at pinned free slots,
-    on points ordered like ``scheme.free_slots``."""
+    on points ordered like ``scheme.free_slots``.
+
+    Every residual and Jacobian is read off one table of slot powers
+    x_j ** k (k up to the largest exponent): a gather and a product give
+    the monomials, and one ``coeffs @ monomials`` per point the rows.
+    ``counts`` tallies the solves, their failures by reason, the
+    Jacobians, the residual points and the kernel calls that evaluated
+    them.
+    """
 
     def __init__(self, scheme: Scheme, p: int, free: Sequence[str]):
         free = tuple(free)
@@ -151,11 +173,18 @@ class _Manifold:
                 f"{len(self.dependent)} dependent slot(s) against "
                 f"{len(self._coeffs)} active condition(s); choose "
                 f"{len(slots) - len(self._coeffs)} free slot(s)")
+        self._abs_coeffs = np.abs(self._coeffs)
+        self._powers = np.arange(self._exps.max(initial=0) + 1)
+        # a monomial's factors x_j ** e_j as positions in a flat power table
+        offsets = np.arange(len(slots)) * len(self._powers)
+        self._at = offsets + self._exps
         # d/dx_j of x**e is e_j * x**(e lowered by one in slot j); clipping
         # at zero keeps 0**-1 out where e_j = 0 multiplies the term away
         unit = np.eye(len(slots), dtype=int)[self._dep_at]
         self._dexps = self._exps[:, self._dep_at].T
-        self._lowered = (self._exps[None] - unit[:, None, :]).clip(min=0)
+        self._lowered_at = offsets + (self._exps[None] - unit[:, None, :]).clip(min=0)
+        self.counts = {"solves": 0, "failed": 0, "failures": {}, "jacobians": 0,
+                       "residual_points": 0, "residual_calls": 0}
 
     def point(self, free_values, dep_values) -> np.ndarray:
         x = np.empty(len(self.slots))
@@ -166,57 +195,107 @@ class _Manifold:
     def params(self, free_values, dep_values) -> dict[str, float]:
         return dict(zip(self.slots, self.point(free_values, dep_values).tolist()))
 
+    def _table(self, points) -> np.ndarray:
+        """Slot powers x_j ** k of each point: (points, slots, k)."""
+        return points[:, :, None] ** self._powers
+
+    def _rows(self, table, coeffs=None) -> np.ndarray:
+        """The compiled rows at each point of ``table``: (points, rows)."""
+        # ``take`` keeps the monomials C-ordered: a strided vector would
+        # reach BLAS by another kernel and round differently
+        monomials = table.reshape(len(table), -1).take(self._at, axis=1).prod(axis=2)
+        # a stacked product runs one gemv per point, as ``coeffs @ m`` does;
+        # one gemm over the batch would round differently
+        return ((self._coeffs if coeffs is None else coeffs) @ monomials[:, :, None])[:, :, 0]
+
+    def _derivatives(self, table) -> np.ndarray:
+        """The Jacobian in the dependent slots from one point's table."""
+        self.counts["jacobians"] += 1
+        lowered = table.ravel().take(self._lowered_at).prod(axis=2)
+        return self._coeffs @ (self._dexps * lowered).T
+
     def residual(self, dep_values, free_values) -> np.ndarray:
-        x = self.point(free_values, dep_values)
-        return self._coeffs @ np.prod(x ** self._exps, axis=1)
+        return self._rows(self._table(self.point(free_values, dep_values)[None]))[0]
 
     def _jacobian(self, dep_values, free_values) -> np.ndarray:
-        x = self.point(free_values, dep_values)
-        return self._coeffs @ (self._dexps * np.prod(x ** self._lowered, axis=2)).T
+        return self._derivatives(self._table(self.point(free_values, dep_values)[None])[0])
+
+    def _residuals(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(tables, rows, max norms) at each of ``points``, counted."""
+        self.counts["residual_points"] += len(points)
+        self.counts["residual_calls"] += 1
+        tables = self._table(points)
+        rows = self._rows(tables)
+        return tables, rows, np.abs(rows).max(axis=1)
+
+    def _failure(self, message: str) -> ManifoldError:
+        reason = message.split(":")[0]
+        failures = self.counts["failures"]
+        self.counts["failed"] += 1
+        failures[reason] = failures.get(reason, 0) + 1
+        return ManifoldError(message)
 
     def solve(self, free_values, guess, maxiter: int = 60) -> np.ndarray:
+        """Damped Newton from ``guess``.  A step is tried in full, then at
+        t = 2**-1 ... 2**-29 in the chunks of ``_HALVINGS``; the largest t
+        whose max residual is finite and below the current one is taken.
+        It stops at a max residual of 1e-15 or when no t improves, and
+        accepts at most ``_RESIDUAL_TOL``."""
         if not self.dependent:
+            self.counts["solves"] += 1
             return np.zeros(0)
-        x = np.asarray(guess, float).copy()
+        x = np.array(guess, float)
         if x.shape != (len(self.dependent),):
             raise ValueError(f"guess must assign {len(self.dependent)} "
                              f"dependent slot(s)")
-        r = self.residual(x, free_values)
-        rn = float(np.max(np.abs(r)))
-        if not np.isfinite(rn):
-            raise ManifoldError("non-finite residual at the initial guess")
-        for _ in range(maxiter):
-            if rn <= 1e-15:
-                break
-            jac = self._jacobian(x, free_values)
-            if not np.all(np.isfinite(jac)):
-                raise ManifoldError("non-finite Jacobian")
-            try:
-                step = np.linalg.solve(jac, r)
-            except np.linalg.LinAlgError as exc:
-                raise ManifoldError("singular Jacobian") from exc
-            if not np.all(np.isfinite(step)):
-                raise ManifoldError("non-finite Newton step")
-            t, improved = 1.0, False
-            for _ in range(30):
-                xt = x - t * step
-                rt = self.residual(xt, free_values)
-                nt = float(np.max(np.abs(rt)))
-                if np.isfinite(nt) and nt < rn:
-                    x, r, rn, improved = xt, rt, nt, True
+        self.counts["solves"] += 1
+        # the current point in every slot; a step moves only the dependent ones
+        point, step = self.point(free_values, x), np.zeros(len(self.slots))
+        # a non-finite residual or Jacobian is a named failure, and a
+        # non-finite trial point a rejected one: no floating-point warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            tables, rows, norms = self._residuals(point[None])
+            table, r, rn = tables[0], rows[0], norms[0]
+            if not np.isfinite(rn):
+                raise self._failure("non-finite residual at the initial guess")
+            for _ in range(maxiter):
+                if rn <= 1e-15:
                     break
-                t *= 0.5
-            if not improved:
-                break
+                jac = self._derivatives(table)
+                if not np.isfinite(jac).all():
+                    raise self._failure("non-finite Jacobian")
+                _, _, step[self._dep_at], info = lapack.dgesv(jac, r)
+                if info:
+                    raise self._failure("singular Jacobian")
+                if not np.isfinite(step).all():
+                    raise self._failure("non-finite Newton step")
+                for ts in _HALVINGS:
+                    points = point - ts[:, None] * step
+                    tables, rows, norms = self._residuals(points)
+                    # NaN compares false: a non-finite trial never improves
+                    better = norms < rn
+                    k = better.argmax()
+                    if better[k]:
+                        point, table, r, rn = points[k], tables[k], rows[k], norms[k]
+                        break
+                else:  # no step length improves
+                    break
         if rn > _RESIDUAL_TOL:
-            raise ManifoldError(f"no convergence: residual {rn:.3e}")
-        terms = np.prod(np.abs(self.point(free_values, x)) ** self._exps, axis=1)
-        scale = float(np.max(np.abs(self._coeffs) @ terms))
+            raise self._failure(f"no convergence: residual {rn:.3e}")
+        scale = float(self._rows(self._table(np.abs(point)[None]), self._abs_coeffs).max())
         # where machine epsilon times the largest term exceeds ``epsilon``'s
         # non-Lie threshold, a zero residual is cancellation in rounding
         if np.finfo(float).eps * scale > _NON_LIE_TOL:
-            raise ManifoldError(f"spurious root: terms of size {scale:.3e} cancel in rounding")
-        return x
+            raise self._failure(f"spurious root: terms of size {scale:.3e} cancel in rounding")
+        return point[self._dep_at]
+
+
+def _guess_ladder(k: int) -> list[np.ndarray]:
+    """The starting points ``solve_on_manifold`` tries for ``k`` dependent
+    slots when the caller passes no guess, in order."""
+    ladder = [np.full(k, fill) for fill in (0.5, 0.2, -0.3, 1.0, -0.8)]
+    halton = qmc.Halton(d=max(k, 1), scramble=True, seed=11).random(8) * 2.0 - 1.0
+    return ladder + [row[:k] for row in halton]
 
 
 def solve_on_manifold(scheme: Scheme, p: int,
@@ -231,19 +310,21 @@ def solve_on_manifold(scheme: Scheme, p: int,
     no guess a small deterministic ladder of starting points is tried.
     With everything pinned (or every condition baked into the template
     closures) this returns in zero iterations.
+
+    Each Newton step is tried in full, then at t = 2**-1 ... 2**-29; the
+    largest t that lowers the max residual is taken, and Newton stops
+    when none does or the residual reaches 1e-15.  A root is accepted at
+    a max residual of at most 1e-12, unless its terms are so large that
+    machine epsilon times them exceeds the non-Lie threshold of
+    ``epsilon``.  No predictor is used: the guess is where Newton starts.
     """
     man = _Manifold(scheme, p, tuple(free_values))
     free_vec = [float(v) for v in free_values.values()]
     if guess is None:
-        ladder = [np.full(len(man.dependent), fill)
-                  for fill in (0.5, 0.2, -0.3, 1.0, -0.8)]
-        ladder += list(qmc.Halton(d=max(len(man.dependent), 1),
-                                  scramble=True, seed=11)
-                       .random(8) * 2.0 - 1.0)
         dep = None
-        for cand in ladder:
+        for cand in _guess_ladder(len(man.dependent)):
             try:
-                dep = man.solve(free_vec, cand[:len(man.dependent)])
+                dep = man.solve(free_vec, cand)
                 break
             except ManifoldError:
                 continue
@@ -356,6 +437,27 @@ def _start_points(problem: OptimizationProblem, f: int, dep: int):
             for s in starts]
 
 
+def _predicted(root, x) -> np.ndarray:
+    """A Newton guess at free point ``x`` from the last root of a sheet.
+
+    ``root`` is ``(free point, dependent vector, before)``, with ``before``
+    the sheet's root before it as a (free point, dependent vector) pair,
+    or None.  The guess is the secant step of continuation: the last root
+    moved along the chord through the two roots, by the projection of
+    x - free point onto the chord's free part.  So it is exact to first
+    order along the last move, in any number of free slots; without a
+    root before, or with both at one free point, it is the last root.
+    """
+    at, dv, before = root
+    if before is None:
+        return dv
+    chord = at - before[0]
+    norm = chord @ chord
+    if not norm:
+        return dv
+    return dv + (dv - before[1]) * ((x - at) @ chord / norm)
+
+
 def _multi_start(problem: OptimizationProblem, man: _Manifold, report_at,
                  counts: dict, diagnostics: list) -> tuple[list, float]:
     """The sweep and polish passes of ``minimize_epsilon`` on a chart with
@@ -378,7 +480,7 @@ def _multi_start(problem: OptimizationProblem, man: _Manifold, report_at,
 
     # ---- sweep pass: chart the sheets, rank candidate points
     starts = _start_points(problem, f, dep)
-    sheets: list[tuple[float, np.ndarray]] = []  # (last eps, dep vector)
+    sheets: list[tuple[float, tuple]] = []  # (last eps, root as ``_predicted`` takes)
     candidates: list[tuple[float, np.ndarray, np.ndarray]] = []
     max_sheets = 16
     for idx, (x0, raws) in enumerate(starts):
@@ -386,9 +488,10 @@ def _multi_start(problem: OptimizationProblem, man: _Manifold, report_at,
                        "converged": False}
         # track every carried sheet, then probe the raw guesses;
         # dedupe before the (much more expensive) error evaluation
-        carried: list[tuple[float, np.ndarray]] = []
+        carried: list[tuple[float, np.ndarray, tuple]] = []
         fresh: list[np.ndarray] = []
-        for prev_e, guess in sheets + [(None, g) for g in raws]:
+        guesses = [(prev_e, _predicted(root, x0), root) for prev_e, root in sheets]
+        for prev_e, guess, root in guesses + [(None, g, None) for g in raws]:
             try:
                 dv = man.solve(x0, guess)
             except ManifoldError:
@@ -398,35 +501,35 @@ def _multi_start(problem: OptimizationProblem, man: _Manifold, report_at,
                    for s in seen):
                 continue
             if prev_e is not None:
-                carried.append((prev_e, dv))
+                carried.append((prev_e, dv, root[:2]))
             elif len(fresh) < 4:
                 fresh.append(dv)
         # a fresh sheet always gets an error value; carried ones are
         # re-measured every third start to keep the sweep affordable
-        hits: list[tuple[float, np.ndarray]] = []
+        hits: list[tuple[float, np.ndarray, tuple | None]] = []
         measure = idx % 3 == 0 or idx == len(starts) - 1
-        for prev_e, dv in carried:
+        for prev_e, dv, before in carried:
             if not measure:
-                hits.append((prev_e, dv))
+                hits.append((prev_e, dv, before))
                 continue
             try:
                 e = error_at(x0, dv)
             except (ValueError, RuntimeError):
                 continue
-            hits.append((e, dv))
+            hits.append((e, dv, before))
             candidates.append((e, x0, dv))
         for dv in fresh:
             try:
                 e = error_at(x0, dv)
             except (ValueError, RuntimeError):
                 continue
-            hits.append((e, dv))
+            hits.append((e, dv, None))
             candidates.append((e, x0, dv))
         if hits:
             hits.sort(key=lambda h: (h[0], tuple(h[1])))
             entry.update(converged=True, sheets=len(hits),
                          epsilon=hits[0][0])
-            sheets = hits[:max_sheets]
+            sheets = [(e, (x0, dv, before)) for e, dv, before in hits[:max_sheets]]
         diagnostics.append(entry)
 
     # ---- polish pass: Nelder-Mead from the most promising candidates
@@ -453,20 +556,20 @@ def _multi_start(problem: OptimizationProblem, man: _Manifold, report_at,
 
     found = []
     for e0, x0, g0 in seeds:
-        warm = [np.asarray(g0, float)]
+        warm = [(np.asarray(x0, float), np.asarray(g0, float), None)]
 
         def objective(x) -> float:
             if np.any(np.abs(x) > wall):
                 return 1e12 + float(np.sum(np.abs(x)))
             try:
-                dv = man.solve(x, warm[0])
+                dv = man.solve(x, _predicted(warm[0], x))
                 e = error_at(x, dv)
             except (ManifoldError, ValueError, RuntimeError):
                 return float("inf")
             # Newton refuses a root whose residual cancels in rounding
             # (near the singular chart b_1 = 0 of S m9), so only a true
             # root warm-starts the next probe
-            warm[0] = dv
+            warm[0] = (np.array(x, float), dv, warm[0][:2])
             return e
 
         try:
@@ -475,7 +578,7 @@ def _multi_start(problem: OptimizationProblem, man: _Manifold, report_at,
                 options={"xatol": 1e-12, "fatol": 1e-12,
                          "maxiter": 400 * f, "maxfev": 600 * f})
             xmin = np.asarray(res.x, float)
-            dv = man.solve(xmin, warm[0])
+            dv = man.solve(xmin, _predicted(warm[0], xmin))
             rep = report_at(xmin, dv)
         except (ManifoldError, ValueError, RuntimeError):
             continue
@@ -556,7 +659,9 @@ def minimize_epsilon(problem: OptimizationProblem) -> OptimizationResult:
     low-discrepancy guesses), so disconnected solution branches all get
     charted.  The polish pass runs Nelder-Mead
     from the best sweep candidates, solving the order conditions at every
-    probe.
+    probe.  A carried sheet, and each probe, starts Newton from the secant
+    predictor of its last two roots (``_predicted``), or from its last root
+    while it has only one.
 
     Both passes rank points by the compiled error rows (see the module
     docstring), built once per (scheme, p): 0.007 s for S m9 p4, 0.15 s
@@ -569,8 +674,12 @@ def minimize_epsilon(problem: OptimizationProblem) -> OptimizationResult:
     deduplicated and sorted by error.  The last ``diagnostics`` record
     names the route (``"eigenvalue"`` or ``"multi-start"``), the
     objective (``"compiled"`` or ``"epsilon"``), the compile time and the
-    counts of compiled evaluations and ``epsilon`` calls.  Fixed seed
-    means an identical result list.
+    counts of compiled evaluations and ``epsilon`` calls.  The record
+    before it, ``{"newton": {...}}``, counts the Newton solves, the failed
+    ones, their failures by reason (the ``ManifoldError`` message up to
+    its first colon), the Jacobians, the residual points and the batched
+    residual calls that evaluated them.  Fixed seed means an identical
+    result list.
     """
     t0 = time.perf_counter()
     scheme, p = problem.scheme, problem.p
@@ -588,6 +697,8 @@ def minimize_epsilon(problem: OptimizationProblem) -> OptimizationResult:
     else:
         route, compile_s = "eigenvalue", 0.0
         found = _root_search(man, report_at)
+    newton = dict(man.counts, failures=dict(sorted(man.counts["failures"].items())))
+    diagnostics.append({"newton": newton})
     diagnostics.append({"objective": "compiled" if man.free else "epsilon",
                         "compile_s": compile_s, **counts, "route": route})
 

@@ -489,10 +489,10 @@ def _product_log(scheme: Scheme, params, D: int) -> NCSeries:
                              [((g, e.evaluate(values)),) for g, e in scheme.factors])
 
 
-def _read(series: NCSeries, basis: HallBasis, degrees: Sequence[int] | None = None) -> LieSeries:
-    """``series``' Hall coordinates in ``basis`` (at ``degrees`` only, if
-    given); raises on a non-Lie residual above rounding, or any if exact."""
-    lie, residual = lie_coordinates(series, basis, degrees)
+def _read(series: NCSeries, basis: HallBasis) -> LieSeries:
+    """``series``' Hall coordinates in ``basis``; raises on a non-Lie
+    residual above rounding, or any if exact."""
+    lie, residual = lie_coordinates(series, basis)
     _check_lie(residual, series)
     return lie
 

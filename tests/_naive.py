@@ -26,7 +26,8 @@ import numpy as np
 from liesplit.constraints import symbolic_log
 from liesplit.free_algebra import NCSeries, _add_at, concat_index, mul, word_index
 from liesplit.hall import hall_degree
-from liesplit.schemes import (_TIE_RTOL, ErrorReport, _basis_for, _order_conditions,
+from liesplit.optimizer import _RESIDUAL_TOL, ManifoldError
+from liesplit.schemes import (_NON_LIE_TOL, _TIE_RTOL, ErrorReport, _basis_for, _order_conditions,
                               _product_log, _read, _require_numeric)
 
 
@@ -193,15 +194,23 @@ def p_mul(a: dict, b: dict) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
+def _at_degrees(series, degrees):
+    """``series`` with only its parts of the given degrees."""
+    present = series.degrees()
+    return NCSeries(series.alphabet, series.max_degree,
+                    {d: series.array(d) for d in degrees if d in present})
+
+
 def n_read_top(scheme, series, D: int) -> dict:
     """``series``' degree-D Hall coordinates in every generator ordering,
     each read by its own ``lie_coordinates`` call in its own basis:
     ``(element, coefficient)`` pairs in basis order, zeros included."""
     zero = 0.0 if isinstance(series.unit(), float) else Fraction(0)
+    top = _at_degrees(series, (D,))
     out = {}
     for ordering in permutations(scheme.letters):
         basis = _basis_for(scheme, D, ordering)
-        cd = _read(series, basis, (D,)).coords_at_degree(D)
+        cd = _read(top, basis).coords_at_degree(D)
         out[ordering] = tuple((e, cd.get(e, zero)) for e in basis.elements(D))
     return out
 
@@ -210,7 +219,7 @@ def n_order_residuals(series, basis, p: int) -> dict:
     """``schemes._order_residuals`` by way of a ``LieSeries``: the
     coordinates of degrees 1..p as one dict, each degree's order
     conditions (``_order_conditions``) from it."""
-    lie, zero = _read(series, basis, range(1, p + 1)), series.unit() * 0
+    lie, zero = _read(_at_degrees(series, range(1, p + 1)), basis), series.unit() * 0
     return {d: max((abs(c) for c in _order_conditions(lie, d, zero)), key=lambda r: (r != r, r))
             for d in range(1, p + 1)}
 
@@ -250,3 +259,60 @@ def n_epsilon(scheme, params, p: int, tolerance: float = 1e-10) -> ErrorReport:
                        ordering_best=best, epsilon=prefactor * sums[best],
                        sums_per_ordering=sums, coeffs_per_ordering=coeffs,
                        order_residuals=residuals)
+
+
+def n_manifold_solve(man, free_values, guess, maxiter: int = 60) -> np.ndarray:
+    """``optimizer._Manifold.solve`` with the sequential line search: every
+    residual and Jacobian from ``x ** exps`` at one point, the step by
+    ``np.linalg.solve``, the step lengths t = 1, 1/2, ..., 2**-29 tried one
+    at a time; the first that lowers the max residual is taken."""
+    exps, coeffs, dep_at = man._exps, man._coeffs, man._dep_at
+    unit = np.eye(len(man.slots), dtype=int)[dep_at]
+    dexps = exps[:, dep_at].T
+    lowered = (exps[None] - unit[:, None, :]).clip(min=0)
+
+    def residual(dep):
+        return coeffs @ np.prod(man.point(free_values, dep) ** exps, axis=1)
+
+    def jacobian(dep):
+        return coeffs @ (dexps * np.prod(man.point(free_values, dep) ** lowered, axis=2)).T
+
+    if not man.dependent:
+        return np.zeros(0)
+    x = np.asarray(guess, float).copy()
+    if x.shape != (len(man.dependent),):
+        raise ValueError(f"guess must assign {len(man.dependent)} dependent slot(s)")
+    r = residual(x)
+    rn = float(np.max(np.abs(r)))
+    if not np.isfinite(rn):
+        raise ManifoldError("non-finite residual at the initial guess")
+    for _ in range(maxiter):
+        if rn <= 1e-15:
+            break
+        jac = jacobian(x)
+        if not np.all(np.isfinite(jac)):
+            raise ManifoldError("non-finite Jacobian")
+        try:
+            step = np.linalg.solve(jac, r)
+        except np.linalg.LinAlgError as exc:
+            raise ManifoldError("singular Jacobian") from exc
+        if not np.all(np.isfinite(step)):
+            raise ManifoldError("non-finite Newton step")
+        t, improved = 1.0, False
+        for _ in range(30):
+            xt = x - t * step
+            rt = residual(xt)
+            nt = float(np.max(np.abs(rt)))
+            if np.isfinite(nt) and nt < rn:
+                x, r, rn, improved = xt, rt, nt, True
+                break
+            t *= 0.5
+        if not improved:
+            break
+    if rn > _RESIDUAL_TOL:
+        raise ManifoldError(f"no convergence: residual {rn:.3e}")
+    terms = np.prod(np.abs(man.point(free_values, x)) ** exps, axis=1)
+    scale = float(np.max(np.abs(coeffs) @ terms))
+    if np.finfo(float).eps * scale > _NON_LIE_TOL:
+        raise ManifoldError(f"spurious root: terms of size {scale:.3e} cancel in rounding")
+    return x

@@ -6,13 +6,16 @@ import json
 import numpy as np
 import pytest
 
-from _naive import central_difference_jacobian, condition_residual, n_read_top
+from _naive import central_difference_jacobian, condition_residual, n_manifold_solve, n_read_top
 from liesplit import constraints, optimizer
 from liesplit.catalog import build_scheme, catalog
 from liesplit.optimizer import (
     ManifoldError,
     OptimizationProblem,
+    _guess_ladder,
     _Manifold,
+    _predicted,
+    _start_points,
     minimize_epsilon,
     solve_on_manifold,
 )
@@ -101,6 +104,114 @@ def test_root_where_the_residual_cancels_in_rounding_is_rejected():
         solve_on_manifold(scheme, 4, {"b_1": 1.7e-16}, guess=[1.352, -1.27])
 
 
+def test_overflowing_guess_is_a_manifold_error():
+    # the residual overflows at the guess: a typed failure, no RuntimeWarning
+    scheme = build_scheme(2, "SL", 11)
+    with pytest.raises(ManifoldError, match="non-finite residual at the initial guess"):
+        solve_on_manifold(scheme, 4, {"w_2": 0.6}, guess=[1e200])
+
+
+# ------------------------------------------------- Newton against its oracle
+
+def _outcome(solve, *args):
+    try:
+        return "root", [v.hex() for v in solve(*args).tolist()]
+    except ManifoldError as exc:
+        return "error", str(exc)
+
+
+def _s9_sweep_guesses():
+    man = _Manifold(build_scheme(2, "S", 9), 4, ("b_1",))
+    problem = OptimizationProblem(man.scheme, 4, free_slots=("b_1",), starts=8, seed=0)
+    return man, [(x0, g) for x0, raws in _start_points(problem, 1, 2) for g in raws]
+
+
+def _sl19_ladder():
+    man = _Manifold(build_scheme(2, "SL", 19), 6, ("w_2",))
+    # the ladder, and test_mapping_guess_is_read_by_slot_name's guess in
+    # slot order (w_1, w_3, w_4) and in its key order
+    guesses = _guess_ladder(3) + [[0.19, 0.13, -0.84], [-0.84, 0.13, 0.19]]
+    return man, [([0.5553], g) for g in guesses]
+
+
+def _sl15_root_readings():
+    man = _Manifold(build_scheme(2, "SL", 15), 6, ())
+    at = [man.system.variables.index(s) for s in man.dependent]
+    readings = constraints.analyze_freedom(man.system).real_solutions
+    return man, [([], np.array(r)[at]) for r in readings]
+
+
+def _s9_cancel():
+    man = _Manifold(build_scheme(2, "S", 9), 4, ("b_1",))
+    return man, [([1.7e-16], [1.352, -1.27])]
+
+
+@pytest.mark.parametrize("cases", [_s9_sweep_guesses, _sl19_ladder, _sl15_root_readings,
+                                   _s9_cancel],
+                         ids=["s9-sweep-raw", "sl19-ladder", "sl15-root-readings", "s9-cancel"])
+def test_solve_matches_the_sequential_line_search(cases):
+    """The batched halving ladder, the power-table residual and Jacobian
+    and the LAPACK step give the roots of the one-step-length-at-a-time
+    search bit for bit, or fail with the same message."""
+    man, pairs = cases()
+    outcomes = [_outcome(man.solve, fv, g) for fv, g in pairs]
+    assert outcomes == [_outcome(n_manifold_solve, man, fv, g) for fv, g in pairs]
+    counts = man.counts
+    assert counts["solves"] == len(pairs)
+    assert counts["failed"] == sum(kind == "error" for kind, _ in outcomes)
+    assert sum(counts["failures"].values()) == counts["failed"]
+
+
+def test_s9_cancel_case_is_counted_as_spurious_root():
+    man, pairs = _s9_cancel()
+    with pytest.raises(ManifoldError, match="cancel in rounding"):
+        man.solve(*pairs[0])
+    assert man.counts["failures"] == {"spurious root": 1}
+
+
+@pytest.mark.parametrize("template, p, free", [
+    ((2, "SL", 11), 4, ("w_2",)), ((2, "S", 9), 4, ("b_1",)), ((2, "SL", 19), 6, ("w_2",))],
+    ids=["sl11-one-row", "s9", "sl19"])
+def test_batched_rows_equal_rows_at_one_point(template, p, free):
+    # one gemv per point: a batch of trial points gives each point's rows
+    # bit for bit as ``coeffs @ prod(x ** exps)`` does
+    man = _Manifold(build_scheme(*template), p, free)
+    points = np.random.default_rng(2).uniform(-1.5, 1.5, (17, len(man.slots)))
+    rows = man._rows(man._table(points))
+    for x, got in zip(points, rows):
+        want = man._coeffs @ np.prod(x ** man._exps, axis=1)
+        assert got.tobytes() == want.tobytes()
+
+
+# ------------------------------------------------------- secant predictor
+
+def test_secant_predictor_is_exact_along_the_chord():
+    before = (np.array([0.0, 0.0]), np.array([1.0, 1.0]))
+    root = (np.array([1.0, 0.0]), np.array([2.0, 3.0]), before)
+    # two free slots: the move is projected onto the chord's free part
+    assert _predicted(root, np.array([3.0, 5.0])).tolist() == [4.0, 7.0]
+    assert _predicted(root[:2] + (None,), np.array([3.0, 5.0])).tolist() == [2.0, 3.0]
+    same_point = (root[0], np.array([0.0, 0.0]))
+    assert _predicted(root[:2] + (same_point,), np.array([3.0, 5.0])).tolist() == [2.0, 3.0]
+
+
+def test_secant_predictor_starts_newton_nearer_the_root():
+    man = _Manifold(build_scheme(2, "S", 9), 4, ("b_1",))
+    b = np.array([-0.37]), np.array([-0.36]), np.array([-0.35])
+    first = man.solve(b[0], [0.27, -0.03])
+    second = man.solve(b[1], first)
+    root = (b[1], second, (b[0], first))
+    guess = _predicted(root, b[2])
+    jacobians = man.counts["jacobians"]
+    want = man.solve(b[2], guess)
+    predicted_jacobians = man.counts["jacobians"] - jacobians
+    assert np.max(np.abs(guess - want)) < 0.1 * np.max(np.abs(second - want))
+    # from the last root: the same root to rounding, in more Newton steps
+    jacobians = man.counts["jacobians"]
+    assert np.max(np.abs(man.solve(b[2], second) - want)) <= 1e-12
+    assert man.counts["jacobians"] - jacobians > predicted_jacobians
+
+
 # ----------------------------------------------------- minimize_epsilon
 
 @pytest.fixture(scope="module")
@@ -182,6 +293,21 @@ def test_search_record_names_the_objective(b1_eight):
     assert record["compiled_evals"] > sum(d["nfev"] for d in polished) // 2
 
 
+def test_newton_record_counts_the_solves(b1_eight):
+    record = b1_eight.diagnostics[-2]
+    assert set(record) == {"newton"}
+    newton = record["newton"]
+    assert set(newton) == {"solves", "failed", "failures", "jacobians",
+                           "residual_points", "residual_calls"}
+    again = minimize_epsilon(b1_eight.problem).diagnostics[-2]["newton"]
+    assert again == newton
+    assert 0 < newton["failed"] < newton["solves"]
+    assert sum(newton["failures"].values()) == newton["failed"]
+    assert newton["residual_calls"] <= newton["residual_points"]
+    # a full step that is taken costs one point: most calls are one point
+    assert newton["residual_points"] < 3 * newton["residual_calls"]
+
+
 def test_same_seed_same_result():
     def run():
         problem = OptimizationProblem(build_scheme(2, "SL", 11), 4,
@@ -235,6 +361,8 @@ def test_root_search_reads_every_real_root():
     record = res.diagnostics[-1]
     assert record["route"] == "eigenvalue"
     assert record["epsilon_calls"] == 3
+    newton = res.diagnostics[-2]["newton"]
+    assert newton["solves"] == 3 and newton["failed"] == 0 and newton["failures"] == {}
     assert not any("start" in d for d in res.diagnostics)
     assert [float(rep.epsilon) for _, rep in res.local_minima] == pytest.approx(
         [0.445732, 5.716708, 5.881016], rel=1e-5)
