@@ -14,7 +14,9 @@ top degree one generator ordering at a time, each in its own basis,
 where ``schemes.epsilon`` reads every ordering in one solve; and
 ``n_order_residuals`` and ``n_evaluate``, the routes through a
 ``LieSeries`` and through ``Fraction`` arithmetic that
-``schemes._order_residuals`` and ``LinExpr.evaluate`` shortcut.
+``schemes._order_residuals`` and ``LinExpr.evaluate`` shortcut; and
+``n_manifold_solve``, Newton's line search one step length at a time,
+where ``optimizer._Manifold.solve`` evaluates them in batches.
 """
 
 from fractions import Fraction
