@@ -4,9 +4,10 @@ The order conditions of a decomposition template are the coefficients of
 Hall basis elements in ``log U``, viewed as polynomials in the template's
 parameter slots (closures removed, so consistency sums reappear as
 degree-one conditions).  Every pipeline forms ``log U`` with the one
-product-log, ``_dense.dense_product_log``, and reads it under the same
-exact non-Lie rule as ``schemes``; the three differ in the alphabet and in
-what a factor is:
+product-log, ``_dense.dense_product_log``, and reads it with the one
+condition reader, ``schemes._order_conditions``, whose largest entry per
+degree is the order residual of ``epsilon`` and ``verify_order``; the
+three differ in the alphabet and in what a factor is:
 
 * ``word`` -- types N, S and S-abc: the letters, one factor per letter;
 * ``leapfrog`` -- type SL: one graded generator ``Z_k`` per odd degree,
@@ -32,8 +33,9 @@ from math import gcd
 import numpy as np
 
 from . import _dense
-# exp, log and lie_coordinates are unused here but stay bound: perfbench/tracing.py
-# wraps them by this module's name (tests/test_bench_sites.py pins that)
+# exp, log, lie_coordinates and log_scheme are unused here but stay bound:
+# perfbench/tracing.py wraps them by this module's name (tests/test_bench_sites.py
+# pins that)
 from .free_algebra import exp, log, make_alphabet
 from .hall import build_hall_basis, lie_coordinates
 from .polynomials import (
@@ -48,7 +50,8 @@ from .polynomials import (
     normal_form,
 )
 from .polynomials import sturm_real_roots as _sturm_real_roots
-from .schemes import Scheme, _order_conditions, _read, log_scheme, symbolic_slot_values
+from .schemes import (Scheme, _basis_for, _order_conditions, _product_log, log_scheme,
+                      symbolic_slot_values)
 
 __all__ = [
     "ConstraintSystem",
@@ -101,19 +104,18 @@ def _condition_degrees(family: str, p: int) -> tuple[int, ...]:
     return tuple(d for d in range(1, p + 1) if d % 2)
 
 
-def _emit(series, degrees, variables) -> tuple[list, list, list]:
-    zero = MultiPoly.constant(0, variables)
+def _emit(series, basis, degrees) -> tuple[list, list, list]:
     polys, labels, at = [], [], []
-    for d in range(1, max(degrees) + 1):
+    for d, conditions in _order_conditions(series, basis, max(degrees)).items():
         if d not in degrees:
-            bad = [e for e, c in series.coords_at_degree(d).items() if c]
+            bad = [e for e, c in zip(basis.elements(d), conditions) if c]
             if bad:
                 raise RuntimeError(
                     f"degree-{d} terms should vanish identically, got {bad}")
             continue
-        polys += _order_conditions(series, d, zero)
-        labels += series.basis.elements(d)
-        at += [d] * len(series.basis.elements(d))
+        polys += conditions
+        labels += basis.elements(d)
+        at += [d] * len(conditions)
     return polys, labels, at
 
 
@@ -130,7 +132,7 @@ def _graded_log(scheme: Scheme, D: int):
         tau = expr.evaluate(values)
         sign = 1 if leapfrog or i % 2 == 0 else -1
         stages.append([(g, (tau ** k) * (sign ** (k + 1))) for g, k in enumerate(ks)])
-    return _read(_dense.dense_product_log(alphabet, D, stages), build_hall_basis(alphabet, D))
+    return _dense.dense_product_log(alphabet, D, stages), build_hall_basis(alphabet, D)
 
 
 def symbolic_log(scheme: Scheme, p: int) -> ConstraintSystem:
@@ -154,15 +156,15 @@ def symbolic_log(scheme: Scheme, p: int) -> ConstraintSystem:
                 f"graded expansion capped at degree {_GRADED_DEGREE_CAP}, "
                 f"order {p} needs {D}")
         pipeline = "leapfrog" if raw.family == "SL" else "euler"
-        series = _graded_log(raw, D)
+        series, basis = _graded_log(raw, D)
     else:
         cap = _WORD_DEGREE_CAP[raw.n]
         if D > cap:
             raise ValueError(
                 f"word expansion for n={raw.n} capped at degree {cap}, "
                 f"order {p} needs {D}")
-        pipeline, series = "word", log_scheme(raw, None, D)
-    polys, labels, at = _emit(series, degrees, raw.param_slots)
+        pipeline, series, basis = "word", _product_log(raw, None, D), _basis_for(raw, D, None)
+    polys, labels, at = _emit(series, basis, degrees)
     return ConstraintSystem(raw, p, pipeline, raw.param_slots,
                             tuple(polys), tuple(labels), tuple(at))
 

@@ -126,16 +126,6 @@ class LieSeries:
     def coords_at_degree(self, d: int) -> dict:
         return {e: self.coords[e] for e in self.basis.elements(d) if e in self.coords}
 
-    def norm1_at_degree(self, d: int):
-        return sum(abs(c) for c in self.coords_at_degree(d).values())
-
-    def to_series(self) -> NCSeries:
-        """Expand back into the word algebra (exact check of the representation)."""
-        out = NCSeries.zero(self.basis.alphabet, self.basis.max_degree)
-        for e, c in self.coords.items():
-            out = out + self.basis.expansion(e).scale(c)
-        return out
-
     def __repr__(self) -> str:
         alph = self.basis.alphabet
         parts = [f"{hall_str(e, alph)}: {c}" for e, c in list(self.coords.items())[:8]]

@@ -217,9 +217,6 @@ class _Manifold:
     def residual(self, dep_values, free_values) -> np.ndarray:
         return self._rows(self._table(self.point(free_values, dep_values)[None]))[0]
 
-    def _jacobian(self, dep_values, free_values) -> np.ndarray:
-        return self._derivatives(self._table(self.point(free_values, dep_values)[None])[0])
-
     def _residuals(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(tables, rows, max norms) at each of ``points``, counted."""
         self.counts["residual_points"] += len(points)
@@ -582,10 +579,13 @@ def _multi_start(problem: OptimizationProblem, man: _Manifold, report_at,
             rep = report_at(xmin, dv)
         except (ManifoldError, ValueError, RuntimeError):
             continue
-        found.append((xmin, dv, rep))
+        # a polish Nelder-Mead gave up on (maxiter, maxfev) found no minimum
+        if res.success:
+            found.append((xmin, dv, rep))
         diagnostics.append({"polish": [float(v) for v in x0],
                             "nfev": int(res.nfev),
-                            "epsilon": float(rep.epsilon)})
+                            "epsilon": float(rep.epsilon),
+                            "converged": bool(res.success)})
     return found, compile_s
 
 
@@ -661,7 +661,9 @@ def minimize_epsilon(problem: OptimizationProblem) -> OptimizationResult:
     from the best sweep candidates, solving the order conditions at every
     probe.  A carried sheet, and each probe, starts Newton from the secant
     predictor of its last two roots (``_predicted``), or from its last root
-    while it has only one.
+    while it has only one.  A polish that stops on its iteration or
+    evaluation cap reports no minimum; its ``{"polish": ...}`` record, like
+    every other, says whether it ``"converged"``.
 
     Both passes rank points by the compiled error rows (see the module
     docstring), built once per (scheme, p): 0.007 s for S m9 p4, 0.15 s

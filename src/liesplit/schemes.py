@@ -478,7 +478,10 @@ def log_scheme(scheme: Scheme, params, D: int,
     """
     if D < 1:
         raise ValueError("need D >= 1")
-    return _read(_product_log(scheme, params, D), _basis_for(scheme, D, ordering))
+    series = _product_log(scheme, params, D)
+    lie, residual = lie_coordinates(series, _basis_for(scheme, D, ordering))
+    _check_lie(residual, series)
+    return lie
 
 
 def _product_log(scheme: Scheme, params, D: int) -> NCSeries:
@@ -487,14 +490,6 @@ def _product_log(scheme: Scheme, params, D: int) -> NCSeries:
     values = symbolic_slot_values(scheme) if params is None else scheme.resolve_slots(params)
     return dense_product_log(make_alphabet(scheme.letters), D,
                              [((g, e.evaluate(values)),) for g, e in scheme.factors])
-
-
-def _read(series: NCSeries, basis: HallBasis) -> LieSeries:
-    """``series``' Hall coordinates in ``basis``; raises on a non-Lie
-    residual above rounding, or any if exact."""
-    lie, residual = lie_coordinates(series, basis)
-    _check_lie(residual, series)
-    return lie
 
 
 def _check_lie(residual, series: NCSeries) -> None:
@@ -510,7 +505,7 @@ def _read_top(scheme: Scheme, series: NCSeries, D: int) -> tuple[tuple, tuple, l
     elements in basis order and the coefficients on them, zeros included
     as the domain's zero.  Float, exact and polynomial series alike; one
     solve in the identity basis covers every ordering
-    (``hall.ordering_block``).  Raises as ``_read`` does."""
+    (``hall.ordering_block``).  Raises as ``_check_lie`` does."""
     basis = _basis_for(scheme, D, None)
     ids, elements, gather = ordering_block(basis.generator_degrees, D)
     coords, residual = basis.coords_from_dense(D, series.array(D)[gather.T])
@@ -537,38 +532,37 @@ def verify_order(scheme: Scheme, params, p: int,
     return ok, residuals
 
 
-def _order_conditions(lie: LieSeries, d: int, zero) -> list:
-    """The degree-``d`` order conditions on ``lie``, one per Hall element in
-    basis order: a degree-1 coordinate minus one, one of degree 2..p as it
-    is (``zero`` if absent).  A product has order p when those of 1..p vanish."""
-    coords = lie.coords_at_degree(d)
-    return [coords.get(e, zero) - 1 if d == 1 else coords.get(e, zero)
-            for e in lie.basis.elements(d)]
-
-
 def _nan_high(r):
     """A ``max`` key under which NaN beats every number."""
     return (r != r, r)
 
 
-def _order_residuals(series: NCSeries, basis: HallBasis, p: int) -> dict[int, object]:
-    """The largest order condition in magnitude at each degree 1..p of
-    ``series``, read in ``basis``: a degree-1 coordinate minus one, one of
-    degree 2..p as it is, an absent degree's coordinates the domain's
-    zero; a NaN one wins.  Reads each degree's coordinate array from
-    ``coords_from_dense`` as it comes and raises as ``_read`` does."""
+def _order_conditions(series: NCSeries, basis: HallBasis, p: int) -> dict[int, list]:
+    """The order conditions at each degree 1..p of ``series``, read in
+    ``basis``, one per Hall element in basis order: a degree-1 coordinate
+    minus one, one of degree 2..p as it is, an absent degree's coordinates
+    the domain's zero.  A product has order p when they all vanish.  Reads
+    each degree's coordinate array from ``coords_from_dense`` and raises as
+    ``_check_lie`` does on the largest non-Lie residual, a NaN one first."""
     zero, present = series.unit() * 0, series.degrees()
-    columns, residuals = {}, [0]
+    conditions, residuals = {}, [0]
     for d in range(1, p + 1):
         if d in present:
             coords, residual = basis.coords_from_dense(d, series.array(d))
             residuals.append(residual)
-            columns[d] = [c if c else zero for c in coords.tolist()]
+            column = [c if c else zero for c in coords.tolist()]
         else:
-            columns[d] = [zero] * len(basis.elements(d))
+            column = [zero] * len(basis.elements(d))
+        conditions[d] = [c - 1 for c in column] if d == 1 else column
     _check_lie(max(residuals, key=_nan_high), series)
-    return {d: max((abs(c - 1 if d == 1 else c) for c in col), key=_nan_high)
-            for d, col in columns.items()}
+    return conditions
+
+
+def _order_residuals(series: NCSeries, basis: HallBasis, p: int) -> dict[int, object]:
+    """The largest order condition (``_order_conditions``) in magnitude at
+    each degree 1..p; a NaN one wins."""
+    return {d: max(map(abs, column), key=_nan_high)
+            for d, column in _order_conditions(series, basis, p).items()}
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,17 @@ flat product kernel is checked against, value for value;
 ``NCSeries`` one full power u^k at a time, where ``free_algebra`` runs
 one truncated Horner sum; ``n_read_top``/``n_epsilon``, which read the
 top degree one generator ordering at a time, each in its own basis,
-where ``schemes.epsilon`` reads every ordering in one solve; and
-``n_order_residuals`` and ``n_evaluate``, the routes through a
-``LieSeries`` and through ``Fraction`` arithmetic that
-``schemes._order_residuals`` and ``LinExpr.evaluate`` shortcut; and
+where ``schemes.epsilon`` reads every ordering in one solve;
+``n_read``, ``n_order_conditions`` and ``n_order_residuals``, the route
+through a ``LieSeries`` dict that the one condition reader,
+``schemes._order_conditions``, shortcuts by reading each degree's
+coordinate array as it comes; ``n_evaluate``, the route through
+``Fraction`` arithmetic that ``LinExpr.evaluate`` shortcuts;
 ``n_manifold_solve``, Newton's line search one step length at a time,
-where ``optimizer._Manifold.solve`` evaluates them in batches.
+where ``optimizer._Manifold.solve`` evaluates them in batches; and three
+helpers only tests call: ``n_norm1_at_degree`` and ``n_to_series`` on a
+``LieSeries``, and ``n_jacobian``, a ``_Manifold``'s Jacobian at one
+point.
 """
 
 from fractions import Fraction
@@ -27,10 +32,10 @@ import numpy as np
 
 from liesplit.constraints import symbolic_log
 from liesplit.free_algebra import NCSeries, _add_at, concat_index, mul, word_index
-from liesplit.hall import hall_degree
+from liesplit.hall import hall_degree, lie_coordinates
 from liesplit.optimizer import _RESIDUAL_TOL, ManifoldError
-from liesplit.schemes import (_NON_LIE_TOL, _TIE_RTOL, ErrorReport, _basis_for, _order_conditions,
-                              _product_log, _read, _require_numeric)
+from liesplit.schemes import (_NON_LIE_TOL, _TIE_RTOL, ErrorReport, _basis_for, _check_lie,
+                              _product_log, _require_numeric)
 
 
 def n_mul(a: dict, b: dict, degrees, D: int) -> dict:
@@ -185,6 +190,12 @@ def central_difference_jacobian(f, x, h: float = 1e-3) -> np.ndarray:
     return np.array(cols).T.reshape(len(f(x)), len(x))
 
 
+def n_jacobian(man, dep_values, free_values) -> np.ndarray:
+    """The Jacobian of ``optimizer._Manifold`` in the dependent slots at one
+    point, from that point's own power table."""
+    return man._derivatives(man._table(man.point(free_values, dep_values)[None])[0])
+
+
 def p_mul(a: dict, b: dict) -> dict:
     """Product of two ``{exponent-tuple: Fraction}`` polynomials, exponents
     added as tuples, with no bound on their size."""
@@ -212,18 +223,52 @@ def n_read_top(scheme, series, D: int) -> dict:
     out = {}
     for ordering in permutations(scheme.letters):
         basis = _basis_for(scheme, D, ordering)
-        cd = _read(top, basis).coords_at_degree(D)
+        cd = n_read(top, basis).coords_at_degree(D)
         out[ordering] = tuple((e, cd.get(e, zero)) for e in basis.elements(D))
     return out
 
 
+def n_read(series, basis):
+    """``series``' Hall coordinates in ``basis`` as a ``LieSeries``, by
+    ``lie_coordinates``; raises as ``schemes._check_lie`` does."""
+    lie, residual = lie_coordinates(series, basis)
+    _check_lie(residual, series)
+    return lie
+
+
+def n_order_conditions(series, basis, p: int) -> dict:
+    """``schemes._order_conditions`` by way of a ``LieSeries``: the
+    coordinates of degrees 1..p as one dict (``n_read``), each degree's
+    conditions looked up in it element by element, an absent one the
+    domain's zero."""
+    lie, zero = n_read(_at_degrees(series, range(1, p + 1)), basis), series.unit() * 0
+    out = {}
+    for d in range(1, p + 1):
+        coords = lie.coords_at_degree(d)
+        out[d] = [coords.get(e, zero) - 1 if d == 1 else coords.get(e, zero)
+                  for e in basis.elements(d)]
+    return out
+
+
 def n_order_residuals(series, basis, p: int) -> dict:
-    """``schemes._order_residuals`` by way of a ``LieSeries``: the
-    coordinates of degrees 1..p as one dict, each degree's order
-    conditions (``_order_conditions``) from it."""
-    lie, zero = _read(_at_degrees(series, range(1, p + 1)), basis), series.unit() * 0
-    return {d: max((abs(c) for c in _order_conditions(lie, d, zero)), key=lambda r: (r != r, r))
-            for d in range(1, p + 1)}
+    """``schemes._order_residuals`` from ``n_order_conditions``."""
+    return {d: max(map(abs, conditions), key=lambda r: (r != r, r))
+            for d, conditions in n_order_conditions(series, basis, p).items()}
+
+
+def n_norm1_at_degree(lie, d: int):
+    """The 1-norm of a ``LieSeries``' degree-``d`` coordinates."""
+    return sum(abs(c) for c in lie.coords_at_degree(d).values())
+
+
+def n_to_series(lie) -> NCSeries:
+    """A ``LieSeries`` expanded back into the word algebra, one Hall
+    element's expansion at a time."""
+    basis = lie.basis
+    out = NCSeries.zero(basis.alphabet, basis.max_degree)
+    for e, c in lie.coords.items():
+        out = out + basis.expansion(e).scale(c)
+    return out
 
 
 def n_evaluate(expr, values):

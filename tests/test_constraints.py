@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from liesplit import constraints
+from liesplit import _dense, constraints, schemes
 from liesplit.catalog import catalog
 from liesplit.constraints import (
     ConstraintSystem,
@@ -14,8 +14,12 @@ from liesplit.constraints import (
     buchberger,
     symbolic_log,
 )
+from liesplit.free_algebra import NCSeries, make_alphabet
+from liesplit.hall import build_hall_basis
 from liesplit.polynomials import GREVLEX, MultiPoly
-from liesplit.schemes import build_scheme, log_scheme
+from liesplit.schemes import _basis_for, _order_conditions, _product_log, build_scheme, log_scheme
+
+from _naive import n_order_conditions
 
 CATALOG = catalog()
 
@@ -417,3 +421,91 @@ def test_groebner_basis_type():
     report = analyze_freedom(cs)
     assert isinstance(report.groebner, GroebnerBasis)
     assert report.groebner.monomial_order is GREVLEX
+
+
+# ------------------------------------------------------------ the reader
+# ``schemes._order_conditions`` reads every pipeline's product-log; the
+# oracle reads it through a ``LieSeries`` dict instead.
+
+def _word_case(template, params, p):
+    scheme = build_scheme(*template)
+    return _product_log(scheme, params, p), _basis_for(scheme, p, None), p
+
+
+def _graded_case(template, p):
+    return (*constraints._graded_log(build_scheme(*template).without_closures(), p), p)
+
+
+def _hand_case(words, p):
+    alphabet = make_alphabet("AB")
+    return NCSeries.from_words(alphabet, p, words), build_hall_basis(alphabet, p), p
+
+
+_X = MultiPoly.variable("x", ("x",))
+READER_CASES = {
+    "word-polynomial": lambda: _word_case((2, "N", 5), None, 3),
+    "leapfrog-polynomial": lambda: _graded_case((2, "SL", 11), 5),  # degree 2 has no element
+    "euler-polynomial": lambda: _graded_case((3, "SE", 9), 4),
+    "word-fraction": lambda: _word_case((2, "S", 7), {"a_1": Fraction(1, 3), "b_1": Fraction(2, 5)}, 4),
+    "word-float": lambda: _word_case((2, "S", 9), CATALOG["n2-p4-s-m9-opt"].params, 5),
+    "fraction-top-absent": lambda: _hand_case({(0,): Fraction(1), (1,): Fraction(1)}, 3),
+    "float-first-absent": lambda: _hand_case({(0, 1): 0.5, (1, 0): -0.5}, 3),
+    # x [A, [A, B]]: the words of [B, [A, B]] hold int zeros, which the
+    # exact solve turns into Fraction(0), not the zero polynomial
+    "polynomial-zero-coordinate": lambda: _hand_case(
+        {(0,): _X, (0, 0, 1): _X, (0, 1, 0): -2 * _X, (1, 0, 0): _X}, 3),
+}
+
+
+def _typed(conditions):
+    return {d: [(type(c), c.hex() if isinstance(c, float) else c) for c in column]
+            for d, column in conditions.items()}
+
+
+@pytest.mark.parametrize("case", sorted(READER_CASES))
+def test_order_conditions_match_the_lie_series_route(case):
+    series, basis, p = READER_CASES[case]()
+    got = _order_conditions(series, basis, p)
+    assert list(got) == list(range(1, p + 1))
+    assert _typed(got) == _typed(n_order_conditions(series, basis, p))
+
+
+# A Lie element at a skipped even degree of each pipeline.  The leapfrog
+# alphabet Z1, Z3, ... has none at degree 2 ([Z1, Z1] = 0): its first is
+# [Z1, Z3] at degree 4.
+@pytest.mark.parametrize("template, p, degree, words", [
+    ((2, "S", 5), 3, 2, {(0, 1): 1, (1, 0): -1}),      # [A, B]
+    ((3, "SE", 9), 3, 2, {(1,): 1}),                   # E2
+    ((2, "SL", 11), 5, 4, {(0, 1): 1, (1, 0): -1}),    # [Z1, Z3]
+], ids=["word", "euler", "leapfrog"])
+def test_symbolic_log_rejects_an_even_degree_term(monkeypatch, template, p, degree, words):
+    real = _dense.dense_product_log
+
+    def perturbed(alphabet, D, factors):
+        series = real(alphabet, D, factors)
+        one = series.unit()
+        return series + NCSeries.from_words(alphabet, D, {w: c * one for w, c in words.items()})
+
+    monkeypatch.setattr(_dense, "dense_product_log", perturbed)
+    monkeypatch.setattr(schemes, "dense_product_log", perturbed)
+    with pytest.raises(RuntimeError, match=f"degree-{degree} terms should vanish identically"):
+        symbolic_log(build_scheme(*template), p)
+
+
+# the templates whose conditions the ``design`` benchmark forms
+DESIGN_TEMPLATES = [(2, "N", 7, 5), (2, "S", 9, 5), (2, "SL", 15, 8), (3, "S", 9, 3),
+                    (3, "SL", 17, 6), (3, "SE", 21, 6), (2, "S", 9, 4), (3, "SL", 17, 4),
+                    (2, "SL", 15, 6)]
+
+
+def test_symbolic_log_reads_no_lie_series(monkeypatch):
+    calls = []
+    for owner, name in [(schemes, "lie_coordinates"), (constraints, "lie_coordinates"),
+                        (schemes, "log_scheme"), (constraints, "log_scheme")]:
+        def counting(*args, _real=getattr(owner, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(owner, name, counting)
+    for n, family, m, p in DESIGN_TEMPLATES:
+        assert symbolic_log(build_scheme(n, family, m), p).polys
+    assert calls == []

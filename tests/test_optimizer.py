@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from _naive import central_difference_jacobian, condition_residual, n_manifold_solve, n_read_top
+from _naive import (central_difference_jacobian, condition_residual, n_jacobian, n_manifold_solve,
+                    n_read_top)
 from liesplit import constraints, optimizer
 from liesplit.catalog import build_scheme, catalog
 from liesplit.optimizer import (
@@ -483,6 +484,42 @@ def test_every_start_failing_raises():
         minimize_epsilon(problem)
 
 
+def _failing_polishes(monkeypatch, failing) -> list:
+    """Make the Nelder-Mead polishes numbered in ``failing`` (from 0)
+    report ``success=False`` where they stop; returns every polish's
+    stopping point."""
+    real, stops = optimizer.sciopt.minimize, []
+
+    def patched(*args, **kwargs):
+        res = real(*args, **kwargs)
+        if len(stops) in failing:
+            res.success = False
+        stops.append(np.asarray(res.x, float))
+        return res
+
+    monkeypatch.setattr(optimizer.sciopt, "minimize", patched)
+    return stops
+
+
+def test_unconverged_polish_is_not_a_minimum(monkeypatch, b1_eight):
+    stops = _failing_polishes(monkeypatch, {0})
+    result = minimize_epsilon(b1_eight.problem)
+    polished = [d for d in result.diagnostics if "polish" in d]
+    assert [d["converged"] for d in polished] == [False] + [True] * (len(polished) - 1)
+    # the other polishes each stop at their own minimum, which stays
+    assert len(result.local_minima) == len(b1_eight.local_minima) - 1
+    b1 = [pa.values["b_1"] for pa, _ in result.local_minima]
+    assert all(abs(v - stops[0][0]) > 1e-3 for v in b1)
+    kept = {pa.values["b_1"] for pa, _ in b1_eight.local_minima}
+    assert set(b1) <= kept
+
+
+def test_every_polish_unconverged_raises(monkeypatch, b1_eight):
+    _failing_polishes(monkeypatch, range(100))
+    with pytest.raises(ManifoldError, match="every start failed"):
+        minimize_epsilon(b1_eight.problem)
+
+
 def test_duplicate_free_slots_rejected():
     problem = OptimizationProblem(build_scheme(2, "S", 9), 4,
                                   free_slots=("b_1", "b_1"), starts=2,
@@ -520,7 +557,7 @@ def test_compiled_conditions_match_generic_evaluation(template, p, free):
         assert r.shape == want.shape == (k,)
         scale = max(1.0, np.max(np.abs(want), initial=0.0))
         assert np.max(np.abs(r - want), initial=0.0) <= 1e-10 * scale
-        jac, want = man._jacobian(dv, fv), central_difference_jacobian(oracle, dv)
+        jac, want = n_jacobian(man, dv, fv), central_difference_jacobian(oracle, dv)
         assert jac.shape == want.shape == (k, k)
         assert np.all(np.isfinite(jac))
         scale = max(1.0, np.max(np.abs(want), initial=0.0))
