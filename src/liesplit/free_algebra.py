@@ -18,8 +18,16 @@ Words have one layout, shared with ``hall`` and ``_dense``: one 1-D array
 per degree d over ``degree_words``, the words of total degree d in
 lexicographic order of letter ids (for n unit-degree generators, g_1...g_d
 at index sum g_j n^(d-j)), float64 when every coefficient is a float and
-object otherwise.  All-zero degrees are not stored.  ``mul`` of two series
-goes through one cached concatenation index per pair of degrees
+object otherwise.  All-zero degrees are not stored.  Positions follow from
+word counts alone: word i of degree d is letter l followed by word
+i - start_l(d) of degree d - deg(l), where start_l(d) is the number of
+degree-d words that begin with a letter before l (``word_starts``).  The
+tables of the layout are built by this recurrence, a few array operations
+per letter, and never from word tuples: ``concat_index`` here, the word
+gathers and expansion matrices of ``hall``.  The word tuples and their
+dict (``degree_words``, ``word_index``) serve only the word-keyed API of
+``NCSeries`` (``from_words``, ``coeff``, ``homogeneous``).  ``mul`` of two
+series goes through one cached concatenation index per pair of degrees
 (``concat_index``).  A product of many exponentials is built in place on
 one flat array holding every degree's words back to back, degree blocks in
 order (``degree_offsets``): ``rmul_exp`` right-multiplies it by the
@@ -91,6 +99,24 @@ def _check_alphabet(alphabet: Sequence[Generator]) -> tuple[Generator, ...]:
 
 
 @functools.lru_cache(maxsize=None)
+def word_starts(degrees: tuple[int, ...], d: int) -> tuple[int, ...]:
+    """start_l(d) for each letter l, the number of words of total degree d
+    that begin with a letter before l, then the number of degree-d words:
+    one entry more than ``degrees``."""
+    if d == 0:
+        return (0,) * len(degrees) + (1,)
+    starts = [0]
+    for deg in degrees:
+        starts.append(starts[-1] + (word_starts(degrees, d - deg)[-1] if deg <= d else 0))
+    return tuple(starts)
+
+
+def word_count(degrees: tuple[int, ...], d: int) -> int:
+    """The number of words of total degree d over generators of ``degrees``."""
+    return word_starts(degrees, d)[-1]
+
+
+@functools.lru_cache(maxsize=None)
 def degree_words(degrees: tuple[int, ...], d: int) -> tuple[tuple[int, ...], ...]:
     """All words of total degree d over generators of ``degrees``, in
     lexicographic order of letter ids."""
@@ -106,14 +132,30 @@ def word_index(degrees: tuple[int, ...], d: int) -> dict[tuple[int, ...], int]:
     return {w: i for i, w in enumerate(degree_words(degrees, d))}
 
 
+def _word_position(degrees: tuple[int, ...], word: Sequence[int]) -> int:
+    """Position of ``word`` among the words of its degree, letter by letter:
+    start_l(d) of its first letter l plus the rest's position at d - deg(l)."""
+    d, position = sum(degrees[g] for g in word), 0
+    for g in word:
+        position += word_starts(degrees, d)[g]
+        d -= degrees[g]
+    return position
+
+
 @functools.lru_cache(maxsize=None)
 def concat_index(degrees: tuple[int, ...], d1: int, d2: int) -> np.ndarray:
     """``[i, j]`` -> position of word i of degree d1 followed by word j of
-    degree d2 among the words of degree d1 + d2."""
-    index = word_index(degrees, d1 + d2)
-    left, right = degree_words(degrees, d1), degree_words(degrees, d2)
-    return np.array([index[a + b] for a in left for b in right],
-                    dtype=np.intp).reshape(len(left), len(right))
+    degree d2 among the words of degree d1 + d2.  Rows of first letter l
+    are start_l(d1 + d2) plus the table of the rest, at d1 - deg(l)."""
+    index = np.empty((word_count(degrees, d1), word_count(degrees, d2)), dtype=np.intp)
+    if d1 == 0:
+        index[0] = np.arange(index.shape[1])
+        return index
+    starts, out = word_starts(degrees, d1), word_starts(degrees, d1 + d2)
+    for l, deg in enumerate(degrees):
+        if deg <= d1:
+            index[starts[l]:starts[l + 1]] = out[l] + concat_index(degrees, d1 - deg, d2)
+    return index
 
 
 @functools.lru_cache(maxsize=None)
@@ -122,7 +164,7 @@ def degree_offsets(degrees: tuple[int, ...], max_degree: int) -> tuple[int, ...]
     every degree's ``degree_words`` back to back, and its total length last."""
     offsets = [0]
     for d in range(max_degree + 1):
-        offsets.append(offsets[-1] + len(degree_words(degrees, d)))
+        offsets.append(offsets[-1] + word_count(degrees, d))
     return tuple(offsets)
 
 
@@ -130,7 +172,7 @@ def _as_slice(idx: np.ndarray):
     """``idx`` as a slice (which numpy applies as a view) when it steps
     evenly upward, as for unit degrees; otherwise ``idx`` itself."""
     step = int(idx[1] - idx[0]) if len(idx) > 1 else 1
-    if len(idx) and step > 0 and (np.diff(idx) == step).all():
+    if len(idx) and step > 0 and (idx[1:] - idx[:-1] == step).all():
         return slice(int(idx[0]), int(idx[-1]) + 1, step)
     return idx
 
@@ -150,7 +192,7 @@ def _appended(degrees: tuple[int, ...], max_degree: int, word: tuple[int, ...]):
     word of length k over n unit-degree letters)."""
     dw = sum(degrees[g] for g in word)
     offsets = degree_offsets(degrees, max_degree)
-    col = word_index(degrees, dw)[word]
+    col = _word_position(degrees, word)
     index = np.concatenate([offsets[d + dw] + concat_index(degrees, d, dw)[:, col]
                             for d in range(max_degree - dw + 1)])
     return index, _as_slice(index)
@@ -187,7 +229,7 @@ class NCSeries:
         for d, values in sorted((arrays or {}).items()):
             arr = np.asarray(values)
             arr = arr.astype(float if arr.dtype.kind == "f" else object)
-            if d > self.max_degree or arr.shape != (len(degree_words(self._degrees, d)),):
+            if d > self.max_degree or arr.shape != (word_count(self._degrees, d),):
                 raise ValueError(f"shape {arr.shape} is no degree-{d} array of this series")
             if np.count_nonzero(arr):
                 self._arrays[d] = arr
@@ -227,7 +269,7 @@ class NCSeries:
             if d > max_degree:
                 raise ValueError(f"word {letters} of degree {d} exceeds truncation {max_degree}")
             if d not in arrays:
-                arrays[d] = np.zeros(len(degree_words(s._degrees, d)), dtype=dtype)
+                arrays[d] = np.zeros(word_count(s._degrees, d), dtype=dtype)
             arrays[d][word_index(s._degrees, d)[tuple(letters)]] = c
         return s._with(arrays)
 
@@ -237,7 +279,7 @@ class NCSeries:
         """The coefficients over ``degree_words`` at ``degree`` (float
         zeros if the degree is absent).  Read-only by convention."""
         arr = self._arrays.get(degree)
-        return np.zeros(len(degree_words(self._degrees, degree))) if arr is None else arr
+        return np.zeros(word_count(self._degrees, degree)) if arr is None else arr
 
     def coeff(self, letters: Sequence[int]):
         d = self.word_degree(letters)
@@ -359,7 +401,7 @@ def mul(x: NCSeries, y: NCSeries) -> NCSeries:
                 break
             acc = out.get(d1 + d2)
             if acc is None:
-                acc = out[d1 + d2] = np.zeros(len(degree_words(degrees, d1 + d2)),
+                acc = out[d1 + d2] = np.zeros(word_count(degrees, d1 + d2),
                                               dtype=object if exact else float)
             if exact:
                 j = b.nonzero()[0]
@@ -453,7 +495,7 @@ def _horner(x: NCSeries, u: Mapping[int, np.ndarray], c0, coefficient) -> NCSeri
                     break
                 acc = new.get(d1 + d2)
                 if acc is None:
-                    acc = new[d1 + d2] = np.zeros(len(degree_words(degrees, d1 + d2)),
+                    acc = new[d1 + d2] = np.zeros(word_count(degrees, d1 + d2),
                                                   dtype=object if exact else float)
                 if exact:
                     i, j = nz[d1], hz[d2]

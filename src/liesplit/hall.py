@@ -27,40 +27,54 @@ canonical letters.  Each Hall element expands into rearrangements of its
 own leaves, so M is zero outside its letter-content blocks (the fine
 grading of the free Lie algebra; Reutenauer, *Free Lie Algebras*, 1993):
 at n = 3, degree 7, the 2187 x 312 matrix splits into 33 blocks, the
-largest 210 x 30.  The solvers are built per letter-content block.  A
-float vector is solved in least squares with the pseudo-inverse of M,
-a CSR matrix assembled from one pseudo-inverse per block (38,976 entries
-at n = 3, degree 7, where a dense one would hold 682,344), and its
-residual is taken with M in CSR form.  An exact vector (Fraction or
-polynomial entries) is solved with the rational inverse of M on the
-rows where a float LU of each block places its pivots, inverted block by
-block; the other rows give its residual.
+largest 210 x 30.  M is built by index arithmetic on the word layout of
+``free_algebra``, degree by degree: a generator's column is its
+one-letter word, and the column of [x, y] is xy - yx, placed by
+``concat_index`` from the columns of x and y at lower degrees.  Letter
+content is one integer per word, its letter counts read as mixed-radix
+digits (built by the same recurrence over first letters), and an
+element's is that of its first word.  The word gather of an ordering
+follows the recurrence too: canonical letter k is generator ordering[k],
+so the canonical words of first letter k sit at start_{ordering[k]}(d)
+plus the gather of the rest.  The solvers are built per letter-content
+block.  A float vector is solved in least squares with the
+pseudo-inverse of M, a CSR matrix assembled from the blocks'
+pseudo-inverses, taken by one ``pinv`` call per block shape on the
+stacked blocks (38,976 entries at n = 3, degree 7, where a dense one
+would hold 682,344), and its residual is taken with M in CSR form.  An
+exact vector (Fraction or polynomial entries) is solved with the
+rational inverse of M on the rows where a float LU of each block places
+its pivots, inverted block by block; the other rows give its residual.
 
-``coords_from_dense`` also takes a 2-D block, one word vector per column,
-and solves every column with one product.  Over equal generator degrees
-every ordering's canonical basis is the identity one, so
+``coords_from_dense`` also takes a 2-D block, one word vector per
+column, and solves every column with one product.  Over equal generator
+degrees every ordering's canonical basis is the identity one, so
 ``ordering_block`` stacks each ordering's word gather into one index: a
 vector's block of relabelings, read in the identity basis, gives its
-coordinates in every ordering at once.  Relabeling the letters maps the
-free Lie algebra onto itself, so a vector is Lie in one ordering exactly
-when it is in all: a float block's residual still covers every column,
-but an exact block's is taken on its first column only, once per vector
-rather than once per ordering.
+coordinates in every ordering at once.  Each ordering's elements are the
+identity basis's with leaf j renamed ordering[j]; no basis is built per
+ordering.  Relabeling the letters maps the free Lie algebra onto itself,
+so a vector is Lie in one ordering exactly when it is in all: a float
+block's residual still covers every column, but an exact block's is
+taken on its first column only, once per vector rather than once per
+ordering.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .free_algebra import Generator, NCSeries, degree_words, make_alphabet, word_index
+from .free_algebra import (Generator, NCSeries, concat_index, make_alphabet, word_count,
+                           word_starts)
 
 __all__ = [
     "HallBasis",
@@ -200,9 +214,6 @@ class HallBasis:
         """Expansion of a commutator tree into words (letter-id tuples)."""
         return {w: Fraction(c) for w, c in _expand_words(e).items()}
 
-    def expansion(self, e: HallElement) -> NCSeries:
-        return NCSeries.from_words(self.alphabet, self.max_degree, self.expand_words(e))
-
     # -- per-degree solvers ----------------------------------------------
 
     def exact_solver(self, d: int):
@@ -277,41 +288,129 @@ def _expand_words(e: HallElement) -> dict[tuple[int, ...], int]:
 
 
 @functools.lru_cache(maxsize=None)
+def _letter_counts(degrees: tuple[int, ...], d: int) -> np.ndarray:
+    """(words x letters) count of each letter in each id-lex word of degree
+    d: the rows of first letter l are the rest's counts at d - deg(l),
+    plus one l."""
+    counts = np.zeros((word_count(degrees, d), len(degrees)), dtype=np.intp)
+    starts = word_starts(degrees, d)
+    for l, deg in enumerate(degrees):
+        if deg <= d:
+            rows = counts[starts[l]:starts[l + 1]]
+            rows[:] = _letter_counts(degrees, d - deg)
+            rows[:, l] += 1
+    return counts
+
+
+class _Columns(NamedTuple):
+    """A sparse matrix by columns (CSC arrays): column j holds
+    ``data[indptr[j]:indptr[j + 1]]`` at rows ``indices[...]``, ascending."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+
+@functools.lru_cache(maxsize=None)
 def _expansion_matrix(degrees: tuple[int, ...], d: int):
     """(M, blocks) for the canonical basis over ``degrees`` at degree d.
 
-    M is the float64 expansion matrix (id-lex words x Hall elements, integer
-    entries).  Each element expands into rearrangements of its own leaves,
-    so M is zero outside its letter-content blocks: ``blocks`` holds one
-    (rows, columns) index pair per letter content that some element has.
-    Rows of the other contents are zero.
+    M is the expansion matrix (id-lex words x Hall elements, integer
+    entries) in float64, by columns (``_Columns``).  A generator's column
+    is its one-letter word; the column of [x, y] is xy - yx, formed from
+    the columns of x and y at their own degrees through ``concat_index``,
+    every bracket with one left degree at once.  Each element expands into
+    rearrangements of its own leaves, so M is zero outside its
+    letter-content blocks: ``blocks`` holds one (rows, columns, M on them,
+    dense) triple per letter content that some element has, in order of
+    each content's first element.  Rows of the other contents are zero.
+    The terms of each column are summed in a dense array over the words
+    of its block, so M by columns and the blocks come from one sum.
     """
     alphabet = make_alphabet([f"X{g}" for g in range(len(degrees))], degrees)
-    words = degree_words(degrees, d)
-    index = word_index(degrees, d)
-    elements = _cached_basis(alphabet, d, tuple(range(len(degrees)))).elements(d)
-    m = np.zeros((len(words), len(elements)))
-    columns: dict[tuple[int, ...], list[int]] = {}
+    basis = _cached_basis(alphabet, d, tuple(range(len(degrees))))
+    elements = basis.elements(d)
+    starts = word_starts(degrees, d)
+    at = {e: (k, j) for k in range(1, d) for j, e in enumerate(basis.elements(k))}
+    # every term (word, column, value) of every expansion, and each
+    # column's first word, which carries its letter content
+    first = np.zeros(len(elements), np.intp)
+    generators = [j for j, e in enumerate(elements) if isinstance(e, int)]
+    first[generators] = [starts[elements[j]] for j in generators]
+    rows, cols = [first[generators]], [np.array(generators, np.intp)]
+    vals = [np.ones(len(generators))]
+    splits: dict[int, list] = {}  # left degree -> (column, left column, right column)
     for j, e in enumerate(elements):
-        expansion = _expand_words(e)
-        for w, c in expansion.items():
-            m[index[w], j] = c
-        columns.setdefault(tuple(sorted(next(iter(expansion)))), []).append(j)
-    rows: dict[tuple[int, ...], list[int]] = {}
-    for i, w in enumerate(words):
-        rows.setdefault(tuple(sorted(w)), []).append(i)
-    return m, [(np.array(rows[key]), np.array(cols)) for key, cols in columns.items()]
+        if not isinstance(e, int):
+            (d1, jx), (_, jy) = at[e[0]], at[e[1]]
+            splits.setdefault(d1, []).append((j, jx, jy))
+    for d1, triples in splits.items():
+        d2 = d - d1
+        j, jx, jy = np.array(triples).T
+        x, y = _expansion_matrix(degrees, d1)[0], _expansion_matrix(degrees, d2)[0]
+        # every pair of a word of x and a word of y, bracket by bracket
+        ny = y.indptr[jy + 1] - y.indptr[jy]
+        size = (x.indptr[jx + 1] - x.indptr[jx]) * ny
+        begin = np.cumsum(size) - size
+        pair = np.repeat(np.arange(len(j)), size)
+        q, r = np.divmod(np.arange(len(pair)) - begin[pair], ny[pair])
+        ax, ay = x.indptr[jx][pair] + q, y.indptr[jy][pair] + r
+        wx, wy, v = x.indices[ax], y.indices[ay], x.data[ax] * y.data[ay]
+        xy = concat_index(degrees, d1, d2)[wx, wy]
+        first[j] = xy[begin]
+        rows += [xy, concat_index(degrees, d2, d1)[wy, wx]]
+        cols += [j[pair]] * 2
+        vals += [v, -v]
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+
+    # letter content as one code per word, its letter counts read as digits
+    # of radix d // deg + 1 (as Python ints where they overflow int64)
+    radix = [d // deg + 1 for deg in degrees]
+    weights = np.cumprod([1] + radix[:-1], dtype=np.int64 if math.prod(radix) < 2**63 else object)
+    code = _letter_counts(degrees, d) @ weights
+    element_code = code[first]
+    contents = element_code[np.sort(np.unique(element_code, return_index=True)[1])]
+    index = [(np.flatnonzero(code == c), np.flatnonzero(element_code == c)) for c in contents]
+    local_row, block_of = np.zeros(len(code), np.intp), np.zeros(len(elements), np.intp)
+    for b, (r, k) in enumerate(index):
+        local_row[r], block_of[k] = np.arange(len(r)), b
+    # the terms summed per column over its block's words: local[j, i] is
+    # column j's entry at word i of its block
+    height = max((len(r) for r, _ in index), default=0)
+    local = np.bincount(cols * height + local_row[rows], weights=vals,
+                        minlength=len(elements) * height).reshape(len(elements), height)
+    blocks = [(r, k, local[k, :len(r)].T) for r, k in index]
+    # M's nonzero entries column by column, each column's words ascending
+    nonzero = np.flatnonzero(local != 0)
+    column, i = np.divmod(nonzero, height)
+    words = np.concatenate([np.zeros(0, np.intp)] + [r for r, _ in index])
+    row_start = np.cumsum([0] + [len(r) for r, _ in index])
+    m = _Columns(np.searchsorted(column, np.arange(len(elements) + 1)),
+                 words[row_start[block_of[column]] + i], local.ravel()[nonzero],
+                 (starts[-1], len(elements)))
+    return m, blocks
 
 
 @functools.lru_cache(maxsize=None)
 def _float_solver(degrees: tuple[int, ...], d: int):
     m, blocks = _expansion_matrix(degrees, d)
+    # one pinv call per block shape, on the stacked blocks of that shape
+    by_shape: dict[tuple[int, int], list] = {}
+    for block in blocks:
+        by_shape.setdefault(block[2].shape, []).append(block)
     # pinv row j (element j) holds its block's pinv row at the block's word rows
-    parts = [(np.repeat(cols, len(rows)), np.tile(rows, len(cols)),
-              np.linalg.pinv(m[np.ix_(rows, cols)]).ravel()) for rows, cols in blocks]
-    at_element, at_word, values = map(np.concatenate, zip(*parts)) if parts else ([], [], [])
-    pinv = scipy.sparse.csr_array((values, (at_element, at_word)), shape=m.T.shape)
-    return scipy.sparse.csr_array(m), pinv
+    indices, data = [None] * m.shape[1], [None] * m.shape[1]
+    for group in by_shape.values():
+        pinvs = np.linalg.pinv(np.stack([matrix for _, _, matrix in group]))
+        for (rows, cols, _), p in zip(group, pinvs):
+            for j, row in zip(cols.tolist(), p):
+                indices[j], data[j] = rows, row
+    indptr = np.cumsum([0] + [len(at) for at in indices])
+    pinv = scipy.sparse.csr_array((np.concatenate([np.zeros(0), *data]),
+                                   np.concatenate([np.zeros(0, np.intp), *indices]), indptr),
+                                  shape=m.shape[::-1])
+    return scipy.sparse.csc_array((m.data, m.indices, m.indptr), shape=m.shape).tocsr(), pinv
 
 
 @functools.lru_cache(maxsize=None)
@@ -319,27 +418,48 @@ def _exact_solver(degrees: tuple[int, ...], d: int):
     m, blocks = _expansion_matrix(degrees, d)
     pivot_rows: list[int] = []
     inv: list = [None] * m.shape[1]
-    for rows, cols in blocks:
-        # row i of the block is row perm[i] of L, so its pivot rows are those with perm < r
-        perm = scipy.linalg.lu(m[np.ix_(rows, cols)], p_indices=True)[0]
-        block_pivots = rows[perm < len(cols)]
-        block_inv = _invert_rational([[Fraction(int(x)) for x in m[i, cols]] for i in block_pivots])
+    rest: dict[int, tuple] = {}  # M on each block row that is no pivot
+    for rows, cols, matrix in blocks:
+        pivot = _pivot_rows(matrix)
+        block_inv = _invert_rational([[Fraction(int(x)) for x in row] for row in matrix[pivot]])
         # the block's inverse reads its pivots where they sit in pivot_rows
         for j, (at, vals) in zip(cols, _sparse(block_inv)):
             inv[j] = (at + len(pivot_rows), vals)
-        pivot_rows.extend(block_pivots.tolist())
+        pivot_rows.extend(rows[pivot].tolist())
+        rest.update((i, (cols[at], vals))
+                    for i, (at, vals) in zip(rows[~pivot].tolist(), _sparse(matrix[~pivot])))
     pivots = np.array(pivot_rows, dtype=np.intp)
-    others = np.setdiff1d(np.arange(len(m)), pivots)
-    return pivots, inv, others, _sparse(m[others])
+    others = np.ones(m.shape[0], dtype=bool)
+    others[pivots] = False
+    others = np.flatnonzero(others)
+    zero = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=object))
+    return pivots, inv, others, [rest.get(i, zero) for i in others.tolist()]
 
 
 @functools.lru_cache(maxsize=None)
 def _gather(degrees: tuple[int, ...], ordering: tuple[int, ...], d: int) -> np.ndarray:
     """Position, among the id-lex words of degree d over ``degrees``, of each
-    canonical word of the basis with ``ordering``, in canonical word order."""
-    index = word_index(degrees, d)
-    canonical = degree_words(tuple(degrees[g] for g in ordering), d)
-    return np.array([index[tuple(ordering[l] for l in w)] for w in canonical], dtype=np.intp)
+    canonical word of the basis with ``ordering``, in canonical word order.
+    Canonical letter k is generator ordering[k], so the canonical words of
+    first letter k are start_{ordering[k]}(d) plus the gather of the rest."""
+    canonical = tuple(degrees[g] for g in ordering)
+    gather = np.zeros(word_count(canonical, d), dtype=np.intp)
+    starts, out = word_starts(canonical, d), word_starts(degrees, d)
+    for k, g in enumerate(ordering):
+        if canonical[k] <= d:
+            gather[starts[k]:starts[k + 1]] = out[g] + _gather(degrees, ordering, d - canonical[k])
+    return gather
+
+
+def _relabeled(basis: HallBasis, ordering: tuple[int, ...], d: int) -> tuple[HallElement, ...]:
+    """``basis``'s degree-d elements with each leaf g renamed ordering[g],
+    built up level by level."""
+    image: dict = dict(enumerate(ordering))
+    for k in range(2, d + 1):
+        for e in basis.elements(k):
+            if not isinstance(e, int):
+                image[e] = (image[e[0]], image[e[1]])
+    return tuple(image[e] for e in basis.elements(d))
 
 
 @functools.lru_cache(maxsize=None)
@@ -349,8 +469,9 @@ def ordering_block(degrees: tuple[int, ...], d: int):
 
     ``orderings`` lists every permutation of the generator ids in
     ``itertools.permutations`` order, ``elements`` each one's degree-d
-    Hall elements in basis order, and row k of the (orderings x words)
-    index ``gather`` is ordering k's ``_gather``.  For a word vector
+    Hall elements in basis order, the identity basis's with its leaves
+    relabeled (see the module docstring), and row k of the (orderings x
+    words) index ``gather`` is ordering k's ``_gather``.  For a word vector
     ``vec``, column k of ``vec[gather.T]`` read in the identity basis
     gives ``vec``'s coordinates in ordering k, so one solve covers every
     ordering.  Needs equal generator degrees, the case in which every
@@ -360,10 +481,23 @@ def ordering_block(degrees: tuple[int, ...], d: int):
         raise ValueError(f"orderings share one solver only over equal degrees, not {degrees}")
     alphabet = make_alphabet([f"X{g}" for g in range(len(degrees))], degrees)
     orderings = tuple(itertools.permutations(range(len(degrees))))
-    elements = tuple(_cached_basis(alphabet, d, o).elements(d) for o in orderings)
+    identity = _cached_basis(alphabet, d, orderings[0])
+    elements = tuple(_relabeled(identity, o, d) for o in orderings)
     gather = np.stack([_gather(degrees, o, d) for o in orderings])
     gather.setflags(write=False)
     return orderings, elements, gather
+
+
+def _pivot_rows(matrix: np.ndarray) -> np.ndarray:
+    """Mask of the rows where LU with partial pivoting (LAPACK getrf) puts
+    the pivots of a full-column-rank ``matrix``: getrf's row swaps, applied
+    in turn, bring them to the top."""
+    order = list(range(len(matrix)))
+    for i, p in enumerate(scipy.linalg.lapack.dgetrf(matrix)[1].tolist()):
+        order[i], order[p] = order[p], order[i]
+    pivot = np.zeros(len(matrix), dtype=bool)
+    pivot[order[:matrix.shape[1]]] = True
+    return pivot
 
 
 def _invert_rational(m: list[list[Fraction]]) -> list[list[Fraction]]:

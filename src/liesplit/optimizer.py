@@ -214,9 +214,6 @@ class _Manifold:
         lowered = table.ravel().take(self._lowered_at).prod(axis=2)
         return self._coeffs @ (self._dexps * lowered).T
 
-    def residual(self, dep_values, free_values) -> np.ndarray:
-        return self._rows(self._table(self.point(free_values, dep_values)[None]))[0]
-
     def _residuals(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(tables, rows, max norms) at each of ``points``, counted."""
         self.counts["residual_points"] += len(points)

@@ -18,10 +18,15 @@ through a ``LieSeries`` dict that the one condition reader,
 coordinate array as it comes; ``n_evaluate``, the route through
 ``Fraction`` arithmetic that ``LinExpr.evaluate`` shortcuts;
 ``n_manifold_solve``, Newton's line search one step length at a time,
-where ``optimizer._Manifold.solve`` evaluates them in batches; and three
-helpers only tests call: ``n_norm1_at_degree`` and ``n_to_series`` on a
-``LieSeries``, and ``n_jacobian``, a ``_Manifold``'s Jacobian at one
-point.
+where ``optimizer._Manifold.solve`` evaluates them in batches;
+``n_concat_index``, ``n_gather``, ``n_expansion_matrix``,
+``n_exact_solver`` and ``n_ordering_block``, the Hall tables built from
+word tuples, word dicts and one basis per ordering, where
+``free_algebra`` and ``hall`` build them by recurrences over word counts;
+and five helpers only tests call: ``n_norm1_at_degree`` and
+``n_to_series`` on a ``LieSeries``, ``n_expansion``, a Hall element as a
+word series, and ``n_residual`` and ``n_jacobian``, a ``_Manifold``'s
+residual and Jacobian at one point.
 """
 
 from fractions import Fraction
@@ -29,10 +34,12 @@ from itertools import permutations
 from math import factorial
 
 import numpy as np
+import scipy.linalg
 
 from liesplit.constraints import symbolic_log
-from liesplit.free_algebra import NCSeries, _add_at, concat_index, mul, word_index
-from liesplit.hall import hall_degree, lie_coordinates
+from liesplit.free_algebra import (NCSeries, _add_at, concat_index, degree_words, make_alphabet,
+                                   mul, word_index)
+from liesplit.hall import _invert_rational, _sparse, build_hall_basis, hall_degree, lie_coordinates
 from liesplit.optimizer import _RESIDUAL_TOL, ManifoldError
 from liesplit.schemes import (_NON_LIE_TOL, _TIE_RTOL, ErrorReport, _basis_for, _check_lie,
                               _product_log, _require_numeric)
@@ -136,6 +143,72 @@ def n_rmul_exp(arrays: dict, degrees, exponent) -> None:
                 arrays[d + dw][concat_index(degrees, d, dw)[:, col]] += cw * arrays[d]
 
 
+def n_concat_index(degrees, d1: int, d2: int) -> np.ndarray:
+    """``free_algebra.concat_index`` by looking every concatenated word up
+    in ``word_index``."""
+    index = word_index(degrees, d1 + d2)
+    left, right = degree_words(degrees, d1), degree_words(degrees, d2)
+    return np.array([index[a + b] for a in left for b in right],
+                    dtype=np.intp).reshape(len(left), len(right))
+
+
+def n_gather(degrees, ordering, d: int) -> np.ndarray:
+    """``hall._gather`` by renaming every canonical word's letters and
+    looking the result up in ``word_index``."""
+    index = word_index(degrees, d)
+    canonical = degree_words(tuple(degrees[g] for g in ordering), d)
+    return np.array([index[tuple(ordering[l] for l in w)] for w in canonical], dtype=np.intp)
+
+
+def n_expansion_matrix(degrees, d: int):
+    """(M, blocks) of ``hall._expansion_matrix``, M dense: every element of
+    the identity basis expanded into a word dict (``expand_words``), its
+    words placed by ``word_index``, and the blocks grouped by the sorted
+    letters of each word and of each element's first expansion word, in
+    order of the first element of each content."""
+    alphabet = make_alphabet([f"X{g}" for g in range(len(degrees))], degrees)
+    basis = build_hall_basis(alphabet, d)
+    words, index = degree_words(degrees, d), word_index(degrees, d)
+    elements = basis.elements(d)
+    m = np.zeros((len(words), len(elements)))
+    columns = {}
+    for j, e in enumerate(elements):
+        expansion = basis.expand_words(e)
+        for w, c in expansion.items():
+            m[index[w], j] = c
+        columns.setdefault(tuple(sorted(next(iter(expansion)))), []).append(j)
+    rows = {}
+    for i, w in enumerate(words):
+        rows.setdefault(tuple(sorted(w)), []).append(i)
+    return m, [(np.array(rows[key]), np.array(cols)) for key, cols in columns.items()]
+
+
+def n_exact_solver(degrees, d: int):
+    """``hall._exact_solver`` from the dense M of ``n_expansion_matrix``:
+    each block's pivot rows from the permutation of ``scipy.linalg.lu``,
+    M on the other rows read off M's dense rows."""
+    m, blocks = n_expansion_matrix(degrees, d)
+    pivot_rows, inv = [], [None] * m.shape[1]
+    for rows, cols in blocks:
+        perm = scipy.linalg.lu(m[np.ix_(rows, cols)], p_indices=True)[0]
+        block_pivots = rows[perm < len(cols)]
+        block_inv = _invert_rational([[Fraction(int(x)) for x in m[i, cols]] for i in block_pivots])
+        for j, (at, vals) in zip(cols, _sparse(block_inv)):
+            inv[j] = (at + len(pivot_rows), vals)
+        pivot_rows.extend(block_pivots.tolist())
+    pivots = np.array(pivot_rows, dtype=np.intp)
+    others = np.setdiff1d(np.arange(len(m)), pivots)
+    return pivots, inv, others, _sparse(m[others])
+
+
+def n_ordering_block(degrees, d: int):
+    """``hall.ordering_block`` from one Hall basis per generator ordering."""
+    alphabet = make_alphabet([f"X{g}" for g in range(len(degrees))], degrees)
+    orderings = tuple(permutations(range(len(degrees))))
+    elements = tuple(build_hall_basis(alphabet, d, o).elements(d) for o in orderings)
+    return orderings, elements, np.stack([n_gather(degrees, o, d) for o in orderings])
+
+
 def n_commutator(a: dict, b: dict, degrees, D: int) -> dict:
     return n_add(n_mul(a, b, degrees, D), n_scale(n_mul(b, a, degrees, D), Fraction(-1)))
 
@@ -188,6 +261,11 @@ def central_difference_jacobian(f, x, h: float = 1e-3) -> np.ndarray:
 
     cols = [(4.0 * central(i, h / 2) - central(i, h)) / 3.0 for i in range(len(x))]
     return np.array(cols).T.reshape(len(f(x)), len(x))
+
+
+def n_residual(man, dep_values, free_values) -> np.ndarray:
+    """The compiled order conditions of ``optimizer._Manifold`` at one point."""
+    return man._rows(man._table(man.point(free_values, dep_values)[None]))[0]
 
 
 def n_jacobian(man, dep_values, free_values) -> np.ndarray:
@@ -261,13 +339,18 @@ def n_norm1_at_degree(lie, d: int):
     return sum(abs(c) for c in lie.coords_at_degree(d).values())
 
 
+def n_expansion(basis, e) -> NCSeries:
+    """The Hall element ``e`` of ``basis`` as a word series."""
+    return NCSeries.from_words(basis.alphabet, basis.max_degree, basis.expand_words(e))
+
+
 def n_to_series(lie) -> NCSeries:
     """A ``LieSeries`` expanded back into the word algebra, one Hall
     element's expansion at a time."""
     basis = lie.basis
     out = NCSeries.zero(basis.alphabet, basis.max_degree)
     for e, c in lie.coords.items():
-        out = out + basis.expansion(e).scale(c)
+        out = out + n_expansion(basis, e).scale(c)
     return out
 
 

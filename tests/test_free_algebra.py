@@ -13,11 +13,12 @@ from liesplit import NCSeries, exp, free_algebra, log, make_alphabet, mul, serie
 from liesplit._dense import dense_product_log
 from liesplit.catalog import catalog
 from liesplit.constraints import symbolic_log
-from liesplit.free_algebra import degree_offsets, degree_words, rmul_exp
+from liesplit.free_algebra import (_word_position, concat_index, degree_offsets, degree_words,
+                                   rmul_exp, word_count, word_index)
 from liesplit.polynomials import MultiPoly
 from liesplit.schemes import build_scheme
 
-from _naive import n_exp, n_log, n_mul, n_rmul_exp, n_series_exp, n_series_log
+from _naive import n_concat_index, n_exp, n_log, n_mul, n_rmul_exp, n_series_exp, n_series_log
 
 AB = make_alphabet("AB")
 A, B = AB
@@ -29,6 +30,25 @@ def from_words(words, D=4, alphabet=AB):
 
 def as_dict(s):
     return {w: c for w, c in s.items()}
+
+
+# Unit alphabets of 2, 3 and 4 letters and two graded ones, each with its
+# largest degree
+TABLE_CASES = [((1, 1), 9), ((1, 1, 1), 7), ((1, 1, 1, 1), 5), ((1, 3, 5, 7), 9), ((1, 2, 3), 7)]
+
+
+@pytest.mark.parametrize("degrees,D", TABLE_CASES)
+def test_concat_index_matches_word_lookup(degrees, D):
+    """The recurrence over word counts gives every concatenation table, word
+    count and word position that looking words up in ``word_index`` does."""
+    for d in range(D + 1):
+        assert word_count(degrees, d) == len(degree_words(degrees, d))
+        assert [_word_position(degrees, w) for w in degree_words(degrees, d)] == list(
+            word_index(degrees, d).values())
+        for d1 in range(d + 1):
+            table, want = concat_index(degrees, d1, d - d1), n_concat_index(degrees, d1, d - d1)
+            assert table.dtype == want.dtype and table.shape == want.shape, (d1, d - d1)
+            assert np.array_equal(table, want), (d1, d - d1)
 
 
 # ---------------------------------------------------------------- basics

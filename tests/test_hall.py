@@ -1,5 +1,6 @@
 """Hall bases: Witt counts, element structure, expansion, coordinates."""
 
+import dataclasses
 import itertools
 import random
 import subprocess
@@ -15,16 +16,22 @@ from sympy import divisors
 from sympy.functions.combinatorial.numbers import mobius
 
 import liesplit
-from liesplit import NCSeries, exp, log, make_alphabet, mul, series_from_generator
+from liesplit import (NCSeries, exp, free_algebra, hall, log, make_alphabet, mul,
+                      series_from_generator)
+from liesplit.catalog import catalog
 from liesplit.free_algebra import degree_words
 from liesplit.polynomials import MultiPoly
+from liesplit.schemes import epsilon
 from liesplit.hall import (
     HallBasis,
     build_hall_basis,
     expand_hall,
     hall_degree,
     hall_str,
+    _exact_solver,
     _expansion_matrix,
+    _float_solver,
+    _gather,
     _invert_rational,
     _mobius,
     lie_coordinates,
@@ -32,7 +39,8 @@ from liesplit.hall import (
     witt_dimension,
 )
 
-from _naive import HallOrder, n_commutator, n_to_series
+from _naive import (HallOrder, n_commutator, n_exact_solver, n_expansion, n_expansion_matrix,
+                    n_gather, n_ordering_block, n_to_series)
 
 AB = make_alphabet("AB")
 ABC = make_alphabet("ABC")
@@ -267,7 +275,7 @@ def test_roundtrip_coordinates_of_hall_combinations(combo):
     basis = build_hall_basis(AB, 5)
     s = NCSeries.zero(AB, 5)
     for e, c in combo.items():
-        s = s + basis.expansion(e).scale(c)
+        s = s + n_expansion(basis, e).scale(c)
     lie, residual = lie_coordinates(s, basis)
     assert residual == 0
     expected = {e: c for e, c in combo.items() if c}
@@ -341,7 +349,7 @@ def test_coordinates_recover_combinations_in_every_ordering(alphabet, D, orderin
                  for e in rng.sample(elements, min(6, len(elements)))}
         s = NCSeries.zero(alphabet, D)
         for e, c in combo.items():
-            s = s + basis.expansion(e).scale(c)
+            s = s + n_expansion(basis, e).scale(c)
 
         lie, residual = lie_coordinates(s, basis)
         assert residual == 0
@@ -511,7 +519,7 @@ def test_solver_blocks_follow_letter_content(degrees, D):
         m, pinv = (x.toarray() for x in basis.float_solver(d))
         words, elements = degree_words(degrees, d), basis.elements(d)
         outside = m.copy()
-        for rows, cols in _expansion_matrix(degrees, d)[1]:
+        for rows, cols, _ in _expansion_matrix(degrees, d)[1]:
             contents = {tuple(sorted(words[i])) for i in rows}
             contents |= {tuple(sorted(_leaves(elements[j]))) for j in cols}
             assert len(contents) == 1, (d, contents)
@@ -532,7 +540,7 @@ def test_float_solver_is_sparse_over_the_blocks(degrees, D):
         m, pinv = basis.float_solver(d)
         assert scipy.sparse.issparse(m) and scipy.sparse.issparse(pinv)
         blocks = _expansion_matrix(degrees, d)[1]
-        assert pinv.nnz == sum(len(rows) * len(cols) for rows, cols in blocks), d
+        assert pinv.nnz == sum(len(rows) * len(cols) for rows, cols, _ in blocks), d
     if (degrees, D) == ((1, 1, 1), 7):  # pinv is degree 7's
         assert pinv.nnz == 38976
 
@@ -545,7 +553,7 @@ def test_float_coords_match_dense_least_squares(degrees, D):
     basis = build_hall_basis(alphabet, D)
     rng = np.random.default_rng(len(degrees) * 10 + D)
     for d in range(1, D + 1):
-        m = _expansion_matrix(degrees, d)[0]
+        m = basis.float_solver(d)[0].toarray()
         for vec in (m @ rng.standard_normal(m.shape[1]), rng.standard_normal(m.shape[0])):
             coords, residual = basis.coords_from_dense(d, vec)
             reference = np.linalg.pinv(m) @ vec
@@ -575,6 +583,123 @@ def test_lu_pivot_block_is_exactly_invertible(degrees, D):
                 for j, b in block[c].items():
                     product[j] = product.get(j, 0) + v * b
             assert {j: x for j, x in product.items() if x} == {i: 1}, (d, i)
+
+
+# Unit alphabets of 2, 3 and 4 letters and two graded ones, each with its
+# largest degree
+TABLE_CASES = [((1, 1), 9), ((1, 1, 1), 7), ((1, 1, 1, 1), 5), ((1, 3, 5, 7), 9), ((1, 2, 3), 7)]
+
+
+@pytest.mark.parametrize("degrees,D", TABLE_CASES)
+def test_gather_matches_word_lookup(degrees, D):
+    """The gather recurrence places every canonical word, in every
+    ordering, where renaming its letters and looking it up does."""
+    for ordering in itertools.permutations(range(len(degrees))):
+        for d in range(D + 1):
+            assert np.array_equal(_gather(degrees, ordering, d),
+                                  n_gather(degrees, ordering, d)), (ordering, d)
+
+
+@pytest.mark.parametrize("degrees,D", TABLE_CASES + [((1,) * 66, 2)],
+                         ids=["".join(map(str, g)) + f"-D{D}" for g, D in TABLE_CASES]
+                         + ["66-letters-D2"])
+def test_expansion_matrix_matches_word_dicts(degrees, D):
+    """M by columns, M in the CSR form of the float solver, and the blocks,
+    with their rows, columns, dense matrices and order, are the ones built
+    from word dicts.  At 66 letters the letter-content digits overflow
+    int64 and are read as Python ints."""
+    for d in range(1, D + 1):
+        m, blocks = _expansion_matrix(degrees, d)
+        want, want_blocks = n_expansion_matrix(degrees, d)
+        for got, dense in ((m, scipy.sparse.csc_array(want)),
+                           (_float_solver(degrees, d)[0], scipy.sparse.csr_array(want))):
+            assert got.shape == dense.shape, d
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, part), getattr(dense, part)), (d, part)
+        assert len(blocks) == len(want_blocks), d
+        for (rows, cols, matrix), (want_rows, want_cols) in zip(blocks, want_blocks):
+            assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols), d
+            assert np.array_equal(matrix, want[np.ix_(rows, cols)]), d
+
+
+@pytest.mark.parametrize("degrees,D", [((1, 1), 9), ((1, 1, 1), 7), ((1, 1, 1, 1), 5), ((2, 2), 8)])
+def test_ordering_block_matches_one_basis_per_ordering(degrees, D):
+    """Relabeling the identity basis's leaves gives each ordering's own
+    basis elements, in basis order, and row k of the gather is ordering
+    k's word gather."""
+    for d in range(1, D + 1):
+        orderings, elements, gather = ordering_block(degrees, d)
+        want_orderings, want_elements, want_gather = n_ordering_block(degrees, d)
+        assert orderings == want_orderings and elements == want_elements, d
+        assert np.array_equal(gather, want_gather), d
+
+
+@pytest.mark.parametrize("degrees,D", TABLE_CASES)
+def test_stacked_pinv_equals_each_block_pinv(degrees, D):
+    """One pinv call per block shape, on the stacked blocks, holds entry
+    for entry what one call per block gives."""
+    for d in range(1, D + 1):
+        pinv = _float_solver(degrees, d)[1].toarray()
+        for rows, cols, matrix in _expansion_matrix(degrees, d)[1]:
+            assert np.array_equal(pinv[np.ix_(cols, rows)], np.linalg.pinv(matrix)), d
+
+
+@pytest.mark.parametrize("degrees,D", [((1, 1), 8), ((1, 1, 1), 6), ((1, 1, 1, 1), 4),
+                                       ((1, 3, 5, 7), 9), ((1, 2, 3), 7)])
+def test_exact_solver_matches_dense_rows(degrees, D):
+    """The pivots from getrf's row swaps, the inverse, the other rows and
+    M on them read from the blocks equal those from scipy's LU
+    permutation and M's dense rows."""
+    def listed(rows):
+        return [(at.tolist(), list(vals)) for at, vals in rows]
+
+    for d in range(1, D + 1):
+        pivots, inv, others, rest = _exact_solver(degrees, d)
+        want_pivots, want_inv, want_others, want_rest = n_exact_solver(degrees, d)
+        assert pivots.tolist() == want_pivots.tolist(), d
+        assert others.tolist() == want_others.tolist(), d
+        assert listed(inv) == listed(want_inv), d
+        assert listed(rest) == listed(want_rest), d
+
+
+def _hexed(x):
+    """``x`` with every float, inside tuples and dicts too, in hex."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, dict):
+        return {_hexed(k): _hexed(v) for k, v in x.items()}
+    if isinstance(x, tuple):
+        return tuple(map(_hexed, x))
+    return x
+
+
+def test_cold_tables_live_in_module_caches():
+    """Every table the first ``epsilon`` call builds sits in a module-level
+    functools cache: emptying the caches of the liesplit modules empties
+    each, the next call fills each again and reads the same bits as a
+    warm one, and the word tuples and dicts of the ``NCSeries`` layout
+    stay unbuilt."""
+    entry = catalog()["n3-p6-sl-m37-opt"]
+    tables = [free_algebra.word_starts, free_algebra.concat_index, free_algebra.degree_offsets,
+              free_algebra._positions, free_algebra._appended, hall._letter_counts,
+              hall._expansion_matrix, hall._float_solver, hall._gather, hall.ordering_block,
+              hall._cached_basis]
+    layout = [free_algebra.degree_words, free_algebra.word_index]
+
+    def call():
+        report = epsilon(entry.scheme, entry.params, entry.order)
+        return _hexed(tuple(getattr(report, f.name) for f in dataclasses.fields(report)))
+
+    warm = call()
+    for name, module in list(sys.modules.items()):
+        if name == "liesplit" or name.startswith("liesplit."):
+            for value in list(vars(module).values()):
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+    assert [t.cache_info().currsize for t in tables + layout] == [0] * len(tables + layout)
+    assert call() == warm
+    assert all(t.cache_info().currsize for t in tables)
+    assert [t.cache_info().currsize for t in layout] == [0, 0]
 
 
 def test_invert_rational_names_the_singular_column():

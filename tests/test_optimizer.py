@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from _naive import (central_difference_jacobian, condition_residual, n_jacobian, n_manifold_solve,
-                    n_read_top)
+                    n_read_top, n_residual)
 from liesplit import constraints, optimizer
 from liesplit.catalog import build_scheme, catalog
 from liesplit.optimizer import (
@@ -553,7 +553,7 @@ def test_compiled_conditions_match_generic_evaluation(template, p, free):
         def oracle(d):
             return conditions(man.params(fv, d))
 
-        r, want = man.residual(dv, fv), oracle(dv)
+        r, want = n_residual(man, dv, fv), oracle(dv)
         assert r.shape == want.shape == (k,)
         scale = max(1.0, np.max(np.abs(want), initial=0.0))
         assert np.max(np.abs(r - want), initial=0.0) <= 1e-10 * scale
