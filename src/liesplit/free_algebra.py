@@ -24,9 +24,10 @@ i - start_l(d) of degree d - deg(l), where start_l(d) is the number of
 degree-d words that begin with a letter before l (``word_starts``).  The
 tables of the layout are built by this recurrence, a few array operations
 per letter, and never from word tuples: ``concat_index`` here, the word
-gathers and expansion matrices of ``hall``.  The word tuples and their
-dict (``degree_words``, ``word_index``) serve only the word-keyed API of
-``NCSeries`` (``from_words``, ``coeff``, ``homogeneous``).  ``mul`` of two
+gathers and expansion matrices of ``hall``, and the position of one word
+(``_word_position``) that the word-keyed ``from_words`` and ``coeff`` of
+``NCSeries`` read.  The word tuples (``degree_words``) serve only to list
+a series's words (``homogeneous``, ``items``).  ``mul`` of two
 series goes through one cached concatenation index per pair of degrees
 (``concat_index``).  A product of many exponentials is built in place on
 one flat array holding every degree's words back to back, degree blocks in
@@ -124,12 +125,6 @@ def degree_words(degrees: tuple[int, ...], d: int) -> tuple[tuple[int, ...], ...
         return ((),)
     return tuple((l,) + w for l, deg in enumerate(degrees) if deg <= d
                  for w in degree_words(degrees, d - deg))
-
-
-@functools.lru_cache(maxsize=None)
-def word_index(degrees: tuple[int, ...], d: int) -> dict[tuple[int, ...], int]:
-    """Position of each word of ``degree_words(degrees, d)``."""
-    return {w: i for i, w in enumerate(degree_words(degrees, d))}
 
 
 def _word_position(degrees: tuple[int, ...], word: Sequence[int]) -> int:
@@ -270,7 +265,7 @@ class NCSeries:
                 raise ValueError(f"word {letters} of degree {d} exceeds truncation {max_degree}")
             if d not in arrays:
                 arrays[d] = np.zeros(word_count(s._degrees, d), dtype=dtype)
-            arrays[d][word_index(s._degrees, d)[tuple(letters)]] = c
+            arrays[d][_word_position(s._degrees, letters)] = c
         return s._with(arrays)
 
     # -- inspection ----------------------------------------------------
@@ -284,7 +279,7 @@ class NCSeries:
     def coeff(self, letters: Sequence[int]):
         d = self.word_degree(letters)
         arr = self._arrays.get(d)
-        return 0 if arr is None else arr[word_index(self._degrees, d)[tuple(letters)]]
+        return 0 if arr is None else arr[_word_position(self._degrees, letters)]
 
     def homogeneous(self, degree: int) -> dict[tuple[int, ...], object]:
         arr = self._arrays.get(degree)

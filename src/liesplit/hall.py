@@ -31,9 +31,9 @@ largest 210 x 30.  M is built by index arithmetic on the word layout of
 ``free_algebra``, degree by degree: a generator's column is its
 one-letter word, and the column of [x, y] is xy - yx, placed by
 ``concat_index`` from the columns of x and y at lower degrees.  Letter
-content is one integer per word, its letter counts read as mixed-radix
-digits (built by the same recurrence over first letters), and an
-element's is that of its first word.  The word gather of an ordering
+content is one integer per word, the rank of its letter counts (built by
+the same recurrence over first letters) among the distinct counts, and
+an element's is that of its first word.  The word gather of an ordering
 follows the recurrence too: canonical letter k is generator ordering[k],
 so the canonical words of first letter k sit at start_{ordering[k]}(d)
 plus the gather of the rest.  The solvers are built per letter-content
@@ -64,10 +64,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -302,24 +301,14 @@ def _letter_counts(degrees: tuple[int, ...], d: int) -> np.ndarray:
     return counts
 
 
-class _Columns(NamedTuple):
-    """A sparse matrix by columns (CSC arrays): column j holds
-    ``data[indptr[j]:indptr[j + 1]]`` at rows ``indices[...]``, ascending."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    shape: tuple[int, int]
-
-
 @functools.lru_cache(maxsize=None)
 def _expansion_matrix(degrees: tuple[int, ...], d: int):
     """(M, blocks) for the canonical basis over ``degrees`` at degree d.
 
     M is the expansion matrix (id-lex words x Hall elements, integer
-    entries) in float64, by columns (``_Columns``).  A generator's column
-    is its one-letter word; the column of [x, y] is xy - yx, formed from
-    the columns of x and y at their own degrees through ``concat_index``,
+    entries) as a float64 CSC matrix.  A generator's column is its
+    one-letter word; the column of [x, y] is xy - yx, formed from the
+    columns of x and y at their own degrees through ``concat_index``,
     every bracket with one left degree at once.  Each element expands into
     rearrangements of its own leaves, so M is zero outside its
     letter-content blocks: ``blocks`` holds one (rows, columns, M on them,
@@ -364,11 +353,16 @@ def _expansion_matrix(degrees: tuple[int, ...], d: int):
         vals += [v, -v]
     rows, cols, vals = map(np.concatenate, (rows, cols, vals))
 
-    # letter content as one code per word, its letter counts read as digits
-    # of radix d // deg + 1 (as Python ints where they overflow int64)
-    radix = [d // deg + 1 for deg in degrees]
-    weights = np.cumprod([1] + radix[:-1], dtype=np.int64 if math.prod(radix) < 2**63 else object)
-    code = _letter_counts(degrees, d) @ weights
+    # letter content as one code per word, the rank of its letter counts
+    # among the distinct counts, by lexsort: np.unique(axis=0) compares rows
+    # as structured values, 1 ms against 0.13 ms at n = 3, degree 7 on a
+    # 2-vCPU VM
+    counts = _letter_counts(degrees, d)
+    order = np.lexsort(counts.T)
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (counts[order[1:]] != counts[order[:-1]]).any(axis=1)
+    code = np.empty(len(order), dtype=np.intp)
+    code[order] = np.cumsum(new)
     element_code = code[first]
     contents = element_code[np.sort(np.unique(element_code, return_index=True)[1])]
     index = [(np.flatnonzero(code == c), np.flatnonzero(element_code == c)) for c in contents]
@@ -386,9 +380,9 @@ def _expansion_matrix(degrees: tuple[int, ...], d: int):
     column, i = np.divmod(nonzero, height)
     words = np.concatenate([np.zeros(0, np.intp)] + [r for r, _ in index])
     row_start = np.cumsum([0] + [len(r) for r, _ in index])
-    m = _Columns(np.searchsorted(column, np.arange(len(elements) + 1)),
-                 words[row_start[block_of[column]] + i], local.ravel()[nonzero],
-                 (starts[-1], len(elements)))
+    m = scipy.sparse.csc_array((local.ravel()[nonzero], words[row_start[block_of[column]] + i],
+                                np.searchsorted(column, np.arange(len(elements) + 1))),
+                               shape=(starts[-1], len(elements)))
     return m, blocks
 
 
@@ -410,7 +404,7 @@ def _float_solver(degrees: tuple[int, ...], d: int):
     pinv = scipy.sparse.csr_array((np.concatenate([np.zeros(0), *data]),
                                    np.concatenate([np.zeros(0, np.intp), *indices]), indptr),
                                   shape=m.shape[::-1])
-    return scipy.sparse.csc_array((m.data, m.indices, m.indptr), shape=m.shape).tocsr(), pinv
+    return m.tocsr(), pinv
 
 
 @functools.lru_cache(maxsize=None)

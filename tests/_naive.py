@@ -19,9 +19,9 @@ coordinate array as it comes; ``n_evaluate``, the route through
 ``Fraction`` arithmetic that ``LinExpr.evaluate`` shortcuts;
 ``n_manifold_solve``, Newton's line search one step length at a time,
 where ``optimizer._Manifold.solve`` evaluates them in batches;
-``n_concat_index``, ``n_gather``, ``n_expansion_matrix``,
-``n_exact_solver`` and ``n_ordering_block``, the Hall tables built from
-word tuples, word dicts and one basis per ordering, where
+``word_index``, ``n_concat_index``, ``n_gather``, ``n_expansion_matrix``,
+``n_exact_solver`` and ``n_ordering_block``, the word positions and Hall
+tables built from word tuples, word dicts and one basis per ordering, where
 ``free_algebra`` and ``hall`` build them by recurrences over word counts;
 and five helpers only tests call: ``n_norm1_at_degree`` and
 ``n_to_series`` on a ``LieSeries``, ``n_expansion``, a Hall element as a
@@ -29,6 +29,7 @@ word series, and ``n_residual`` and ``n_jacobian``, a ``_Manifold``'s
 residual and Jacobian at one point.
 """
 
+import functools
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -38,7 +39,7 @@ import scipy.linalg
 
 from liesplit.constraints import symbolic_log
 from liesplit.free_algebra import (NCSeries, _add_at, concat_index, degree_words, make_alphabet,
-                                   mul, word_index)
+                                   mul)
 from liesplit.hall import _invert_rational, _sparse, build_hall_basis, hall_degree, lie_coordinates
 from liesplit.optimizer import _RESIDUAL_TOL, ManifoldError
 from liesplit.schemes import (_NON_LIE_TOL, _TIE_RTOL, ErrorReport, _basis_for, _check_lie,
@@ -141,6 +142,13 @@ def n_rmul_exp(arrays: dict, degrees, exponent) -> None:
                 _add_at(arrays[d + dw], concat_index(degrees, d, dw)[nz, col], src * cw)
             else:
                 arrays[d + dw][concat_index(degrees, d, dw)[:, col]] += cw * arrays[d]
+
+
+@functools.lru_cache(maxsize=None)
+def word_index(degrees: tuple[int, ...], d: int) -> dict[tuple[int, ...], int]:
+    """Position of each word of ``degree_words(degrees, d)``, by a dict over
+    the word tuples, where ``free_algebra._word_position`` reads word counts."""
+    return {w: i for i, w in enumerate(degree_words(degrees, d))}
 
 
 def n_concat_index(degrees, d1: int, d2: int) -> np.ndarray:

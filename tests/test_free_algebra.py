@@ -14,11 +14,12 @@ from liesplit._dense import dense_product_log
 from liesplit.catalog import catalog
 from liesplit.constraints import symbolic_log
 from liesplit.free_algebra import (_word_position, concat_index, degree_offsets, degree_words,
-                                   rmul_exp, word_count, word_index)
+                                   rmul_exp, word_count)
 from liesplit.polynomials import MultiPoly
 from liesplit.schemes import build_scheme
 
-from _naive import n_concat_index, n_exp, n_log, n_mul, n_rmul_exp, n_series_exp, n_series_log
+from _naive import (n_concat_index, n_exp, n_log, n_mul, n_rmul_exp, n_series_exp, n_series_log,
+                    word_index)
 
 AB = make_alphabet("AB")
 A, B = AB

@@ -600,14 +600,11 @@ def test_gather_matches_word_lookup(degrees, D):
                                   n_gather(degrees, ordering, d)), (ordering, d)
 
 
-@pytest.mark.parametrize("degrees,D", TABLE_CASES + [((1,) * 66, 2)],
-                         ids=["".join(map(str, g)) + f"-D{D}" for g, D in TABLE_CASES]
-                         + ["66-letters-D2"])
+@pytest.mark.parametrize("degrees,D", TABLE_CASES)
 def test_expansion_matrix_matches_word_dicts(degrees, D):
     """M by columns, M in the CSR form of the float solver, and the blocks,
     with their rows, columns, dense matrices and order, are the ones built
-    from word dicts.  At 66 letters the letter-content digits overflow
-    int64 and are read as Python ints."""
+    from word dicts."""
     for d in range(1, D + 1):
         m, blocks = _expansion_matrix(degrees, d)
         want, want_blocks = n_expansion_matrix(degrees, d)
@@ -677,14 +674,14 @@ def test_cold_tables_live_in_module_caches():
     """Every table the first ``epsilon`` call builds sits in a module-level
     functools cache: emptying the caches of the liesplit modules empties
     each, the next call fills each again and reads the same bits as a
-    warm one, and the word tuples and dicts of the ``NCSeries`` layout
-    stay unbuilt."""
+    warm one, and the word tuples of the ``NCSeries`` layout stay
+    unbuilt."""
     entry = catalog()["n3-p6-sl-m37-opt"]
     tables = [free_algebra.word_starts, free_algebra.concat_index, free_algebra.degree_offsets,
               free_algebra._positions, free_algebra._appended, hall._letter_counts,
               hall._expansion_matrix, hall._float_solver, hall._gather, hall.ordering_block,
               hall._cached_basis]
-    layout = [free_algebra.degree_words, free_algebra.word_index]
+    layout = [free_algebra.degree_words]
 
     def call():
         report = epsilon(entry.scheme, entry.params, entry.order)
@@ -699,7 +696,7 @@ def test_cold_tables_live_in_module_caches():
     assert [t.cache_info().currsize for t in tables + layout] == [0] * len(tables + layout)
     assert call() == warm
     assert all(t.cache_info().currsize for t in tables)
-    assert [t.cache_info().currsize for t in layout] == [0, 0]
+    assert [t.cache_info().currsize for t in layout] == [0]
 
 
 def test_invert_rational_names_the_singular_column():
