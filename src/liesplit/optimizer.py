@@ -9,7 +9,12 @@ piecewise smooth: it is a 1-norm of degree-(p+1) coefficients minimized
 over generator orderings, and its minima tend to sit exactly on kinks where
 a leading coefficient changes sign.  Gradient descent is useless there, so
 the outer loop is seeded low-discrepancy multi-start plus Nelder-Mead,
-re-solving the constraints at every probe.
+re-solving the constraints at every probe.  The sampler (``_halton``, a
+scrambled Halton sequence) and the polish (``_nelder_mead``) are
+in-house ports of scipy's ``qmc.Halton`` and ``minimize(method=
+"Nelder-Mead")``, checked against scipy bit for bit in the tests, so
+importing this module loads neither ``scipy.stats`` nor
+``scipy.optimize``.
 
 Newton's line search tries the full step, then the halvings t = 2**-1 ...
 2**-29 in three chunks of 4, 8 and 17 step lengths, each chunk evaluated
@@ -45,14 +50,14 @@ from __future__ import annotations
 
 import functools
 import json
+import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import optimize as sciopt
 from scipy.linalg import lapack
-from scipy.stats import qmc
 
 from .constraints import ConstraintSystem, analyze_freedom, symbolic_log
 from .schemes import (_NON_LIE_TOL, ErrorReport, ParamAssignment, Scheme, _product_log,
@@ -284,11 +289,144 @@ class _Manifold:
         return point[self._dep_at]
 
 
+def _primes(count: int) -> list[int]:
+    """The first ``count`` primes."""
+    primes: list[int] = []
+    k = 2
+    while len(primes) < count:
+        if all(k % q for q in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def _halton(d: int, n: int, seed: int) -> np.ndarray:
+    """The first ``n`` points of the ``d``-dimensional Halton sequence with
+    Owen's random digit permutations (arXiv:1706.02808): bit for bit the
+    array of ``scipy.stats.qmc.Halton(d, scramble=True, seed=seed).random(n)``.
+
+    Coordinate k of point i, in the k-th prime base b, is the sum over
+    digits j of ``perm[j, digit_j(i)] * b**-(j + 1)``, with one shuffle of
+    ``range(b)`` per digit while b**-(j + 1) > 2**-54, drawn base by base
+    and digit by digit from ``np.random.default_rng(seed)``.  The sum runs
+    in digit order, over all points at once, and the scale comes by
+    repeated division, so every rounding is that of scipy's kernel.  Past
+    the last nonzero digit of every index each term reads digit 0; those
+    terms are one number per base and digit, added for all bases at once.
+    """
+    rng = np.random.default_rng(seed)
+    bases = _primes(d)
+    depths = [math.ceil(54 / math.log2(b)) - 1 for b in bases]
+    sample = np.zeros((d, n))
+    # tail[j, k]: base k's term j at digit 0 once every index has run out of
+    # digits, else 0.0, which adds nothing to a sum of non-negative terms
+    tail = np.zeros((max(depths), d))
+    for k, (b, depth) in enumerate(zip(bases, depths)):
+        # each row shuffled in turn, the draws of ``rng.shuffle`` row by row
+        perms = rng.permuted(np.repeat(np.arange(b)[None], depth, axis=0), axis=1)
+        scales = [1.0 / b]
+        while len(scales) < depth:
+            scales.append(scales[-1] / b)
+        quotient, j = np.arange(n), 0
+        while quotient.any():
+            sample[k] += perms[j, quotient % b] * scales[j]
+            quotient //= b
+            j += 1
+        tail[j:depth, k] = perms[j:, 0] * np.array(scales[j:])
+    for row in tail:
+        sample += row[:, None]
+    # (n, d) in column-major order, as scipy returns it
+    return sample.T
+
+
+class _MaxEvaluations(Exception):
+    """A Nelder-Mead probe past the evaluation cap."""
+
+
+def _nelder_mead(func, x0, xatol: float, fatol: float, maxiter: int, maxfev: int):
+    """Minimize ``func`` from ``x0`` by the Nelder-Mead simplex method
+    (Comput. J. 7:308, 1965), step for step as scipy's ``minimize(func,
+    x0, method="Nelder-Mead")`` with these options, no bounds and no
+    initial simplex: the same probes in the same order, each given a copy
+    of its point, and the same result.
+
+    Returns ``(x, fun, nfev, success)``; ``success`` is false when the
+    search stopped on ``maxfev`` or ``maxiter`` rather than on both
+    tolerances.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    x0 = np.array(x0, float).ravel()
+    N = len(x0)
+    sim = np.empty((N + 1, N))
+    sim[0] = x0
+    for k in range(N):
+        y = x0.copy()
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.full(N + 1, np.inf)
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _MaxEvaluations
+        nfev += 1
+        return func(np.copy(x))
+
+    try:
+        for k in range(N + 1):
+            fsim[k] = f(sim[k])
+    except _MaxEvaluations:
+        pass
+    # sorted twice, as scipy does: argsort need not be stable
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    iterations = 1
+    while nfev < maxfev and iterations < maxiter:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / N
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    fxc = f(xc)
+                    shrink = not fxc <= fxr
+                    if not shrink:
+                        sim[-1], fsim[-1] = xc, fxc
+                else:  # inside contraction
+                    xcc = (1 - psi) * xbar + psi * sim[-1]
+                    fxcc = f(xcc)
+                    shrink = not fxcc < fsim[-1]
+                    if not shrink:
+                        sim[-1], fsim[-1] = xcc, fxcc
+                if shrink:
+                    for j in range(1, N + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+            iterations += 1
+        except _MaxEvaluations:
+            pass
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim), nfev, nfev < maxfev and iterations < maxiter
+
+
 def _guess_ladder(k: int) -> list[np.ndarray]:
     """The starting points ``solve_on_manifold`` tries for ``k`` dependent
     slots when the caller passes no guess, in order."""
     ladder = [np.full(k, fill) for fill in (0.5, 0.2, -0.3, 1.0, -0.8)]
-    halton = qmc.Halton(d=max(k, 1), scramble=True, seed=11).random(8) * 2.0 - 1.0
+    halton = _halton(max(k, 1), 8, 11) * 2.0 - 1.0
     return ladder + [row[:k] for row in halton]
 
 
@@ -343,7 +481,12 @@ class OptimizationProblem:
     ``free_slots`` selects the chart on the constraint manifold (default:
     the last declared slots, as many as the conditions leave free);
     ``starts`` is a count for the seeded low-discrepancy sampler or an
-    explicit list of free-parameter vectors.
+    explicit list of free-parameter vectors.  A count that is not a
+    positive int, starts that are not a non-empty list of finite vectors
+    of one length, bounds that are not finite with lo < hi and a seed
+    that is not a non-negative int raise ``ValueError`` naming the field;
+    ``minimize_epsilon`` checks the length of explicit starts against
+    the chart before it samples anything.
     """
 
     scheme: Scheme
@@ -352,6 +495,34 @@ class OptimizationProblem:
     starts: object = None
     bounds: tuple[float, float] = (-1.5, 1.5)
     seed: int = 0
+
+    def __post_init__(self):
+        starts = self.starts
+        if _is_int(starts):
+            if starts < 1:
+                raise ValueError(f"starts must be a positive count, got {starts}")
+        elif starts is not None:
+            try:
+                rows = np.asarray(starts, float)
+            except (TypeError, ValueError):
+                rows = np.zeros(0)
+            if rows.ndim != 2 or not len(rows) or not np.isfinite(rows).all():
+                raise ValueError(f"starts must be a positive count or a non-empty list of "
+                                 f"finite start vectors of one length, got {starts!r}")
+        try:
+            lo, hi = self.bounds
+            ordered = (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real)
+                       and -math.inf < lo < hi < math.inf)
+        except (TypeError, ValueError):
+            ordered = False
+        if not ordered:
+            raise ValueError(f"bounds must be finite numbers lo < hi, got {self.bounds!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative int, got {self.seed!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -411,11 +582,9 @@ def _start_points(problem: OptimizationProblem, f: int, dep: int):
     lo, hi = problem.bounds
     starts = problem.starts
     raws = max(1, _RAW_GUESSES if dep else 0)
-    if starts is None or isinstance(starts, int):
-        count = starts if isinstance(starts, int) else (200 if f <= 2 else 2000)
-        sampler = qmc.Halton(d=max(f + raws * dep, 1), scramble=True,
-                             seed=problem.seed)
-        pts = lo + (hi - lo) * sampler.random(count)
+    if starts is None or _is_int(starts):
+        count = (200 if f <= 2 else 2000) if starts is None else starts
+        pts = lo + (hi - lo) * _halton(max(f + raws * dep, 1), count, problem.seed)
         out = [(pts[i, :f].copy(),
                 [pts[i, f + k * dep:f + (k + 1) * dep].copy()
                  for k in range(raws)])
@@ -424,8 +593,10 @@ def _start_points(problem: OptimizationProblem, f: int, dep: int):
         # sheet-carrying pass below into a continuation sweep
         out.sort(key=lambda t: tuple(t[0]))
         return out
-    guesses = (qmc.Halton(d=max(dep, 1), scramble=True,
-                          seed=problem.seed).random(raws) * 2.0 - 1.0)
+    width = np.shape(starts)[1]
+    if width != f:
+        raise ValueError(f"starts must give {f} value(s) each, one per free slot, not {width}")
+    guesses = _halton(max(dep, 1), raws, problem.seed) * 2.0 - 1.0
     return [(np.asarray(s, float),
              [np.full(dep, 0.5)] + [g[:dep].copy() for g in guesses])
             for s in starts]
@@ -567,22 +738,19 @@ def _multi_start(problem: OptimizationProblem, man: _Manifold, report_at,
             return e
 
         try:
-            res = sciopt.minimize(
-                objective, x0, method="Nelder-Mead",
-                options={"xatol": 1e-12, "fatol": 1e-12,
-                         "maxiter": 400 * f, "maxfev": 600 * f})
-            xmin = np.asarray(res.x, float)
+            xmin, _, nfev, success = _nelder_mead(objective, x0, xatol=1e-12, fatol=1e-12,
+                                                  maxiter=400 * f, maxfev=600 * f)
             dv = man.solve(xmin, _predicted(warm[0], xmin))
             rep = report_at(xmin, dv)
         except (ManifoldError, ValueError, RuntimeError):
             continue
         # a polish Nelder-Mead gave up on (maxiter, maxfev) found no minimum
-        if res.success:
+        if success:
             found.append((xmin, dv, rep))
         diagnostics.append({"polish": [float(v) for v in x0],
-                            "nfev": int(res.nfev),
+                            "nfev": nfev,
                             "epsilon": float(rep.epsilon),
-                            "converged": bool(res.success)})
+                            "converged": success})
     return found, compile_s
 
 

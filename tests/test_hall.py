@@ -105,6 +105,19 @@ def test_import_loads_no_sympy():
     assert out.stdout.strip() == "False"
 
 
+def test_library_loads_no_scipy_stats_or_optimize():
+    # a fresh interpreter: the optimizer's sampler and polish are in-house
+    src = str(Path(liesplit.__file__).parents[1])
+    code = ("import importlib, pkgutil, sys; sys.path.insert(0, sys.argv[1]); import liesplit\n"
+            "names = [m.name for m in pkgutil.iter_modules(liesplit.__path__) if m.name != 'cli']\n"
+            "for name in names: importlib.import_module('liesplit.' + name)\n"
+            "print('liesplit.optimizer' in sys.modules,\n"
+            "      sorted({'scipy.stats', 'scipy.optimize'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code, src],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "True []"
+
+
 def test_basis_counts_match_witt_unit_degrees():
     for alphabet, D in ((AB, 7), (ABC, 5)):
         basis = build_hall_basis(alphabet, D)

@@ -488,16 +488,16 @@ def _failing_polishes(monkeypatch, failing) -> list:
     """Make the Nelder-Mead polishes numbered in ``failing`` (from 0)
     report ``success=False`` where they stop; returns every polish's
     stopping point."""
-    real, stops = optimizer.sciopt.minimize, []
+    real, stops = optimizer._nelder_mead, []
 
     def patched(*args, **kwargs):
-        res = real(*args, **kwargs)
+        x, fun, nfev, success = real(*args, **kwargs)
         if len(stops) in failing:
-            res.success = False
-        stops.append(np.asarray(res.x, float))
-        return res
+            success = False
+        stops.append(np.asarray(x, float))
+        return x, fun, nfev, success
 
-    monkeypatch.setattr(optimizer.sciopt, "minimize", patched)
+    monkeypatch.setattr(optimizer, "_nelder_mead", patched)
     return stops
 
 
@@ -525,6 +525,36 @@ def test_duplicate_free_slots_rejected():
                                   free_slots=("b_1", "b_1"), starts=2,
                                   seed=0)
     with pytest.raises(ValueError, match="duplicate"):
+        minimize_epsilon(problem)
+
+
+def _s9_problem(**kw):
+    return OptimizationProblem(build_scheme(2, "S", 9), 4, free_slots=("b_1",), **kw)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("starts", -3, "starts must be a positive count, got -3"),
+    ("starts", 0, "starts must be a positive count, got 0"),
+    ("starts", True, "starts must be a positive count or a non-empty list"),
+    ("bounds", (1.0, -1.0), r"bounds must be finite numbers lo < hi, got \(1.0, -1.0\)"),
+    ("bounds", (float("nan"), 1.0), r"bounds must be finite numbers lo < hi, got \(nan, 1.0\)"),
+    ("seed", -1, "seed must be a non-negative int, got -1"),
+    ("seed", 1.5, "seed must be a non-negative int, got 1.5"),
+], ids=["negative-starts", "zero-starts", "bool-starts", "reversed-bounds", "nan-bound",
+        "negative-seed", "float-seed"])
+def test_problem_rejects_bad_field(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        _s9_problem(**{"starts": 8, field: value})
+
+
+def test_explicit_start_of_the_wrong_length_is_rejected_before_sampling(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a sampler ran")
+
+    monkeypatch.setattr(optimizer, "_halton", refuse)
+    problem = _s9_problem(starts=[[-0.36, 0.1]])
+    with pytest.raises(ValueError, match=r"^starts must give 1 value\(s\) each, one per "
+                                         r"free slot, not 2"):
         minimize_epsilon(problem)
 
 
@@ -652,3 +682,66 @@ def test_error_rows_built_once_per_scheme_and_order(monkeypatch):
     assert record["objective"] == "epsilon"
     assert record["compile_s"] == 0.0 and record["compiled_evals"] == 0
     assert record["epsilon_calls"] > 0
+
+
+# ------------------------------------------- the Halton and Nelder-Mead ports
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 7, 11, 42, 1234])
+def test_halton_matches_scipy(seed):
+    from scipy.stats import qmc
+
+    for d in range(1, 30):
+        for n in (1, 6, 8, 200, 2000):
+            want = qmc.Halton(d=d, scramble=True, seed=seed).random(n)
+            assert np.array_equal(optimizer._halton(d, n, seed), want), (d, n)
+
+
+def _quadratic(x):
+    return float((x[0] - 0.3) ** 2 + 2.0 * (x[1] + 0.7) ** 2 + 0.5 * x[0] * x[1])
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def _walled(x):
+    # infinite left of x_0 = 0.2, where the unconstrained minimum lies
+    return float("inf") if x[0] < 0.2 else float(np.sum((x - [0.1, -0.4]) ** 2))
+
+
+def _kinked(x):
+    return float(abs(x[0] - 0.25) + 3.0 * abs(x[0] + 0.1))
+
+
+@pytest.mark.parametrize("func, x0, options", [
+    (_quadratic, [1.0, 0.0], dict(xatol=1e-12, fatol=1e-12, maxiter=400, maxfev=600)),
+    (_rosenbrock, [-1.2, 1.0, 0.5], dict(xatol=1e-10, fatol=1e-10, maxiter=1200, maxfev=1800)),
+    (_walled, [0.9, 0.5], dict(xatol=1e-12, fatol=1e-12, maxiter=400, maxfev=600)),
+    (_kinked, [0.0], dict(xatol=1e-12, fatol=1e-12, maxiter=400, maxfev=600)),
+    (_rosenbrock, [-1.2, 1.0], dict(xatol=1e-12, fatol=1e-12, maxiter=400, maxfev=57)),
+    (_rosenbrock, [-1.2, 1.0], dict(xatol=1e-12, fatol=1e-12, maxiter=31, maxfev=600)),
+    (_quadratic, [1.0, 0.0], dict(xatol=1e-12, fatol=1e-12, maxiter=400, maxfev=2)),
+], ids=["quadratic", "rosenbrock-3d", "infinite-part", "kinked-1d-from-zero", "maxfev",
+        "maxiter", "maxfev-in-initial-simplex"])
+def test_nelder_mead_matches_scipy(func, x0, options):
+    """The same probes in the same order, and the same point, value,
+    evaluation count and verdict as ``scipy.optimize.minimize``."""
+    from scipy.optimize import minimize
+
+    def recorded(probes):
+        def objective(x):
+            value = func(x)
+            probes.append(x.tobytes())
+            x[:] = np.nan  # each probe gets its own copy of the point
+            return value
+        return objective
+
+    want_probes, got_probes = [], []
+    want = minimize(recorded(want_probes), np.array(x0), method="Nelder-Mead", options=options)
+    x, fun, nfev, success = optimizer._nelder_mead(recorded(got_probes), np.array(x0), **options)
+    assert got_probes == want_probes
+    assert x.tobytes() == want.x.tobytes()
+    assert fun == want.fun
+    assert (nfev, success) == (want.nfev, want.success)
+    if options["maxfev"] < 100 or options["maxiter"] < 100:
+        assert not success
