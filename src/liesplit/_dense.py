@@ -3,12 +3,14 @@ coefficients alike, cheap enough for optimization loops with m ~ 100
 factors at D = 7: the product is built in place on one flat array holding
 every degree's words back to back (``free_algebra.degree_offsets``), each
 factor (one letter of a scheme, or one stage of a graded order-condition
-pipeline) a right multiplication by exp(sum c_g G_g) (``rmul_exp``), one
-vector update per word of the exponential over all source degrees at
-once.  Float coefficients run on a float64 array in strided updates; any
-other domain on an object array.  The log (``free_algebra.log``, one
-truncated Horner sum) reads the product through its per-degree slices,
-as an ``NCSeries``."""
+pipeline) a right multiplication by exp(sum c_g G_g) (``rmul_exp``).
+Float coefficients run on a float64 array, one ``np.add.at`` per factor
+over a cached plan of every word of its exponential; any other domain on
+an object array, one update per word over all source degrees at once.
+The log (``free_algebra.log``, one truncated Horner sum, in float one
+``np.add.at`` per step) reads the product through its per-degree slices,
+as an ``NCSeries``.  Truncations of more than ``MAX_WORDS`` words are
+refused before anything is allocated."""
 
 from __future__ import annotations
 
@@ -23,6 +25,13 @@ from .polynomials import MultiPoly
 
 __all__ = ["dense_product_log"]
 
+# The most words (all degrees 0..D together) a product-log may hold.  The
+# product, its log and the Hall tables read after it grow with the word
+# count: verify_order at n = 2 takes 0.6 s and 240 MB at D = 14 (32,767
+# words), 2.6 s and 670 MB at D = 15, 12 s and 1.9 GB at D = 16.  The
+# largest product-log of the tests and the benchmark has 3,280 (n = 3, D = 7).
+MAX_WORDS = 2 ** 15
+
 
 def dense_product_log(alphabet: Sequence[Generator], max_degree: int,
                       factors: Sequence[Sequence[tuple[int, object]]]) -> NCSeries:
@@ -30,13 +39,17 @@ def dense_product_log(alphabet: Sequence[Generator], max_degree: int,
     ``max_degree``, each factor given as its ``(g, c_ig)`` pairs.  With a
     float c_ig and no polynomial one, every c_ig is taken as a float and
     the log is float64; otherwise it holds exact (``Fraction`` or
-    ``MultiPoly``) coefficients.  A generator id outside ``alphabet`` or
-    a non-finite float c_ig raises ``ValueError``."""
+    ``MultiPoly``) coefficients.  A generator id outside ``alphabet``, a
+    non-finite float c_ig or a truncation with more than ``MAX_WORDS``
+    words raises ``ValueError``."""
     degrees = tuple(g.degree for g in alphabet)
     coeffs = [c for exponent in factors for _, c in exponent]
     polys = [c for c in coeffs if isinstance(c, MultiPoly)]
     in_float = not polys and any(isinstance(c, float) for c in coeffs)
     offsets = degree_offsets(degrees, max_degree)
+    if offsets[-1] > MAX_WORDS:
+        raise ValueError(f"truncation degree {max_degree} needs {offsets[-1]} words, "
+                         f"over the limit of {MAX_WORDS}")
     flat = np.zeros(offsets[-1], dtype=float if in_float else object)
     flat[0] = 1.0 if in_float else polys[0] ** 0 if polys else Fraction(1)
     for exponent in factors:

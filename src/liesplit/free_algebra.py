@@ -27,21 +27,31 @@ per letter, and never from word tuples: ``concat_index`` here, the word
 gathers and expansion matrices of ``hall``, and the position of one word
 (``_word_position``) that the word-keyed ``from_words`` and ``coeff`` of
 ``NCSeries`` read.  The word tuples (``degree_words``) serve only to list
-a series's words (``homogeneous``, ``items``).  ``mul`` of two
-series goes through one cached concatenation index per pair of degrees
-(``concat_index``).  A product of many exponentials is built in place on
-one flat array holding every degree's words back to back, degree blocks in
-order (``degree_offsets``): ``rmul_exp`` right-multiplies it by the
-exponential of a sum of generators (a single letter for a scheme's factor,
-a stage's graded generators for the order-condition pipelines), on float64
-and object arrays alike.  For unit degrees, word j of the flat array
-followed by letter g sits at n j + 1 + g, so appending a word of length k
-to every shorter word is one slice of step n^k.  ``_dense`` builds every
-product-log with it, in every coefficient domain.  ``exp`` and ``log`` sum
-their power series by one truncated Horner kernel (``_horner``): each
-inner term is kept only up to the degree that survives its remaining
-multiplications, which at n = 3, D = 7 takes 24,624 coefficient products
-for a dense log where summing the powers u^k takes 59,868.
+a series's words (``homogeneous``, ``items``).  A product of many
+exponentials is built in place on one flat array holding every degree's
+words back to back, degree blocks in order (``degree_offsets``):
+``rmul_exp`` right-multiplies it by the exponential of a sum of generators
+(a single letter for a scheme's factor, a stage's graded generators for
+the order-condition pipelines), on float64 and object arrays alike, from
+one cached plan of the exponential's words and the flat positions each
+updates (``_exp_plan``).  ``_dense`` builds every product-log with it, in
+every coefficient domain.  ``exp`` and ``log`` sum their power series by
+one truncated Horner kernel (``_horner``): each inner term is kept only up
+to the degree that survives its remaining multiplications, which at
+n = 3, D = 7 takes 24,624 coefficient products for a dense log where
+summing the powers u^k takes 59,868.  Its steps and ``mul`` multiply the
+words of two series through one cached plan per set of degree pairs
+(``_pair_plan``), the flat position of every concatenation.
+
+In float, a factor of ``rmul_exp``, a Horner step and a ``mul`` each apply
+their plan's additions in one ``np.add.at``, which numpy applies one entry
+at a time, in order.  Each coefficient so receives the additions that a
+loop over the exponential's words or over degree blocks gives it, in the
+same order, and the results are those loops' to the bit (the loops are
+test oracles in ``tests/_naive.py``).  A BLAS product or a ``bincount``
+sum would add in another order and round differently.  Object arrays
+update one word or one degree block at a time, multiplying only nonzero
+coefficients.
 """
 
 from __future__ import annotations
@@ -163,34 +173,114 @@ def degree_offsets(degrees: tuple[int, ...], max_degree: int) -> tuple[int, ...]
     return tuple(offsets)
 
 
-def _as_slice(idx: np.ndarray):
-    """``idx`` as a slice (which numpy applies as a view) when it steps
-    evenly upward, as for unit degrees; otherwise ``idx`` itself."""
-    step = int(idx[1] - idx[0]) if len(idx) > 1 else 1
-    if len(idx) and step > 0 and (idx[1:] - idx[:-1] == step).all():
-        return slice(int(idx[0]), int(idx[-1]) + 1, step)
-    return idx
-
-
-@functools.lru_cache(maxsize=None)
-def _positions(degrees: tuple[int, ...], d1: int, d2: int):
-    """``concat_index`` raveled, as a slice where it steps evenly."""
-    return _as_slice(concat_index(degrees, d1, d2).ravel())
-
-
-@functools.lru_cache(maxsize=None)
-def _appended(degrees: tuple[int, ...], max_degree: int, word: tuple[int, ...]):
-    """(index, where) for ``word`` in the flat layout truncated at
-    ``max_degree``: ``index[j]`` is the flat position of the word at j
-    followed by ``word``, for every j holding a word short enough, and
-    ``where`` is ``index`` as a slice where it steps evenly (step n^k for a
-    word of length k over n unit-degree letters)."""
-    dw = sum(degrees[g] for g in word)
+def _flat(degrees: tuple[int, ...], max_degree: int,
+          arrays: Mapping[int, np.ndarray]) -> np.ndarray:
+    """Per-degree float ``arrays`` in the flat layout of ``degree_offsets``
+    truncated at ``max_degree``, absent degrees as zeros."""
     offsets = degree_offsets(degrees, max_degree)
-    col = _word_position(degrees, word)
-    index = np.concatenate([offsets[d + dw] + concat_index(degrees, d, dw)[:, col]
-                            for d in range(max_degree - dw + 1)])
-    return index, _as_slice(index)
+    flat = np.zeros(offsets[-1])
+    for d, a in arrays.items():
+        flat[offsets[d]:offsets[d + 1]] = a
+    return flat
+
+
+@functools.lru_cache(maxsize=None)
+def _exp_plan(degrees: tuple[int, ...], max_degree: int, gens: tuple[int, ...]):
+    """The words of exp(sum_g c_g G_g) for the generators ``gens`` (one per
+    exponent pair, in order) and their updates in the flat layout truncated
+    at ``max_degree``, as ``rmul_exp`` applies them.
+
+    The words are listed shortest first, each the word ``parents[i][0]``
+    (0 the empty word) followed by the generator of exponent pair
+    ``parents[i][1]``, of length ``parents[i][2]``.  Word i's updates are
+    entries ``bounds[i]:bounds[i + 1]`` of ``targets`` and ``sources``:
+    ``targets[e]`` is the flat position of the word at ``sources[e]``
+    followed by word i, for every position holding a word short enough,
+    so ``sources`` runs 0, 1, ... for each word and ``counts`` gives each
+    word's number of entries.  Both stay intp: ``rmul_exp`` gathers
+    through ``sources`` once per factor, and numpy gathers through
+    positions of any other type several times slower."""
+    offsets = degree_offsets(degrees, max_degree)
+    words, parents, targets = [((), 0)], [], []
+    for i, (u, du) in enumerate(words):
+        for j, g in enumerate(gens):
+            dw, w = du + degrees[g], u + (g,)
+            if dw <= max_degree:
+                words.append((w, dw))
+                parents.append((i, j, len(w)))
+                col = _word_position(degrees, w)
+                targets += [offsets[d + dw] + concat_index(degrees, d, dw)[:, col]
+                            for d in range(max_degree - dw + 1)]
+    counts = np.array([offsets[max_degree - dw + 1] for _, dw in words[1:]], dtype=np.intp)
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    sources = np.arange(bounds[-1]) - np.repeat(bounds[:-1], counts)
+    targets = np.concatenate(targets) if targets else np.zeros(0, dtype=np.intp)
+    return tuple(parents), tuple(bounds.tolist()), counts, targets, sources
+
+
+def _runs(ds: Sequence[int]) -> list[tuple[int, int]]:
+    """The maximal runs (first, last) of consecutive integers in ascending ``ds``."""
+    runs: list[tuple[int, int]] = []
+    for d in ds:
+        if runs and runs[-1][1] == d - 1:
+            runs[-1] = (runs[-1][0], d)
+        else:
+            runs.append((d, d))
+    return runs
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_plan(degrees: tuple[int, ...], left: tuple[int, ...], right: tuple[int, ...],
+               top: int):
+    """The products of the words of the degrees ``left`` by the words of
+    the degrees ``right`` (both ascending) up to total degree ``top``, in
+    the flat layout of ``degree_offsets``: ``(slices, targets)``.
+
+    For each left degree d1 in turn and each run of consecutive right
+    degrees d2 with d1 + d2 <= top, ``slices`` holds the flat bounds
+    ``(a, b, c, e)`` of degree d1 and of the run, and the next
+    (b - a) (e - c) entries of ``targets`` are the flat positions of the
+    concatenations, in the order of ``np.multiply.outer(x[a:b], y[c:e])``
+    raveled.  Each target appears at most once per left degree.  The
+    targets are held in the smallest unsigned type that fits the flat
+    array (uint16 for every catalog alphabet): they are the bulk of the
+    cached plans, and the cast numpy makes back to intp in ``np.add.at``
+    costs little next to the products."""
+    offsets = degree_offsets(degrees, top)
+    slices, targets = [], []
+    for d1 in left:
+        for lo, hi in _runs([d2 for d2 in right if d1 + d2 <= top]):
+            slices.append((offsets[d1], offsets[d1 + 1], offsets[lo], offsets[hi + 1]))
+            targets.append(np.concatenate([offsets[d1 + d2] + concat_index(degrees, d1, d2)
+                                           for d2 in range(lo, hi + 1)], axis=1).ravel())
+    targets = np.concatenate(targets) if targets else np.zeros(0, dtype=np.intp)
+    return tuple(slices), targets.astype(np.min_scalar_type(offsets[-1]))
+
+
+def _pair_products(x: np.ndarray, y: np.ndarray, slices) -> np.ndarray:
+    """The products a ``_pair_plan`` targets, for flat ``x`` and ``y``."""
+    return np.concatenate([np.multiply.outer(x[a:b], y[c:e]).ravel() for a, b, c, e in slices])
+
+
+@functools.lru_cache(maxsize=None)
+def _horner_plan(degrees: tuple[int, ...], D: int, present: tuple[int, ...]):
+    """The steps of ``_horner``'s float sum for u holding the degrees
+    ``present`` (ascending, the lowest l >= 1), truncated at D: for
+    k = D // l - 1 down to 0, the flat length of h_k (every degree up to
+    top = D - k l), the flat bounds of the degrees h_k holds that u lacks
+    (which start at zero, not at c_k times u's zeros) and the
+    ``_pair_plan`` of u times h_{k+1}."""
+    low = present[0]
+    offsets = degree_offsets(degrees, D)
+    steps, held = [], ()
+    for k in range(D // low - 1, -1, -1):
+        top = D - k * low
+        products = _pair_plan(degrees, present, held, top)
+        held = tuple(sorted({d for d in present if d <= top}
+                            | {d1 + d2 for d1 in present for d2 in held if d1 + d2 <= top}))
+        zeroed = tuple((offsets[d], offsets[d + 1]) for d in held if d not in present)
+        steps.append((offsets[top + 1], zeroed, products))
+    return tuple(steps)
 
 
 def _add_at(acc: np.ndarray, pos: np.ndarray, vals: np.ndarray) -> None:
@@ -383,27 +473,37 @@ def series_from_generator(g: Generator, coeff, D: int,
 
 def mul(x: NCSeries, y: NCSeries) -> NCSeries:
     """Concatenation product, truncated at the common max degree.  Each
-    output degree sums its (d1, d2) blocks in ascending d1; object blocks
-    multiply only the nonzero entries."""
+    output degree sums its (d1, d2) blocks in ascending d1: float blocks
+    in one ``np.add.at`` over the ``_pair_plan`` of x's and y's degrees,
+    object blocks one at a time, multiplying only the nonzero entries."""
     x._compatible(y)
     degrees, D = x._degrees, x.max_degree
     exact = any(a.dtype == object for a in (*x._arrays.values(), *y._arrays.values()))
+    if not exact:
+        if not x or not y:
+            return x._with({})
+        # no flat array reaches above the highest degree of x, y or x y
+        dx, dy = max(x._arrays), max(y._arrays)
+        top = min(D, dx + dy)
+        offsets = degree_offsets(degrees, top)
+        slices, targets = _pair_plan(degrees, tuple(x._arrays), tuple(y._arrays), top)
+        flat = np.zeros(offsets[-1])
+        if slices:
+            np.add.at(flat, targets, _pair_products(_flat(degrees, dx, x._arrays),
+                                                      _flat(degrees, dy, y._arrays), slices))
+        return x._with({d: flat[offsets[d]:offsets[d + 1]] for d in range(top + 1)})
     out: dict[int, np.ndarray] = {}
     for d1, a in x._arrays.items():
-        i = a.nonzero()[0] if exact else None
+        i = a.nonzero()[0]
         for d2, b in y._arrays.items():
             if d1 + d2 > D:
                 break
             acc = out.get(d1 + d2)
             if acc is None:
-                acc = out[d1 + d2] = np.zeros(word_count(degrees, d1 + d2),
-                                              dtype=object if exact else float)
-            if exact:
-                j = b.nonzero()[0]
-                _add_at(acc, concat_index(degrees, d1, d2)[i[:, None], j].ravel(),
-                        np.multiply.outer(a[i], b[j]).ravel())
-            else:
-                acc[_positions(degrees, d1, d2)] += np.multiply.outer(a, b).ravel()
+                acc = out[d1 + d2] = np.zeros(word_count(degrees, d1 + d2), dtype=object)
+            j = b.nonzero()[0]
+            _add_at(acc, concat_index(degrees, d1, d2)[i[:, None], j].ravel(),
+                    np.multiply.outer(a[i], b[j]).ravel())
     return x._with(out)
 
 
@@ -413,42 +513,38 @@ def rmul_exp(flat: np.ndarray, degrees: tuple[int, ...], max_degree: int,
     ``(g, c_g)`` pairs of ``exponent``, for ``flat`` holding every degree
     0..``max_degree`` in the layout of ``degree_offsets``, float64 (every
     c_g taken as a float) or object (exact or polynomial c_g).  The
-    exponential's words are listed once, shortest first, with
-    coefficient(u g) = coefficient(u) * c_g / len(u g): for one generator,
-    its powers with c^k / k!.  Each word is one update over every source
-    degree at once, at its ``_appended`` positions; sources are copied
-    before the first, so every target accumulates from original values, in
-    ascending power.  Object arrays update only their nonzero sources.
-    Raises ``ValueError`` on a generator id outside ``degrees`` or a
-    non-finite float c_g."""
+    exponential's words are listed once, shortest first (``_exp_plan``),
+    with coefficient(u g) = coefficient(u) * c_g / len(u g): for one
+    generator, its powers with c^k / k!.  Every target accumulates from
+    the original values of the words shorter than the top degree, word by
+    word in list order: in float, one ``np.add.at`` over all the words'
+    entries, which numpy applies one at a time in order; in object, one
+    update per word over its nonzero sources.  Raises ``ValueError`` on a
+    generator id outside ``degrees`` or a non-finite float c_g."""
     for g, c in exponent:
         if not 0 <= g < len(degrees):
             raise ValueError(f"generator id {g} is outside the alphabet of {len(degrees)} letters")
         if isinstance(c, float) and not math.isfinite(c):
             raise ValueError(f"non-finite coefficient {c} for generator {g}")
     exact = flat.dtype == object
-    # (word, degree, coefficient)
-    words = [((), 0, 1 if exact else 1.0)]
-    for u, du, cu in words:
-        for g, c in exponent:
-            dw, w = du + degrees[g], u + (g,)
-            if dw <= max_degree:
-                words.append((w, dw, cu * c * Fraction(1, len(w)) if exact
-                              else cu * (float(c) / len(w))))
+    parents, bounds, counts, targets, sources = _exp_plan(
+        degrees, max_degree, tuple([g for g, _ in exponent]))
+    coefficients = [1 if exact else 1.0]
+    for i, j, length in parents:
+        cu, c = coefficients[i], exponent[j][1]
+        coefficients.append(cu * c * Fraction(1, length) if exact else cu * (float(c) / length))
+    if not exact:
+        # ndarray.repeat: np.repeat of a list goes through a wrapper that
+        # costs about 2 us a call, a quarter of a small factor's time
+        np.add.at(flat, targets, np.array(coefficients[1:]).repeat(counts) * flat[sources])
+        return
     # every word below the top degree is a source
-    sources = degree_offsets(degrees, max_degree)[max_degree]
-    if exact:
-        nz = np.flatnonzero(flat[:sources])
-        src = flat[nz]
-    else:
-        src = flat[:sources].copy()
-    for w, _, cw in words[1:]:
-        index, where = _appended(degrees, max_degree, w)
-        if exact:
-            short = np.searchsorted(nz, len(index))  # nonzero sources that fit w
-            _add_at(flat, index[nz[:short]], src[:short] * cw)
-        else:
-            flat[where] += cw * src[:len(index)]
+    nz = np.flatnonzero(flat[:degree_offsets(degrees, max_degree)[max_degree]])
+    src = flat[nz]
+    for cw, start, stop in zip(coefficients[1:], bounds, bounds[1:]):
+        index = targets[start:stop]
+        short = np.searchsorted(nz, len(index))  # nonzero sources that fit the word
+        _add_at(flat, index[nz[:short]], src[:short] * cw)
 
 
 def _horner(x: NCSeries, u: Mapping[int, np.ndarray], c0, coefficient) -> NCSeries:
@@ -459,10 +555,13 @@ def _horner(x: NCSeries, u: Mapping[int, np.ndarray], c0, coefficient) -> NCSeri
     Horner's rule: h_K = c_K, h_k = c_k + u h_{k+1}, the sum is h_0 with
     c_0 = c0.  h_k is multiplied by u^k on its way out, whose degree is at
     least k l for u's lowest degree l, so h_k is kept only up to degree
-    D - k l.  Each h_k is per-degree arrays plus its constant as a scalar
-    (u times that constant is a scaling of u); one series is built at the
-    end.  Object arrays multiply only their nonzero entries (u's positions
-    found once per call) and sum through ``_add_at``."""
+    D - k l.  Each h_k is its coefficients less its constant (u times
+    that constant is a scaling of u); one series is built at the end.  In
+    float, u and h_k are flat arrays (``degree_offsets``) and u h_{k+1} is
+    one ``np.add.at`` over the step's ``_horner_plan``, adding each
+    target's products in ascending degree of u's word.  Object arrays are
+    per-degree arrays that multiply only their nonzero entries (u's
+    positions found once per call) and sum through ``_add_at``."""
     degrees, D = x._degrees, x.max_degree
     terms = sorted(u.items())
     if not terms:
@@ -471,36 +570,45 @@ def _horner(x: NCSeries, u: Mapping[int, np.ndarray], c0, coefficient) -> NCSeri
     cast = float if isinstance(x.unit(), float) else Fraction
     low = terms[0][0]
     cs = [c0] + [cast(coefficient(k)) for k in range(1, D // low + 1)]
-    nz = {d: a.nonzero()[0] for d, a in terms} if exact else {}
+    if not exact:
+        offsets = degree_offsets(degrees, D)
+        uf = _flat(degrees, D, u)
+        h = uf[:0]
+        steps = _horner_plan(degrees, D, tuple(d for d, _ in terms))
+        for c, (end, zeroed, (slices, targets)) in zip(cs[:0:-1], steps):
+            new = c * uf[:end]
+            for a, b in zeroed:
+                new[a:b] = 0.0
+            if slices:
+                np.add.at(new, targets, _pair_products(uf, h, slices))
+            h = new
+        arrays = {d: h[offsets[d]:offsets[d + 1]] for d in range(1, D + 1)}
+        if c0:
+            arrays[0] = np.array([c0], dtype=float)
+        return x._with(arrays)
+    nz = {d: a.nonzero()[0] for d, a in terms}
     h: dict[int, np.ndarray] = {}  # h_{k+1} less its constant cs[k + 1]
     for k in range(len(cs) - 2, -1, -1):
         top, c, new = D - k * low, cs[k + 1], {}
         for d1, a in terms:
             if d1 > top:
                 break
-            if exact:
-                new[d1] = acc = np.zeros(len(a), dtype=object)
-                acc[nz[d1]] = c * a[nz[d1]]
-            else:
-                new[d1] = c * a
-        hz = {d2: b.nonzero()[0] for d2, b in h.items()} if exact else {}
+            new[d1] = acc = np.zeros(len(a), dtype=object)
+            acc[nz[d1]] = c * a[nz[d1]]
+        hz = {d2: b.nonzero()[0] for d2, b in h.items()}
         for d1, a in terms:
             for d2, b in h.items():
                 if d1 + d2 > top:
                     break
                 acc = new.get(d1 + d2)
                 if acc is None:
-                    acc = new[d1 + d2] = np.zeros(word_count(degrees, d1 + d2),
-                                                  dtype=object if exact else float)
-                if exact:
-                    i, j = nz[d1], hz[d2]
-                    _add_at(acc, concat_index(degrees, d1, d2)[i[:, None], j].ravel(),
-                            np.multiply.outer(a[i], b[j]).ravel())
-                else:
-                    acc[_positions(degrees, d1, d2)] += np.multiply.outer(a, b).ravel()
+                    acc = new[d1 + d2] = np.zeros(word_count(degrees, d1 + d2), dtype=object)
+                i, j = nz[d1], hz[d2]
+                _add_at(acc, concat_index(degrees, d1, d2)[i[:, None], j].ravel(),
+                        np.multiply.outer(a[i], b[j]).ravel())
         h = dict(sorted(new.items()))
     if c0:
-        h[0] = np.array([c0], dtype=object if exact else float)
+        h[0] = np.array([c0], dtype=object)
     return x._with(h)
 
 

@@ -17,6 +17,7 @@ orderings, times (m/p)^p.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -206,19 +207,19 @@ class Scheme:
 
     def resolve_slots(self, params: Mapping[str, object]) -> dict[str, object]:
         """Full slot assignment; provided values win over closure formulas.
-        Raises ``ValueError`` naming the slot of a NaN or infinite value."""
+        Every value is a Python int, ``Fraction`` or float (``_slot_number``);
+        raises ``ValueError`` naming the slot of a value that is no real
+        number, a bool, or NaN or infinite."""
         params = _param_values(params)
         values: dict[str, object] = {}
         closure = self.closure_map
         for s in self.param_slots:
             if s in params:
-                values[s] = params[s]
+                values[s] = _slot_number(s, params[s])
             elif s in closure:
-                values[s] = closure[s].evaluate(values)
+                values[s] = _slot_number(s, closure[s].evaluate(values))
             else:
                 raise KeyError(f"no value for free parameter slot {s!r}")
-            if isinstance(values[s], float) and not math.isfinite(values[s]):
-                raise ValueError(f"parameter slot {s!r} is {values[s]}, not a finite number")
         return values
 
     def resolve(self, params: Mapping[str, object]) -> list[tuple[int, object]]:
@@ -250,6 +251,22 @@ class ParamAssignment:
 
     def is_exact(self) -> bool:
         return all(isinstance(v, (int, Fraction)) for v in self.values.values())
+
+
+def _slot_number(slot: str, value):
+    """``value`` of ``slot`` as a Python number: an integer (numpy's too)
+    as an int, another rational as a ``Fraction``, any other real (numpy
+    floats of every width) as a float.  A bool, a value that is no real
+    number, or a NaN or infinite one raises ``ValueError`` naming the slot."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"parameter slot {slot!r} is {value!r}, not a real number")
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, numbers.Rational):
+        return Fraction(value)
+    if not math.isfinite(value := float(value)):
+        raise ValueError(f"parameter slot {slot!r} is {value}, not a finite number")
+    return value
 
 
 def _param_values(params) -> Mapping[str, object]:

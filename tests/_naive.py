@@ -7,6 +7,10 @@ cleverness, so that the library's optimized arithmetic can be checked
 against an independent route.  Slow on purpose; only exercised at small degree.
 The exceptions are ``n_rmul_exp``, the per-degree array kernel that the
 flat product kernel is checked against, value for value;
+``n_flat_rmul_exp``, ``n_float_mul`` and ``n_float_exp``/``n_float_log``,
+the float loops over the exponential's words and over degree blocks that
+``free_algebra`` replaced by one ``np.add.at`` over a cached plan, whose
+results must match theirs in ``float.hex``;
 ``n_series_exp``/``n_series_log``, which sum the power series on
 ``NCSeries`` one full power u^k at a time, where ``free_algebra`` runs
 one truncated Horner sum; ``n_read_top``/``n_epsilon``, which read the
@@ -38,8 +42,8 @@ import numpy as np
 import scipy.linalg
 
 from liesplit.constraints import symbolic_log
-from liesplit.free_algebra import (NCSeries, _add_at, concat_index, degree_words, make_alphabet,
-                                   mul)
+from liesplit.free_algebra import (NCSeries, _add_at, _word_position, concat_index, degree_offsets,
+                                   degree_words, make_alphabet, mul)
 from liesplit.hall import _invert_rational, _sparse, build_hall_basis, hall_degree, lie_coordinates
 from liesplit.optimizer import _RESIDUAL_TOL, ManifoldError
 from liesplit.schemes import (_NON_LIE_TOL, _TIE_RTOL, ErrorReport, _basis_for, _check_lie,
@@ -142,6 +146,75 @@ def n_rmul_exp(arrays: dict, degrees, exponent) -> None:
                 _add_at(arrays[d + dw], concat_index(degrees, d, dw)[nz, col], src * cw)
             else:
                 arrays[d + dw][concat_index(degrees, d, dw)[:, col]] += cw * arrays[d]
+
+
+def n_flat_rmul_exp(flat: np.ndarray, degrees, max_degree: int, exponent) -> None:
+    """In place on a float64 ``flat`` array (``degree_offsets`` layout):
+    ``flat`` <- ``flat`` * exp(sum_g c_g * G_g), one update per word of the
+    exponential over every source degree at once, in word-list order.  The
+    float loop that ``free_algebra.rmul_exp`` replaced by one
+    ``np.add.at``."""
+    offsets = degree_offsets(degrees, max_degree)
+    words = [((), 0, 1.0)]
+    for u, du, cu in words:
+        for g, c in exponent:
+            dw, w = du + degrees[g], u + (g,)
+            if dw <= max_degree:
+                words.append((w, dw, cu * (float(c) / len(w))))
+    src = flat[:offsets[max_degree]].copy()
+    for w, dw, cw in words[1:]:
+        col = _word_position(degrees, w)
+        index = np.concatenate([offsets[d + dw] + concat_index(degrees, d, dw)[:, col]
+                                for d in range(max_degree - dw + 1)])
+        flat[index] += cw * src[:len(index)]
+
+
+def _block_products(acc: dict, a: dict, b: dict, degrees, top: int) -> None:
+    """``acc`` += a b, per-degree float arrays, one (d1, d2) block at a time
+    in ascending d1 then d2, a degree of ``acc`` first made as zeros."""
+    for d1, x in a.items():
+        for d2, y in b.items():
+            if d1 + d2 > top:
+                break
+            if d1 + d2 not in acc:
+                acc[d1 + d2] = np.zeros(len(degree_words(degrees, d1 + d2)))
+            acc[d1 + d2][concat_index(degrees, d1, d2).ravel()] += np.multiply.outer(x, y).ravel()
+
+
+def n_float_mul(x: NCSeries, y: NCSeries) -> NCSeries:
+    """The float product block by block: the loop that ``free_algebra.mul``
+    replaced by one ``np.add.at``."""
+    out = {}
+    _block_products(out, x._arrays, y._arrays, x._degrees, x.max_degree)
+    return x._with(out)
+
+
+def _float_horner(x: NCSeries, u: dict, c0, coefficient) -> NCSeries:
+    """``free_algebra._horner`` on float arrays block by block: the loop
+    that its flat kernel replaced by one ``np.add.at`` per step."""
+    terms = dict(sorted(u.items()))
+    if not terms:
+        return x._with({0: np.array([c0])} if c0 else {})
+    low, D = min(terms), x.max_degree
+    cs = [c0] + [float(coefficient(k)) for k in range(1, D // low + 1)]
+    h = {}  # h_{k+1} less its constant cs[k + 1]
+    for k in range(len(cs) - 2, -1, -1):
+        top = D - k * low
+        new = {d1: cs[k + 1] * a for d1, a in terms.items() if d1 <= top}
+        _block_products(new, terms, h, x._degrees, top)
+        h = dict(sorted(new.items()))
+    if c0:
+        h[0] = np.array([c0])
+    return x._with(h)
+
+
+def n_float_exp(x: NCSeries) -> NCSeries:
+    return _float_horner(x, x._arrays, 1.0, lambda k: Fraction(1, factorial(k)))
+
+
+def n_float_log(x: NCSeries) -> NCSeries:
+    return _float_horner(x, {d: a for d, a in x._arrays.items() if d}, 0,
+                         lambda k: Fraction((-1) ** (k + 1), k))
 
 
 @functools.lru_cache(maxsize=None)

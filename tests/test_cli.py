@@ -65,6 +65,8 @@ def test_epsilon_reads_a_scheme_file(tmp_path):
     ([], "exactly one"),
     (["--catalog", "no-such-entry"], "no catalog entry"),
     (["--catalog", "n2-p4-s-m9-opt", "--order", "6"], "does not reach order 6"),
+    (["--catalog", "n2-p4-s-m9-opt", "--order", "30"],
+     "Error: truncation degree 31 needs 4294967295 words, over the limit of 32768"),
 ])
 def test_epsilon_usage_errors(args, message):
     result = CliRunner().invoke(main, ["epsilon", *args])

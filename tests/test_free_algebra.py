@@ -18,8 +18,8 @@ from liesplit.free_algebra import (_word_position, concat_index, degree_offsets,
 from liesplit.polynomials import MultiPoly
 from liesplit.schemes import build_scheme
 
-from _naive import (n_concat_index, n_exp, n_log, n_mul, n_rmul_exp, n_series_exp, n_series_log,
-                    word_index)
+from _naive import (n_concat_index, n_exp, n_flat_rmul_exp, n_float_exp, n_float_log, n_float_mul,
+                    n_log, n_mul, n_rmul_exp, n_series_exp, n_series_log, word_index)
 
 AB = make_alphabet("AB")
 A, B = AB
@@ -466,24 +466,115 @@ def test_float_log_agrees_with_exact_log(name):
 
 @pytest.mark.parametrize("n,D,products", [(2, 5, 288), (2, 7, 2088), (3, 7, 24624)])
 def test_horner_log_truncates_inner_terms(n, D, products, monkeypatch):
-    """Coefficient products of a dense float log, counted per block: the
-    power sum takes 444, 4,092 and 59,868."""
-    count, real = [], free_algebra._positions
+    """Coefficient products of a dense float log, counted over the targets
+    of its plan: the power sum takes 444, 4,092 and 59,868."""
+    count, real = [], free_algebra._horner_plan
 
-    def counted(degrees, d1, d2):
-        count.append(len(degree_words(degrees, d1)) * len(degree_words(degrees, d2)))
-        return real(degrees, d1, d2)
+    def counted(degrees, D, present):
+        steps = real(degrees, D, present)
+        count.append(sum(len(targets) for _, _, (_, targets) in steps))
+        return steps
 
     rng = np.random.default_rng(n + D)
     arrays = {d: 0.1 * rng.standard_normal(n ** d) for d in range(1, D + 1)}
     x = NCSeries(make_alphabet("ABC"[:n]), D, {0: [1.0], **arrays})
-    monkeypatch.setattr(free_algebra, "_positions", counted)
+    monkeypatch.setattr(free_algebra, "_horner_plan", counted)
     got = log(x)
     assert sum(count) == products
-    monkeypatch.setattr(free_algebra, "_positions", real)
+    monkeypatch.setattr(free_algebra, "_horner_plan", real)
     want = n_series_log(x)
     for d in range(1, D + 1):
         assert np.abs(got.array(d) - want.array(d)).max() <= 1e-14
+
+
+# -------------------- float kernels against the loops they replaced, in hex
+
+
+def _hexes(s):
+    """Every stored degree of ``s`` with its coefficients in ``float.hex``,
+    so that signed zeros count."""
+    return {d: [v.hex() for v in s.array(d).tolist()] for d in s.degrees()}
+
+
+def _random_float_series(degrees, D, rng, constant=None, absent=()):
+    """Normal coefficients at every degree 1..D but ``absent``, one in
+    five of them replaced by 0.0 or -0.0."""
+    arrays = {} if constant is None else {0: [constant]}
+    for d in range(1, D + 1):
+        n = word_count(degrees, d)
+        if d in absent or not n:
+            continue
+        a = rng.standard_normal(n)
+        zero = rng.random(n) < 0.2
+        a[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+        arrays[d] = a
+    return NCSeries(make_alphabet("ABCD"[:len(degrees)], list(degrees)), D, arrays)
+
+
+# TABLE_CASES' alphabets at lower degrees: an exponential of two letters
+# at D = 9 has 1,023 words, and the word loop takes seconds on them
+FLOAT_CASES = [((1, 1), 7), ((1, 1, 1), 5), ((1, 1, 1, 1), 4), ((1, 3, 5, 7), 9), ((1, 2, 3), 7)]
+# every absent-degree pattern leaves some degree present; (1, 3) and
+# (1, 4, 5) also put u's lowest degree above 1
+ABSENT = [(), (2,), (1, 3), (2, 3), (1, 4, 5)]
+
+
+@pytest.mark.parametrize("degrees,D", FLOAT_CASES)
+@pytest.mark.parametrize("absent", ABSENT, ids=str)
+def test_float_horner_matches_block_loop(degrees, D, absent):
+    rng = np.random.default_rng([len(degrees), D, *absent])
+    for _ in range(3):
+        x = _random_float_series(degrees, D, rng, constant=1.0, absent=absent)
+        assert _hexes(log(x)) == _hexes(n_float_log(x))
+        u = _random_float_series(degrees, D, rng, absent=absent)
+        if u:
+            assert _hexes(exp(u)) == _hexes(n_float_exp(u))
+
+
+@pytest.mark.parametrize("degrees,D", FLOAT_CASES)
+@pytest.mark.parametrize("absent", ABSENT, ids=str)
+def test_float_mul_matches_block_loop(degrees, D, absent):
+    rng = np.random.default_rng([len(degrees), D, *absent, 1])
+    x = _random_float_series(degrees, D, rng, constant=-0.5, absent=absent)
+    y = _random_float_series(degrees, D, rng, absent=absent[:1])
+    for a, b in ((x, y), (y, x), (x, x), (y, y)):
+        assert _hexes(mul(a, b)) == _hexes(n_float_mul(a, b))
+
+
+@pytest.mark.parametrize("degrees,D", FLOAT_CASES)
+def test_float_rmul_exp_matches_word_loop(degrees, D):
+    """Exponents of one generator and of several, repeats and zero or
+    negative coefficients among them, on a flat array with signed zeros."""
+    rng = np.random.default_rng([len(degrees), D, 2])
+    n, total = len(degrees), degree_offsets(degrees, D)[-1]
+    exponents = [[(g, float(rng.standard_normal()))] for g in range(n)]
+    exponents += [[(g, float(rng.standard_normal())) for g in range(n)],
+                  [(n - 1, 0.5), (0, -0.0), (n - 1, -1.25), (0, 2.0)]]
+    for exponent in exponents:
+        got = rng.standard_normal(total)
+        got[rng.random(total) < 0.2] = -0.0
+        want = got.copy()
+        rmul_exp(got, degrees, D, exponent)
+        n_flat_rmul_exp(want, degrees, D, exponent)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()], exponent
+
+
+@pytest.mark.parametrize("name", _FLOAT_ENTRIES)
+def test_float_product_log_matches_loops_on_catalog(name):
+    """``dense_product_log`` at D = p+1 against the product by the word
+    loop and its log by the block loop, value for value."""
+    entry = catalog()[name]
+    values = entry.scheme.resolve_slots(entry.params)
+    factors = [((g, e.evaluate(values)),) for g, e in entry.scheme.factors]
+    alphabet, D = make_alphabet(entry.scheme.letters), entry.order + 1
+    degrees = tuple(g.degree for g in alphabet)
+    offsets = degree_offsets(degrees, D)
+    flat = np.zeros(offsets[-1])
+    flat[0] = 1.0
+    for exponent in factors:
+        n_flat_rmul_exp(flat, degrees, D, exponent)
+    product = NCSeries(alphabet, D, {d: flat[offsets[d]:offsets[d + 1]] for d in range(D + 1)})
+    assert _hexes(dense_product_log(alphabet, D, factors)) == _hexes(n_float_log(product))
 
 
 # ------------------------------------------------ property-based checks

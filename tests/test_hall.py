@@ -691,9 +691,9 @@ def test_cold_tables_live_in_module_caches():
     unbuilt."""
     entry = catalog()["n3-p6-sl-m37-opt"]
     tables = [free_algebra.word_starts, free_algebra.concat_index, free_algebra.degree_offsets,
-              free_algebra._positions, free_algebra._appended, hall._letter_counts,
-              hall._expansion_matrix, hall._float_solver, hall._gather, hall.ordering_block,
-              hall._cached_basis]
+              free_algebra._exp_plan, free_algebra._pair_plan, free_algebra._horner_plan,
+              hall._letter_counts, hall._expansion_matrix, hall._float_solver, hall._gather,
+              hall.ordering_block, hall._cached_basis]
     layout = [free_algebra.degree_words]
 
     def call():

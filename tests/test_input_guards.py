@@ -1,12 +1,14 @@
 """Bad input fails fast with a ``ValueError`` that names the problem."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from liesplit._dense import dense_product_log
+from liesplit.catalog import catalog
 from liesplit.constraints import symbolic_log
 from liesplit.free_algebra import make_alphabet
 from liesplit.hall import build_hall_basis, witt_dimension
@@ -45,6 +47,8 @@ GUARDS = {
         lambda: dense_product_log(_AB, 3, [((-1, Fraction(1)),)]), "generator id -1 is outside"),
     "dense_product_log-nan": (lambda: dense_product_log(_AB, 3, [((0, 0.5),), ((1, math.nan),)]),
                               "non-finite coefficient"),
+    "dense_product_log-D15": (lambda: dense_product_log(_AB, 15, [((0, Fraction(1)),)]),
+                              "truncation degree 15 needs 65535 words, over the limit of 32768"),
 }
 
 
@@ -53,3 +57,12 @@ def test_bad_input_raises_value_error(name):
     call, message = GUARDS[name]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_huge_truncation_fails_fast():
+    """D = 30 at n = 2 would ask numpy for 16 GiB."""
+    e = catalog()["n2-p4-s-m9-opt"]
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="truncation degree 30 needs 2147483647 words"):
+        verify_order(e.scheme, e.params, 30)
+    assert time.perf_counter() - start < 1.0

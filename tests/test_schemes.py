@@ -1,10 +1,12 @@
 """Scheme templates: shapes, closures, logs, order checks, error measure."""
 
 import math
+import re
 import warnings
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -666,6 +668,37 @@ def test_non_finite_parameter_is_named_before_any_product(value, monkeypatch):
             epsilon(build_scheme(2, "S", 5), {"a_1": value}, 2)
     assert caught == []
     assert calls == []
+
+
+# b_1 is a free slot of S m9 and b_2 = 1/2 - b_1 its closure
+@pytest.mark.parametrize("value,message", [
+    (np.float32("nan"), "'b_1' is nan, not a finite number"),
+    (np.float64("-inf"), "'b_1' is -inf, not a finite number"),
+    ("-0.36", "'b_1' is '-0.36', not a real number"),
+    (None, "'b_1' is None, not a real number"),
+    (True, "'b_1' is True, not a real number"),
+    (np.bool_(False), "'b_1' is np.False_, not a real number"),
+    (-0.36 + 0j, "'b_1' is (-0.36+0j), not a real number"),
+], ids=["float32-nan", "float64-inf", "str", "None", "bool", "numpy-bool", "complex"])
+def test_bad_slot_value_is_named(value, message):
+    e = CATALOG["n2-p4-s-m9-opt"]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        epsilon(e.scheme, {**e.params.values, "b_1": value}, e.order)
+
+
+def test_numpy_slot_values_are_python_numbers():
+    e = CATALOG["n2-p4-s-m9-opt"]
+    want = epsilon(e.scheme, e.params, e.order)
+    got = epsilon(e.scheme, {k: np.float64(v) for k, v in e.params.values.items()}, e.order)
+    assert got == want and got.epsilon.hex() == want.epsilon.hex()
+    narrow = e.scheme.resolve_slots({k: np.float32(v) for k, v in e.params.values.items()})
+    assert [type(v) for v in narrow.values()] == [float] * 5
+    assert {k: narrow[k] for k in e.params.values} == {
+        k: float(np.float32(v)) for k, v in e.params.values.items()}
+    exact = e.scheme.resolve_slots({"a_1": np.int64(1), "b_1": Fraction(1, 3), "a_2": np.int8(-1)})
+    assert [(type(v), v) for v in exact.values()] == [
+        (int, 1), (Fraction, Fraction(1, 3)), (int, -1), (Fraction, Fraction(1, 6)),
+        (Fraction, Fraction(1))]
 
 
 @pytest.mark.parametrize("check", [epsilon, verify_order], ids=lambda f: f.__name__)
