@@ -40,18 +40,21 @@ one truncated Horner kernel (``_horner``): each inner term is kept only up
 to the degree that survives its remaining multiplications, which at
 n = 3, D = 7 takes 24,624 coefficient products for a dense log where
 summing the powers u^k takes 59,868.  Its steps and ``mul`` multiply the
-words of two series through one cached plan per set of degree pairs
+words of two flat series through one cached plan per set of degree pairs
 (``_pair_plan``), the flat position of every concatenation.
 
-In float, a factor of ``rmul_exp``, a Horner step and a ``mul`` each apply
-their plan's additions in one ``np.add.at``, which numpy applies one entry
-at a time, in order.  Each coefficient so receives the additions that a
-loop over the exponential's words or over degree blocks gives it, in the
-same order, and the results are those loops' to the bit (the loops are
-test oracles in ``tests/_naive.py``).  A BLAS product or a ``bincount``
-sum would add in another order and round differently.  Object arrays
-update one word or one degree block at a time, multiplying only nonzero
-coefficients.
+Every kernel runs one body over its plan in every coefficient domain;
+only the additions, and a Horner step's scaling of u, depend on the
+domain.  In float, a factor of ``rmul_exp``, a Horner step and a ``mul``
+each apply their plan's additions in one ``np.add.at``, which numpy
+applies one entry at a time, in order: each coefficient receives the
+additions that a loop over the exponential's words or over degree blocks
+gives it, in the same order, and the results are those loops' to the bit
+(the loops are test oracles in ``tests/_naive.py``), where a BLAS product
+or a ``bincount`` sum would round differently.  Object arrays take the
+same plans one word (``rmul_exp``) or one block of degrees
+(``_add_products``) at a time, through ``_add_at``, multiplying only
+nonzero coefficients.
 """
 
 from __future__ import annotations
@@ -87,19 +90,29 @@ class Generator(NamedTuple):
     degree: int = 1
 
 
+def _integer(value, name: str, index: int | None = None) -> int:
+    """``value`` as an int if it is a Python or numpy integer; a bool or
+    any other value raises ``ValueError`` naming ``name`` (``name[index]``
+    for an entry of a sequence)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        where = name if index is None else f"{name}[{index}]"
+        raise ValueError(f"{where} must be an integer, not {value!r}")
+    return int(value)
+
+
 def make_alphabet(labels: Sequence[str], degrees: Sequence[int] | None = None) -> tuple[Generator, ...]:
     """Build an alphabet from labels, e.g. ``make_alphabet("AB")``.
 
     Ids are assigned positionally; all degrees default to 1.
     """
     if degrees is None:
-        degrees = [1] * len(labels)
+        return tuple(Generator(i, str(lab)) for i, lab in enumerate(labels))
     if len(degrees) != len(labels):
         raise ValueError("labels and degrees must have equal length")
-    for d in degrees:
-        if d < 1:
-            raise ValueError("generator degrees must be >= 1")
-    return tuple(Generator(i, str(lab), int(d)) for i, (lab, d) in enumerate(zip(labels, degrees)))
+    degrees = [_integer(d, "degrees", i) for i, d in enumerate(degrees)]
+    if min(degrees, default=1) < 1:
+        raise ValueError("generator degrees must be >= 1")
+    return tuple(Generator(i, str(lab), d) for i, (lab, d) in enumerate(zip(labels, degrees)))
 
 
 def _check_alphabet(alphabet: Sequence[Generator]) -> tuple[Generator, ...]:
@@ -175,10 +188,11 @@ def degree_offsets(degrees: tuple[int, ...], max_degree: int) -> tuple[int, ...]
 
 def _flat(degrees: tuple[int, ...], max_degree: int,
           arrays: Mapping[int, np.ndarray]) -> np.ndarray:
-    """Per-degree float ``arrays`` in the flat layout of ``degree_offsets``
-    truncated at ``max_degree``, absent degrees as zeros."""
+    """Per-degree ``arrays`` in the flat layout of ``degree_offsets``
+    truncated at ``max_degree``, absent degrees as zeros: object if any
+    array is, float64 otherwise."""
     offsets = degree_offsets(degrees, max_degree)
-    flat = np.zeros(offsets[-1])
+    flat = np.zeros(offsets[-1], dtype=np.result_type(*arrays.values()))
     for d, a in arrays.items():
         flat[offsets[d]:offsets[d + 1]] = a
     return flat
@@ -257,18 +271,13 @@ def _pair_plan(degrees: tuple[int, ...], left: tuple[int, ...], right: tuple[int
     return tuple(slices), targets.astype(np.min_scalar_type(offsets[-1]))
 
 
-def _pair_products(x: np.ndarray, y: np.ndarray, slices) -> np.ndarray:
-    """The products a ``_pair_plan`` targets, for flat ``x`` and ``y``."""
-    return np.concatenate([np.multiply.outer(x[a:b], y[c:e]).ravel() for a, b, c, e in slices])
-
-
 @functools.lru_cache(maxsize=None)
 def _horner_plan(degrees: tuple[int, ...], D: int, present: tuple[int, ...]):
-    """The steps of ``_horner``'s float sum for u holding the degrees
+    """The steps of ``_horner``'s sum for u holding the degrees
     ``present`` (ascending, the lowest l >= 1), truncated at D: for
     k = D // l - 1 down to 0, the flat length of h_k (every degree up to
     top = D - k l), the flat bounds of the degrees h_k holds that u lacks
-    (which start at zero, not at c_k times u's zeros) and the
+    (in float they start at zero, not at c_k times u's zeros) and the
     ``_pair_plan`` of u times h_{k+1}."""
     low = present[0]
     offsets = degree_offsets(degrees, D)
@@ -291,6 +300,25 @@ def _add_at(acc: np.ndarray, pos: np.ndarray, vals: np.ndarray) -> None:
     acc[pos[live]] += vals[live]
 
 
+def _add_products(acc: np.ndarray, x: np.ndarray, y: np.ndarray, slices, targets) -> None:
+    """``acc`` += the products of flat ``x`` and ``y`` that the
+    ``_pair_plan`` ``(slices, targets)`` lists.  Float adds every product
+    in one ``np.add.at``, in plan order.  Object adds block by block (one
+    left degree and one run of right degrees, in which each target appears
+    once), only the products of nonzero entries, through ``_add_at``."""
+    if acc.dtype != object:
+        if slices:
+            np.add.at(acc, targets, np.concatenate(
+                [np.multiply.outer(x[a:b], y[c:e]).ravel() for a, b, c, e in slices]))
+        return
+    start = 0
+    for a, b, c, e in slices:
+        i, j = np.flatnonzero(x[a:b]), np.flatnonzero(y[c:e])
+        block = targets[start:start + (b - a) * (e - c)].reshape(b - a, e - c)
+        _add_at(acc, block[i[:, None], j].ravel(), np.multiply.outer(x[a + i], y[c + j]).ravel())
+        start += (b - a) * (e - c)
+
+
 class NCSeries:
     """A degree-truncated series over a fixed alphabet.
 
@@ -305,10 +333,11 @@ class NCSeries:
     def __init__(self, alphabet: Sequence[Generator], max_degree: int,
                  arrays: Mapping[int, Sequence] | None = None):
         """``arrays`` maps degrees to coefficients over ``degree_words``."""
+        max_degree = _integer(max_degree, "max_degree")
         if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
         self.alphabet = _check_alphabet(alphabet)
-        self.max_degree = int(max_degree)
+        self.max_degree = max_degree
         self._degrees = tuple(g.degree for g in self.alphabet)
         self._arrays = {}
         for d, values in sorted((arrays or {}).items()):
@@ -472,39 +501,21 @@ def series_from_generator(g: Generator, coeff, D: int,
 
 
 def mul(x: NCSeries, y: NCSeries) -> NCSeries:
-    """Concatenation product, truncated at the common max degree.  Each
-    output degree sums its (d1, d2) blocks in ascending d1: float blocks
-    in one ``np.add.at`` over the ``_pair_plan`` of x's and y's degrees,
-    object blocks one at a time, multiplying only the nonzero entries."""
+    """Concatenation product, truncated at the common max degree: the
+    products that the ``_pair_plan`` of x's and y's degrees lists, added
+    on the flat layout by ``_add_products``."""
     x._compatible(y)
-    degrees, D = x._degrees, x.max_degree
-    exact = any(a.dtype == object for a in (*x._arrays.values(), *y._arrays.values()))
-    if not exact:
-        if not x or not y:
-            return x._with({})
-        # no flat array reaches above the highest degree of x, y or x y
-        dx, dy = max(x._arrays), max(y._arrays)
-        top = min(D, dx + dy)
-        offsets = degree_offsets(degrees, top)
-        slices, targets = _pair_plan(degrees, tuple(x._arrays), tuple(y._arrays), top)
-        flat = np.zeros(offsets[-1])
-        if slices:
-            np.add.at(flat, targets, _pair_products(_flat(degrees, dx, x._arrays),
-                                                      _flat(degrees, dy, y._arrays), slices))
-        return x._with({d: flat[offsets[d]:offsets[d + 1]] for d in range(top + 1)})
-    out: dict[int, np.ndarray] = {}
-    for d1, a in x._arrays.items():
-        i = a.nonzero()[0]
-        for d2, b in y._arrays.items():
-            if d1 + d2 > D:
-                break
-            acc = out.get(d1 + d2)
-            if acc is None:
-                acc = out[d1 + d2] = np.zeros(word_count(degrees, d1 + d2), dtype=object)
-            j = b.nonzero()[0]
-            _add_at(acc, concat_index(degrees, d1, d2)[i[:, None], j].ravel(),
-                    np.multiply.outer(a[i], b[j]).ravel())
-    return x._with(out)
+    if not x or not y:
+        return x._with({})
+    degrees = x._degrees
+    # no flat array reaches above the highest degree of x, y or x y
+    dx, dy = max(x._arrays), max(y._arrays)
+    top = min(x.max_degree, dx + dy)
+    offsets = degree_offsets(degrees, top)
+    xf, yf = _flat(degrees, dx, x._arrays), _flat(degrees, dy, y._arrays)
+    flat = np.zeros(offsets[-1], dtype=np.result_type(xf, yf))
+    _add_products(flat, xf, yf, *_pair_plan(degrees, tuple(x._arrays), tuple(y._arrays), top))
+    return x._with({d: flat[offsets[d]:offsets[d + 1]] for d in range(top + 1)})
 
 
 def rmul_exp(flat: np.ndarray, degrees: tuple[int, ...], max_degree: int,
@@ -556,60 +567,35 @@ def _horner(x: NCSeries, u: Mapping[int, np.ndarray], c0, coefficient) -> NCSeri
     c_0 = c0.  h_k is multiplied by u^k on its way out, whose degree is at
     least k l for u's lowest degree l, so h_k is kept only up to degree
     D - k l.  Each h_k is its coefficients less its constant (u times
-    that constant is a scaling of u); one series is built at the end.  In
-    float, u and h_k are flat arrays (``degree_offsets``) and u h_{k+1} is
-    one ``np.add.at`` over the step's ``_horner_plan``, adding each
-    target's products in ascending degree of u's word.  Object arrays are
-    per-degree arrays that multiply only their nonzero entries (u's
-    positions found once per call) and sum through ``_add_at``."""
+    that constant is a scaling of u), a flat array (``degree_offsets``)
+    like u; u h_{k+1} is added by ``_add_products`` over the step's
+    ``_horner_plan``.  Float scales all of u by c_k and zeroes the degrees
+    h_k holds that u lacks; object scales u's nonzero entries only."""
     degrees, D = x._degrees, x.max_degree
-    terms = sorted(u.items())
-    if not terms:
+    present = tuple(sorted(u))
+    if not present:
         return x._with({0: np.array([c0], dtype=object)} if c0 else {})
-    exact = any(a.dtype == object for _, a in terms)
     cast = float if isinstance(x.unit(), float) else Fraction
-    low = terms[0][0]
-    cs = [c0] + [cast(coefficient(k)) for k in range(1, D // low + 1)]
-    if not exact:
-        offsets = degree_offsets(degrees, D)
-        uf = _flat(degrees, D, u)
-        h = uf[:0]
-        steps = _horner_plan(degrees, D, tuple(d for d, _ in terms))
-        for c, (end, zeroed, (slices, targets)) in zip(cs[:0:-1], steps):
+    cs = [cast(coefficient(k)) for k in range(D // present[0], 0, -1)]
+    offsets = degree_offsets(degrees, D)
+    uf = _flat(degrees, D, u)
+    exact = uf.dtype == object
+    h = uf[:0]
+    for c, (end, zeroed, products) in zip(cs, _horner_plan(degrees, D, present)):
+        if exact:
+            new = np.zeros(end, dtype=object)
+            nz = np.flatnonzero(uf[:end])
+            new[nz] = c * uf[nz]
+        else:
             new = c * uf[:end]
             for a, b in zeroed:
                 new[a:b] = 0.0
-            if slices:
-                np.add.at(new, targets, _pair_products(uf, h, slices))
-            h = new
-        arrays = {d: h[offsets[d]:offsets[d + 1]] for d in range(1, D + 1)}
-        if c0:
-            arrays[0] = np.array([c0], dtype=float)
-        return x._with(arrays)
-    nz = {d: a.nonzero()[0] for d, a in terms}
-    h: dict[int, np.ndarray] = {}  # h_{k+1} less its constant cs[k + 1]
-    for k in range(len(cs) - 2, -1, -1):
-        top, c, new = D - k * low, cs[k + 1], {}
-        for d1, a in terms:
-            if d1 > top:
-                break
-            new[d1] = acc = np.zeros(len(a), dtype=object)
-            acc[nz[d1]] = c * a[nz[d1]]
-        hz = {d2: b.nonzero()[0] for d2, b in h.items()}
-        for d1, a in terms:
-            for d2, b in h.items():
-                if d1 + d2 > top:
-                    break
-                acc = new.get(d1 + d2)
-                if acc is None:
-                    acc = new[d1 + d2] = np.zeros(word_count(degrees, d1 + d2), dtype=object)
-                i, j = nz[d1], hz[d2]
-                _add_at(acc, concat_index(degrees, d1, d2)[i[:, None], j].ravel(),
-                        np.multiply.outer(a[i], b[j]).ravel())
-        h = dict(sorted(new.items()))
+        _add_products(new, uf, h, *products)
+        h = new
+    arrays = {d: h[offsets[d]:offsets[d + 1]] for d in range(1, D + 1)}
     if c0:
-        h[0] = np.array([c0], dtype=object)
-    return x._with(h)
+        arrays[0] = np.array([c0], dtype=h.dtype)
+    return x._with(arrays)
 
 
 def exp(x: NCSeries) -> NCSeries:

@@ -16,16 +16,21 @@ degree — matters only for graded alphabets, where it yields elements like
 set is still a Hall set and per-degree counts agree with the generalized
 Witt dimensions, which the tests pin.
 
+Every basis relabels one canonical Hall set per tuple of generator
+degrees (``_hall_set``), identity-ordered and grown level by level: the
+basis with ``ordering`` is the set over its generator degrees in rank
+order with leaf k renamed ordering[k] (``_relabeled``), since the
+construction reads only ranks and degrees.
+
 Coordinates of a Lie element are read per homogeneous degree from the
 expansion matrix M (words x Hall elements, integer entries), in one
-place: ``HallBasis.coords_from_dense``.  Renaming generator
-``ordering[j]`` to j maps a basis's elements, in order, onto the
-canonical basis: identity-ordered, with this basis's generator degrees
-in rank order.  So one solver per (degrees in rank order, degree) serves
-every ordering and truncation, after gathering the word vector into the
-canonical letters.  Each Hall element expands into rearrangements of its
-own leaves, so M is zero outside its letter-content blocks (the fine
-grading of the free Lie algebra; Reutenauer, *Free Lie Algebras*, 1993):
+place: ``HallBasis.coords_from_dense``.  The same renaming maps a
+basis's elements, in order, onto the canonical set, so one solver per
+(degrees in rank order, degree) serves every ordering and truncation,
+after gathering the word vector into the canonical letters.  Each Hall
+element expands into rearrangements of its own leaves, so M is zero
+outside its letter-content blocks (the fine grading of the free Lie
+algebra; Reutenauer, *Free Lie Algebras*, 1993):
 at n = 3, degree 7, the 2187 x 312 matrix splits into 33 blocks, the
 largest 210 x 30.  M is built by index arithmetic on the word layout of
 ``free_algebra``, degree by degree: a generator's column is its
@@ -51,13 +56,12 @@ column, and solves every column with one product.  Over equal generator
 degrees every ordering's canonical basis is the identity one, so
 ``ordering_block`` stacks each ordering's word gather into one index: a
 vector's block of relabelings, read in the identity basis, gives its
-coordinates in every ordering at once.  Each ordering's elements are the
-identity basis's with leaf j renamed ordering[j]; no basis is built per
-ordering.  Relabeling the letters maps the free Lie algebra onto itself,
-so a vector is Lie in one ordering exactly when it is in all: a float
-block's residual still covers every column, but an exact block's is
-taken on its first column only, once per vector rather than once per
-ordering.
+coordinates in every ordering at once, each ordering's elements
+relabeled from the canonical set as a basis's are.  Relabeling the
+letters maps the free Lie algebra onto itself, so a vector is Lie in one
+ordering exactly when it is in all: a float block's residual still
+covers every column, but an exact block's is taken on its first column
+only, once per vector rather than once per ordering.
 """
 
 from __future__ import annotations
@@ -72,8 +76,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .free_algebra import (Generator, NCSeries, concat_index, make_alphabet, word_count,
-                           word_starts)
+from .free_algebra import Generator, NCSeries, _integer, concat_index, word_count, word_starts
 
 __all__ = [
     "HallBasis",
@@ -95,6 +98,7 @@ def witt_dimension(n: int, k: int) -> int:
 
     Witt's formula (the necklace polynomial): d_k = (1/k) sum_{j | k} mu(j) n^(k/j).
     """
+    n, k = _integer(n, "n"), _integer(k, "k")
     if n < 1 or k < 1:
         raise ValueError("witt_dimension requires n >= 1 and k >= 1")
     total = sum(_mobius(j) * n ** (k // j) for j in range(1, k + 1) if k % j == 0)
@@ -147,11 +151,12 @@ class LieSeries:
 
 
 class HallBasis:
-    """All Hall elements of degree <= max_degree, grouped by degree.
+    """All Hall elements of degree <= max_degree, grouped by degree: a
+    labeled view of the canonical Hall set (see the module docstring).
 
     Instances are immutable; obtain them via ``build_hall_basis``, which
-    memoizes.  Expansions and solvers live in module-level caches shared
-    by every basis.
+    memoizes.  The canonical sets, expansions and solvers live in
+    module-level caches shared by every basis.
     """
 
     def __init__(self, alphabet: Sequence[Generator], max_degree: int, ordering: Sequence[int]):
@@ -160,34 +165,8 @@ class HallBasis:
         self.ordering = tuple(ordering)
         self.generator_degrees = tuple(g.degree for g in self.alphabet)
         self._canon_degrees = tuple(self.generator_degrees[g] for g in self.ordering)
-        self.by_degree: dict[int, tuple[HallElement, ...]] = {}
-        # rank[e] sorts as the module docstring's recursive order, in O(1):
-        # generators rank (0, position), brackets (1, degree, index in level)
-        self._rank: dict[HallElement, tuple] = {}
-        self._build()
-
-    def _build(self) -> None:
-        rank = self._rank
-        for pos, g in enumerate(self.ordering):
-            rank[g] = (0, pos)
-        for d in range(1, self.max_degree + 1):
-            level: list[HallElement] = sorted(
-                (g for g in range(len(self.alphabet)) if self.generator_degrees[g] == d),
-                key=rank.__getitem__)
-            brackets: list[HallElement] = []
-            for d1 in range(1, d):
-                d2 = d - d1
-                for x in self.by_degree.get(d1, ()):
-                    rx = rank[x]
-                    for y in self.by_degree.get(d2, ()):
-                        if not rx < rank[y]:
-                            continue
-                        if isinstance(y, int) or rank[y[0]] <= rx:
-                            brackets.append((x, y))
-            brackets.sort(key=lambda e: (rank[e[0]], rank[e[1]]))
-            for i, e in enumerate(brackets):
-                rank[e] = (1, d, i)
-            self.by_degree[d] = tuple(level + brackets)
+        self.by_degree: dict[int, tuple[HallElement, ...]] = dict(
+            enumerate(_relabeled(self._canon_degrees, self.ordering, self.max_degree), 1))
 
     # -- inspection -----------------------------------------------------
 
@@ -317,11 +296,10 @@ def _expansion_matrix(degrees: tuple[int, ...], d: int):
     The terms of each column are summed in a dense array over the words
     of its block, so M by columns and the blocks come from one sum.
     """
-    alphabet = make_alphabet([f"X{g}" for g in range(len(degrees))], degrees)
-    basis = _cached_basis(alphabet, d, tuple(range(len(degrees))))
-    elements = basis.elements(d)
+    levels = _hall_levels(degrees, d)
+    elements = levels[d]
     starts = word_starts(degrees, d)
-    at = {e: (k, j) for k in range(1, d) for j, e in enumerate(basis.elements(k))}
+    at = {e: (k, j) for k in range(1, d) for j, e in enumerate(levels[k])}
     # every term (word, column, value) of every expansion, and each
     # column's first word, which carries its letter content
     first = np.zeros(len(elements), np.intp)
@@ -445,15 +423,45 @@ def _gather(degrees: tuple[int, ...], ordering: tuple[int, ...], d: int) -> np.n
     return gather
 
 
-def _relabeled(basis: HallBasis, ordering: tuple[int, ...], d: int) -> tuple[HallElement, ...]:
-    """``basis``'s degree-d elements with each leaf g renamed ordering[g],
-    built up level by level."""
+@functools.lru_cache(maxsize=None)
+def _hall_set(degrees: tuple[int, ...]) -> tuple[list, dict]:
+    """The canonical Hall set over ``degrees`` as ``(levels, rank)``, grown
+    by ``_hall_levels``: ``levels[d]`` the degree-d elements in basis order,
+    ``rank[e]`` sorting as the recursive order in O(1): generator g ranks
+    (0, g), a bracket (1, degree, index among its level's brackets)."""
+    return [()], {g: (0, g) for g in range(len(degrees))}
+
+
+def _hall_levels(degrees: tuple[int, ...], D: int) -> list[tuple[HallElement, ...]]:
+    """Levels 0..D of the canonical Hall set, the missing ones built
+    bottom-up, each from the levels below it."""
+    levels, rank = _hall_set(degrees)
+    for d in range(len(levels), D + 1):
+        brackets = []
+        for d1 in range(1, d):
+            for x in levels[d1]:
+                rx = rank[x]
+                brackets += [(x, y) for y in levels[d - d1]
+                             if rx < rank[y] and (isinstance(y, int) or rank[y[0]] <= rx)]
+        brackets.sort(key=lambda e: (rank[e[0]], rank[e[1]]))
+        for i, e in enumerate(brackets):
+            rank[e] = (1, d, i)
+        levels.append(tuple([g for g, deg in enumerate(degrees) if deg == d] + brackets))
+    return levels[:D + 1]
+
+
+def _relabeled(degrees: tuple[int, ...], ordering: tuple[int, ...],
+               D: int) -> list[tuple[HallElement, ...]]:
+    """Levels 1..D of the canonical Hall set over ``degrees`` with leaf k
+    renamed ordering[k]: the basis ranking generator ordering[k] k-th."""
     image: dict = dict(enumerate(ordering))
-    for k in range(2, d + 1):
-        for e in basis.elements(k):
+    levels = []
+    for level in _hall_levels(degrees, D)[1:]:
+        for e in level:
             if not isinstance(e, int):
                 image[e] = (image[e[0]], image[e[1]])
-    return tuple(image[e] for e in basis.elements(d))
+        levels.append(tuple(image[e] for e in level))
+    return levels
 
 
 @functools.lru_cache(maxsize=None)
@@ -463,9 +471,9 @@ def ordering_block(degrees: tuple[int, ...], d: int):
 
     ``orderings`` lists every permutation of the generator ids in
     ``itertools.permutations`` order, ``elements`` each one's degree-d
-    Hall elements in basis order, the identity basis's with its leaves
-    relabeled (see the module docstring), and row k of the (orderings x
-    words) index ``gather`` is ordering k's ``_gather``.  For a word vector
+    Hall elements in basis order, relabeled from the canonical set as
+    every basis's are, and row k of the (orderings x words) index
+    ``gather`` is ordering k's ``_gather``.  For a word vector
     ``vec``, column k of ``vec[gather.T]`` read in the identity basis
     gives ``vec``'s coordinates in ordering k, so one solve covers every
     ordering.  Needs equal generator degrees, the case in which every
@@ -473,10 +481,8 @@ def ordering_block(degrees: tuple[int, ...], d: int):
     """
     if len(set(degrees)) > 1:
         raise ValueError(f"orderings share one solver only over equal degrees, not {degrees}")
-    alphabet = make_alphabet([f"X{g}" for g in range(len(degrees))], degrees)
     orderings = tuple(itertools.permutations(range(len(degrees))))
-    identity = _cached_basis(alphabet, d, orderings[0])
-    elements = tuple(_relabeled(identity, o, d) for o in orderings)
+    elements = tuple(_relabeled(degrees, o, d)[-1] for o in orderings)
     gather = np.stack([_gather(degrees, o, d) for o in orderings])
     gather.setflags(write=False)
     return orderings, elements, gather
@@ -539,15 +545,16 @@ def build_hall_basis(alphabet: Sequence[Generator], D: int,
     ``ordering`` permutes the generators (ids, smallest first); identity
     by default.  Results are memoized, so equal requests share caches.
     """
+    D = _integer(D, "D")
     if D < 1:
         raise ValueError("D must be >= 1")
     alphabet = tuple(alphabet)
     if ordering is None:
         ordering = tuple(range(len(alphabet)))
-    ordering = tuple(int(g) for g in ordering)
+    ordering = tuple(_integer(g, "ordering", i) for i, g in enumerate(ordering))
     if sorted(ordering) != list(range(len(alphabet))):
         raise ValueError("ordering must be a permutation of generator ids")
-    return _cached_basis(alphabet, int(D), ordering)
+    return _cached_basis(alphabet, D, ordering)
 
 
 def expand_hall(e: HallElement, D: int, alphabet: Sequence[Generator] | None = None) -> NCSeries:

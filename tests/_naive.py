@@ -27,6 +27,8 @@ where ``optimizer._Manifold.solve`` evaluates them in batches;
 ``n_exact_solver`` and ``n_ordering_block``, the word positions and Hall
 tables built from word tuples, word dicts and one basis per ordering, where
 ``free_algebra`` and ``hall`` build them by recurrences over word counts;
+``n_hall_basis``, the Hall elements ranked and built for one ordering, where
+``hall`` relabels one canonical set per tuple of generator degrees;
 and five helpers only tests call: ``n_norm1_at_degree`` and
 ``n_to_series`` on a ``LieSeries``, ``n_expansion``, a Hall element as a
 word series, and ``n_residual`` and ``n_jacobian``, a ``_Manifold``'s
@@ -282,11 +284,35 @@ def n_exact_solver(degrees, d: int):
     return pivots, inv, others, _sparse(m[others])
 
 
+def n_hall_basis(degrees, D: int, ordering) -> dict:
+    """``HallBasis.by_degree`` for the generators of ``degrees`` ranked by
+    ``ordering``, built for that ordering alone: generator g ranks
+    (0, its place in ``ordering``), a bracket (1, degree, index among the
+    brackets of its level), and each level's brackets are the Hall pairs
+    of lower elements sorted by their factors' ranks.  ``hall`` builds one
+    identity-ordered set per tuple of degrees and relabels it."""
+    rank = {g: (0, pos) for pos, g in enumerate(ordering)}
+    by_degree = {}
+    for d in range(1, D + 1):
+        level = sorted((g for g in range(len(degrees)) if degrees[g] == d), key=rank.__getitem__)
+        brackets = []
+        for d1 in range(1, d):
+            for x in by_degree[d1]:
+                for y in by_degree[d - d1]:
+                    if rank[x] < rank[y] and (isinstance(y, int) or rank[y[0]] <= rank[x]):
+                        brackets.append((x, y))
+        brackets.sort(key=lambda e: (rank[e[0]], rank[e[1]]))
+        for i, e in enumerate(brackets):
+            rank[e] = (1, d, i)
+        by_degree[d] = tuple(level + brackets)
+    return by_degree
+
+
 def n_ordering_block(degrees, d: int):
-    """``hall.ordering_block`` from one Hall basis per generator ordering."""
-    alphabet = make_alphabet([f"X{g}" for g in range(len(degrees))], degrees)
+    """``hall.ordering_block`` from one Hall basis per generator ordering
+    (``n_hall_basis``)."""
     orderings = tuple(permutations(range(len(degrees))))
-    elements = tuple(build_hall_basis(alphabet, d, o).elements(d) for o in orderings)
+    elements = tuple(n_hall_basis(degrees, d, o)[d] for o in orderings)
     return orderings, elements, np.stack([n_gather(degrees, o, d) for o in orderings])
 
 

@@ -487,6 +487,81 @@ def test_horner_log_truncates_inner_terms(n, D, products, monkeypatch):
         assert np.abs(got.array(d) - want.array(d)).max() <= 1e-14
 
 
+class _Counted:
+    """A rational coefficient that counts the products it is part of:
+    ``products`` those of two coefficients, ``scalings`` those by a
+    rational."""
+
+    products = scalings = 0
+    __hash__ = None
+
+    def __init__(self, value):
+        self.value = Fraction(value)
+
+    def __mul__(self, other):
+        if isinstance(other, _Counted):
+            _Counted.products += 1
+            return _Counted(self.value * other.value)
+        return self.__rmul__(other)
+
+    def __rmul__(self, other):
+        _Counted.scalings += 1
+        return _Counted(other * self.value)
+
+    def __add__(self, other):
+        return _Counted(self.value + getattr(other, "value", other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return _Counted(self.value - getattr(other, "value", other))
+
+    def __neg__(self):
+        return _Counted(-self.value)
+
+    def __pow__(self, k):
+        return _Counted(self.value ** k)
+
+    def __bool__(self):
+        return bool(self.value)
+
+    def __eq__(self, other):
+        return self.value == getattr(other, "value", other)
+
+
+def _sparse_counted(alphabet, D, seed, constant):
+    """A fixed series with about three in ten words nonzero at each degree
+    1..D, ``constant`` at degree 0 (absent if None)."""
+    degrees, rng = tuple(g.degree for g in alphabet), random.Random(seed)
+    arrays = {} if constant is None else {0: [_Counted(constant)]}
+    for d in range(1, D + 1):
+        arrays[d] = [_Counted(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+                     if rng.random() < 0.3 else 0 for _ in range(word_count(degrees, d))]
+    return NCSeries(alphabet, D, arrays)
+
+
+@pytest.mark.parametrize("alphabet,D,counts", [
+    (make_alphabet("AB"), 6, {"mul": (63, 0), "exp": (14, 39), "log": (392, 75)}),
+    (make_alphabet("XYZ", [1, 2, 3]), 7, {"mul": (40, 0), "exp": (11, 26), "log": (151, 66)}),
+], ids=["AB-D6", "XYZ-123-D7"])
+def test_exact_kernels_skip_zero_coefficients(alphabet, D, counts, monkeypatch):
+    """Exact ``mul``, ``exp`` and ``log`` multiply only nonzero
+    coefficients: (products, scalings) on fixed sparse series, pinned, and
+    the values those of the same series in ``Fraction``s."""
+    x, y = _sparse_counted(alphabet, D, 1, 1), _sparse_counted(alphabet, D, 2, None)
+    degrees = [g.degree for g in alphabet]
+    fx, fy = ({w: c.value for w, c in s.items()} for s in (x, y))
+    want = {"mul": n_mul(fx, fy, degrees, D), "exp": n_exp(fy, degrees, D),
+            "log": n_log(fx, degrees, D)}
+    for name, call in (("mul", lambda: mul(x, y)), ("exp", lambda: exp(y)),
+                       ("log", lambda: log(x))):
+        monkeypatch.setattr(_Counted, "products", 0)
+        monkeypatch.setattr(_Counted, "scalings", 0)
+        got = call()
+        assert (_Counted.products, _Counted.scalings) == counts[name], name
+        assert {w: c.value for w, c in got.items()} == want[name], name
+
+
 # -------------------- float kernels against the loops they replaced, in hex
 
 

@@ -40,7 +40,7 @@ from liesplit.hall import (
 )
 
 from _naive import (HallOrder, n_commutator, n_exact_solver, n_expansion, n_expansion_matrix,
-                    n_gather, n_ordering_block, n_to_series)
+                    n_gather, n_hall_basis, n_ordering_block, n_to_series)
 
 AB = make_alphabet("AB")
 ABC = make_alphabet("ABC")
@@ -181,13 +181,33 @@ def test_three_letter_low_degree_elements():
 
 
 def test_rank_order_agrees_with_recursive_order():
-    basis = build_hall_basis(ABC, 4)
-    order = HallOrder(basis.generator_degrees, basis.ordering)
-    elements = basis.elements()
+    """The ranks of the canonical Hall set sort as the recursive order."""
     rng = random.Random(7)
-    for _ in range(200):
-        a, b = rng.choice(elements), rng.choice(elements)
-        assert (basis._rank[a] < basis._rank[b]) == order.less(a, b)
+    for degrees, D in (((1, 1, 1), 4), ((1, 2, 3), 6)):
+        elements = [e for level in hall._hall_levels(degrees, D) for e in level]
+        rank = hall._hall_set(degrees)[1]
+        order = HallOrder(degrees, range(len(degrees)))
+        for _ in range(200):
+            a, b = rng.choice(elements), rng.choice(elements)
+            assert (rank[a] < rank[b]) == order.less(a, b), degrees
+
+
+@pytest.mark.parametrize("degrees,D", [((1, 1), 9), ((1, 1, 1), 7), ((1, 1, 1, 1), 5),
+                                       ((1, 2, 3), 7), ((1, 3, 5, 7), 9), ((2, 1), 6)])
+def test_every_ordering_relabels_the_canonical_set(degrees, D):
+    """Each ordering's basis, a relabeling of the one canonical set, holds
+    the elements that ranking and building them for that ordering alone
+    gives, level for level and in order."""
+    alphabet = make_alphabet([f"X{g}" for g in range(len(degrees))], degrees)
+    for ordering in itertools.permutations(range(len(degrees))):
+        assert build_hall_basis(alphabet, D, ordering).by_degree == \
+            n_hall_basis(degrees, D, ordering), ordering
+
+
+def test_deep_truncation_needs_no_recursion():
+    """The canonical set is built level by level, not by one call per degree."""
+    basis = build_hall_basis(make_alphabet("A"), 2000)
+    assert basis.degree_counts() == {1: 1} and len(basis.by_degree) == 2000
 
 
 def test_ordering_permutation_changes_generator_order():
@@ -693,7 +713,7 @@ def test_cold_tables_live_in_module_caches():
     tables = [free_algebra.word_starts, free_algebra.concat_index, free_algebra.degree_offsets,
               free_algebra._exp_plan, free_algebra._pair_plan, free_algebra._horner_plan,
               hall._letter_counts, hall._expansion_matrix, hall._float_solver, hall._gather,
-              hall.ordering_block, hall._cached_basis]
+              hall.ordering_block, hall._cached_basis, hall._hall_set]
     layout = [free_algebra.degree_words]
 
     def call():

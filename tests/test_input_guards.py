@@ -10,7 +10,7 @@ import pytest
 from liesplit._dense import dense_product_log
 from liesplit.catalog import catalog
 from liesplit.constraints import symbolic_log
-from liesplit.free_algebra import make_alphabet
+from liesplit.free_algebra import NCSeries, make_alphabet
 from liesplit.hall import build_hall_basis, witt_dimension
 from liesplit.schemes import build_scheme, epsilon, log_scheme, verify_order, yoshida_recursive
 from liesplit.validate import GeneratorSet, build_generators, scaling_fit
@@ -66,3 +66,39 @@ def test_huge_truncation_fails_fast():
     with pytest.raises(ValueError, match="truncation degree 30 needs 2147483647 words"):
         verify_order(e.scheme, e.params, 30)
     assert time.perf_counter() - start < 1.0
+
+
+_NON_INTEGRAL = {
+    "make_alphabet-degree-1.5": (lambda: make_alphabet("AB", [1, 1.5]), r"degrees\[1\]"),
+    "make_alphabet-degree-True": (lambda: make_alphabet("AB", [True, 1]), r"degrees\[0\]"),
+    "build_hall_basis-D-2.5": (lambda: build_hall_basis(_AB, 2.5), "D must be an integer"),
+    "build_hall_basis-D-True": (lambda: build_hall_basis(_AB, True), "D must be an integer"),
+    "build_hall_basis-ordering-float": (lambda: build_hall_basis(_AB, 2, ordering=(1.7, 0.2)),
+                                        r"ordering\[0\]"),
+    "build_hall_basis-ordering-bool": (lambda: build_hall_basis(_AB, 2, ordering=(1, False)),
+                                       r"ordering\[1\]"),
+    "NCSeries-max_degree-2.5": (lambda: NCSeries(_AB, 2.5), "max_degree must be an integer"),
+    "NCSeries-max_degree-np-float": (lambda: NCSeries(_AB, np.float64(2)),
+                                     "max_degree must be an integer"),
+    "witt_dimension-n-2.5": (lambda: witt_dimension(2.5, 3), "n must be an integer"),
+    "witt_dimension-k-True": (lambda: witt_dimension(2, True), "k must be an integer"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NON_INTEGRAL))
+def test_non_integral_size_raises_value_error(name):
+    """Degrees, truncations, orderings and Witt arguments take Python or
+    numpy integers only: a float, a numpy float or a bool is refused with a
+    ``ValueError`` naming the argument, not truncated to an int."""
+    call, message = _NON_INTEGRAL[name]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_numpy_integer_sizes_are_accepted():
+    alphabet = make_alphabet("AB", [np.int64(1), np.int32(2)])
+    assert [g.degree for g in alphabet] == [1, 2] and type(alphabet[1].degree) is int
+    basis = build_hall_basis(alphabet, np.int64(4), ordering=np.array([1, 0]))
+    assert basis.max_degree == 4 and basis.ordering == (1, 0)
+    assert NCSeries(alphabet, np.uint8(3)).max_degree == 3
+    assert witt_dimension(np.int64(2), np.int16(3)) == 2

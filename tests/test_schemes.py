@@ -1,5 +1,6 @@
 """Scheme templates: shapes, closures, logs, order checks, error measure."""
 
+import functools
 import math
 import re
 import warnings
@@ -719,3 +720,95 @@ def test_describe_mentions_all_factors():
     text = s.describe()
     assert text.count("exp[") == 9
     assert "closures:" in text
+
+
+# ------------------------------------- Hall coordinates against matrices
+# The leading error term E of a scheme of order p, summed from its Hall
+# coordinates with each Hall element as nested matrix commutators of
+# random generators, against the matrix logarithm of the scheme's product
+# S(t): (log S(t) - t H) / t^(p+1) = E + O(t), extrapolated from moderate
+# steps.  The matrices are held in extended precision: in double, the
+# rounding of log S(t), divided by t^7, is as large as E itself for the
+# p = 6 entries at the smaller steps.
+
+_LD = np.longdouble
+_DIM = 6
+_STEPS = (0.2, 0.1, 0.05, 0.025)
+
+
+def _symmetric_generator(rng):
+    """(Q, lam) of a random real symmetric generator Q diag(lam) Q^T of
+    unit 2-norm: Q a product of Householder reflections, orthogonal to
+    extended precision, and lam uniform in [-1, 1] with one entry +-1."""
+    q = np.eye(_DIM, dtype=_LD)
+    for _ in range(_DIM):
+        v = rng.standard_normal(_DIM).astype(_LD)
+        q = q - (2 / (v @ v)) * np.outer(q @ v, v)
+    lam = rng.uniform(-1.0, 1.0, _DIM)
+    lam[rng.integers(_DIM)] = rng.choice((-1.0, 1.0))
+    return q, lam.astype(_LD)
+
+
+def _log_one_plus(p):
+    """log(I + p) = 2 atanh(z), z = p (2I + p)^-1, by its power series;
+    the inverse is refined from double by two Newton-Schulz steps."""
+    a, eye = 2 * np.eye(_DIM, dtype=_LD) + p, np.eye(_DIM, dtype=_LD)
+    inv = np.linalg.inv(a.astype(float)).astype(_LD)
+    for _ in range(2):
+        inv = inv @ (2 * eye - a @ inv)
+    z = inv @ p
+    z2, term, out = z @ z, z, np.zeros_like(p)
+    for j in range(40):
+        out = out + term / (2 * j + 1)
+        term = term @ z2
+    return 2 * out
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG), ids=str)
+def test_leading_error_term_matches_the_matrix_logarithm(name):
+    """E from ``log_scheme``'s degree-(p+1) coordinates matches the
+    measured quotient q(t) = (log S(t) - t H) / t^(p+1), Richardson-
+    extrapolated from the step pairs (t, t/2) with q(t/2) weighted by
+    k = 4 for a palindromic factor list (q is even in t) and 2 otherwise:
+    R_i from steps i and i + 1.  R_1's error is bounded by the differences
+    of the step pairs themselves: |R_0 - R_1| / (k^2 - 1), the Richardson
+    estimate of its truncation, plus |R_1 - R_2|, which holds its rounding.
+    The bound is below |E|, so E is told from 0 and from -E."""
+    entry = CATALOG[name]
+    scheme, p = entry.scheme, entry.order
+    rng = np.random.default_rng(7)
+    gens = [_symmetric_generator(rng) for _ in scheme.letters]
+    mats = [(q * lam) @ q.T for q, lam in gens]
+    values = scheme.resolve_slots(entry.params)
+    factors = [(g, _LD(float(e.evaluate(values)))) for g, e in scheme.factors]
+    # the product's own degree-1 part
+    h = sum(c * mats[g] for g, c in factors)
+
+    @functools.cache
+    def bracket(e):
+        if isinstance(e, int):
+            return mats[e]
+        x, y = bracket(e[0]), bracket(e[1])
+        return x @ y - y @ x
+
+    top = log_scheme(scheme, entry.params, p + 1).coords_at_degree(p + 1)
+    e = sum((_LD(float(c)) * bracket(el) for el, c in top.items()), np.zeros((_DIM, _DIM), _LD))
+
+    def quotient(t):
+        t = _LD(t)
+        s = np.zeros((_DIM, _DIM), _LD)  # S(t) - I
+        for g, c in factors:
+            q, lam = gens[g]
+            f = (q * np.expm1(t * c * lam)) @ q.T
+            s = s + f + s @ f
+        return (_log_one_plus(s) - t * h) / t ** (p + 1)
+
+    k = 4 if factors == factors[::-1] else 2
+    qs = [quotient(t) for t in _STEPS]
+    r = [(k * b - a) / (k - 1) for a, b in zip(qs, qs[1:])]
+
+    def norm(m):
+        return np.linalg.norm(m.astype(float), 2)
+
+    bound = norm(r[0] - r[1]) / (k * k - 1) + norm(r[1] - r[2])
+    assert norm(e - r[1]) <= bound < norm(e)
