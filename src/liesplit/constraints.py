@@ -163,7 +163,8 @@ def symbolic_log(scheme: Scheme, p: int) -> ConstraintSystem:
             raise ValueError(
                 f"word expansion for n={raw.n} capped at degree {cap}, "
                 f"order {p} needs {D}")
-        pipeline, series, basis = "word", _product_log(raw, None, D), _basis_for(raw, D, None)
+        pipeline, series = "word", _product_log(raw, None, D)
+        basis = _basis_for(raw, series, None)
     polys, labels, at = _emit(series, basis, degrees)
     return ConstraintSystem(raw, p, pipeline, raw.param_slots,
                             tuple(polys), tuple(labels), tuple(at))

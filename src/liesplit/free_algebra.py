@@ -90,11 +90,16 @@ class Generator(NamedTuple):
     degree: int = 1
 
 
+def _is_integer(value) -> bool:
+    """The library's integer rule: a Python or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _integer(value, name: str, index: int | None = None) -> int:
-    """``value`` as an int if it is a Python or numpy integer; a bool or
-    any other value raises ``ValueError`` naming ``name`` (``name[index]``
-    for an entry of a sequence)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    """``value`` as an int if it passes ``_is_integer``; a bool or any
+    other value raises ``ValueError`` naming ``name`` (``name[index]`` for
+    an entry of a sequence)."""
+    if not _is_integer(value):
         where = name if index is None else f"{name}[{index}]"
         raise ValueError(f"{where} must be an integer, not {value!r}")
     return int(value)

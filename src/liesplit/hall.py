@@ -180,11 +180,7 @@ class HallBasis:
 
     def dump(self) -> str:
         """One element per line, fully parenthesized — the debug text format."""
-        lines = []
-        for d in sorted(self.by_degree):
-            for e in self.by_degree[d]:
-                lines.append(hall_str(e, self.alphabet))
-        return "\n".join(lines)
+        return "\n".join(hall_str(e, self.alphabet) for e in self.elements())
 
     # -- expansion ------------------------------------------------------
 
@@ -434,12 +430,14 @@ def _hall_set(degrees: tuple[int, ...]) -> tuple[list, dict]:
 
 def _hall_levels(degrees: tuple[int, ...], D: int) -> list[tuple[HallElement, ...]]:
     """Levels 0..D of the canonical Hall set, the missing ones built
-    bottom-up, each from the levels below it."""
+    bottom-up, each from the nonempty levels below it (over one generator,
+    every level past the first is empty)."""
     levels, rank = _hall_set(degrees)
+    nonempty = [d1 for d1, level in enumerate(levels) if level]
     for d in range(len(levels), D + 1):
         brackets = []
-        for d1 in range(1, d):
-            for x in levels[d1]:
+        for d1 in nonempty:
+            for x in levels[d1] if levels[d - d1] else ():
                 rx = rank[x]
                 brackets += [(x, y) for y in levels[d - d1]
                              if rx < rank[y] and (isinstance(y, int) or rank[y[0]] <= rx)]
@@ -447,6 +445,8 @@ def _hall_levels(degrees: tuple[int, ...], D: int) -> list[tuple[HallElement, ..
         for i, e in enumerate(brackets):
             rank[e] = (1, d, i)
         levels.append(tuple([g for g, deg in enumerate(degrees) if deg == d] + brackets))
+        if levels[d]:
+            nonempty.append(d)
     return levels[:D + 1]
 
 
@@ -601,7 +601,12 @@ def lie_coordinates(s: NCSeries, basis: HallBasis):
         cvec, res = basis.coords_from_dense(d, s.array(d))
         residuals.append(res)
         coords.update({e: c for e, c in zip(basis.by_degree.get(d, ()), cvec.tolist()) if c})
-    return LieSeries(basis, coords), max(residuals, key=lambda r: (r != r, r))  # NaN wins
+    return LieSeries(basis, coords), _nan_max(residuals)
+
+
+def _nan_max(values):
+    """The largest of ``values``, a NaN before every number."""
+    return max(values, key=lambda r: (r != r, r))
 
 
 def _max_abs(values):

@@ -20,19 +20,21 @@ Newton's line search tries the full step, then the halvings t = 2**-1 ...
 2**-29 in three chunks of 4, 8 and 17 step lengths, each chunk evaluated
 in one batched residual call; it takes the largest t whose max residual
 is below the current one, which is the rule of trying them one at a time,
-and gives bit-identical roots.  Residual and Jacobian are read off one
-table of slot powers, and the step is one LAPACK ``dgesv``.  Along a
-sweep and within a Nelder-Mead polish, each solve starts from a secant
+and gives bit-identical roots.  The step is one LAPACK ``dgesv``.  Along
+a sweep and within a Nelder-Mead polish, each solve starts from a secant
 predictor: the sheet's last root moved along the chord through its last
 two roots (see ``_predicted``).
 
 Both the conditions and, when the chart has a free direction, the error
 measure are compiled once per (scheme, p) into polynomials in the free
-slots.  The error rows are the degree-(p+1) Hall coordinates of every
-generator ordering, read off one symbolic product-log; evaluating them
-costs 8-19 microseconds where an ``epsilon`` call takes 0.25-0.5 ms (S m9
-p4, SL m15 and SL m19 at p = 6, warm, one BLAS thread, 2-vCPU VM).  They
-carry none of ``epsilon``'s checks, so a
+slots, and both are evaluated by one kernel, ``_Compiled``: a table of
+slot powers per point, the monomials gathered from it, and one gemv per
+point.  Newton reads its residuals, its Jacobian and the size of the
+terms that cancel in a root off that table.  The error rows are the
+degree-(p+1) Hall coordinates of every generator ordering, read off one
+symbolic product-log; evaluating them costs 9-25 microseconds where an
+``epsilon`` call takes 0.25-0.5 ms (S m9 p4, SL m15 and SL m19 at p = 6,
+warm, one BLAS thread).  They carry none of ``epsilon``'s checks, so a
 point seeds a polish only once ``epsilon`` accepts it, and every reported
 minimum is re-measured by ``epsilon``.  Compiling costs 0.007 s for S m9
 p4 but 0.15 s for SL m15 and 0.4 s for SL m19 at p = 6, and 9-10 s for
@@ -60,8 +62,9 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .constraints import ConstraintSystem, analyze_freedom, symbolic_log
-from .schemes import (_NON_LIE_TOL, ErrorReport, ParamAssignment, Scheme, _product_log,
-                      _read_top, epsilon, ordering_str, symbolic_slot_values)
+from .free_algebra import _is_integer
+from .schemes import (_NON_LIE_TOL, ErrorReport, ParamAssignment, Scheme, _basis_for,
+                      _product_log, _read_top, epsilon, ordering_str, symbolic_slot_values)
 
 __all__ = [
     "ManifoldError",
@@ -82,37 +85,65 @@ class ManifoldError(RuntimeError):
     """No point of the constraint manifold could be reached or verified."""
 
 
-def _compile(rows, nvars: int) -> tuple[np.ndarray, np.ndarray]:
-    """Polynomials in ``nvars`` variables as ``(E, C)``: exponents
-    (monomials x variables) and float coefficients (rows x monomials), so
-    the rows at ``x`` are ``C @ prod(x ** E)``.  A row free of every
-    variable may be a plain number."""
-    rows = [getattr(q, "terms", {(0,) * nvars: q}) for q in rows]
-    monomials = sorted({e for terms in rows for e in terms})
-    column = {e: k for k, e in enumerate(monomials)}
-    coeffs = np.zeros((len(rows), len(monomials)))
-    for i, terms in enumerate(rows):
-        for e, c in terms.items():
-            coeffs[i, column[e]] = float(c)
-    exps = np.array(monomials, dtype=int).reshape(len(monomials), nvars)
-    # every caller shares the cached arrays
-    exps.setflags(write=False)
-    coeffs.setflags(write=False)
-    return exps, coeffs
+class _Compiled:
+    """Polynomials in ``nvars`` variables (a row free of every variable may
+    be a plain number) as exponents ``exps`` (monomials x variables) and
+    float coefficients ``coeffs`` (rows x monomials): the rows at x are
+    ``coeffs @ prod(x ** exps)``, read off a table of the powers x_j ** k,
+    k in ``powers``, whose flat positions ``at`` hold each monomial's
+    factors."""
+
+    def __init__(self, rows, nvars: int):
+        rows = [getattr(q, "terms", {(0,) * nvars: q}) for q in rows]
+        monomials = sorted({e for terms in rows for e in terms})
+        column = {e: k for k, e in enumerate(monomials)}
+        self.coeffs = np.zeros((len(rows), len(monomials)))
+        for i, terms in enumerate(rows):
+            for e, c in terms.items():
+                self.coeffs[i, column[e]] = float(c)
+        self.exps = np.array(monomials, dtype=int).reshape(len(monomials), nvars)
+        self.powers = np.arange(self.exps.max(initial=0) + 1)
+        self.at = np.arange(nvars) * len(self.powers) + self.exps
+        # every caller shares the cached arrays
+        for array in (self.coeffs, self.exps, self.powers, self.at):
+            array.setflags(write=False)
+
+    def table(self, points) -> np.ndarray:
+        """The powers x_j ** k of each point: (points, variables, k)."""
+        return points[:, :, None] ** self.powers
+
+    def rows(self, table, coeffs=None) -> np.ndarray:
+        """The rows at each point of ``table``, or with ``coeffs`` in place
+        of the coefficients: (points, rows)."""
+        # ``take`` keeps the monomials C-ordered: a strided vector would
+        # reach BLAS by another kernel and round differently
+        monomials = table.reshape(len(table), -1).take(self.at, axis=1).prod(axis=2)
+        # a stacked product runs one gemv per point, as ``coeffs @ m`` does;
+        # one gemm over the batch would round differently
+        return ((self.coeffs if coeffs is None else coeffs) @ monomials[:, :, None])[:, :, 0]
+
+    def __call__(self, points, coeffs=None) -> np.ndarray:
+        return self.rows(self.table(points), coeffs)
 
 
 @functools.lru_cache(maxsize=None)
-def _conditions(scheme: Scheme, p: int) -> tuple[ConstraintSystem, np.ndarray, np.ndarray]:
-    """The order conditions left by the template closures, compiled once.
-
-    Returns ``symbolic_log``'s system, in every raw slot, and the
-    conditions with the closures substituted, polynomials in
-    ``scheme.free_slots`` compiled by ``_compile``.
-    """
+def _conditions(scheme: Scheme, p: int) -> tuple[ConstraintSystem, _Compiled]:
+    """The order conditions left by the template closures, compiled once:
+    ``symbolic_log``'s system, in every raw slot, and the conditions with
+    the closures substituted, polynomials in ``scheme.free_slots``."""
     cs = symbolic_log(scheme, p)
     values = symbolic_slot_values(scheme)
-    return cs, *_compile([poly.evaluate(values) for d, poly in zip(cs.degrees, cs.polys) if d > 1],
+    return cs, _Compiled([poly.evaluate(values) for d, poly in zip(cs.degrees, cs.polys) if d > 1],
                          len(scheme.free_slots))
+
+
+def _free_count(scheme: Scheme, p: int) -> int:
+    """The scheme's slots less its active order-p conditions: the size of
+    a chart.  Raises ``ManifoldError`` when the conditions outnumber the slots."""
+    n, active = len(scheme.free_slots), len(_conditions(scheme, p)[1].coeffs)
+    if active > n:
+        raise ManifoldError(f"{active} active condition(s) against {n} slot(s); no chart exists")
+    return n - active
 
 
 class _ErrorRows:
@@ -126,68 +157,56 @@ class _ErrorRows:
     """
 
     def __init__(self, scheme: Scheme, p: int):
-        D = p + 1
-        orderings, _, columns = _read_top(scheme, _product_log(scheme, None, D), D)
-        self.orderings = tuple(orderings)
+        series = _product_log(scheme, None, p + 1)
+        self.orderings, _, columns = _read_top(scheme, series, _basis_for(scheme, series, None))
         self.prefactor = (scheme.m / p) ** p
-        self.exps, self.coeffs = _compile([c for col in columns for c in col],
-                                          len(scheme.free_slots))
+        self.compiled = _Compiled([c for col in columns for c in col], len(scheme.free_slots))
 
     def sums(self, x) -> np.ndarray:
-        rows = self.coeffs @ np.prod(np.asarray(x, float) ** self.exps, axis=1)
+        rows = self.compiled(np.asarray(x, float)[None])[0]
         return np.abs(rows).reshape(len(self.orderings), -1).sum(axis=1)
 
     def value(self, x) -> float:
         return self.prefactor * float(np.min(self.sums(x)))
 
 
-@functools.lru_cache(maxsize=None)
-def _error_rows(scheme: Scheme, p: int) -> _ErrorRows:
-    return _ErrorRows(scheme, p)
+_error_rows = functools.lru_cache(maxsize=None)(_ErrorRows)
 
 
 class _Manifold:
     """Square Newton system for the dependent slots at pinned free slots,
     on points ordered like ``scheme.free_slots``.
 
-    Every residual and Jacobian is read off one table of slot powers
-    x_j ** k (k up to the largest exponent): a gather and a product give
-    the monomials, and one ``coeffs @ monomials`` per point the rows.
-    ``counts`` tallies the solves, their failures by reason, the
-    Jacobians, the residual points and the kernel calls that evaluated
-    them.
+    The residuals are the compiled conditions (``_Compiled``) at each
+    trial point, and the Jacobian is read off the same power table by a
+    gather of lowered exponents.  ``counts`` tallies the solves, their
+    failures by reason, the Jacobians, the residual points and the kernel
+    calls that evaluated them.
     """
 
     def __init__(self, scheme: Scheme, p: int, free: Sequence[str]):
-        free = tuple(free)
-        slots = scheme.free_slots
+        free, slots = tuple(free), scheme.free_slots
         unknown = [s for s in free if s not in slots]
         if unknown:
             raise ValueError(f"not free slots of this scheme: {unknown}")
         if len(set(free)) != len(free):
             raise ValueError("duplicate free slots")
-        self.scheme = scheme
-        self.slots = slots
-        self.free = free
+        self.scheme, self.slots, self.free = scheme, slots, free
         self.dependent = tuple(s for s in slots if s not in free)
         self._free_at = [slots.index(s) for s in free]
         self._dep_at = [slots.index(s) for s in self.dependent]
-        self.system, self._exps, self._coeffs = _conditions(scheme, p)
-        if len(self._coeffs) != len(self.dependent):
-            raise ManifoldError(
-                f"{len(self.dependent)} dependent slot(s) against "
-                f"{len(self._coeffs)} active condition(s); choose "
-                f"{len(slots) - len(self._coeffs)} free slot(s)")
-        self._abs_coeffs = np.abs(self._coeffs)
-        self._powers = np.arange(self._exps.max(initial=0) + 1)
-        # a monomial's factors x_j ** e_j as positions in a flat power table
-        offsets = np.arange(len(slots)) * len(self._powers)
-        self._at = offsets + self._exps
+        nfree = _free_count(scheme, p)
+        self.system, self.conditions = _conditions(scheme, p)
+        c = self.conditions
+        if len(free) != nfree:
+            raise ManifoldError(f"{len(self.dependent)} dependent slot(s) against {len(c.coeffs)} "
+                                f"active condition(s); choose {nfree} free slot(s)")
         # d/dx_j of x**e is e_j * x**(e lowered by one in slot j); clipping
         # at zero keeps 0**-1 out where e_j = 0 multiplies the term away
+        offsets = np.arange(len(slots)) * len(c.powers)
         unit = np.eye(len(slots), dtype=int)[self._dep_at]
-        self._dexps = self._exps[:, self._dep_at].T
-        self._lowered_at = offsets + (self._exps[None] - unit[:, None, :]).clip(min=0)
+        self._dexps = c.exps[:, self._dep_at].T
+        self._lowered_at = offsets + (c.exps[None] - unit[:, None, :]).clip(min=0)
         self.counts = {"solves": 0, "failed": 0, "failures": {}, "jacobians": 0,
                        "residual_points": 0, "residual_calls": 0}
 
@@ -200,31 +219,18 @@ class _Manifold:
     def params(self, free_values, dep_values) -> dict[str, float]:
         return dict(zip(self.slots, self.point(free_values, dep_values).tolist()))
 
-    def _table(self, points) -> np.ndarray:
-        """Slot powers x_j ** k of each point: (points, slots, k)."""
-        return points[:, :, None] ** self._powers
-
-    def _rows(self, table, coeffs=None) -> np.ndarray:
-        """The compiled rows at each point of ``table``: (points, rows)."""
-        # ``take`` keeps the monomials C-ordered: a strided vector would
-        # reach BLAS by another kernel and round differently
-        monomials = table.reshape(len(table), -1).take(self._at, axis=1).prod(axis=2)
-        # a stacked product runs one gemv per point, as ``coeffs @ m`` does;
-        # one gemm over the batch would round differently
-        return ((self._coeffs if coeffs is None else coeffs) @ monomials[:, :, None])[:, :, 0]
-
     def _derivatives(self, table) -> np.ndarray:
-        """The Jacobian in the dependent slots from one point's table."""
+        """The Jacobian in the dependent slots from one point's power table."""
         self.counts["jacobians"] += 1
         lowered = table.ravel().take(self._lowered_at).prod(axis=2)
-        return self._coeffs @ (self._dexps * lowered).T
+        return self.conditions.coeffs @ (self._dexps * lowered).T
 
     def _residuals(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(tables, rows, max norms) at each of ``points``, counted."""
+        """(power tables, rows, max norms) at each of ``points``, counted."""
         self.counts["residual_points"] += len(points)
         self.counts["residual_calls"] += 1
-        tables = self._table(points)
-        rows = self._rows(tables)
+        tables = self.conditions.table(points)
+        rows = self.conditions.rows(tables)
         return tables, rows, np.abs(rows).max(axis=1)
 
     def _failure(self, message: str) -> ManifoldError:
@@ -281,7 +287,7 @@ class _Manifold:
                     break
         if rn > _RESIDUAL_TOL:
             raise self._failure(f"no convergence: residual {rn:.3e}")
-        scale = float(self._rows(self._table(np.abs(point)[None]), self._abs_coeffs).max())
+        scale = float(self.conditions(np.abs(point)[None], np.abs(self.conditions.coeffs)).max())
         # where machine epsilon times the largest term exceeds ``epsilon``'s
         # non-Lie threshold, a zero residual is cancellation in rounding
         if np.finfo(float).eps * scale > _NON_LIE_TOL:
@@ -453,21 +459,18 @@ def solve_on_manifold(scheme: Scheme, p: int,
     man = _Manifold(scheme, p, tuple(free_values))
     free_vec = [float(v) for v in free_values.values()]
     if guess is None:
-        dep = None
         for cand in _guess_ladder(len(man.dependent)):
             try:
                 dep = man.solve(free_vec, cand)
                 break
             except ManifoldError:
                 continue
-        if dep is None:
+        else:
             raise ManifoldError("no Newton start converged; pass a guess")
     else:
         if isinstance(guess, Mapping):
-            g = np.array([float(guess[s]) for s in man.dependent])
-        else:
-            g = np.asarray(guess, float)
-        dep = man.solve(free_vec, g)
+            guess = [float(guess[s]) for s in man.dependent]
+        dep = man.solve(free_vec, guess)
     values = dict(free_values)
     values.update({s: float(v) for s, v in zip(man.dependent, dep)})
     ordered = {s: values[s] for s in scheme.free_slots}
@@ -482,9 +485,10 @@ class OptimizationProblem:
     the last declared slots, as many as the conditions leave free);
     ``starts`` is a count for the seeded low-discrepancy sampler or an
     explicit list of free-parameter vectors.  A count that is not a
-    positive int, starts that are not a non-empty list of finite vectors
-    of one length, bounds that are not finite with lo < hi and a seed
-    that is not a non-negative int raise ``ValueError`` naming the field;
+    positive integer, starts that are not a non-empty list of finite
+    vectors of one length, bounds that are not finite with lo < hi and a
+    seed that is not a non-negative integer (a Python or numpy int, not a
+    bool) raise ``ValueError`` naming the field;
     ``minimize_epsilon`` checks the length of explicit starts against
     the chart before it samples anything.
     """
@@ -498,7 +502,7 @@ class OptimizationProblem:
 
     def __post_init__(self):
         starts = self.starts
-        if _is_int(starts):
+        if _is_integer(starts):
             if starts < 1:
                 raise ValueError(f"starts must be a positive count, got {starts}")
         elif starts is not None:
@@ -517,12 +521,8 @@ class OptimizationProblem:
             ordered = False
         if not ordered:
             raise ValueError(f"bounds must be finite numbers lo < hi, got {self.bounds!r}")
-        if not _is_int(self.seed) or self.seed < 0:
+        if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative int, got {self.seed!r}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -539,7 +539,7 @@ class OptimizationResult:
             "scheme": {"n": scheme.n, "family": scheme.family, "m": scheme.m},
             "order": self.problem.p,
             "free_slots": list(_problem_free(self.problem)),
-            "seed": self.problem.seed,
+            "seed": int(self.problem.seed),
             "bounds": list(self.problem.bounds),
             "starts": sum("start" in d for d in self.diagnostics),
             "wall_time": self.wall_time,
@@ -562,11 +562,8 @@ class OptimizationResult:
 def _problem_free(problem: OptimizationProblem) -> tuple[str, ...]:
     if problem.free_slots is not None:
         return tuple(problem.free_slots)
-    scheme = problem.scheme
-    nfree = len(scheme.free_slots) - len(_conditions(scheme, problem.p)[2])
-    if nfree < 0:
-        raise ManifoldError("more conditions than slots; no chart exists")
-    return scheme.free_slots[len(scheme.free_slots) - nfree:]
+    slots = problem.scheme.free_slots
+    return slots[len(slots) - _free_count(problem.scheme, problem.p):]
 
 
 _RAW_GUESSES = 6
@@ -582,7 +579,7 @@ def _start_points(problem: OptimizationProblem, f: int, dep: int):
     lo, hi = problem.bounds
     starts = problem.starts
     raws = max(1, _RAW_GUESSES if dep else 0)
-    if starts is None or _is_int(starts):
+    if starts is None or _is_integer(starts):
         count = (200 if f <= 2 else 2000) if starts is None else starts
         pts = lo + (hi - lo) * _halton(max(f + raws * dep, 1), count, problem.seed)
         out = [(pts[i, :f].copy(),
@@ -600,6 +597,11 @@ def _start_points(problem: OptimizationProblem, f: int, dep: int):
     return [(np.asarray(s, float),
              [np.full(dep, 0.5)] + [g[:dep].copy() for g in guesses])
             for s in starts]
+
+
+def _near(x, points, tol: float) -> bool:
+    """Whether ``x`` lies within ``tol`` of one of ``points`` in max-norm."""
+    return any(np.max(np.abs(x - q), initial=0.0) <= tol for q in points)
 
 
 def _predicted(root, x) -> np.ndarray:
@@ -661,9 +663,7 @@ def _multi_start(problem: OptimizationProblem, man: _Manifold, report_at,
                 dv = man.solve(x0, guess)
             except ManifoldError:
                 continue
-            seen = [k[1] for k in carried] + fresh
-            if any(np.max(np.abs(dv - s), initial=0.0) <= 1e-8
-                   for s in seen):
+            if _near(dv, [k[1] for k in carried] + fresh, 1e-8):
                 continue
             if prev_e is not None:
                 carried.append((prev_e, dv, root[:2]))
@@ -673,8 +673,8 @@ def _multi_start(problem: OptimizationProblem, man: _Manifold, report_at,
         # re-measured every third start to keep the sweep affordable
         hits: list[tuple[float, np.ndarray, tuple | None]] = []
         measure = idx % 3 == 0 or idx == len(starts) - 1
-        for prev_e, dv, before in carried:
-            if not measure:
+        for prev_e, dv, before in carried + [(None, dv, None) for dv in fresh]:
+            if prev_e is not None and not measure:
                 hits.append((prev_e, dv, before))
                 continue
             try:
@@ -682,13 +682,6 @@ def _multi_start(problem: OptimizationProblem, man: _Manifold, report_at,
             except (ValueError, RuntimeError):
                 continue
             hits.append((e, dv, before))
-            candidates.append((e, x0, dv))
-        for dv in fresh:
-            try:
-                e = error_at(x0, dv)
-            except (ValueError, RuntimeError):
-                continue
-            hits.append((e, dv, None))
             candidates.append((e, x0, dv))
         if hits:
             hits.sort(key=lambda h: (h[0], tuple(h[1])))
@@ -705,9 +698,7 @@ def _multi_start(problem: OptimizationProblem, man: _Manifold, report_at,
     # all would just polish the same minimum repeatedly
     radius = max(1e-3, 3.0 * (hi - lo) / max(len(starts), 1))
     for cand in candidates:
-        point = np.concatenate([cand[1], cand[2]])
-        if any(np.max(np.abs(point - np.concatenate([s[1], s[2]])),
-                      initial=0.0) <= radius for s in seeds):
+        if _near(np.concatenate(cand[1:]), [np.concatenate(s[1:]) for s in seeds], radius):
             continue
         # the compiled rows check nothing: a point epsilon rejects
         # (a non-Lie residual far out) must not seed a polish
@@ -785,7 +776,7 @@ def _root_search(man: _Manifold, report_at):
             dv = man.solve([], np.array(reading)[at])
         except ManifoldError:
             continue
-        if all(np.max(np.abs(dv - r), initial=0.0) > _DEDUP_TOL for r in roots):
+        if not _near(dv, roots, _DEDUP_TOL):
             roots.append(dv)
     if len(roots) != real:
         raise ManifoldError(
@@ -806,6 +797,10 @@ def _root_search(man: _Manifold, report_at):
 
 def minimize_epsilon(problem: OptimizationProblem) -> OptimizationResult:
     """Error minimization over a chart of the manifold.
+
+    The chart is ``problem.free_slots``, or by default the last declared
+    slots, as many as the conditions leave free; conditions that outnumber
+    the slots raise ``ManifoldError`` naming both counts.
 
     A search with no free direction is a root search and takes the
     eigenvalue route: ``constraints.analyze_freedom`` of the order
@@ -830,14 +825,15 @@ def minimize_epsilon(problem: OptimizationProblem) -> OptimizationResult:
     evaluation cap reports no minimum; its ``{"polish": ...}`` record, like
     every other, says whether it ``"converged"``.
 
-    Both passes rank points by the compiled error rows (see the module
-    docstring), built once per (scheme, p): 0.007 s for S m9 p4, 0.15 s
-    for SL m15 p6 and 0.4 s for SL m19 p6 in a fresh interpreter, so a
-    search pays for them
-    once it makes more probes than that time over the 0.25-0.5 ms of an
-    ``epsilon`` call.  A candidate seeds a polish only once ``epsilon``
-    accepts it.  On either route every reported minimum is measured by
-    ``epsilon`` and has passed its order and non-Lie checks.  Minima are
+    Both passes rank points by the compiled error rows, built once per
+    (scheme, p) and evaluated by the same kernel as Newton's conditions
+    (``_Compiled``, see the module docstring).  Building them takes
+    0.007 s for S m9 p4, 0.15 s for SL m15 p6 and 0.4 s for SL m19 p6 in a
+    fresh interpreter, so a search pays for them once it makes more probes
+    than that time over the 0.25-0.5 ms of an ``epsilon`` call.  A
+    candidate seeds a polish only once ``epsilon`` accepts it.  On either
+    route every reported minimum is measured by ``epsilon`` and has
+    passed its order and non-Lie checks.  Minima are
     deduplicated and sorted by error.  The last ``diagnostics`` record
     names the route (``"eigenvalue"`` or ``"multi-start"``), the
     objective (``"compiled"`` or ``"epsilon"``), the compile time and the
@@ -875,12 +871,7 @@ def minimize_epsilon(problem: OptimizationProblem) -> OptimizationResult:
     found.sort(key=lambda t: (float(t[2].epsilon), tuple(t[0]), tuple(t[1])))
     kept: list[tuple[np.ndarray, np.ndarray, ErrorReport]] = []
     for cand in found:
-        point = np.concatenate([cand[0], cand[1]])
-        dup = any(
-            np.max(np.abs(point - np.concatenate([k[0], k[1]])),
-                   initial=0.0) <= _DEDUP_TOL
-            for k in kept)
-        if not dup:
+        if not _near(np.concatenate(cand[:2]), [np.concatenate(k[:2]) for k in kept], _DEDUP_TOL):
             kept.append(cand)
 
     minima = [(ParamAssignment(man.params(free_vec, dep_vec),

@@ -27,7 +27,7 @@ from ._dense import dense_product_log
 # exp and log are unused here but stay bound: perfbench/tracing.py wraps
 # them by this module's name (tests/test_bench_sites.py pins that)
 from .free_algebra import NCSeries, exp, log, make_alphabet
-from .hall import HallBasis, LieSeries, build_hall_basis, lie_coordinates, ordering_block
+from .hall import HallBasis, LieSeries, _nan_max, build_hall_basis, lie_coordinates, ordering_block
 from .polynomials import MultiPoly
 
 __all__ = [
@@ -131,9 +131,6 @@ class LinExpr:
                        tuple((s, c * scalar) for s, c in self.coeffs))
 
     __rmul__ = __mul__
-
-    def slots(self) -> tuple[str, ...]:
-        return tuple(s for s, _ in self.coeffs)
 
     def evaluate(self, values: Mapping[str, object]):
         out = self.const
@@ -466,11 +463,12 @@ def ordering_str(ordering: Sequence[str]) -> str:
     return "<".join(ordering)
 
 
-def _basis_for(scheme: Scheme, D: int, ordering: Sequence[str] | None) -> HallBasis:
+def _basis_for(scheme: Scheme, series: NCSeries, ordering: Sequence[str] | None) -> HallBasis:
+    """The basis that reads ``series``, a product-log of ``scheme``, with
+    the letters ranked as in ``ordering`` (the identity by default)."""
     ordering = parse_ordering(ordering, scheme.letters)
-    alphabet = make_alphabet(scheme.letters)
     ids = tuple(scheme.letters.index(x) for x in ordering)
-    return build_hall_basis(alphabet, D, ordering=ids)
+    return build_hall_basis(series.alphabet, series.max_degree, ordering=ids)
 
 
 # ------------------------------------------------------------- log paths
@@ -496,7 +494,7 @@ def log_scheme(scheme: Scheme, params, D: int,
     if D < 1:
         raise ValueError("need D >= 1")
     series = _product_log(scheme, params, D)
-    lie, residual = lie_coordinates(series, _basis_for(scheme, D, ordering))
+    lie, residual = lie_coordinates(series, _basis_for(scheme, series, ordering))
     _check_lie(residual, series)
     return lie
 
@@ -515,15 +513,16 @@ def _check_lie(residual, series: NCSeries) -> None:
         raise RuntimeError(f"non-Lie residual {float(residual):.2e} in the product's log")
 
 
-def _read_top(scheme: Scheme, series: NCSeries, D: int) -> tuple[tuple, tuple, list]:
-    """``series``' degree-D Hall coordinates in every generator ordering:
+def _read_top(scheme: Scheme, series: NCSeries, basis: HallBasis) -> tuple[tuple, tuple, list]:
+    """``series``' degree-D Hall coordinates in every generator ordering,
+    D the degree of ``basis``, the identity basis (``_basis_for``):
     (orderings, elements, columns), the orderings of ``scheme.letters`` in
     permutation order (the identity first), each one's degree-D Hall
     elements in basis order and the coefficients on them, zeros included
     as the domain's zero.  Float, exact and polynomial series alike; one
     solve in the identity basis covers every ordering
     (``hall.ordering_block``).  Raises as ``_check_lie`` does."""
-    basis = _basis_for(scheme, D, None)
+    D = basis.max_degree
     ids, elements, gather = ordering_block(basis.generator_degrees, D)
     coords, residual = basis.coords_from_dense(D, series.array(D)[gather.T])
     _check_lie(residual, series)
@@ -544,14 +543,10 @@ def verify_order(scheme: Scheme, params, p: int,
     if p < 1:
         raise ValueError("order must be >= 1")
     _require_numeric(params, "verify_order")
-    residuals = _order_residuals(_product_log(scheme, params, p), _basis_for(scheme, p, None), p)
+    series = _product_log(scheme, params, p)
+    residuals = _order_residuals(series, _basis_for(scheme, series, None), p)
     ok = all(float(abs(v)) <= tolerance for v in residuals.values())
     return ok, residuals
-
-
-def _nan_high(r):
-    """A ``max`` key under which NaN beats every number."""
-    return (r != r, r)
 
 
 def _order_conditions(series: NCSeries, basis: HallBasis, p: int) -> dict[int, list]:
@@ -571,14 +566,14 @@ def _order_conditions(series: NCSeries, basis: HallBasis, p: int) -> dict[int, l
         else:
             column = [zero] * len(basis.elements(d))
         conditions[d] = [c - 1 for c in column] if d == 1 else column
-    _check_lie(max(residuals, key=_nan_high), series)
+    _check_lie(_nan_max(residuals), series)
     return conditions
 
 
 def _order_residuals(series: NCSeries, basis: HallBasis, p: int) -> dict[int, object]:
     """The largest order condition (``_order_conditions``) in magnitude at
     each degree 1..p; a NaN one wins."""
-    return {d: max(map(abs, column), key=_nan_high)
+    return {d: _nan_max(map(abs, column))
             for d, column in _order_conditions(series, basis, p).items()}
 
 
@@ -608,12 +603,12 @@ def epsilon(scheme: Scheme, params, p: int, tolerance: float = 1e-10) -> ErrorRe
     if p < 1:
         raise ValueError("order must be >= 1")
     _require_numeric(params, "epsilon")
-    D = p + 1
-    series = _product_log(scheme, params, D)
-    residuals = _order_residuals(series, _basis_for(scheme, D, None), p)
-    orderings, elements, columns = _read_top(scheme, series, D)
+    series = _product_log(scheme, params, p + 1)
+    basis = _basis_for(scheme, series, None)
+    residuals = _order_residuals(series, basis, p)
+    orderings, elements, columns = _read_top(scheme, series, basis)
     # a NaN residual counts as the worst and fails the check
-    worst = max((float(abs(v)) for v in residuals.values()), key=lambda r: (math.isnan(r), r))
+    worst = _nan_max(float(abs(v)) for v in residuals.values())
     if not worst <= tolerance:
         raise ValueError(f"scheme does not reach order {p}: max residual {worst:.3e}")
 

@@ -372,13 +372,13 @@ def central_difference_jacobian(f, x, h: float = 1e-3) -> np.ndarray:
 
 def n_residual(man, dep_values, free_values) -> np.ndarray:
     """The compiled order conditions of ``optimizer._Manifold`` at one point."""
-    return man._rows(man._table(man.point(free_values, dep_values)[None]))[0]
+    return man.conditions(man.point(free_values, dep_values)[None])[0]
 
 
 def n_jacobian(man, dep_values, free_values) -> np.ndarray:
     """The Jacobian of ``optimizer._Manifold`` in the dependent slots at one
     point, from that point's own power table."""
-    return man._derivatives(man._table(man.point(free_values, dep_values)[None])[0])
+    return man._derivatives(man.conditions.table(man.point(free_values, dep_values)[None])[0])
 
 
 def p_mul(a: dict, b: dict) -> dict:
@@ -407,7 +407,7 @@ def n_read_top(scheme, series, D: int) -> dict:
     top = _at_degrees(series, (D,))
     out = {}
     for ordering in permutations(scheme.letters):
-        basis = _basis_for(scheme, D, ordering)
+        basis = _basis_for(scheme, series, ordering)
         cd = n_read(top, basis).coords_at_degree(D)
         out[ordering] = tuple((e, cd.get(e, zero)) for e in basis.elements(D))
     return out
@@ -476,7 +476,7 @@ def n_epsilon(scheme, params, p: int, tolerance: float = 1e-10) -> ErrorReport:
     _require_numeric(params, "epsilon")
     D = p + 1
     series = _product_log(scheme, params, D)
-    residuals = n_order_residuals(series, _basis_for(scheme, D, None), p)
+    residuals = n_order_residuals(series, _basis_for(scheme, series, None), p)
     coeffs = n_read_top(scheme, series, D)
     worst = max((float(abs(v)) for v in residuals.values()), key=lambda r: (r != r, r))
     if not worst <= tolerance:
@@ -503,7 +503,7 @@ def n_manifold_solve(man, free_values, guess, maxiter: int = 60) -> np.ndarray:
     residual and Jacobian from ``x ** exps`` at one point, the step by
     ``np.linalg.solve``, the step lengths t = 1, 1/2, ..., 2**-29 tried one
     at a time; the first that lowers the max residual is taken."""
-    exps, coeffs, dep_at = man._exps, man._coeffs, man._dep_at
+    exps, coeffs, dep_at = man.conditions.exps, man.conditions.coeffs, man._dep_at
     unit = np.eye(len(man.slots), dtype=int)[dep_at]
     dexps = exps[:, dep_at].T
     lowered = (exps[None] - unit[:, None, :]).clip(min=0)

@@ -74,6 +74,23 @@ def test_epsilon_usage_errors(args, message):
     assert message in result.output
 
 
+def test_epsilon_text_of_an_exact_entry():
+    """Exact values print as a fraction and its float."""
+    result = _run("epsilon", "--catalog", "n2-p2-sl-m3-leapfrog")
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()
+    assert lines[1] == "epsilon        9/32 (0.28125)"
+    assert lines[4:6] == ["  A<B      1/8 (0.125)", "  B<A      1/8 (0.125)"]
+
+
+def test_unparsable_scheme_file_is_a_bad_parameter(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("n = 2\nfamily = S\nm = 9\na_1 = abc\n")
+    result = CliRunner().invoke(main, ["epsilon", str(path), "--order", "4"])
+    assert result.exit_code == 2
+    assert "Invalid value for SCHEME_FILE: line 4: 'abc' is not a finite number" in result.output
+
+
 def test_scheme_file_needs_an_order(tmp_path):
     e = catalog()["n2-p4-s-m9-opt"]
     path = tmp_path / "s9.txt"

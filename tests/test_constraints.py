@@ -210,6 +210,19 @@ def test_freedom_eliminate_to_other_slot():
         analyze_freedom(cs, eliminate_to="w_9")
 
 
+@pytest.mark.parametrize("family", ["S", "SL"])
+def test_freedom_of_the_unit_ideal(family):
+    """Three factors cannot reach order 4: the conditions generate the
+    unit ideal, a zero-dimensional variety with no point."""
+    report = analyze_freedom(symbolic_log(build_scheme(2, family, 3), 4))
+    assert report.groebner.is_trivial
+    assert (report.free_count, report.suggested_free_slots) == (0, ())
+    assert report.zero_dimensional
+    assert (report.solution_count, report.real_solution_count) == (0, 0)
+    assert report.eliminant is None and report.standard_monomials == ()
+    assert report.real_solutions == ()
+
+
 def test_freedom_three_real_solutions():
     cs = symbolic_log(build_scheme(2, "SL", 15), 6)
     report = analyze_freedom(cs)
@@ -429,7 +442,8 @@ def test_groebner_basis_type():
 
 def _word_case(template, params, p):
     scheme = build_scheme(*template)
-    return _product_log(scheme, params, p), _basis_for(scheme, p, None), p
+    series = _product_log(scheme, params, p)
+    return series, _basis_for(scheme, series, None), p
 
 
 def _graded_case(template, p):

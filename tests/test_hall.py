@@ -5,6 +5,7 @@ import itertools
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -208,6 +209,16 @@ def test_deep_truncation_needs_no_recursion():
     """The canonical set is built level by level, not by one call per degree."""
     basis = build_hall_basis(make_alphabet("A"), 2000)
     assert basis.degree_counts() == {1: 1} and len(basis.by_degree) == 2000
+
+
+def test_deep_truncation_skips_empty_levels():
+    """Over one generator every level past the first is empty; a new level
+    pairs only nonempty ones, so D = 10,000 takes milliseconds where a scan
+    of every pair of lower levels takes seconds."""
+    start = time.perf_counter()
+    basis = build_hall_basis(make_alphabet("Z"), 10_000)
+    assert time.perf_counter() - start < 0.5
+    assert basis.degree_counts() == {1: 1} and len(basis.by_degree) == 10_000
 
 
 def test_ordering_permutation_changes_generator_order():

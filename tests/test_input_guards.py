@@ -12,6 +12,7 @@ from liesplit.catalog import catalog
 from liesplit.constraints import symbolic_log
 from liesplit.free_algebra import NCSeries, make_alphabet
 from liesplit.hall import build_hall_basis, witt_dimension
+from liesplit.optimizer import OptimizationProblem
 from liesplit.schemes import build_scheme, epsilon, log_scheme, verify_order, yoshida_recursive
 from liesplit.validate import GeneratorSet, build_generators, scaling_fit
 
@@ -82,6 +83,14 @@ _NON_INTEGRAL = {
                                      "max_degree must be an integer"),
     "witt_dimension-n-2.5": (lambda: witt_dimension(2.5, 3), "n must be an integer"),
     "witt_dimension-k-True": (lambda: witt_dimension(2, True), "k must be an integer"),
+    "OptimizationProblem-starts-True": (lambda: OptimizationProblem(_SL3, 2, starts=True),
+                                        "starts must be a positive count"),
+    "OptimizationProblem-starts-np-float": (
+        lambda: OptimizationProblem(_SL3, 2, starts=np.float64(8)), "starts must be a positive count"),
+    "OptimizationProblem-seed-True": (lambda: OptimizationProblem(_SL3, 2, seed=True),
+                                      "seed must be a non-negative int"),
+    "OptimizationProblem-seed-2.0": (lambda: OptimizationProblem(_SL3, 2, seed=2.0),
+                                     "seed must be a non-negative int"),
 }
 
 
@@ -102,3 +111,5 @@ def test_numpy_integer_sizes_are_accepted():
     assert basis.max_degree == 4 and basis.ordering == (1, 0)
     assert NCSeries(alphabet, np.uint8(3)).max_degree == 3
     assert witt_dimension(np.int64(2), np.int16(3)) == 2
+    problem = OptimizationProblem(_SL3, 2, starts=np.int64(8), seed=np.uint8(3))
+    assert problem.starts == 8 and problem.seed == 3

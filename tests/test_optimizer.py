@@ -66,6 +66,21 @@ def test_wrong_chart_size_is_rejected():
         solve_on_manifold(scheme, 4, {"w_1": 0.1, "w_2": 0.2})
 
 
+@pytest.mark.parametrize("route", ["default-chart", "free_slots=()", "solve_on_manifold"])
+def test_conditions_outnumbering_slots_have_no_chart(route):
+    """S m3 has no slot left to solve for and 2 conditions at order 4:
+    every route names both counts in one message."""
+    scheme = build_scheme(2, "S", 3)
+    calls = {
+        "default-chart": lambda: minimize_epsilon(OptimizationProblem(scheme, 4)),
+        "free_slots=()": lambda: minimize_epsilon(OptimizationProblem(scheme, 4, free_slots=())),
+        "solve_on_manifold": lambda: solve_on_manifold(scheme, 4, {}),
+    }
+    with pytest.raises(ManifoldError) as err:
+        calls[route]()
+    assert str(err.value) == "2 active condition(s) against 0 slot(s); no chart exists"
+
+
 def test_unknown_slot_is_rejected():
     scheme = build_scheme(2, "SL", 11)
     with pytest.raises(ValueError, match="not free slots"):
@@ -178,9 +193,10 @@ def test_batched_rows_equal_rows_at_one_point(template, p, free):
     # bit for bit as ``coeffs @ prod(x ** exps)`` does
     man = _Manifold(build_scheme(*template), p, free)
     points = np.random.default_rng(2).uniform(-1.5, 1.5, (17, len(man.slots)))
-    rows = man._rows(man._table(points))
+    c = man.conditions
+    rows = c.rows(c.table(points))
     for x, got in zip(points, rows):
-        want = man._coeffs @ np.prod(x ** man._exps, axis=1)
+        want = c.coeffs @ np.prod(x ** c.exps, axis=1)
         assert got.tobytes() == want.tobytes()
 
 
@@ -649,12 +665,12 @@ def test_error_rows_match_per_ordering_reads(template, p):
     scheme = build_scheme(*template)
     rows = optimizer._error_rows(scheme, p)
     top = n_read_top(scheme, _product_log(scheme, None, p + 1), p + 1)
-    exps, coeffs = optimizer._compile([c for pairs in top.values() for _, c in pairs],
-                                      len(scheme.free_slots))
+    want = optimizer._Compiled([c for pairs in top.values() for _, c in pairs],
+                               len(scheme.free_slots))
     assert rows.orderings == tuple(top)
-    assert rows.exps.tolist() == exps.tolist()
-    assert rows.coeffs.shape == coeffs.shape
-    assert rows.coeffs.tobytes() == coeffs.tobytes()
+    assert rows.compiled.exps.tolist() == want.exps.tolist()
+    assert rows.compiled.coeffs.shape == want.coeffs.shape
+    assert rows.compiled.coeffs.tobytes() == want.coeffs.tobytes()
 
 
 def test_error_rows_built_once_per_scheme_and_order(monkeypatch):

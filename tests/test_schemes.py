@@ -405,6 +405,21 @@ def test_epsilon_reads_the_top_degree_once(name, monkeypatch):
     assert reads == [(d, ()) for d in range(1, e.order + 1)] + [(e.order + 1, (orderings,))]
 
 
+@pytest.mark.parametrize("name", ["n2-p4-s-m9-opt", "n3-p6-sl-m37-opt"])
+def test_epsilon_builds_one_alphabet_and_one_basis(name, monkeypatch):
+    """The product-log and both reads share one alphabet and one identity
+    basis: a call makes each once."""
+    e = CATALOG[name]
+    calls = []
+    for attr in ("make_alphabet", "build_hall_basis"):
+        def counted(*args, _real=getattr(schemes, attr), _name=attr, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(schemes, attr, counted)
+    epsilon(e.scheme, e.params, e.order)
+    assert sorted(calls) == ["build_hall_basis", "make_alphabet"]
+
+
 def _with_top_word(series, D, index, delta):
     """``series`` with ``delta`` added to its degree-D word at ``index``."""
     arrays = {d: series.array(d).copy() for d in series.degrees()}
@@ -417,10 +432,11 @@ def test_top_read_rejects_a_perturbed_float_log(name):
     e = CATALOG[name]
     D = e.order + 1
     series = schemes._product_log(e.scheme, e.params, D)
-    schemes._read_top(e.scheme, series, D)
+    basis = schemes._basis_for(e.scheme, series, None)
+    schemes._read_top(e.scheme, series, basis)
     for index in (1, len(series.array(D)) // 2):
         with pytest.raises(RuntimeError, match="non-Lie residual"):
-            schemes._read_top(e.scheme, _with_top_word(series, D, index, 1e-6), D)
+            schemes._read_top(e.scheme, _with_top_word(series, D, index, 1e-6), basis)
 
 
 @pytest.mark.parametrize("n,family,m,p", [(2, "S", 9, 4), (3, "SE", 17, 4)])
@@ -428,11 +444,12 @@ def test_top_read_rejects_a_non_lie_polynomial_term(n, family, m, p):
     scheme = build_scheme(n, family, m)
     D = p + 1
     series = schemes._product_log(scheme, None, D)
-    schemes._read_top(scheme, series, D)
+    basis = schemes._basis_for(scheme, series, None)
+    schemes._read_top(scheme, series, basis)
     x = MultiPoly.variable(scheme.free_slots[0], scheme.free_slots)
     for index in (1, len(series.array(D)) // 2):
         with pytest.raises(RuntimeError, match="non-Lie residual"):
-            schemes._read_top(scheme, _with_top_word(series, D, index, x), D)
+            schemes._read_top(scheme, _with_top_word(series, D, index, x), basis)
 
 
 @pytest.mark.parametrize("symbolic", [False, True], ids=["fraction", "poly"])
@@ -443,7 +460,8 @@ def test_top_read_of_an_absent_degree_gives_exact_zeros(symbolic):
     scheme = build_scheme(2, "S", 5)
     series = schemes._product_log(scheme, None if symbolic else rational_params(scheme), 4)
     assert 4 not in series.degrees()
-    orderings, elements, columns = schemes._read_top(scheme, series, 4)
+    orderings, elements, columns = schemes._read_top(scheme, series,
+                                                     schemes._basis_for(scheme, series, None))
     want = n_read_top(scheme, series, 4)
     assert orderings == tuple(want)
     for ordering, es, col in zip(orderings, elements, columns):
