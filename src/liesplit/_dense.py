@@ -6,11 +6,11 @@ factor (one letter of a scheme, or one stage of a graded order-condition
 pipeline) a right multiplication by exp(sum c_g G_g) (``rmul_exp``).
 Float coefficients run on a float64 array, one ``np.add.at`` per factor
 over a cached plan of every word of its exponential; any other domain on
-an object array, one update per word over all source degrees at once.
+an object array, one ``polynomials.dot`` per target over the same plan.
 The log (``free_algebra.log``, one truncated Horner sum, in float one
 ``np.add.at`` per step) reads the product through its per-degree slices,
-as an ``NCSeries``.  Truncations of more than ``MAX_WORDS`` words are
-refused before anything is allocated."""
+as an ``NCSeries``.  Truncations of more than ``free_algebra.MAX_WORDS``
+words are refused before anything is allocated."""
 
 from __future__ import annotations
 
@@ -20,17 +20,10 @@ from typing import Sequence
 import numpy as np
 
 from . import free_algebra
-from .free_algebra import Generator, NCSeries, degree_offsets, rmul_exp
+from .free_algebra import MAX_WORDS, Generator, NCSeries, degree_offsets, rmul_exp
 from .polynomials import MultiPoly
 
 __all__ = ["dense_product_log"]
-
-# The most words (all degrees 0..D together) a product-log may hold.  The
-# product, its log and the Hall tables read after it grow with the word
-# count: verify_order at n = 2 takes 0.6 s and 240 MB at D = 14 (32,767
-# words), 2.6 s and 670 MB at D = 15, 12 s and 1.9 GB at D = 16.  The
-# largest product-log of the tests and the benchmark has 3,280 (n = 3, D = 7).
-MAX_WORDS = 2 ** 15
 
 
 def dense_product_log(alphabet: Sequence[Generator], max_degree: int,

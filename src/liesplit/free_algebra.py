@@ -52,9 +52,16 @@ additions that a loop over the exponential's words or over degree blocks
 gives it, in the same order, and the results are those loops' to the bit
 (the loops are test oracles in ``tests/_naive.py``), where a BLAS product
 or a ``bincount`` sum would round differently.  Object arrays take the
-same plans one word (``rmul_exp``) or one block of degrees
-(``_add_products``) at a time, through ``_add_at``, multiplying only
-nonzero coefficients.
+same plans with their entries grouped by target, once per plan
+(``_exp_groups``, ``_pair_groups``, ``_horner_groups``), and ``_dot_at``
+gives each target one multiply-accumulate, ``polynomials.dot``, over the
+entries whose two operands are nonzero: its current value plus every
+product that reaches it, a Horner step's scaling c_k u first, in the
+order the word and block loops would add them.  For ``MultiPoly``
+coefficients ``dot`` sums on one dict of integer numerators and
+normalises once, where a product and an addition each used to build a
+polynomial and copy the sum.  ``MAX_WORDS`` bounds the truncations that
+the product-log and the Hall bases accept.
 """
 
 from __future__ import annotations
@@ -66,6 +73,8 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .polynomials import dot
+
 __all__ = [
     "Generator",
     "NCSeries",
@@ -75,6 +84,15 @@ __all__ = [
     "exp",
     "log",
 ]
+
+
+# The most words (all degrees 0..D together) a product-log or a Hall basis
+# may hold.  The product, its log and the Hall tables read after it grow
+# with the word count: verify_order at n = 2 takes 0.6 s and 240 MB at
+# D = 14 (32,767 words), 2.6 s and 670 MB at D = 15, 12 s and 1.9 GB at
+# D = 16.  The largest product-log of the tests and the benchmark has 3,280
+# (n = 3, D = 7).
+MAX_WORDS = 2 ** 15
 
 
 class Generator(NamedTuple):
@@ -212,13 +230,12 @@ def _exp_plan(degrees: tuple[int, ...], max_degree: int, gens: tuple[int, ...]):
     The words are listed shortest first, each the word ``parents[i][0]``
     (0 the empty word) followed by the generator of exponent pair
     ``parents[i][1]``, of length ``parents[i][2]``.  Word i's updates are
-    entries ``bounds[i]:bounds[i + 1]`` of ``targets`` and ``sources``:
+    the next ``counts[i]`` entries of ``targets`` and ``sources``:
     ``targets[e]`` is the flat position of the word at ``sources[e]``
     followed by word i, for every position holding a word short enough,
-    so ``sources`` runs 0, 1, ... for each word and ``counts`` gives each
-    word's number of entries.  Both stay intp: ``rmul_exp`` gathers
-    through ``sources`` once per factor, and numpy gathers through
-    positions of any other type several times slower."""
+    so ``sources`` runs 0, 1, ... for each word.  Both stay intp:
+    ``rmul_exp`` gathers through ``sources`` once per factor, and numpy
+    gathers through positions of any other type several times slower."""
     offsets = degree_offsets(degrees, max_degree)
     words, parents, targets = [((), 0)], [], []
     for i, (u, du) in enumerate(words):
@@ -234,7 +251,7 @@ def _exp_plan(degrees: tuple[int, ...], max_degree: int, gens: tuple[int, ...]):
     bounds = np.concatenate([[0], np.cumsum(counts)])
     sources = np.arange(bounds[-1]) - np.repeat(bounds[:-1], counts)
     targets = np.concatenate(targets) if targets else np.zeros(0, dtype=np.intp)
-    return tuple(parents), tuple(bounds.tolist()), counts, targets, sources
+    return tuple(parents), counts, targets, sources
 
 
 def _runs(ds: Sequence[int]) -> list[tuple[int, int]]:
@@ -297,31 +314,87 @@ def _horner_plan(degrees: tuple[int, ...], D: int, present: tuple[int, ...]):
     return tuple(steps)
 
 
-def _add_at(acc: np.ndarray, pos: np.ndarray, vals: np.ndarray) -> None:
-    """``acc[pos] += vals`` on an object array at distinct positions, by
-    assignment where ``acc`` holds a zero (``0 + poly`` goes through coercion)."""
-    live = acc[pos].astype(bool)
-    acc[pos[~live]] = vals[~live]
-    acc[pos[live]] += vals[live]
-
-
 def _add_products(acc: np.ndarray, x: np.ndarray, y: np.ndarray, slices, targets) -> None:
-    """``acc`` += the products of flat ``x`` and ``y`` that the
-    ``_pair_plan`` ``(slices, targets)`` lists.  Float adds every product
-    in one ``np.add.at``, in plan order.  Object adds block by block (one
-    left degree and one run of right degrees, in which each target appears
-    once), only the products of nonzero entries, through ``_add_at``."""
-    if acc.dtype != object:
-        if slices:
-            np.add.at(acc, targets, np.concatenate(
-                [np.multiply.outer(x[a:b], y[c:e]).ravel() for a, b, c, e in slices]))
+    """Float: ``acc`` += the products of flat ``x`` and ``y`` that the
+    ``_pair_plan`` ``(slices, targets)`` lists, in one ``np.add.at``, in
+    plan order."""
+    if slices:
+        np.add.at(acc, targets, np.concatenate(
+            [np.multiply.outer(x[a:b], y[c:e]).ravel() for a, b, c, e in slices]))
+
+
+def _by_target(targets: np.ndarray, left: np.ndarray, right: np.ndarray):
+    """Entries (target, left operand, right operand), intp, sorted by
+    target and in their given order within each target, read-only."""
+    order = np.argsort(targets, kind="stable")
+    entries = tuple(np.asarray(a, dtype=np.intp)[order] for a in (targets, left, right))
+    for a in entries:
+        a.setflags(write=False)
+    return entries
+
+
+def _pair_entries(slices, targets: np.ndarray, shift: int):
+    """The entries of a ``_pair_plan`` ``(slices, targets)`` in plan
+    order as (target, x position, y position + ``shift``): positions in
+    ``x`` and ``y`` laid end to end, x ``shift`` long."""
+    xs = [np.repeat(np.arange(a, b), e - c) for a, b, c, e in slices]
+    ys = [np.tile(np.arange(c, e) + shift, b - a) for a, b, c, e in slices]
+    empty = np.zeros(0, dtype=np.intp)
+    return targets, np.concatenate([empty, *xs]), np.concatenate([empty, *ys])
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_groups(degrees: tuple[int, ...], left: tuple[int, ...], right: tuple[int, ...],
+                 top: int):
+    """The ``_pair_plan`` of the same arguments for ``_dot_at``, over x
+    (every degree up to left[-1]) followed by y."""
+    shift = degree_offsets(degrees, left[-1])[-1]
+    return _by_target(*_pair_entries(*_pair_plan(degrees, left, right, top), shift))
+
+
+@functools.lru_cache(maxsize=None)
+def _horner_groups(degrees: tuple[int, ...], D: int, present: tuple[int, ...]):
+    """The steps of ``_horner_plan`` for ``_dot_at``, each over u (every
+    degree up to present[-1]), h_{k+1} and c_k, in that order: c_k times
+    u's entries below the step's top, then the products u h_{k+1}."""
+    offsets = degree_offsets(degrees, D)
+    shift = offsets[present[-1] + 1]
+    u_at = np.concatenate([np.arange(offsets[d], offsets[d + 1]) for d in present])
+    steps, h_len = [], 0
+    for end, _, products in _horner_plan(degrees, D, present):
+        scaled = u_at[u_at < end]
+        targets, left, right = _pair_entries(*products, shift)
+        steps.append(_by_target(np.concatenate([scaled, targets]),
+                                np.concatenate([np.full(len(scaled), shift + h_len), left]),
+                                np.concatenate([scaled, right])))
+        h_len = end
+    return tuple(steps)
+
+
+@functools.lru_cache(maxsize=None)
+def _exp_groups(degrees: tuple[int, ...], max_degree: int, gens: tuple[int, ...]):
+    """The ``_exp_plan`` of the same arguments for ``_dot_at``, over the
+    flat words below the top degree followed by the exponential's words."""
+    _, counts, targets, sources = _exp_plan(degrees, max_degree, gens)
+    top = degree_offsets(degrees, max_degree)[max_degree]
+    return _by_target(targets, sources, top + np.repeat(np.arange(len(counts)), counts))
+
+
+def _dot_at(acc: np.ndarray, z: np.ndarray, targets: np.ndarray, left: np.ndarray,
+            right: np.ndarray) -> None:
+    """Object: ``acc[t]`` = ``dot(acc[t], z[l]..., z[r]...)`` over the
+    entries (t, l, r) of one target, for every target of the grouped
+    entries (``_by_target``) whose operands are both nonzero: one
+    multiply-accumulate per target."""
+    live = z.astype(bool)
+    keep = live[left] & live[right]
+    t = targets[keep]
+    if not len(t):
         return
-    start = 0
-    for a, b, c, e in slices:
-        i, j = np.flatnonzero(x[a:b]), np.flatnonzero(y[c:e])
-        block = targets[start:start + (b - a) * (e - c)].reshape(b - a, e - c)
-        _add_at(acc, block[i[:, None], j].ravel(), np.multiply.outer(x[a + i], y[c + j]).ravel())
-        start += (b - a) * (e - c)
+    lefts, rights = z[left[keep]].tolist(), z[right[keep]].tolist()
+    bounds = [0, *(np.flatnonzero(t[1:] != t[:-1]) + 1).tolist(), len(t)]
+    for i, a, b in zip(t[bounds[:-1]].tolist(), bounds, bounds[1:]):
+        acc[i] = dot(acc[i], lefts[a:b], rights[a:b])
 
 
 class NCSeries:
@@ -449,12 +522,7 @@ class NCSeries:
         out = dict(self._arrays)
         for d, b in other._arrays.items():
             a = out.get(d)
-            if a is None or object not in (a.dtype, b.dtype):
-                out[d] = b if a is None else a + b
-            else:
-                out[d] = acc = a.astype(object)
-                nz = np.flatnonzero(b)
-                _add_at(acc, nz, b[nz])
+            out[d] = b if a is None else a + b
         return self._with(out)
 
     def scale(self, factor) -> "NCSeries":
@@ -507,8 +575,9 @@ def series_from_generator(g: Generator, coeff, D: int,
 
 def mul(x: NCSeries, y: NCSeries) -> NCSeries:
     """Concatenation product, truncated at the common max degree: the
-    products that the ``_pair_plan`` of x's and y's degrees lists, added
-    on the flat layout by ``_add_products``."""
+    products that the ``_pair_plan`` of x's and y's degrees lists, on the
+    flat layout, added by ``_add_products`` in float and by ``_dot_at``
+    over its ``_pair_groups`` otherwise."""
     x._compatible(y)
     if not x or not y:
         return x._with({})
@@ -519,7 +588,11 @@ def mul(x: NCSeries, y: NCSeries) -> NCSeries:
     offsets = degree_offsets(degrees, top)
     xf, yf = _flat(degrees, dx, x._arrays), _flat(degrees, dy, y._arrays)
     flat = np.zeros(offsets[-1], dtype=np.result_type(xf, yf))
-    _add_products(flat, xf, yf, *_pair_plan(degrees, tuple(x._arrays), tuple(y._arrays), top))
+    left, right = tuple(x._arrays), tuple(y._arrays)
+    if flat.dtype == object:
+        _dot_at(flat, np.concatenate([xf, yf]), *_pair_groups(degrees, left, right, top))
+    else:
+        _add_products(flat, xf, yf, *_pair_plan(degrees, left, right, top))
     return x._with({d: flat[offsets[d]:offsets[d + 1]] for d in range(top + 1)})
 
 
@@ -535,7 +608,8 @@ def rmul_exp(flat: np.ndarray, degrees: tuple[int, ...], max_degree: int,
     the original values of the words shorter than the top degree, word by
     word in list order: in float, one ``np.add.at`` over all the words'
     entries, which numpy applies one at a time in order; in object, one
-    update per word over its nonzero sources.  Raises ``ValueError`` on a
+    ``dot`` per target over its nonzero sources and words, grouped by
+    ``_exp_groups``.  Raises ``ValueError`` on a
     generator id outside ``degrees`` or a non-finite float c_g."""
     for g, c in exponent:
         if not 0 <= g < len(degrees):
@@ -543,8 +617,8 @@ def rmul_exp(flat: np.ndarray, degrees: tuple[int, ...], max_degree: int,
         if isinstance(c, float) and not math.isfinite(c):
             raise ValueError(f"non-finite coefficient {c} for generator {g}")
     exact = flat.dtype == object
-    parents, bounds, counts, targets, sources = _exp_plan(
-        degrees, max_degree, tuple([g for g, _ in exponent]))
+    gens = tuple([g for g, _ in exponent])
+    parents, counts, targets, sources = _exp_plan(degrees, max_degree, gens)
     coefficients = [1 if exact else 1.0]
     for i, j, length in parents:
         cu, c = coefficients[i], exponent[j][1]
@@ -555,12 +629,9 @@ def rmul_exp(flat: np.ndarray, degrees: tuple[int, ...], max_degree: int,
         np.add.at(flat, targets, np.array(coefficients[1:]).repeat(counts) * flat[sources])
         return
     # every word below the top degree is a source
-    nz = np.flatnonzero(flat[:degree_offsets(degrees, max_degree)[max_degree]])
-    src = flat[nz]
-    for cw, start, stop in zip(coefficients[1:], bounds, bounds[1:]):
-        index = targets[start:stop]
-        short = np.searchsorted(nz, len(index))  # nonzero sources that fit the word
-        _add_at(flat, index[nz[:short]], src[:short] * cw)
+    top = degree_offsets(degrees, max_degree)[max_degree]
+    words = np.array(coefficients[1:], dtype=object)
+    _dot_at(flat, np.concatenate([flat[:top], words]), *_exp_groups(degrees, max_degree, gens))
 
 
 def _horner(x: NCSeries, u: Mapping[int, np.ndarray], c0, coefficient) -> NCSeries:
@@ -573,9 +644,10 @@ def _horner(x: NCSeries, u: Mapping[int, np.ndarray], c0, coefficient) -> NCSeri
     least k l for u's lowest degree l, so h_k is kept only up to degree
     D - k l.  Each h_k is its coefficients less its constant (u times
     that constant is a scaling of u), a flat array (``degree_offsets``)
-    like u; u h_{k+1} is added by ``_add_products`` over the step's
-    ``_horner_plan``.  Float scales all of u by c_k and zeroes the degrees
-    h_k holds that u lacks; object scales u's nonzero entries only."""
+    like u.  Float scales all of u by c_k, zeroes the degrees h_k holds
+    that u lacks and adds u h_{k+1} by ``_add_products`` over the step's
+    ``_horner_plan``; object forms c_k u + u h_{k+1} with one ``dot`` per
+    coefficient over the step's ``_horner_groups``, nonzero entries only."""
     degrees, D = x._degrees, x.max_degree
     present = tuple(sorted(u))
     if not present:
@@ -584,19 +656,21 @@ def _horner(x: NCSeries, u: Mapping[int, np.ndarray], c0, coefficient) -> NCSeri
     cs = [cast(coefficient(k)) for k in range(D // present[0], 0, -1)]
     offsets = degree_offsets(degrees, D)
     uf = _flat(degrees, D, u)
-    exact = uf.dtype == object
     h = uf[:0]
-    for c, (end, zeroed, products) in zip(cs, _horner_plan(degrees, D, present)):
-        if exact:
+    steps = _horner_plan(degrees, D, present)
+    if uf.dtype == object:
+        u_low = uf[:offsets[present[-1] + 1]]
+        for c, (end, _, _), groups in zip(cs, steps, _horner_groups(degrees, D, present)):
             new = np.zeros(end, dtype=object)
-            nz = np.flatnonzero(uf[:end])
-            new[nz] = c * uf[nz]
-        else:
+            _dot_at(new, np.concatenate([u_low, h, np.array([c], dtype=object)]), *groups)
+            h = new
+    else:
+        for c, (end, zeroed, products) in zip(cs, steps):
             new = c * uf[:end]
             for a, b in zeroed:
                 new[a:b] = 0.0
-        _add_products(new, uf, h, *products)
-        h = new
+            _add_products(new, uf, h, *products)
+            h = new
     arrays = {d: h[offsets[d]:offsets[d + 1]] for d in range(1, D + 1)}
     if c0:
         arrays[0] = np.array([c0], dtype=h.dtype)

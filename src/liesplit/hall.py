@@ -49,7 +49,10 @@ stacked blocks (38,976 entries at n = 3, degree 7, where a dense one
 would hold 682,344), and its residual is taken with M in CSR form.  An
 exact vector (Fraction or polynomial entries) is solved with the
 rational inverse of M on the rows where a float LU of each block places
-its pivots, inverted block by block; the other rows give its residual.
+its pivots, inverted block by block, one ``polynomials.dot`` per row of
+the inverse (and per column of a block); M on the other rows gives its
+residual the same way.  A truncation of more than
+``free_algebra.MAX_WORDS`` words is refused before any level is built.
 
 ``coords_from_dense`` also takes a 2-D block, one word vector per
 column, and solves every column with one product.  Over equal generator
@@ -76,7 +79,9 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .free_algebra import Generator, NCSeries, _integer, concat_index, word_count, word_starts
+from .free_algebra import (MAX_WORDS, Generator, NCSeries, _integer, concat_index, degree_offsets,
+                           word_count, word_starts)
+from .polynomials import dot
 
 __all__ = [
     "HallBasis",
@@ -526,10 +531,16 @@ def _sparse(rows) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _sparse_apply(rows, vec: np.ndarray) -> np.ndarray:
-    """The product of ``_sparse`` rows with an object vector or block."""
+    """The product of ``_sparse`` rows with an object vector or block
+    (words x columns): one ``dot`` per row and column."""
     out = np.empty((len(rows),) + vec.shape[1:], dtype=object)
     for i, (cols, vals) in enumerate(rows):
-        out[i] = np.dot(vals, vec[cols])
+        vals, block = vals.tolist(), vec[cols].T.tolist()
+        if vec.ndim == 1:
+            out[i] = dot(0, vals, block)
+        else:
+            for j, column in enumerate(block):
+                out[i, j] = dot(0, vals, column)
     return out
 
 
@@ -543,12 +554,18 @@ def build_hall_basis(alphabet: Sequence[Generator], D: int,
     """Hall basis over ``alphabet`` with all elements of degree <= D.
 
     ``ordering`` permutes the generators (ids, smallest first); identity
-    by default.  Results are memoized, so equal requests share caches.
+    by default.  Results are memoized, so equal requests share caches.  A
+    truncation with more than ``free_algebra.MAX_WORDS`` words raises
+    ``ValueError`` before any level is built.
     """
     D = _integer(D, "D")
     if D < 1:
         raise ValueError("D must be >= 1")
     alphabet = tuple(alphabet)
+    words = degree_offsets(tuple(g.degree for g in alphabet), D)[-1]
+    if words > MAX_WORDS:
+        raise ValueError(f"truncation degree D = {D} needs {words} words, "
+                         f"over the limit of {MAX_WORDS}")
     if ordering is None:
         ordering = tuple(range(len(alphabet)))
     ordering = tuple(_integer(g, "ordering", i) for i, g in enumerate(ordering))

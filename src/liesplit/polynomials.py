@@ -54,7 +54,7 @@ from operator import index, mul, or_
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
-__all__ = ["MultiPoly", "MonomialOrder", "GREVLEX", "LEX", "MAX_EXPONENT", "normal_form",
+__all__ = ["MultiPoly", "MonomialOrder", "GREVLEX", "LEX", "MAX_EXPONENT", "dot", "normal_form",
            "s_polynomial", "buchberger_basis", "is_groebner_basis", "is_square_free",
            "sturm_real_roots"]
 
@@ -382,6 +382,69 @@ class MultiPoly:
             m = "*".join(v if k == 1 else f"{v}^{k}" for v, k in zip(self.variables, e) if k)
             out.append(f"{c}" if not m else m if c == 1 else f"-{m}" if c == -1 else f"{c}*{m}")
         return " + ".join(out).replace("+ -", "- ")
+
+
+def _operand(v, variables: tuple[str, ...]) -> tuple[dict[int, int], int]:
+    """(numerators, denominator) of a ``dot`` operand: a ``MultiPoly`` over
+    ``variables`` or a rational, which is a constant term."""
+    if isinstance(v, MultiPoly):
+        if v.variables != variables:
+            raise ValueError("polynomials over different variable tuples")
+        return v._num, v._den
+    v = _as_fraction(v)
+    return ({0: v.numerator} if v else {}), v.denominator
+
+
+def dot(start, lefts: Sequence, rights: Sequence):
+    """``start + sum(a * b for a, b in zip(lefts, rights))``: the exact
+    multiply-accumulate of the series and Hall kernels.
+
+    With a ``MultiPoly`` among the operands (the others int or
+    ``Fraction``), every product goes into one dict of integer numerators
+    over the lcm of the products' denominators, normalised once: no
+    polynomial per product and no copy of the sum per addition.  The terms
+    enter as ``__mul__`` and ``+`` would insert them, left factor's terms
+    outermost, so over polynomial operands the result iterates in the same
+    order as the sum.  A monomial of the result past ``MAX_EXPONENT``
+    raises ``ValueError``, operands over another variable tuple too.  Any
+    other operands are summed with their own ``*`` and ``+``, a zero
+    ``start`` giving way to the first product."""
+    operands = (start, *lefts, *rights)
+    if MultiPoly not in set(map(type, operands)):
+        products = map(mul, lefts, rights)
+        if not start:
+            start = next(products, start)
+        return sum(products, start)
+    variables = next(v for v in operands if isinstance(v, MultiPoly)).variables
+    pairs = []
+    for a, b in zip(lefts, rights):
+        (na, da), (nb, db) = _operand(a, variables), _operand(b, variables)
+        if na and nb:
+            pairs.append((na, nb, da * db))
+    start_num, start_den = _operand(start, variables)
+    den = lcm(start_den, *[d for _, _, d in pairs])
+    scale = den // start_den
+    num = {e: n * scale for e, n in start_num.items()}
+    get, zeroed = num.get, []
+    for na, nb, d in pairs:
+        # the left factor's terms outermost, as in __mul__; a monomial whose
+        # sum passes through zero keeps its place until the pair is added,
+        # as when the product is formed first and then added
+        f = den // d
+        for e1, n1 in na.items():
+            n1 *= f
+            for e2, n2 in nb.items():
+                e = e1 + e2
+                num[e] = s = get(e, 0) + n1 * n2
+                if not s:
+                    zeroed.append(e)
+        for e in zeroed:
+            if not get(e, 1):
+                del num[e]
+        zeroed.clear()
+    if num and functools.reduce(or_, num) & _layout(len(variables))[1]:
+        raise ValueError(_OVERFLOW)
+    return _poly(variables, num, den)
 
 
 # ---------------------------------------------------------------- division

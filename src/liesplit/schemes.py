@@ -16,6 +16,7 @@ orderings, times (m/p)^p.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import re
@@ -132,13 +133,19 @@ class LinExpr:
 
     __rmul__ = __mul__
 
+    @functools.cached_property
+    def _floats(self) -> tuple[float, tuple[float, ...]]:
+        """float(const) and the float of every coefficient, made once."""
+        return float(self.const), tuple(float(c) for _, c in self.coeffs)
+
     def evaluate(self, values: Mapping[str, object]):
         out = self.const
-        for s, c in self.coeffs:
+        const, floats = self._floats
+        for (s, c), fc in zip(self.coeffs, floats):
             v = values[s]
             if isinstance(v, float) and isinstance(out, (Fraction, float)):
                 # what Fraction's float fallback computes, without the fallback
-                out = float(out) + float(c) * v
+                out = (const if out is self.const else float(out)) + fc * v
             else:
                 out = out + c * v
         return out

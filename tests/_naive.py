@@ -44,7 +44,7 @@ import numpy as np
 import scipy.linalg
 
 from liesplit.constraints import symbolic_log
-from liesplit.free_algebra import (NCSeries, _add_at, _word_position, concat_index, degree_offsets,
+from liesplit.free_algebra import (NCSeries, _word_position, concat_index, degree_offsets,
                                    degree_words, make_alphabet, mul)
 from liesplit.hall import _invert_rational, _sparse, build_hall_basis, hall_degree, lie_coordinates
 from liesplit.optimizer import _RESIDUAL_TOL, ManifoldError
@@ -118,6 +118,14 @@ def n_series_log(x: NCSeries) -> NCSeries:
     u = NCSeries(x.alphabet, x.max_degree, {d: x.array(d) for d in x.degrees() if d})
     return _power_sum(NCSeries.zero(x.alphabet, x.max_degree), u,
                       lambda k: Fraction((-1) ** (k + 1), k))
+
+
+def _add_at(acc: np.ndarray, pos: np.ndarray, vals: np.ndarray) -> None:
+    """``acc[pos] += vals`` on an object array at distinct positions, by
+    assignment where ``acc`` holds a zero."""
+    live = acc[pos].astype(bool)
+    acc[pos[~live]] = vals[~live]
+    acc[pos[live]] += vals[live]
 
 
 def n_rmul_exp(arrays: dict, degrees, exponent) -> None:

@@ -1,5 +1,6 @@
 """Constraint extraction, Groebner analysis, and published freedom counts."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,7 @@ COUNT_CASES = [
     (2, "N", 7, 5, {1: 2, 2: 1, 3: 2, 4: 3, 5: 6}),
     (2, "S", 9, 1, {1: 2}),
     (2, "S", 9, 3, {1: 2, 3: 2}),
+    (2, "S", 9, 4, {1: 2, 3: 2}),
     (2, "S", 9, 5, {1: 2, 3: 2, 5: 6}),
     (2, "SL", 15, 2, {1: 1}),
     (2, "SL", 15, 4, {1: 1, 3: 1}),
@@ -64,14 +66,50 @@ COUNT_CASES = [
 ]
 
 
+# sha256 of symbolic_log(build_scheme(n, family, m), p).to_text(), taken
+# before the exact kernels summed their products with polynomials.dot
+CONDITION_TEXT_SHA256 = {
+    (2, "N", 7, 1): "4b376a0f6ce0d9b94b1bc3a24e07656660f60e9fea52846a539607f998889317",
+    (2, "N", 7, 2): "b1cf6524e3f74a9b7186d73062df98b7c70f21eb75df5ff78a6e1bb22de51406",
+    (2, "N", 7, 3): "751fd27e40f9b22cc9462f5021e73bf7a036756bc936ea5d1544686149563467",
+    (2, "N", 7, 4): "d4ee52565a51f891b4a45d1fef6b00b5485beed14d03704b0c27b62b03e844cc",
+    (2, "N", 7, 5): "03bb317717fc55c42bf53c2255e80e5aea9ee041761cd75a106cfe810b648d9a",
+    (2, "S", 9, 1): "de6db84d02bb82100ba6c8a8e10c393f3e841e113aca39925009fd480ac1d215",
+    (2, "S", 9, 3): "bca420ee6ae6d7e8af62b8561a024112a3284aaf94cf03c12013104eda855497",
+    (2, "S", 9, 4): "bca420ee6ae6d7e8af62b8561a024112a3284aaf94cf03c12013104eda855497",
+    (2, "S", 9, 5): "9223599a5df5d240772c0ec40367075ef0b18e749de0b75fdc853ee53b87bc5c",
+    (2, "SL", 15, 2): "749468901b5553ca8463d3cea060332ee4ab3d97fa69b92c9799cc23a986f81d",
+    (2, "SL", 15, 4): "249fbc510a604317bc98107f0839918b4579b7f7e2f39c38409af4cb9fdf9239",
+    (2, "SL", 15, 6): "9e4a4d2e0aeea75a5f3e1075543110d4da3478e21452059cc9021e77f922a1b1",
+    (2, "SL", 15, 8): "db9fa7647bbd8fc758ac536638c8525c313d28ef5792b8cf7278c6a5307d3339",
+    (3, "N", 7, 1): "50655f48a51ded492ebbac98181f1fbfffc78f417599f2699e9f2283c95d7151",
+    (3, "N", 7, 2): "a33b88f895545076acdc386c5410c00bc1360dd0c84465ec29b142b66a82ef4a",
+    (3, "N", 7, 3): "d821de7304e4e248ef599cfc565b3f236e1e29bf7acc0c572600948e348e4fec",
+    (3, "S", 9, 1): "7afb33bfa20b164c2e9ddcb6cf7fa3293f591c24d4c01c183c0f10e571ac8e4e",
+    (3, "S", 9, 3): "3005ad181cf3201ab0aa6d1deba05c9863ec0e6377a62e527ebe6c94fd1a5f26",
+    (3, "S-abc", 11, 1): "e3b5e1d7bb40a6c2139571a03eaa1a26fec1e0aca6c43fb001f10be999736211",
+    (3, "S-abc", 11, 3): "edf4fa748bbf9bc69c2a837331e98c642e920e0e34194f19166a52251b61aa4a",
+    (3, "SE", 21, 2): "f0b63ba827014e042672dbe69939914228e00000ac597668b2811179ef422236",
+    (3, "SE", 21, 4): "cbb0d13a8f7185a93322bf821347b159ed224bb130bec2968245fd5dd2eade8d",
+    (3, "SE", 21, 6): "a3493ac694fbbe9e039f9bf2357677a48bda09243fefea1990ce172676e69e1e",
+    (3, "SE", 21, 8): "2dbc5878b08c72b0924dc5fc18ecc37d2964d72b1f7e95a553bb24de13de2a67",
+    (3, "SL", 17, 2): "3d2751a4ae9abb27c1585c8abcbf28b4ff86b0c473dd7155b1acd2b442e8d389",
+    (3, "SL", 17, 4): "c22786bde1c7276761dc3ee1f6f73d49d062b4cea85257412fc40d845cd00942",
+    (3, "SL", 17, 6): "854f0e7e967b6b912bfe8620af9a08d5e60cb7f8746e3a333b638a5ac462f8ce",
+}
+
+
 @pytest.mark.parametrize(
     "n,family,m,p,expected", COUNT_CASES,
     ids=[f"n{n}-{fam}-m{m}-p{p}" for n, fam, m, p, _ in COUNT_CASES])
 def test_condition_counts(n, family, m, p, expected):
+    """Counts per degree, and the text of the system pinned byte for byte."""
     cs = symbolic_log(build_scheme(n, family, m), p)
     assert cs.counts_by_degree() == expected
     assert len(cs.polys) == sum(expected.values())
     assert len(cs.polys) == len(cs.hall_labels) == len(cs.degrees)
+    text = cs.to_text().encode()
+    assert hashlib.sha256(text).hexdigest() == CONDITION_TEXT_SHA256[n, family, m, p]
 
 
 def test_first_order_conditions_type_n():

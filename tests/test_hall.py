@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import os
 import random
 import subprocess
 import sys
@@ -219,6 +220,29 @@ def test_deep_truncation_skips_empty_levels():
     basis = build_hall_basis(make_alphabet("Z"), 10_000)
     assert time.perf_counter() - start < 0.5
     assert basis.degree_counts() == {1: 1} and len(basis.by_degree) == 10_000
+
+
+def test_oversized_truncation_fails_before_building():
+    """D = 31 over two letters needs 2**32 - 1 words, past
+    ``free_algebra.MAX_WORDS``: ``build_hall_basis`` refuses it, naming D
+    and the word count, before building a level.  The call runs in a
+    child capped at 1 GB of address space, so that a basis built anyway
+    fails there instead of filling the machine."""
+    src = str(Path(liesplit.__file__).parents[1])
+    code = ("import resource, sys, time; sys.path.insert(0, sys.argv[1])\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
+            "from liesplit import build_hall_basis, make_alphabet\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            "    build_hall_basis(make_alphabet('AB'), 31)\n"
+            "except ValueError as error:\n"
+            "    print(time.perf_counter() - start, error)\n")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                         check=True, timeout=60, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    seconds, message = out.stdout.split(" ", 1)
+    assert float(seconds) < 1.0
+    assert message.strip() == ("truncation degree D = 31 needs 4294967295 words, "
+                               f"over the limit of {free_algebra.MAX_WORDS}")
 
 
 def test_ordering_permutation_changes_generator_order():

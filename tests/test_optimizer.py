@@ -1,6 +1,7 @@
 """Manifold solving and multi-start error minimization."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -198,6 +199,24 @@ def test_batched_rows_equal_rows_at_one_point(template, p, free):
     for x, got in zip(points, rows):
         want = c.coeffs @ np.prod(x ** c.exps, axis=1)
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("template, p, exps, coeffs", [
+    ((2, "S", 9), 4, ((35, 3), "71561e00e52657a163f8956653c20b1ada7a333730698b15e899c9ed029682d5"),
+     ((12, 35), "5b87cdc703472cf369ce1535e658967b3bc7152d0b133062a8c6a201301d4ec5")),
+    ((2, "SL", 11), 4, ((21, 2), "10274773c6186ee439dc049ba80866143e11138db698c647f6c94a1864ccf590"),
+     ((12, 21), "3d40a9a23817df1ddd90c27ba75c939454c188da2f646f38c3b7afaaf838dbce")),
+], ids=["s9", "sl11"])
+def test_error_rows_are_pinned_byte_for_byte(template, p, exps, coeffs):
+    """The compiled error rows, read off exact 2-D ordering blocks: shape
+    and sha256 of the int64 exponents and float64 coefficients, taken
+    before the exact kernels summed their products with
+    ``polynomials.dot``."""
+    compiled = optimizer._error_rows(build_scheme(*template), p).compiled
+    for array, dtype, (shape, digest) in ((compiled.exps, np.int64, exps),
+                                          (compiled.coeffs, np.float64, coeffs)):
+        assert (array.dtype, array.shape) == (dtype, shape)
+        assert hashlib.sha256(array.tobytes()).hexdigest() == digest
 
 
 # ------------------------------------------------------- secant predictor

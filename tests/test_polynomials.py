@@ -6,6 +6,7 @@ is independent of ours; Sturm counts against sympy's exact root counting.
 
 import math
 import pickle
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -20,6 +21,7 @@ from liesplit.polynomials import (
     MAX_EXPONENT,
     MultiPoly,
     buchberger_basis,
+    dot,
     is_groebner_basis,
     is_square_free,
     normal_form,
@@ -453,3 +455,89 @@ def test_sturm_counts_distinct_roots_of_factored_polynomials(linear, quadratic, 
     assert expected == len({r for r, _ in linear})
     assert sturm_real_roots(coeffs) == expected
     assert is_square_free(coeffs) == (sympy.degree(sympy.gcd(poly, poly.diff(t)), t) <= 0)
+
+
+# ------------------------------------------------------------ dot
+
+
+def _summed(start, lefts, rights):
+    """``start`` plus each product in turn, every product and partial sum
+    a value of its own: what ``dot`` fuses."""
+    total = start
+    for a, b in zip(lefts, rights):
+        total = total + a * b
+    return total
+
+
+def _random_operand(rng, rational=0.3):
+    """A rational with probability ``rational``, else a polynomial of up to
+    four terms with small coefficients, so that products cancel often."""
+    if rng.random() < rational:
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+    return MultiPoly(V3, {tuple(rng.randint(0, 2) for _ in V3): Fraction(rng.randint(-2, 2),
+                                                                          rng.randint(1, 3))
+                          for _ in range(rng.randint(0, 4))})
+
+
+@pytest.mark.parametrize("rational", [0.0, 0.3], ids=["polys", "mixed"])
+def test_dot_matches_the_sum_of_products(rational):
+    """``dot`` equals the sum of its products, stored normalised; over
+    polynomial operands its terms also come in the sum's order."""
+    rng = random.Random(int(rational * 10))
+    for _ in range(300):
+        k = rng.randint(0, 6)
+        start = _random_operand(rng, rational)
+        lefts = [_random_operand(rng, rational) for _ in range(k)]
+        rights = [_random_operand(rng, rational) for _ in range(k)]
+        got, want = dot(start, lefts, rights), _summed(start, lefts, rights)
+        assert got == want
+        if isinstance(got, MultiPoly):
+            num, den = got.numerators()
+            assert den > 0 and math.gcd(den, *num.values()) == 1
+        if not rational:
+            assert list(got.numerators()[0]) == list(want.numerators()[0])
+
+
+def test_dot_of_no_pairs_is_its_start():
+    assert dot(0, [], []) == 0
+    assert dot(Fraction(3, 2), [], []) == Fraction(3, 2)
+    assert dot(x + 1, [], []) == x + 1
+
+
+def test_dot_adds_to_its_start():
+    assert dot(x, [y, Fraction(2)], [z, x]) == 3 * x + y * z
+    assert dot(Fraction(1, 2), [x], [x]) == x * x + Fraction(1, 2)
+
+
+def test_dot_cancelling_to_zero_is_the_zero_polynomial():
+    got = dot(x * y, [x, y, -x], [-y, x, y])
+    assert isinstance(got, MultiPoly) and not got and got == 0
+    assert dot(-x, [x], [1]) == 0
+
+
+def test_dot_mixes_rationals_and_polynomials():
+    assert dot(0, [Fraction(1, 3), x, Fraction(2)], [y, Fraction(3, 4), Fraction(5)]) == \
+        Fraction(1, 3) * y + Fraction(3, 4) * x + 10
+
+
+def test_dot_without_polynomials_uses_the_operands_arithmetic():
+    got = dot(0, [Fraction(1, 2), Fraction(2, 3)], [Fraction(3), Fraction(3, 4)])
+    assert type(got) is Fraction and got == 2
+    assert dot(0.5, [1.5], [2.0]) == 3.5
+
+
+def test_dot_raises_past_max_exponent():
+    top = x ** MAX_EXPONENT
+    for lefts, rights in (([top], [x]), ([y, top + 1], [1, x * y])):
+        with pytest.raises(ValueError, match="MAX_EXPONENT"):
+            _summed(0, lefts, rights)
+        with pytest.raises(ValueError, match="MAX_EXPONENT"):
+            dot(0, lefts, rights)
+    assert dot(0, [x ** (MAX_EXPONENT - 1)], [x]) == top
+
+
+def test_dot_rejects_mismatched_variable_tuples():
+    other = MultiPoly.variable("x", ("x", "y"))
+    for args in ((0, [x], [other]), (other, [x], [y]), (0, [Fraction(1), x], [other, y])):
+        with pytest.raises(ValueError, match="different variable tuples"):
+            dot(*args)
