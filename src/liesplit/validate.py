@@ -9,22 +9,36 @@ so the log-log slope over the asymptotic window is the observable that
 either confirms or refutes a claimed order — independently of all the
 series algebra used to derive it.
 
-Each public call builds the scheme's product one of two ways.  When
-every generator is exactly Hermitian (the spin chain, which is real
-symmetric, so all of its arithmetic is real), each generator is
-diagonalized once with ``eigh``, A = V·diag(λ)·Vᴴ, and the product runs
-in the generators' eigenbases: with W = V_aᴴ·V_b formed once per
-adjacent pair, each factor is one dense product and one diagonal
-scaling, ``out = (out @ W) * e^{sλ_b}``, and the step is
-V_first·core·V_lastᴴ.  Any other set (``random-general``,
-``random-antihermitian``, ``commuting-pair``, or a mix) forms each
-distinct factor exp(s·M) on its own, once per step (a palindromic
-scheme repeats its factors): one ``eigh`` per Hermitian M and
-V·diag(e^{sλ})·Vᴴ per factor, and scaling-and-squaring ``expm`` per
-factor for any other M, the general method, which a Hermitian matrix
-does not need (Higham, SIAM J. Matrix Anal. Appl. 26:1179, 2005).  The
-exact flow e^{tH} takes the same per-matrix rule.  The decompositions
-live for one call only.
+Each public call first splits the generator set into sectors: the
+connected components of the generators' joint sparsity pattern.  Every
+generator, every factor, H and the error are block-diagonal over them,
+so each sector's product runs on its own blocks.  On the Heisenberg
+chain, which conserves total S_z, the sectors are the basis states of
+equal popcount, C(L, k) of them each; a random set is one sector.  A
+sector's product runs over the whole step grid at once, on stacked
+(points, d, d) arrays, in chunks that keep one stack under
+``_STACK_BYTES``; the error at each step is the largest over the sectors
+of the blocks' 2-norms, which is exactly the 2-norm of the whole
+block-diagonal matrix.
+
+Each sector's product is built one of two ways.  When every generator
+block is exactly Hermitian (the spin chain, which is real symmetric, so
+all of its arithmetic is real), each block is diagonalized once with
+``eigh``, A = V·diag(λ)·Vᴴ, and the product runs in the generators'
+eigenbases: with W = V_aᴴ·V_b formed once per adjacent pair, each factor
+is one dense product and one diagonal scaling,
+``out = (out @ W) * e^{sλ_b}``, and the step is V_first·core·V_lastᴴ.
+Any other set (``random-general``, ``random-antihermitian``,
+``commuting-pair``, or a mix) forms each distinct factor exp(s·M) on its
+own (a palindromic scheme repeats its factors): one ``eigh`` per
+Hermitian M and V·diag(e^{sλ})·Vᴴ per factor, and one stacked
+scaling-and-squaring ``expm`` per factor for any other M, the general
+method, which a Hermitian matrix does not need (Higham, SIAM J. Matrix
+Anal. Appl. 26:1179, 2005).  The exact flow e^{tH} takes the same
+per-matrix rule.  Stacked products, ``expm`` and singular values act on
+each matrix of a stack as on a lone one, so a one-sector set gets the
+same bits as a product formed one step at a time.  The sectors and
+decompositions live for one call only.
 """
 
 from __future__ import annotations
@@ -37,6 +51,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.linalg import expm
 
+from .free_algebra import _integer
 from .lattice import build_chain, partition
 from .schemes import Scheme
 
@@ -51,6 +66,10 @@ __all__ = [
     "operator_norm",
     "scaling_fit",
 ]
+
+# One sector's stacked (points, d, d) array, counted at 16 bytes an entry,
+# stays under this; a longer grid runs in chunks.
+_STACK_BYTES = 1 << 23
 
 _CLASSES = ("random-antihermitian", "random-general",
             "spin-chain-even-odd", "commuting-pair")
@@ -88,9 +107,12 @@ class GeneratorSet:
         return sum(self.matrices[1:], start=self.matrices[0].copy())
 
 
-def operator_norm(mat: np.ndarray) -> float:
-    """Largest singular value; exact (dense) at desk scale."""
-    return float(np.linalg.svd(mat, compute_uv=False)[0])
+def operator_norm(mat: np.ndarray):
+    """Largest singular value; exact (dense) at desk scale.  A single
+    matrix gives a float, a (..., d, d) stack the array of each matrix's
+    norm."""
+    top = np.linalg.svd(mat, compute_uv=False)[..., 0]
+    return top if top.ndim else float(top)
 
 
 def _unit(mat: np.ndarray) -> np.ndarray:
@@ -109,6 +131,8 @@ def build_generators(klass: str, n: int = 2, dim: int = 16,
     if klass not in _CLASSES:
         raise ValueError(f"unknown generator class {klass!r}; options: "
                          f"{_CLASSES}")
+    n, dim = _integer(n, "n"), _integer(dim, "dim")
+    chain_length = _integer(chain_length, "chain_length")
     if n not in (2, 3):
         raise ValueError("n must be 2 or 3")
     if klass == "spin-chain-even-odd":
@@ -169,18 +193,62 @@ def _is_hermitian(mat: np.ndarray) -> bool:
     return np.array_equal(mat, mat.conj().T)
 
 
+def _sectors(matrices: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """The connected components of the matrices' joint sparsity pattern:
+    ascending index arrays, ordered by their first index.  Every matrix
+    is block-diagonal over them, and so is any product of their
+    exponentials."""
+    linked = np.zeros(matrices[0].shape, dtype=bool)
+    for mat in matrices:
+        linked |= mat != 0
+    linked |= linked.T
+    free = np.ones(len(linked), dtype=bool)
+    sectors = []
+    for start in range(len(linked)):
+        if not free[start]:
+            continue
+        members = np.zeros(len(linked), dtype=bool)
+        members[start] = True
+        front = members
+        while front.any():
+            front = linked[front].any(axis=0) & ~members
+            members |= front
+        free &= ~members
+        sectors.append(np.flatnonzero(members))
+    return tuple(sectors)
+
+
+def _split(gens: GeneratorSet) -> list[tuple[np.ndarray, GeneratorSet]]:
+    """(indices, the generators' blocks on them) for every sector."""
+    sectors = _sectors(gens.matrices)
+    if len(sectors) == 1:
+        return [(sectors[0], gens)]
+    return [(idx, GeneratorSet(gens.n, len(idx),
+                               tuple(m[np.ix_(idx, idx)] for m in gens.matrices),
+                               gens.klass, gens.seed))
+            for idx in sectors]
+
+
+def _scales(ts, lam: np.ndarray) -> np.ndarray:
+    """e^{sλ} for each s of ``ts``, shaped to scale the columns of one
+    matrix per s."""
+    return np.exp(np.multiply.outer(ts, lam))[..., None, :]
+
+
 def _flow(mat: np.ndarray):
-    """s -> exp(s·mat) for real s: one ``eigh`` when mat is exactly
-    Hermitian, ``expm`` per call otherwise."""
+    """ts -> exp(s·mat) for a real s, or stacked for each s of an array:
+    one ``eigh`` when mat is exactly Hermitian, one ``expm`` of the stack
+    per call otherwise."""
     if not _is_hermitian(mat):
-        return lambda s: expm(s * mat)
+        return lambda ts: expm(np.multiply.outer(ts, mat))
     lam, vecs = np.linalg.eigh(mat)
     vecs_h = vecs.conj().T
-    return lambda s: (vecs * np.exp(s * lam)) @ vecs_h
+    return lambda ts: (vecs * _scales(ts, lam)) @ vecs_h
 
 
 def _stepper(scheme: Scheme, params, gens: GeneratorSet):
-    """t -> the scheme's ordered product at step t.
+    """ts -> the scheme's ordered product at a step t, or stacked for
+    each t of an array.
 
     With every generator exactly Hermitian the product runs in their
     eigenbases: ``eigh`` once per generator, W = V_aᴴ·V_b once per
@@ -188,7 +256,7 @@ def _stepper(scheme: Scheme, params, gens: GeneratorSet):
     by W and one scaling of the columns by e^{c t λ_b}.  The dtype is
     the generators' (real for the spin chain).  Any other set, or a
     scheme with no factors, takes one ``_flow`` per generator, one
-    matrix per distinct (generator, coefficient) factor and one complex
+    stack per distinct (generator, coefficient) factor and one complex
     product per factor.
     """
     if scheme.n != gens.n:
@@ -197,15 +265,16 @@ def _stepper(scheme: Scheme, params, gens: GeneratorSet):
     factors = [(g, float(coeff)) for g, coeff in scheme.resolve(params)]
     if not (factors and all(_is_hermitian(m) for m in gens.matrices)):
         flows = [_flow(m) for m in gens.matrices]
+        eye = np.eye(gens.dim, dtype=complex)
 
-        def step(t: float) -> np.ndarray:
+        def step(ts) -> np.ndarray:
             # palindromic schemes repeat factors: one flow per distinct one
             done: dict[tuple[int, float], np.ndarray] = {}
-            out = np.eye(gens.dim, dtype=complex)
+            out = np.broadcast_to(eye, np.shape(ts) + eye.shape)
             for g, coeff in factors:
                 f = done.get((g, coeff))
                 if f is None:
-                    f = done[g, coeff] = flows[g](coeff * t)
+                    f = done[g, coeff] = flows[g](coeff * ts)
                 out = out @ f
             return out
         return step
@@ -217,30 +286,54 @@ def _stepper(scheme: Scheme, params, gens: GeneratorSet):
     (first, first_coeff), *rest = factors
     last_h = vecs[order[-1]].conj().T
 
-    def step(t: float) -> np.ndarray:
-        out = vecs[first] * np.exp(first_coeff * t * lams[first])
+    def step(ts) -> np.ndarray:
+        out = vecs[first] * _scales(first_coeff * ts, lams[first])
         prev = first
         for g, coeff in rest:
             if g != prev:
                 out = out @ links[prev, g]
-            out *= np.exp(coeff * t * lams[g])
+            out *= _scales(coeff * ts, lams[g])
             prev = g
         return out @ last_h
     return step
+
+
+def _errors(scheme: Scheme, params, gens: GeneratorSet,
+            grid: np.ndarray) -> np.ndarray:
+    """‖step(t) − e^{tH}‖₂ at every t of ``grid``: the largest over the
+    sectors of the blocks' norms, each sector's grid run in chunks whose
+    stacks stay under ``_STACK_BYTES``."""
+    errors = np.zeros(len(grid))
+    for _, sector in _split(gens):
+        step = _stepper(scheme, params, sector)
+        exact = _flow(sector.total())
+        size = max(1, _STACK_BYTES // (16 * sector.dim ** 2))
+        for lo in range(0, len(grid), size):
+            part = slice(lo, lo + size)
+            norms = operator_norm(step(grid[part]) - exact(grid[part]))
+            errors[part] = np.maximum(errors[part], norms)
+    return errors
 
 
 def apply_scheme(scheme: Scheme, params, gens: GeneratorSet,
                  t: float) -> np.ndarray:
     """Ordered product of matrix exponentials for one time step.
 
-    An all-Hermitian generator set is multiplied in the generators'
-    eigenbases; any other set forms each distinct factor on its own,
-    ``expm`` for a non-Hermitian generator (see the module notes).  Raises
-    ``ValueError`` for a non-finite ``t``.
+    Each sector's block is multiplied on its own and scattered into the
+    dense result.  An all-Hermitian generator set is multiplied in the
+    generators' eigenbases; any other set forms each distinct factor on
+    its own, ``expm`` for a non-Hermitian generator (see the module
+    notes).  Raises ``ValueError`` for a non-finite ``t``.
     """
     if not math.isfinite(t):
         raise ValueError(f"step t must be finite, got {t}")
-    return _stepper(scheme, params, gens)(t)
+    blocks = [(idx, _stepper(scheme, params, sector)(t))
+              for idx, sector in _split(gens)]
+    out = np.zeros((gens.dim, gens.dim),
+                   dtype=np.result_type(*(b for _, b in blocks)))
+    for idx, block in blocks:
+        out[np.ix_(idx, idx)] = block
+    return out
 
 
 @dataclass(frozen=True)
@@ -274,12 +367,17 @@ def scaling_fit(scheme: Scheme, params, gens: GeneratorSet,
     whose point-to-point slopes agree within 0.1; the reported slope is
     the least-squares fit there.  An order-p scheme gives p + 1.
 
-    An all-Hermitian set (a spin chain) is diagonalized once per call
-    and every grid point's product runs in the generators' eigenbases,
-    one dense product per factor; H is diagonalized once too.  Other
-    sets take one ``expm`` per distinct non-Hermitian factor and per grid
-    point (see the module notes).
+    The set is split into sectors once per call, and each sector's
+    product runs over the whole grid at once as a stack of blocks; the
+    error at a step is the largest of its sectors' 2-norms.  An
+    all-Hermitian set (a spin chain) is diagonalized once per sector and
+    call, and the products run in the generators' eigenbases, one dense
+    product per factor; H is diagonalized once per sector too.  Other
+    sets take one stacked ``expm`` per distinct non-Hermitian factor and
+    per chunk of the grid (see the module notes).  ``points`` must be an
+    integer of at least 5.
     """
+    points = _integer(points, "points")
     if points < 5:
         raise ValueError("need at least five grid points")
     if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
@@ -291,16 +389,13 @@ def scaling_fit(scheme: Scheme, params, gens: GeneratorSet,
         raise ValueError(f"t_hi must exceed t_lo, got t_lo={t_lo}, "
                          f"t_hi={t_hi}")
     grid = np.geomspace(t_lo, t_hi, points)
-    step = _stepper(scheme, params, gens)
-    exact = _flow(gens.total())
-    errors = [operator_norm(step(t) - exact(t)) for t in grid]
-    errors_arr = np.array(errors)
-    window = _stable_window(grid, errors_arr, 1e-13 * gens.dim, 1e-1)
+    errors = _errors(scheme, params, gens, grid)
+    window = _stable_window(grid, errors, 1e-13 * gens.dim, 1e-1)
     if window is None:
         raise ValueError("no valid scaling window: every grid point is "
                          "at the roundoff floor or preasymptotic")
     logs_t = np.log(grid[list(window)])
-    logs_e = np.log(errors_arr[list(window)])
+    logs_e = np.log(errors[list(window)])
     slope = float(np.polyfit(logs_t, logs_e, 1)[0])
     return ScalingReport(tuple(float(t) for t in grid),
                          tuple(float(e) for e in errors),
@@ -343,14 +438,19 @@ def equal_cost_comparison(entries: Sequence, gens: GeneratorSet,
     Every scheme gets about ``budget`` matrix exponentials: a scheme
     with m factors takes steps ~ budget/m of size t = T/steps, so
     cheaper-per-step schemes take more, smaller steps.  Rows keep the
-    input order; the rank column orders by error.  Hermitian generators
-    are diagonalized once per scheme and a Hermitian H once per call.
-    Raises ``ValueError`` unless ``total_time`` is finite and positive.
+    input order; the rank column orders by error.  Each sector's step
+    block is raised to the power ``steps`` on its own, and the error is
+    the largest of the sectors' 2-norms.  Hermitian generator blocks are
+    diagonalized once per scheme and a Hermitian H once per call.
+    Raises ``ValueError`` unless ``total_time`` is finite and positive
+    and ``budget`` is an integer.
     """
     if not (math.isfinite(total_time) and total_time > 0):
         raise ValueError(f"total_time must be finite and positive, got "
                          f"{total_time}")
-    exact = _flow(gens.total())(total_time)
+    budget = _integer(budget, "budget")
+    sectors = [sector for _, sector in _split(gens)]
+    exact = [_flow(sector.total())(total_time) for sector in sectors]
     items = []
     for entry in entries:
         scheme = entry.scheme
@@ -361,9 +461,9 @@ def equal_cost_comparison(entries: Sequence, gens: GeneratorSet,
                              f"of {label} (m={scheme.m})")
         steps = max(1, round(budget / scheme.m))
         t_step = total_time / steps
-        step_u = _stepper(scheme, params, gens)(t_step)
-        u = np.linalg.matrix_power(step_u, steps)
-        err = operator_norm(u - exact)
+        err = max(operator_norm(np.linalg.matrix_power(
+                      _stepper(scheme, params, sector)(t_step), steps) - x)
+                  for sector, x in zip(sectors, exact))
         items.append((label, scheme.m, steps, t_step, steps * scheme.m,
                       err))
     order = sorted(range(len(items)), key=lambda i: items[i][5])

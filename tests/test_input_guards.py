@@ -14,7 +14,7 @@ from liesplit.free_algebra import NCSeries, make_alphabet
 from liesplit.hall import build_hall_basis, witt_dimension
 from liesplit.optimizer import OptimizationProblem
 from liesplit.schemes import build_scheme, epsilon, log_scheme, verify_order, yoshida_recursive
-from liesplit.validate import GeneratorSet, build_generators, scaling_fit
+from liesplit.validate import GeneratorSet, build_generators, equal_cost_comparison, scaling_fit
 
 _SL3 = build_scheme(2, "SL", 3)  # the leapfrog: no free slot, params {}
 _EYE = np.eye(2)
@@ -91,6 +91,26 @@ _NON_INTEGRAL = {
                                       "seed must be a non-negative int"),
     "OptimizationProblem-seed-2.0": (lambda: OptimizationProblem(_SL3, 2, seed=2.0),
                                      "seed must be a non-negative int"),
+    "scaling_fit-points-7.5": (
+        lambda: scaling_fit(_SL3, {}, build_generators("random-general", dim=4, seed=0),
+                            points=7.5),
+        "points must be an integer"),
+    "scaling_fit-points-True": (
+        lambda: scaling_fit(_SL3, {}, build_generators("random-general", dim=4, seed=0),
+                            points=True),
+        "points must be an integer"),
+    "build_generators-n-2.0": (lambda: build_generators("random-general", n=2.0),
+                               "n must be an integer"),
+    "build_generators-dim-4.5": (lambda: build_generators("random-general", dim=4.5),
+                                 "dim must be an integer"),
+    "build_generators-chain_length-6.0": (
+        lambda: build_generators("spin-chain-even-odd", chain_length=6.0),
+        "chain_length must be an integer"),
+    "equal_cost_comparison-budget-True": (
+        lambda: equal_cost_comparison([catalog()["n2-p2-sl-m3-leapfrog"]],
+                                      build_generators("random-general", dim=4, seed=0),
+                                      1.0, budget=True),
+        "budget must be an integer"),
 }
 
 
@@ -113,3 +133,14 @@ def test_numpy_integer_sizes_are_accepted():
     assert witt_dimension(np.int64(2), np.int16(3)) == 2
     problem = OptimizationProblem(_SL3, 2, starts=np.int64(8), seed=np.uint8(3))
     assert problem.starts == 8 and problem.seed == 3
+
+
+def test_numpy_integer_generator_sizes_are_accepted():
+    gens = build_generators("random-general", n=np.int64(3), dim=np.int32(5), seed=0)
+    assert (gens.n, gens.dim) == (3, 5) and type(gens.dim) is int
+    chain = build_generators("spin-chain-even-odd", chain_length=np.int16(4))
+    assert chain.dim == 16
+    rows = equal_cost_comparison([catalog()["n2-p2-sl-m3-leapfrog"]],
+                                 build_generators("random-general", dim=4, seed=0),
+                                 1.0, budget=np.int64(30))
+    assert rows[0].steps == 10

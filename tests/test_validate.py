@@ -143,13 +143,15 @@ def _distinct_factors(scheme, params):
 @pytest.mark.parametrize("klass", ["random-general",
                                    "random-antihermitian"])
 def test_non_hermitian_fit_calls_expm_per_factor(cat, klass, monkeypatch):
-    # one expm per distinct factor (6 of m11's 11) and one for e^{tH}
+    # one stacked expm over the grid per distinct factor (6 of m11's 11)
+    # and one for e^{tH}: the same 28 * 7 factors as one call per point
     calls = _counted_expm(monkeypatch)
     e = cat["n2-p4-s-m11-opt"]
     gens = build_generators(klass, n=2, dim=16, seed=3)
     rep = scaling_fit(e.scheme, e.params, gens)
     distinct = len(_distinct_factors(e.scheme, e.params))
-    assert len(calls) == len(rep.t_grid) * (distinct + 1) == 28 * 7
+    assert len(calls) == distinct + 1 == 7
+    assert calls == [(len(rep.t_grid), 16, 16)] * 7 == [(28, 16, 16)] * 7
 
 
 def _expm_stepper(scheme, params, gens):
@@ -165,17 +167,24 @@ def _expm_stepper(scheme, params, gens):
     return step
 
 
+_CHAIN_SCHEMES = ["n2-p2-sl-m3-leapfrog", "n2-p4-s-m11-opt",
+                  "n2-p6-sl-m19-opt", "n2-p4-sl-m11-suzuki"]
+
+
 @pytest.mark.parametrize("length", [4, 6])
-@pytest.mark.parametrize("name", ["n2-p2-sl-m3-leapfrog", "n2-p4-s-m11-opt",
-                                  "n2-p6-sl-m19-opt", "n2-p4-sl-m11-suzuki"])
+@pytest.mark.parametrize("name", _CHAIN_SCHEMES)
 def test_chain_eigenbasis_fit_matches_expm_product(cat, name, length,
                                                    monkeypatch):
     e = cat[name]
     gens = build_generators("spin-chain-even-odd", n=2, chain_length=length,
                             seed=0)
     rep = scaling_fit(e.scheme, e.params, gens)
-    monkeypatch.setattr(validate, "_stepper", _expm_stepper)
-    monkeypatch.setattr(validate, "_flow", lambda m: lambda s: expm(s * m))
+    # the reference: the unsplit full-dimension expm product, per point
+    monkeypatch.setattr(validate, "_sectors", lambda mats: (np.arange(gens.dim),))
+    monkeypatch.setattr(validate, "_stepper", lambda s, p, g: lambda ts: np.array(
+        [_expm_stepper(s, p, g)(t) for t in ts]))
+    monkeypatch.setattr(validate, "_flow", lambda m: lambda ts: np.array(
+        [expm(s * m) for s in ts]))
     ref = scaling_fit(e.scheme, e.params, gens)
     h = gens.total()
     for t, err, ref_err in zip(rep.t_grid, rep.errors, ref.errors):
@@ -211,6 +220,99 @@ def test_repeated_factors_share_one_expm(cat, name, m, distinct, monkeypatch):
     assert len(calls) == 2 * distinct
     for u, r in zip(got, ref):
         assert np.array_equal(u, r)
+
+
+# ------------------------------------------------------------ sectors
+
+@pytest.mark.parametrize("length", [4, 6, 8])
+def test_chain_sectors_are_popcount_classes(length):
+    gens = build_generators("spin-chain-even-odd", n=2, chain_length=length,
+                            seed=0)
+    sectors = validate._sectors(gens.matrices)
+    popcount = np.array([bin(i).count("1") for i in range(gens.dim)])
+    want = [np.flatnonzero(popcount == k) for k in range(length + 1)]
+    assert [s.tolist() for s in sectors] == [w.tolist() for w in want]
+    assert [len(s) for s in sectors] == [math.comb(length, k)
+                                         for k in range(length + 1)]
+
+
+@pytest.mark.parametrize("klass", ["random-general", "random-antihermitian",
+                                   "commuting-pair"])
+def test_random_sets_are_one_sector(klass):
+    gens = build_generators(klass, n=2, dim=12, seed=6)
+    (sector,) = validate._sectors(gens.matrices)
+    assert sector.tolist() == list(range(12))
+
+
+def test_permuted_block_diagonal_set_gets_its_blocks_back():
+    rng = np.random.default_rng(8)
+    sizes = (3, 1, 5, 2)
+    dim = sum(sizes)
+    mats = [np.zeros((dim, dim), dtype=complex) for _ in range(2)]
+    blocks, lo = [], 0
+    for size in sizes:
+        block = list(range(lo, lo + size))
+        for m in mats:
+            m[np.ix_(block, block)] = (rng.standard_normal((size, size))
+                                       + 1j * rng.standard_normal((size, size)))
+        blocks.append(block)
+        lo += size
+    perm = rng.permutation(dim)  # new index perm[i] holds old state i
+    shuffled = [np.zeros_like(m) for m in mats]
+    for m, out in zip(mats, shuffled):
+        out[np.ix_(perm, perm)] = m
+    got = validate._sectors(shuffled)
+    want = sorted((sorted(perm[b].tolist()) for b in blocks), key=min)
+    assert [s.tolist() for s in got] == want
+
+
+@pytest.mark.parametrize("length", [4, 6])
+@pytest.mark.parametrize("name", _CHAIN_SCHEMES)
+def test_chain_apply_scheme_matches_unsplit_product(cat, name, length):
+    e = cat[name]
+    gens = build_generators("spin-chain-even-odd", n=2, chain_length=length,
+                            seed=0)
+    for t in (0.01, 0.3, 0.7):
+        u = apply_scheme(e.scheme, e.params, gens, t)
+        ref = _expm_stepper(e.scheme, e.params, gens)(t)
+        assert u.shape == (gens.dim, gens.dim)
+        assert operator_norm(u - ref) <= 1e-12 * operator_norm(ref)
+
+
+def test_chain_equal_cost_matches_unsplit_product(cat):
+    duo = [cat["n2-p2-sl-m3-leapfrog"], cat["n2-p4-s-m11-opt"]]
+    gens = build_generators("spin-chain-even-odd", n=2, chain_length=6, seed=0)
+    rows = equal_cost_comparison(duo, gens, total_time=1.0, budget=60)
+    exact = expm(gens.total())
+    for row, e in zip(rows, duo):
+        u = np.linalg.matrix_power(
+            _expm_stepper(e.scheme, e.params, gens)(row.t_step), row.steps)
+        assert abs(row.error - operator_norm(u - exact)) <= 1e-12 * operator_norm(exact)
+
+
+@pytest.mark.parametrize("klass,kw", [
+    ("random-general", dict(dim=16, seed=3)),
+    ("spin-chain-even-odd", dict(chain_length=6, seed=0)),
+], ids=["random-general", "chain"])
+def test_chunked_errors_match_one_stack(cat, klass, kw, monkeypatch):
+    e = cat["n2-p6-sl-m19-opt"]
+    gens = build_generators(klass, n=2, **kw)
+    whole = scaling_fit(e.scheme, e.params, gens)
+    largest = max(len(s) for s in validate._sectors(gens.matrices))
+    # ten points of the largest sector a chunk: 28 points take 3 chunks
+    monkeypatch.setattr(validate, "_STACK_BYTES", 16 * largest ** 2 * 10)
+    stacks = []
+    real = validate.operator_norm
+
+    def counted(mat):
+        stacks.append(mat.shape)
+        return real(mat)
+
+    monkeypatch.setattr(validate, "operator_norm", counted)
+    chunked = scaling_fit(e.scheme, e.params, gens)
+    assert [s[0] for s in stacks if s[1] == largest] == [10, 10, 8]
+    assert [x.hex() for x in chunked.errors] == [x.hex() for x in whole.errors]
+    assert chunked == whole
 
 
 # ------------------------------------------------------- apply_scheme
@@ -264,14 +366,14 @@ def test_slope_matches_order(cat, name, p):
     assert all(err > 0 for err in rep.errors)
 
 
-@pytest.mark.parametrize("name,p", [
-    ("n2-p2-sl-m3-leapfrog", 2),
-    ("n2-p4-s-m11-opt", 4),
-    ("n2-p6-sl-m19-opt", 6),
+@pytest.mark.parametrize("name,p,length", [
+    pytest.param(name, p, length, id=f"{name}-{p}" + ("" if length == 6 else f"-L{length}"))
+    for length in (6, 8)
+    for name, p in [("n2-p2-sl-m3-leapfrog", 2), ("n2-p4-s-m11-opt", 4), ("n2-p6-sl-m19-opt", 6)]
 ])
-def test_chain_slope_matches_order(cat, name, p):
+def test_chain_slope_matches_order(cat, name, p, length):
     e = cat[name]
-    gens = build_generators("spin-chain-even-odd", n=2, chain_length=6,
+    gens = build_generators("spin-chain-even-odd", n=2, chain_length=length,
                             seed=0)
     rep = scaling_fit(e.scheme, e.params, gens)
     assert rep.fitted_slope == pytest.approx(p + 1, abs=0.15)
