@@ -4,13 +4,14 @@ factors at D = 7: the product is built in place on one flat array holding
 every degree's words back to back (``free_algebra.degree_offsets``), each
 factor (one letter of a scheme, or one stage of a graded order-condition
 pipeline) a right multiplication by exp(sum c_g G_g) (``rmul_exp``).
-Float coefficients run on a float64 array, one ``np.add.at`` per factor
-over a cached plan of every word of its exponential; any other domain on
-an object array, one ``polynomials.dot`` per target over the same plan.
-The log (``free_algebra.log``, one truncated Horner sum, in float one
-``np.add.at`` per step) reads the product through its per-degree slices,
-as an ``NCSeries``.  Truncations of more than ``free_algebra.MAX_WORDS``
-words are refused before anything is allocated."""
+Every domain reads one cached plan per factor shape, the entries of every
+word of its exponential, through one accumulate
+(``free_algebra._accumulate``): a float64 array takes one ``np.add.at``
+per factor, an object array (exact or polynomial coefficients) one
+``polynomials.dot`` per target.  The log (``free_algebra.log``, one
+truncated Horner sum on the same accumulate) reads the product through
+its per-degree slices, as an ``NCSeries``.  Truncations of more than
+``free_algebra.MAX_WORDS`` words are refused before anything is allocated."""
 
 from __future__ import annotations
 

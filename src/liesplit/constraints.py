@@ -36,7 +36,7 @@ from . import _dense
 # exp, log, lie_coordinates and log_scheme are unused here but stay bound:
 # perfbench/tracing.py wraps them by this module's name (tests/test_bench_sites.py
 # pins that)
-from .free_algebra import exp, log, make_alphabet
+from .free_algebra import _integer, exp, log, make_alphabet
 from .hall import build_hall_basis, lie_coordinates
 from .polynomials import (
     GREVLEX,
@@ -142,6 +142,7 @@ def symbolic_log(scheme: Scheme, p: int) -> ConstraintSystem:
     an independent variable and the per-letter consistency sums appear as
     the degree-one conditions.
     """
+    p = _integer(p, "p")
     if p < 1:
         raise ValueError("need p >= 1")
     raw = scheme.without_closures()

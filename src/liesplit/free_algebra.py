@@ -32,32 +32,25 @@ exponentials is built in place on one flat array holding every degree's
 words back to back, degree blocks in order (``degree_offsets``):
 ``rmul_exp`` right-multiplies it by the exponential of a sum of generators
 (a single letter for a scheme's factor, a stage's graded generators for
-the order-condition pipelines), on float64 and object arrays alike, from
-one cached plan of the exponential's words and the flat positions each
-updates (``_exp_plan``).  ``_dense`` builds every product-log with it, in
-every coefficient domain.  ``exp`` and ``log`` sum their power series by
-one truncated Horner kernel (``_horner``): each inner term is kept only up
-to the degree that survives its remaining multiplications, which at
-n = 3, D = 7 takes 24,624 coefficient products for a dense log where
-summing the powers u^k takes 59,868.  Its steps and ``mul`` multiply the
-words of two flat series through one cached plan per set of degree pairs
-(``_pair_plan``), the flat position of every concatenation.
+the order-condition pipelines).  ``_dense`` builds every product-log with
+it.  ``exp`` and ``log`` sum their power series by one truncated Horner
+kernel (``_horner``): each inner term is kept only up to the degree that
+survives its remaining multiplications, which at n = 3, D = 7 takes
+24,624 coefficient products for a dense log where summing the powers u^k
+takes 59,868.  ``mul`` multiplies two flat series.
 
-Every kernel runs one body over its plan in every coefficient domain;
-only the additions, and a Horner step's scaling of u, depend on the
-domain.  In float, a factor of ``rmul_exp``, a Horner step and a ``mul``
-each apply their plan's additions in one ``np.add.at``, which numpy
-applies one entry at a time, in order: each coefficient receives the
-additions that a loop over the exponential's words or over degree blocks
-gives it, in the same order, and the results are those loops' to the bit
-(the loops are test oracles in ``tests/_naive.py``), where a BLAS product
-or a ``bincount`` sum would round differently.  Object arrays take the
-same plans with their entries grouped by target, once per plan
-(``_exp_groups``, ``_pair_groups``, ``_horner_groups``), and ``_dot_at``
-gives each target one multiply-accumulate, ``polynomials.dot``, over the
-entries whose two operands are nonzero: its current value plus every
-product that reaches it, a Horner step's scaling c_k u first, in the
-order the word and block loops would add them.  For ``MultiPoly``
+Each of the three kernels has one cached plan, which every coefficient
+domain reads (``_exp_plan``, ``_horner_plan`` and ``_pair_plan``, which
+the Horner steps share with ``mul``): its entries (target, left operand,
+right operand), flat positions sorted by target, each target's in the
+order a loop over the exponential's words or over degree blocks would add
+them.  One accumulate (``_accumulate``) is the only place the domain
+matters.  Float adds every product in one ``np.add.at``, which numpy
+applies one entry at a time, in order, so the results are those loops'
+to the bit (the loops are test oracles in ``tests/_naive.py``), where a
+BLAS product or a ``bincount`` sum would round differently.  Any other
+domain gives each target one multiply-accumulate, ``polynomials.dot``,
+over the entries whose two operands are nonzero; for ``MultiPoly``
 coefficients ``dot`` sums on one dict of integer numerators and
 normalises once, where a product and an addition each used to build a
 polynomial and copy the sum.  ``MAX_WORDS`` bounds the truncations that
@@ -221,76 +214,66 @@ def _flat(degrees: tuple[int, ...], max_degree: int,
     return flat
 
 
+def _entries(parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries (target, left operand, right operand) that ``parts``
+    lists, triples of position arrays of one shape each, as three
+    read-only intp arrays stable-sorted by target: each target keeps its
+    entries in listed order.  intp because numpy gathers through
+    positions of any other type several times slower."""
+    empty = np.zeros(0, dtype=np.intp)
+    columns = [np.concatenate([empty, *(np.ravel(p[k]) for p in parts)]) for k in range(3)]
+    order = np.argsort(columns[0], kind="stable")
+    entries = tuple(c[order] for c in columns)
+    for a in entries:
+        a.setflags(write=False)
+    return entries
+
+
 @functools.lru_cache(maxsize=None)
 def _exp_plan(degrees: tuple[int, ...], max_degree: int, gens: tuple[int, ...]):
     """The words of exp(sum_g c_g G_g) for the generators ``gens`` (one per
     exponent pair, in order) and their updates in the flat layout truncated
-    at ``max_degree``, as ``rmul_exp`` applies them.
+    at ``max_degree``, as ``rmul_exp`` applies them: ``(parents, entries)``.
 
-    The words are listed shortest first, each the word ``parents[i][0]``
-    (0 the empty word) followed by the generator of exponent pair
-    ``parents[i][1]``, of length ``parents[i][2]``.  Word i's updates are
-    the next ``counts[i]`` entries of ``targets`` and ``sources``:
-    ``targets[e]`` is the flat position of the word at ``sources[e]``
-    followed by word i, for every position holding a word short enough,
-    so ``sources`` runs 0, 1, ... for each word.  Both stay intp:
-    ``rmul_exp`` gathers through ``sources`` once per factor, and numpy
-    gathers through positions of any other type several times slower."""
+    The words are listed shortest first, word i + 1 being the word
+    ``parents[i][0]`` (0 the empty word) followed by the generator of
+    exponent pair ``parents[i][1]``, of length ``parents[i][2]``.  The
+    ``entries`` (target, source, word) hold, word by word, the flat
+    position of the word at each source position short enough followed by
+    the word, sorted by target (``_entries``)."""
     offsets = degree_offsets(degrees, max_degree)
-    words, parents, targets = [((), 0)], [], []
+    words, parents, parts = [((), 0)], [], []
     for i, (u, du) in enumerate(words):
         for j, g in enumerate(gens):
             dw, w = du + degrees[g], u + (g,)
             if dw <= max_degree:
-                words.append((w, dw))
+                col, sources = _word_position(degrees, w), np.arange(offsets[max_degree - dw + 1])
+                targets = [offsets[d + dw] + concat_index(degrees, d, dw)[:, col]
+                           for d in range(max_degree - dw + 1)]
+                parts.append((np.concatenate(targets), sources, np.full(len(sources), len(words))))
                 parents.append((i, j, len(w)))
-                col = _word_position(degrees, w)
-                targets += [offsets[d + dw] + concat_index(degrees, d, dw)[:, col]
-                            for d in range(max_degree - dw + 1)]
-    counts = np.array([offsets[max_degree - dw + 1] for _, dw in words[1:]], dtype=np.intp)
-    bounds = np.concatenate([[0], np.cumsum(counts)])
-    sources = np.arange(bounds[-1]) - np.repeat(bounds[:-1], counts)
-    targets = np.concatenate(targets) if targets else np.zeros(0, dtype=np.intp)
-    return tuple(parents), counts, targets, sources
-
-
-def _runs(ds: Sequence[int]) -> list[tuple[int, int]]:
-    """The maximal runs (first, last) of consecutive integers in ascending ``ds``."""
-    runs: list[tuple[int, int]] = []
-    for d in ds:
-        if runs and runs[-1][1] == d - 1:
-            runs[-1] = (runs[-1][0], d)
-        else:
-            runs.append((d, d))
-    return runs
+                words.append((w, dw))
+    return tuple(parents), _entries(parts)
 
 
 @functools.lru_cache(maxsize=None)
 def _pair_plan(degrees: tuple[int, ...], left: tuple[int, ...], right: tuple[int, ...],
                top: int):
-    """The products of the words of the degrees ``left`` by the words of
-    the degrees ``right`` (both ascending) up to total degree ``top``, in
-    the flat layout of ``degree_offsets``: ``(slices, targets)``.
-
-    For each left degree d1 in turn and each run of consecutive right
-    degrees d2 with d1 + d2 <= top, ``slices`` holds the flat bounds
-    ``(a, b, c, e)`` of degree d1 and of the run, and the next
-    (b - a) (e - c) entries of ``targets`` are the flat positions of the
-    concatenations, in the order of ``np.multiply.outer(x[a:b], y[c:e])``
-    raveled.  Each target appears at most once per left degree.  The
-    targets are held in the smallest unsigned type that fits the flat
-    array (uint16 for every catalog alphabet): they are the bulk of the
-    cached plans, and the cast numpy makes back to intp in ``np.add.at``
-    costs little next to the products."""
+    """The entries (target, x position, y position) of the products of the
+    words of the degrees ``left`` of a flat x by the words of the degrees
+    ``right`` of a flat y, up to total degree ``top``, in the flat layout
+    of ``degree_offsets``: listed by ascending left degree, so each target
+    receives its products in that order, and sorted by target
+    (``_entries``)."""
     offsets = degree_offsets(degrees, top)
-    slices, targets = [], []
+    parts = []
     for d1 in left:
-        for lo, hi in _runs([d2 for d2 in right if d1 + d2 <= top]):
-            slices.append((offsets[d1], offsets[d1 + 1], offsets[lo], offsets[hi + 1]))
-            targets.append(np.concatenate([offsets[d1 + d2] + concat_index(degrees, d1, d2)
-                                           for d2 in range(lo, hi + 1)], axis=1).ravel())
-    targets = np.concatenate(targets) if targets else np.zeros(0, dtype=np.intp)
-    return tuple(slices), targets.astype(np.min_scalar_type(offsets[-1]))
+        for d2 in right:
+            if d1 + d2 <= top:
+                index = concat_index(degrees, d1, d2)
+                i, j = np.indices(index.shape)
+                parts.append((offsets[d1 + d2] + index, offsets[d1] + i, offsets[d2] + j))
+    return _entries(parts)
 
 
 @functools.lru_cache(maxsize=None)
@@ -298,9 +281,9 @@ def _horner_plan(degrees: tuple[int, ...], D: int, present: tuple[int, ...]):
     """The steps of ``_horner``'s sum for u holding the degrees
     ``present`` (ascending, the lowest l >= 1), truncated at D: for
     k = D // l - 1 down to 0, the flat length of h_k (every degree up to
-    top = D - k l), the flat bounds of the degrees h_k holds that u lacks
-    (in float they start at zero, not at c_k times u's zeros) and the
-    ``_pair_plan`` of u times h_{k+1}."""
+    top = D - k l), the flat positions of u's degrees up to top, where h_k
+    starts as c_k u (zero elsewhere), and the ``_pair_plan`` of u times
+    h_{k+1}."""
     low = present[0]
     offsets = degree_offsets(degrees, D)
     steps, held = [], ()
@@ -309,89 +292,29 @@ def _horner_plan(degrees: tuple[int, ...], D: int, present: tuple[int, ...]):
         products = _pair_plan(degrees, present, held, top)
         held = tuple(sorted({d for d in present if d <= top}
                             | {d1 + d2 for d1 in present for d2 in held if d1 + d2 <= top}))
-        zeroed = tuple((offsets[d], offsets[d + 1]) for d in held if d not in present)
-        steps.append((offsets[top + 1], zeroed, products))
+        scaled = np.concatenate([np.arange(offsets[d], offsets[d + 1])
+                                 for d in present if d <= top])
+        scaled.setflags(write=False)
+        steps.append((offsets[top + 1], scaled, products))
     return tuple(steps)
 
 
-def _add_products(acc: np.ndarray, x: np.ndarray, y: np.ndarray, slices, targets) -> None:
-    """Float: ``acc`` += the products of flat ``x`` and ``y`` that the
-    ``_pair_plan`` ``(slices, targets)`` lists, in one ``np.add.at``, in
-    plan order."""
-    if slices:
-        np.add.at(acc, targets, np.concatenate(
-            [np.multiply.outer(x[a:b], y[c:e]).ravel() for a, b, c, e in slices]))
-
-
-def _by_target(targets: np.ndarray, left: np.ndarray, right: np.ndarray):
-    """Entries (target, left operand, right operand), intp, sorted by
-    target and in their given order within each target, read-only."""
-    order = np.argsort(targets, kind="stable")
-    entries = tuple(np.asarray(a, dtype=np.intp)[order] for a in (targets, left, right))
-    for a in entries:
-        a.setflags(write=False)
-    return entries
-
-
-def _pair_entries(slices, targets: np.ndarray, shift: int):
-    """The entries of a ``_pair_plan`` ``(slices, targets)`` in plan
-    order as (target, x position, y position + ``shift``): positions in
-    ``x`` and ``y`` laid end to end, x ``shift`` long."""
-    xs = [np.repeat(np.arange(a, b), e - c) for a, b, c, e in slices]
-    ys = [np.tile(np.arange(c, e) + shift, b - a) for a, b, c, e in slices]
-    empty = np.zeros(0, dtype=np.intp)
-    return targets, np.concatenate([empty, *xs]), np.concatenate([empty, *ys])
-
-
-@functools.lru_cache(maxsize=None)
-def _pair_groups(degrees: tuple[int, ...], left: tuple[int, ...], right: tuple[int, ...],
-                 top: int):
-    """The ``_pair_plan`` of the same arguments for ``_dot_at``, over x
-    (every degree up to left[-1]) followed by y."""
-    shift = degree_offsets(degrees, left[-1])[-1]
-    return _by_target(*_pair_entries(*_pair_plan(degrees, left, right, top), shift))
-
-
-@functools.lru_cache(maxsize=None)
-def _horner_groups(degrees: tuple[int, ...], D: int, present: tuple[int, ...]):
-    """The steps of ``_horner_plan`` for ``_dot_at``, each over u (every
-    degree up to present[-1]), h_{k+1} and c_k, in that order: c_k times
-    u's entries below the step's top, then the products u h_{k+1}."""
-    offsets = degree_offsets(degrees, D)
-    shift = offsets[present[-1] + 1]
-    u_at = np.concatenate([np.arange(offsets[d], offsets[d + 1]) for d in present])
-    steps, h_len = [], 0
-    for end, _, products in _horner_plan(degrees, D, present):
-        scaled = u_at[u_at < end]
-        targets, left, right = _pair_entries(*products, shift)
-        steps.append(_by_target(np.concatenate([scaled, targets]),
-                                np.concatenate([np.full(len(scaled), shift + h_len), left]),
-                                np.concatenate([scaled, right])))
-        h_len = end
-    return tuple(steps)
-
-
-@functools.lru_cache(maxsize=None)
-def _exp_groups(degrees: tuple[int, ...], max_degree: int, gens: tuple[int, ...]):
-    """The ``_exp_plan`` of the same arguments for ``_dot_at``, over the
-    flat words below the top degree followed by the exponential's words."""
-    _, counts, targets, sources = _exp_plan(degrees, max_degree, gens)
-    top = degree_offsets(degrees, max_degree)[max_degree]
-    return _by_target(targets, sources, top + np.repeat(np.arange(len(counts)), counts))
-
-
-def _dot_at(acc: np.ndarray, z: np.ndarray, targets: np.ndarray, left: np.ndarray,
-            right: np.ndarray) -> None:
-    """Object: ``acc[t]`` = ``dot(acc[t], z[l]..., z[r]...)`` over the
-    entries (t, l, r) of one target, for every target of the grouped
-    entries (``_by_target``) whose operands are both nonzero: one
-    multiply-accumulate per target."""
-    live = z.astype(bool)
-    keep = live[left] & live[right]
-    t = targets[keep]
+def _accumulate(acc: np.ndarray, x: np.ndarray, y: np.ndarray, entries) -> None:
+    """``acc[t]`` += ``x[l] * y[r]`` over the ``entries`` (t, l, r) of a
+    plan, every operand read before any target is written.  Float: one
+    ``np.add.at``, which numpy applies one entry at a time, in order.
+    Otherwise: for each target, one multiply-accumulate ``dot`` of its
+    current value and the products of its entries whose two operands are
+    both nonzero."""
+    t, l, r = entries
+    if acc.dtype != object:
+        np.add.at(acc, t, x[l] * y[r])
+        return
+    keep = x.astype(bool)[l] & y.astype(bool)[r]
+    t = t[keep]
     if not len(t):
         return
-    lefts, rights = z[left[keep]].tolist(), z[right[keep]].tolist()
+    lefts, rights = x[l[keep]].tolist(), y[r[keep]].tolist()
     bounds = [0, *(np.flatnonzero(t[1:] != t[:-1]) + 1).tolist(), len(t)]
     for i, a, b in zip(t[bounds[:-1]].tolist(), bounds, bounds[1:]):
         acc[i] = dot(acc[i], lefts[a:b], rights[a:b])
@@ -575,9 +498,8 @@ def series_from_generator(g: Generator, coeff, D: int,
 
 def mul(x: NCSeries, y: NCSeries) -> NCSeries:
     """Concatenation product, truncated at the common max degree: the
-    products that the ``_pair_plan`` of x's and y's degrees lists, on the
-    flat layout, added by ``_add_products`` in float and by ``_dot_at``
-    over its ``_pair_groups`` otherwise."""
+    products of the ``_pair_plan`` of x's and y's degrees, on the flat
+    layout, added by ``_accumulate``."""
     x._compatible(y)
     if not x or not y:
         return x._with({})
@@ -588,11 +510,7 @@ def mul(x: NCSeries, y: NCSeries) -> NCSeries:
     offsets = degree_offsets(degrees, top)
     xf, yf = _flat(degrees, dx, x._arrays), _flat(degrees, dy, y._arrays)
     flat = np.zeros(offsets[-1], dtype=np.result_type(xf, yf))
-    left, right = tuple(x._arrays), tuple(y._arrays)
-    if flat.dtype == object:
-        _dot_at(flat, np.concatenate([xf, yf]), *_pair_groups(degrees, left, right, top))
-    else:
-        _add_products(flat, xf, yf, *_pair_plan(degrees, left, right, top))
+    _accumulate(flat, xf, yf, _pair_plan(degrees, tuple(x._arrays), tuple(y._arrays), top))
     return x._with({d: flat[offsets[d]:offsets[d + 1]] for d in range(top + 1)})
 
 
@@ -604,34 +522,23 @@ def rmul_exp(flat: np.ndarray, degrees: tuple[int, ...], max_degree: int,
     c_g taken as a float) or object (exact or polynomial c_g).  The
     exponential's words are listed once, shortest first (``_exp_plan``),
     with coefficient(u g) = coefficient(u) * c_g / len(u g): for one
-    generator, its powers with c^k / k!.  Every target accumulates from
-    the original values of the words shorter than the top degree, word by
-    word in list order: in float, one ``np.add.at`` over all the words'
-    entries, which numpy applies one at a time in order; in object, one
-    ``dot`` per target over its nonzero sources and words, grouped by
-    ``_exp_groups``.  Raises ``ValueError`` on a
-    generator id outside ``degrees`` or a non-finite float c_g."""
+    generator, its powers with c^k / k!.  Every target accumulates the
+    original values of the words shorter than the top degree times the
+    exponential's words, word by word in list order (``_accumulate``).
+    Raises ``ValueError`` on a generator id outside ``degrees`` or a
+    non-finite float c_g."""
     for g, c in exponent:
         if not 0 <= g < len(degrees):
             raise ValueError(f"generator id {g} is outside the alphabet of {len(degrees)} letters")
         if isinstance(c, float) and not math.isfinite(c):
             raise ValueError(f"non-finite coefficient {c} for generator {g}")
     exact = flat.dtype == object
-    gens = tuple([g for g, _ in exponent])
-    parents, counts, targets, sources = _exp_plan(degrees, max_degree, gens)
+    parents, entries = _exp_plan(degrees, max_degree, tuple([g for g, _ in exponent]))
     coefficients = [1 if exact else 1.0]
     for i, j, length in parents:
         cu, c = coefficients[i], exponent[j][1]
         coefficients.append(cu * c * Fraction(1, length) if exact else cu * (float(c) / length))
-    if not exact:
-        # ndarray.repeat: np.repeat of a list goes through a wrapper that
-        # costs about 2 us a call, a quarter of a small factor's time
-        np.add.at(flat, targets, np.array(coefficients[1:]).repeat(counts) * flat[sources])
-        return
-    # every word below the top degree is a source
-    top = degree_offsets(degrees, max_degree)[max_degree]
-    words = np.array(coefficients[1:], dtype=object)
-    _dot_at(flat, np.concatenate([flat[:top], words]), *_exp_groups(degrees, max_degree, gens))
+    _accumulate(flat, flat, np.array(coefficients, dtype=flat.dtype), entries)
 
 
 def _horner(x: NCSeries, u: Mapping[int, np.ndarray], c0, coefficient) -> NCSeries:
@@ -644,10 +551,9 @@ def _horner(x: NCSeries, u: Mapping[int, np.ndarray], c0, coefficient) -> NCSeri
     least k l for u's lowest degree l, so h_k is kept only up to degree
     D - k l.  Each h_k is its coefficients less its constant (u times
     that constant is a scaling of u), a flat array (``degree_offsets``)
-    like u.  Float scales all of u by c_k, zeroes the degrees h_k holds
-    that u lacks and adds u h_{k+1} by ``_add_products`` over the step's
-    ``_horner_plan``; object forms c_k u + u h_{k+1} with one ``dot`` per
-    coefficient over the step's ``_horner_groups``, nonzero entries only."""
+    like u.  A step of the ``_horner_plan`` starts h_k as zeros and c_k u
+    on u's degrees, its nonzero coefficients only in the object domain,
+    and adds u h_{k+1} by ``_accumulate``."""
     degrees, D = x._degrees, x.max_degree
     present = tuple(sorted(u))
     if not present:
@@ -657,20 +563,13 @@ def _horner(x: NCSeries, u: Mapping[int, np.ndarray], c0, coefficient) -> NCSeri
     offsets = degree_offsets(degrees, D)
     uf = _flat(degrees, D, u)
     h = uf[:0]
-    steps = _horner_plan(degrees, D, present)
-    if uf.dtype == object:
-        u_low = uf[:offsets[present[-1] + 1]]
-        for c, (end, _, _), groups in zip(cs, steps, _horner_groups(degrees, D, present)):
-            new = np.zeros(end, dtype=object)
-            _dot_at(new, np.concatenate([u_low, h, np.array([c], dtype=object)]), *groups)
-            h = new
-    else:
-        for c, (end, zeroed, products) in zip(cs, steps):
-            new = c * uf[:end]
-            for a, b in zeroed:
-                new[a:b] = 0.0
-            _add_products(new, uf, h, *products)
-            h = new
+    for c, (end, scaled, entries) in zip(cs, _horner_plan(degrees, D, present)):
+        if uf.dtype == object:
+            scaled = scaled[uf[scaled].astype(bool)]
+        new = np.zeros(end, dtype=uf.dtype)
+        new[scaled] = c * uf[scaled]
+        _accumulate(new, uf, h, entries)
+        h = new
     arrays = {d: h[offsets[d]:offsets[d + 1]] for d in range(1, D + 1)}
     if c0:
         arrays[0] = np.array([c0], dtype=h.dtype)

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 from ._dense import dense_product_log
 # exp and log are unused here but stay bound: perfbench/tracing.py wraps
 # them by this module's name (tests/test_bench_sites.py pins that)
-from .free_algebra import NCSeries, exp, log, make_alphabet
+from .free_algebra import NCSeries, _integer, exp, log, make_alphabet
 from .hall import HallBasis, LieSeries, _nan_max, build_hall_basis, lie_coordinates, ordering_block
 from .polynomials import MultiPoly
 
@@ -291,8 +291,15 @@ def _solve_letter_sum(total: LinExpr, dependent: str, target=_ONE) -> LinExpr:
 
 
 def _letter_sum(factors: Sequence[tuple[int, LinExpr]], g: int) -> LinExpr:
-    """Sum of the coefficient expressions of the factors of letter g."""
-    return sum((expr for gi, expr in factors if gi == g), LinExpr())
+    """Sum of the coefficient expressions of the factors of letter g, in
+    one dict: linear in the number of factors."""
+    const, coeffs = _ZERO, {}
+    for gi, expr in factors:
+        if gi == g:
+            const += expr.const
+            for s, c in expr.coeffs:
+                coeffs[s] = coeffs.get(s, _ZERO) + c
+    return LinExpr._make(const, coeffs)
 
 
 def _letter_closures(letters: Sequence[str],
@@ -304,10 +311,10 @@ def _letter_closures(letters: Sequence[str],
         if only is not None and letter not in only:
             continue
         total = _letter_sum(factors, g)
-        present = [s for s in slot_order if any(n == s for n, _ in total.coeffs)]
-        if not present:
+        names = {s for s, _ in total.coeffs}
+        dependent = next((s for s in reversed(slot_order) if s in names), None)
+        if dependent is None:
             raise ValueError(f"generator {letter} never occurs in the template")
-        dependent = present[-1]
         closures.append((dependent, _solve_letter_sum(total, dependent)))
     return closures
 
@@ -418,6 +425,7 @@ def _build_se(m: int) -> Scheme:
 
 
 def build_scheme(n: int, family: str, m: int) -> Scheme:
+    n, m = _integer(n, "n"), _integer(m, "m")
     fam = family.strip().upper().replace("_", "-")
     if fam in ("S-ABC", "SABC"):
         fam = "S-abc"
@@ -498,6 +506,7 @@ def log_scheme(scheme: Scheme, params, D: int,
     coefficients), or be None for symbolic coefficients, where free slots
     become polynomial variables.
     """
+    D = _integer(D, "D")
     if D < 1:
         raise ValueError("need D >= 1")
     series = _product_log(scheme, params, D)
@@ -544,11 +553,23 @@ def _require_numeric(params, caller: str) -> None:
                          "log_scheme(scheme, None, D) is the symbolic path")
 
 
+def _checked_order(p, tolerance) -> int:
+    """The order ``p`` of ``verify_order`` and ``epsilon`` as an int >= 1,
+    checked with their ``tolerance``: a non-integral ``p``, a ``p`` below
+    1 or a ``tolerance`` that is no real number >= 0 (NaN included)
+    raises ``ValueError``."""
+    p = _integer(p, "p")
+    if p < 1:
+        raise ValueError("order must be >= 1")
+    if not (isinstance(tolerance, numbers.Real) and tolerance >= 0):
+        raise ValueError(f"tolerance must be a non-negative number, not {tolerance!r}")
+    return p
+
+
 def verify_order(scheme: Scheme, params, p: int,
                  tolerance: float = 1e-10) -> tuple[bool, dict[int, float]]:
     """Check U = e^{tH} + O(t^{p+1}): unit degree-1 coords, zero at 2..p."""
-    if p < 1:
-        raise ValueError("order must be >= 1")
+    p = _checked_order(p, tolerance)
     _require_numeric(params, "verify_order")
     series = _product_log(scheme, params, p)
     residuals = _order_residuals(series, _basis_for(scheme, series, None), p)
@@ -607,8 +628,7 @@ def epsilon(scheme: Scheme, params, p: int, tolerance: float = 1e-10) -> ErrorRe
     ordering.  Of orderings that tie, ``ordering_best`` is the first in
     permutation order; float sums within 1e-12 relative of the least tie.
     """
-    if p < 1:
-        raise ValueError("order must be >= 1")
+    p = _checked_order(p, tolerance)
     _require_numeric(params, "epsilon")
     series = _product_log(scheme, params, p + 1)
     basis = _basis_for(scheme, series, None)
@@ -656,6 +676,7 @@ def suzuki_recursive(q: int, n: int = 2) -> tuple[Scheme, ParamAssignment]:
 
 
 def _recursive_weights(q: int, triple: bool) -> list:
+    q = _integer(q, "q")
     if q < 1:
         raise ValueError("need q >= 1")
     weights = [_ONE]

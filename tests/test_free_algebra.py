@@ -3,6 +3,7 @@ naive oracle in _naive.py and a handful of pinned expansions."""
 
 import random
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -472,7 +473,7 @@ def test_horner_log_truncates_inner_terms(n, D, products, monkeypatch):
 
     def counted(degrees, D, present):
         steps = real(degrees, D, present)
-        count.append(sum(len(targets) for _, _, (_, targets) in steps))
+        count.append(sum(len(targets) for _, _, (targets, _, _) in steps))
         return steps
 
     rng = np.random.default_rng(n + D)
@@ -485,6 +486,32 @@ def test_horner_log_truncates_inner_terms(n, D, products, monkeypatch):
     want = n_series_log(x)
     for d in range(1, D + 1):
         assert np.abs(got.array(d) - want.array(d)).max() <= 1e-14
+
+
+def test_one_plan_serves_every_domain():
+    """The float and the exact product-log of the same factors read the
+    same cached plans: once the float log has filled them, the
+    ``Fraction`` log adds no entry to any ``free_algebra`` cache."""
+    scheme = build_scheme(2, "N", 9)
+    exact = [((g, Fraction(k + 1, 10)),) for k, (g, _) in enumerate(scheme.factors)]
+    floats = [((g, float(c)),) for ((g, c),) in exact]
+    alphabet = make_alphabet(scheme.letters)
+    for name, module in list(sys.modules.items()):
+        if name == "liesplit" or name.startswith("liesplit."):
+            for value in list(vars(module).values()):
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+    caches = {name: value for name, value in vars(free_algebra).items()
+              if callable(getattr(value, "cache_info", None))}
+
+    def sizes():
+        return {name: cache.cache_info().currsize for name, cache in caches.items()}
+
+    dense_product_log(alphabet, 6, floats)
+    filled = sizes()
+    assert all(filled[name] for name in ("_exp_plan", "_pair_plan", "_horner_plan"))
+    dense_product_log(alphabet, 6, exact)
+    assert sizes() == filled
 
 
 class _Counted:

@@ -13,7 +13,8 @@ from liesplit.constraints import symbolic_log
 from liesplit.free_algebra import NCSeries, make_alphabet
 from liesplit.hall import build_hall_basis, witt_dimension
 from liesplit.optimizer import OptimizationProblem
-from liesplit.schemes import build_scheme, epsilon, log_scheme, verify_order, yoshida_recursive
+from liesplit.schemes import (build_scheme, epsilon, log_scheme, suzuki_recursive, verify_order,
+                              yoshida_recursive)
 from liesplit.validate import GeneratorSet, build_generators, equal_cost_comparison, scaling_fit
 
 _SL3 = build_scheme(2, "SL", 3)  # the leapfrog: no free slot, params {}
@@ -50,6 +51,16 @@ GUARDS = {
                               "non-finite coefficient"),
     "dense_product_log-D15": (lambda: dense_product_log(_AB, 15, [((0, Fraction(1)),)]),
                               "truncation degree 15 needs 65535 words, over the limit of 32768"),
+    "epsilon-tolerance-nan": (lambda: epsilon(_SL3, {}, 2, tolerance=math.nan),
+                              "tolerance must be a non-negative number"),
+    "epsilon-tolerance-negative": (lambda: epsilon(_SL3, {}, 2, tolerance=-1e-10),
+                                   "tolerance must be a non-negative number"),
+    "verify_order-tolerance-nan": (lambda: verify_order(_SL3, {}, 2, tolerance=math.nan),
+                                   "tolerance must be a non-negative number"),
+    "verify_order-tolerance-negative": (lambda: verify_order(_SL3, {}, 2, tolerance=-1.0),
+                                        "tolerance must be a non-negative number"),
+    "verify_order-tolerance-str": (lambda: verify_order(_SL3, {}, 2, tolerance="1e-10"),
+                                   "tolerance must be a non-negative number"),
 }
 
 
@@ -111,6 +122,22 @@ _NON_INTEGRAL = {
                                       build_generators("random-general", dim=4, seed=0),
                                       1.0, budget=True),
         "budget must be an integer"),
+    "build_scheme-n-2.0": (lambda: build_scheme(2.0, "N", 5), "n must be an integer"),
+    "build_scheme-m-4.0": (lambda: build_scheme(2, "N", 4.0), "m must be an integer"),
+    "build_scheme-m-str": (lambda: build_scheme(2, "S", "9"), "m must be an integer"),
+    "build_scheme-m-True": (lambda: build_scheme(2, "N", True), "m must be an integer"),
+    "epsilon-p-4.0": (lambda: epsilon(_SL3, {}, 4.0), "p must be an integer"),
+    "epsilon-p-str": (lambda: epsilon(_SL3, {}, "2"), "p must be an integer"),
+    "epsilon-p-True": (lambda: epsilon(_SL3, {}, True), "p must be an integer"),
+    "verify_order-p-2.0": (lambda: verify_order(_SL3, {}, 2.0), "p must be an integer"),
+    "verify_order-p-True": (lambda: verify_order(_SL3, {}, True), "p must be an integer"),
+    "log_scheme-D-3.0": (lambda: log_scheme(_SL3, {}, 3.0), "D must be an integer"),
+    "log_scheme-D-True": (lambda: log_scheme(_SL3, {}, True), "D must be an integer"),
+    "symbolic_log-p-2.0": (lambda: symbolic_log(_SL3, 2.0), "p must be an integer"),
+    "symbolic_log-p-True": (lambda: symbolic_log(_SL3, True), "p must be an integer"),
+    "yoshida_recursive-q-2.0": (lambda: yoshida_recursive(2.0), "q must be an integer"),
+    "suzuki_recursive-q-True": (lambda: suzuki_recursive(True), "q must be an integer"),
+    "suzuki_recursive-q-str": (lambda: suzuki_recursive("2"), "q must be an integer"),
 }
 
 
@@ -133,6 +160,25 @@ def test_numpy_integer_sizes_are_accepted():
     assert witt_dimension(np.int64(2), np.int16(3)) == 2
     problem = OptimizationProblem(_SL3, 2, starts=np.int64(8), seed=np.uint8(3))
     assert problem.starts == 8 and problem.seed == 3
+
+
+def test_numpy_integer_scheme_sizes_are_accepted():
+    scheme = build_scheme(np.int64(2), "S", np.int32(9))
+    assert (scheme.n, scheme.m) == (2, 9) and type(scheme.m) is int
+    report = epsilon(*yoshida_recursive(np.int64(2)), np.int64(4))
+    assert report.p == 4 and type(report.p) is int
+    assert verify_order(_SL3, {}, np.int16(2))[0]
+
+
+@pytest.mark.parametrize("family", ["N", "S", "SL"])
+def test_large_template_builds_fast(family):
+    """A template's build is linear in m: 8001 factors build well under
+    2 s, which summing each letter's coefficients pair by pair, quadratic
+    in m, overran."""
+    start = time.perf_counter()
+    scheme = build_scheme(2, family, 8001)
+    assert time.perf_counter() - start < 2.0
+    assert len(scheme.factors) == 8001
 
 
 def test_numpy_integer_generator_sizes_are_accepted():
