@@ -1,17 +1,15 @@
 """The log of a product of exponentials, for float, exact and polynomial
 coefficients alike, cheap enough for optimization loops with m ~ 100
-factors at D = 7: the product is built in place on one flat array holding
-every degree's words back to back (``free_algebra.degree_offsets``), each
-factor (one letter of a scheme, or one stage of a graded order-condition
-pipeline) a right multiplication by exp(sum c_g G_g) (``rmul_exp``).
-Every domain reads one cached plan per factor shape, the entries of every
-word of its exponential, through one accumulate
-(``free_algebra._accumulate``): a float64 array takes one ``np.add.at``
-per factor, an object array (exact or polynomial coefficients) one
-``polynomials.dot`` per target.  The log (``free_algebra.log``, one
-truncated Horner sum on the same accumulate) reads the product through
-its per-degree slices, as an ``NCSeries``.  Truncations of more than
-``free_algebra.MAX_WORDS`` words are refused before anything is allocated."""
+factors at D = 7.  The product is built in place on the array of a series
+(the one layout of ``free_algebra``), each factor (one letter of a
+scheme, or one stage of a graded order-condition pipeline) a right
+multiplication by exp(sum c_g G_g) (``rmul_exp``): one cached plan per
+factor shape read by one accumulate, one ``np.add.at`` per factor in a
+float64 array and one ``polynomials.dot`` per target in an object one.
+The log (``free_algebra.log``, one truncated Horner sum on the same
+accumulate) reads the product as an ``NCSeries`` holding that array,
+neither sliced nor copied.  Truncations of more than
+``free_algebra.MAX_WORDS`` words are refused before it is allocated."""
 
 from __future__ import annotations
 
@@ -21,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import free_algebra
-from .free_algebra import MAX_WORDS, Generator, NCSeries, degree_offsets, rmul_exp
+from .free_algebra import Generator, NCSeries, rmul_exp
 from .polynomials import MultiPoly
 
 __all__ = ["dense_product_log"]
@@ -36,19 +34,13 @@ def dense_product_log(alphabet: Sequence[Generator], max_degree: int,
     ``MultiPoly``) coefficients.  A generator id outside ``alphabet``, a
     non-finite float c_ig or a truncation with more than ``MAX_WORDS``
     words raises ``ValueError``."""
-    degrees = tuple(g.degree for g in alphabet)
+    zero = NCSeries(alphabet, max_degree)  # refuses more than MAX_WORDS words
     coeffs = [c for exponent in factors for _, c in exponent]
     polys = [c for c in coeffs if isinstance(c, MultiPoly)]
     in_float = not polys and any(isinstance(c, float) for c in coeffs)
-    offsets = degree_offsets(degrees, max_degree)
-    if offsets[-1] > MAX_WORDS:
-        raise ValueError(f"truncation degree {max_degree} needs {offsets[-1]} words, "
-                         f"over the limit of {MAX_WORDS}")
-    flat = np.zeros(offsets[-1], dtype=float if in_float else object)
+    flat = np.zeros(len(zero._flat), dtype=float if in_float else object)
     flat[0] = 1.0 if in_float else polys[0] ** 0 if polys else Fraction(1)
     for exponent in factors:
-        rmul_exp(flat, degrees, max_degree, exponent)
+        rmul_exp(flat, zero._degrees, max_degree, exponent)
     # by module attribute, so that a wrapper of free_algebra.log sees the call
-    return free_algebra.log(NCSeries(alphabet, max_degree,
-                                     {d: flat[offsets[d]:offsets[d + 1]]
-                                      for d in range(max_degree + 1)}))
+    return free_algebra.log(zero._with(flat))

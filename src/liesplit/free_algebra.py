@@ -2,8 +2,8 @@
 
 Everything downstream (BCH logarithms, Hall coordinates, order conditions)
 reduces to arithmetic in the free associative algebra truncated at a fixed
-total degree D.  A series stores, per total degree, the coefficients of the
-words (finite sequences of generators) of that degree; the formal time step
+total degree D.  A series holds the coefficients of the words (finite
+sequences of generators) up to total degree D; the formal time step
 is not a symbol — a word of total generator degree k simply *is* the t^k
 coefficient, since every expansion handled here is homogeneous in t.
 
@@ -14,30 +14,29 @@ parameters through the same code paths).  A series should stay homogeneous
 in its coefficient type; nothing enforces that, but mixing exact and float
 coefficients silently degrades to float.
 
-Words have one layout, shared with ``hall`` and ``_dense``: one 1-D array
-per degree d over ``degree_words``, the words of total degree d in
-lexicographic order of letter ids (for n unit-degree generators, g_1...g_d
-at index sum g_j n^(d-j)), float64 when every coefficient is a float and
-object otherwise.  All-zero degrees are not stored.  Positions follow from
-word counts alone: word i of degree d is letter l followed by word
+Words have one layout, shared with ``hall`` and ``_dense``: a series is
+one flat 1-D array holding every degree 0..D back to back, degree blocks
+in order (``degree_offsets``), block d listing the words of total degree
+d (``degree_words``) in lexicographic order of letter ids (for n
+unit-degree generators, g_1...g_d at index sum g_j n^(d-j) in its block);
+float64 when every coefficient is a float, object otherwise.  A degree
+whose block holds no nonzero coefficient is absent.  Positions follow
+from word counts alone: word i of degree d is letter l followed by word
 i - start_l(d) of degree d - deg(l), where start_l(d) is the number of
 degree-d words that begin with a letter before l (``word_starts``).  The
-tables of the layout are built by this recurrence, a few array operations
-per letter, and never from word tuples: ``concat_index`` here, the word
-gathers and expansion matrices of ``hall``, and the position of one word
-(``_word_position``) that the word-keyed ``from_words`` and ``coeff`` of
-``NCSeries`` read.  The word tuples (``degree_words``) serve only to list
-a series's words (``homogeneous``, ``items``).  A product of many
-exponentials is built in place on one flat array holding every degree's
-words back to back, degree blocks in order (``degree_offsets``):
-``rmul_exp`` right-multiplies it by the exponential of a sum of generators
-(a single letter for a scheme's factor, a stage's graded generators for
-the order-condition pipelines).  ``_dense`` builds every product-log with
-it.  ``exp`` and ``log`` sum their power series by one truncated Horner
-kernel (``_horner``): each inner term is kept only up to the degree that
+tables of the layout are built by this recurrence, never from word
+tuples: ``concat_index`` here, the word gathers and expansion matrices of
+``hall``, and the position of one word (``_word_position``) that
+``from_words`` and ``coeff`` read; the word tuples only list a series's
+words (``homogeneous``, ``items``).  ``rmul_exp`` right-multiplies such an
+array in place by the exponential of a sum of generators (a scheme's
+letter, or a stage's graded generators); ``_dense`` builds every
+product-log so and hands the array to its series as it is.  ``exp`` and
+``log`` sum their power series by one truncated Horner kernel
+(``_horner``): each inner term is kept only up to the degree that
 survives its remaining multiplications, which at n = 3, D = 7 takes
 24,624 coefficient products for a dense log where summing the powers u^k
-takes 59,868.  ``mul`` multiplies two flat series.
+takes 59,868.  ``mul`` multiplies two series's arrays.
 
 Each of the three kernels has one cached plan, which every coefficient
 domain reads (``_exp_plan``, ``_horner_plan`` and ``_pair_plan``, which
@@ -52,9 +51,8 @@ BLAS product or a ``bincount`` sum would round differently.  Any other
 domain gives each target one multiply-accumulate, ``polynomials.dot``,
 over the entries whose two operands are nonzero; for ``MultiPoly``
 coefficients ``dot`` sums on one dict of integer numerators and
-normalises once, where a product and an addition each used to build a
-polynomial and copy the sum.  ``MAX_WORDS`` bounds the truncations that
-the product-log and the Hall bases accept.
+normalises once.  ``MAX_WORDS`` bounds the truncations that a series and
+the Hall bases accept.
 """
 
 from __future__ import annotations
@@ -79,12 +77,12 @@ __all__ = [
 ]
 
 
-# The most words (all degrees 0..D together) a product-log or a Hall basis
-# may hold.  The product, its log and the Hall tables read after it grow
-# with the word count: verify_order at n = 2 takes 0.6 s and 240 MB at
-# D = 14 (32,767 words), 2.6 s and 670 MB at D = 15, 12 s and 1.9 GB at
-# D = 16.  The largest product-log of the tests and the benchmark has 3,280
-# (n = 3, D = 7).
+# The most words (all degrees 0..D together) a series, and so a
+# product-log or a Hall basis, may hold.  The product, its log and the Hall
+# tables read after it grow with the word count: verify_order at n = 2
+# takes 0.6 s and 240 MB at D = 14 (32,767 words), 2.6 s and 670 MB at
+# D = 15, 12 s and 1.9 GB at D = 16.  The largest product-log of the tests
+# and the benchmark has 3,280 (n = 3, D = 7).
 MAX_WORDS = 2 ** 15
 
 
@@ -194,24 +192,12 @@ def concat_index(degrees: tuple[int, ...], d1: int, d2: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def degree_offsets(degrees: tuple[int, ...], max_degree: int) -> tuple[int, ...]:
-    """Start of each degree 0..max_degree in the flat layout of ``rmul_exp``,
-    every degree's ``degree_words`` back to back, and its total length last."""
+    """Start of each degree 0..max_degree in the layout of a series, every
+    degree's ``degree_words`` back to back, and its total length last."""
     offsets = [0]
     for d in range(max_degree + 1):
         offsets.append(offsets[-1] + word_count(degrees, d))
     return tuple(offsets)
-
-
-def _flat(degrees: tuple[int, ...], max_degree: int,
-          arrays: Mapping[int, np.ndarray]) -> np.ndarray:
-    """Per-degree ``arrays`` in the flat layout of ``degree_offsets``
-    truncated at ``max_degree``, absent degrees as zeros: object if any
-    array is, float64 otherwise."""
-    offsets = degree_offsets(degrees, max_degree)
-    flat = np.zeros(offsets[-1], dtype=np.result_type(*arrays.values()))
-    for d, a in arrays.items():
-        flat[offsets[d]:offsets[d + 1]] = a
-    return flat
 
 
 def _entries(parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -232,15 +218,15 @@ def _entries(parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=None)
 def _exp_plan(degrees: tuple[int, ...], max_degree: int, gens: tuple[int, ...]):
     """The words of exp(sum_g c_g G_g) for the generators ``gens`` (one per
-    exponent pair, in order) and their updates in the flat layout truncated
-    at ``max_degree``, as ``rmul_exp`` applies them: ``(parents, entries)``.
+    exponent pair, in order) and their updates truncated at ``max_degree``,
+    as ``rmul_exp`` applies them: ``(parents, entries)``.
 
     The words are listed shortest first, word i + 1 being the word
     ``parents[i][0]`` (0 the empty word) followed by the generator of
     exponent pair ``parents[i][1]``, of length ``parents[i][2]``.  The
-    ``entries`` (target, source, word) hold, word by word, the flat
-    position of the word at each source position short enough followed by
-    the word, sorted by target (``_entries``)."""
+    ``entries`` (target, source, word) hold, word by word, the position of
+    the word at each source position short enough followed by the word,
+    sorted by target (``_entries``)."""
     offsets = degree_offsets(degrees, max_degree)
     words, parents, parts = [((), 0)], [], []
     for i, (u, du) in enumerate(words):
@@ -260,10 +246,9 @@ def _exp_plan(degrees: tuple[int, ...], max_degree: int, gens: tuple[int, ...]):
 def _pair_plan(degrees: tuple[int, ...], left: tuple[int, ...], right: tuple[int, ...],
                top: int):
     """The entries (target, x position, y position) of the products of the
-    words of the degrees ``left`` of a flat x by the words of the degrees
-    ``right`` of a flat y, up to total degree ``top``, in the flat layout
-    of ``degree_offsets``: listed by ascending left degree, so each target
-    receives its products in that order, and sorted by target
+    words of the degrees ``left`` of x by those of the degrees ``right`` of
+    y, up to total degree ``top``: listed by ascending left degree, so each
+    target receives its products in that order, and sorted by target
     (``_entries``)."""
     offsets = degree_offsets(degrees, top)
     parts = []
@@ -280,8 +265,8 @@ def _pair_plan(degrees: tuple[int, ...], left: tuple[int, ...], right: tuple[int
 def _horner_plan(degrees: tuple[int, ...], D: int, present: tuple[int, ...]):
     """The steps of ``_horner``'s sum for u holding the degrees
     ``present`` (ascending, the lowest l >= 1), truncated at D: for
-    k = D // l - 1 down to 0, the flat length of h_k (every degree up to
-    top = D - k l), the flat positions of u's degrees up to top, where h_k
+    k = D // l - 1 down to 0, the length of h_k (every degree up to
+    top = D - k l), the positions of u's degrees up to top, where h_k
     starts as c_k u (zero elsewhere), and the ``_pair_plan`` of u times
     h_{k+1}."""
     low = present[0]
@@ -323,38 +308,55 @@ def _accumulate(acc: np.ndarray, x: np.ndarray, y: np.ndarray, entries) -> None:
 class NCSeries:
     """A degree-truncated series over a fixed alphabet.
 
-    Storage is ``_arrays[degree]``, one array over ``degree_words`` per
-    degree (see the module docstring), with all-zero degrees absent and the
-    truncation degree fixed at creation.  All operations are pure;
-    instances, and the arrays they hold, should be treated as immutable.
+    Storage is ``_flat``, every degree 0..max_degree in the layout of the
+    module docstring, and ``_present``, the degrees holding a nonzero
+    coefficient; any other degree is absent and reads as zeros.  The array
+    is float64 if every coefficient given is a float and object otherwise,
+    so arrays mixing float and object coefficients make an object series.
+    All operations are pure; instances, and the array they hold, should
+    be treated as immutable.
     """
 
-    __slots__ = ("alphabet", "max_degree", "_degrees", "_arrays")
+    __slots__ = ("alphabet", "max_degree", "_degrees", "_flat", "_present")
 
     def __init__(self, alphabet: Sequence[Generator], max_degree: int,
                  arrays: Mapping[int, Sequence] | None = None):
-        """``arrays`` maps degrees to coefficients over ``degree_words``."""
+        """``arrays`` maps degrees to coefficients over ``degree_words``.
+        A truncation of more than ``MAX_WORDS`` words raises ``ValueError``."""
         max_degree = _integer(max_degree, "max_degree")
         if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
         self.alphabet = _check_alphabet(alphabet)
         self.max_degree = max_degree
         self._degrees = tuple(g.degree for g in self.alphabet)
-        self._arrays = {}
+        offsets = degree_offsets(self._degrees, max_degree)
+        if offsets[-1] > MAX_WORDS:
+            raise ValueError(f"truncation degree {max_degree} needs {offsets[-1]} words, "
+                             f"over the limit of {MAX_WORDS}")
+        given = {}
         for d, values in sorted((arrays or {}).items()):
-            arr = np.asarray(values)
-            arr = arr.astype(float if arr.dtype.kind == "f" else object)
-            if d > self.max_degree or arr.shape != (word_count(self._degrees, d),):
+            arr = given[d] = np.asarray(values)
+            if not 0 <= d <= max_degree or arr.shape != (offsets[d + 1] - offsets[d],):
                 raise ValueError(f"shape {arr.shape} is no degree-{d} array of this series")
-            if np.count_nonzero(arr):
-                self._arrays[d] = arr
+        self._present = tuple(d for d, arr in given.items() if np.count_nonzero(arr))
+        in_float = all(given[d].dtype.kind == "f" for d in self._present)
+        self._flat = np.zeros(offsets[-1], dtype=float if in_float else object)
+        for d in self._present:
+            self._flat[offsets[d]:offsets[d + 1]] = given[d]
 
-    def _with(self, arrays: Mapping[int, np.ndarray]) -> "NCSeries":
-        """A series over this alphabet and truncation holding ``arrays``."""
+    def _with(self, flat: np.ndarray) -> "NCSeries":
+        """A series over this alphabet and truncation holding ``flat``."""
         s = object.__new__(NCSeries)
         s.alphabet, s.max_degree, s._degrees = self.alphabet, self.max_degree, self._degrees
-        s._arrays = {d: arrays[d] for d in sorted(arrays) if np.count_nonzero(arrays[d])}
+        s._flat = flat
+        s._present = tuple(d for d in range(s.max_degree + 1)
+                           if np.count_nonzero(flat[s._block(d)]))
         return s
+
+    def _block(self, degree: int) -> slice:
+        """The positions of ``degree``'s words in ``_flat``."""
+        offsets = degree_offsets(self._degrees, self.max_degree)
+        return slice(offsets[degree], offsets[degree + 1])
 
     def word_degree(self, letters: Sequence[int]) -> int:
         if not set(range(len(self.alphabet))).issuperset(letters):
@@ -376,57 +378,55 @@ class NCSeries:
                    words: Mapping[tuple[int, ...], object]) -> "NCSeries":
         s = cls(alphabet, max_degree)
         dtype = float if all(isinstance(c, float) for c in words.values() if c) else object
-        arrays: dict[int, np.ndarray] = {}
+        flat = np.zeros(len(s._flat), dtype=dtype)
         for letters, c in words.items():
             d = s.word_degree(letters)
             if not c:
                 continue
             if d > max_degree:
                 raise ValueError(f"word {letters} of degree {d} exceeds truncation {max_degree}")
-            if d not in arrays:
-                arrays[d] = np.zeros(word_count(s._degrees, d), dtype=dtype)
-            arrays[d][_word_position(s._degrees, letters)] = c
-        return s._with(arrays)
+            flat[s._block(d).start + _word_position(s._degrees, letters)] = c
+        return s._with(flat)
 
     # -- inspection ----------------------------------------------------
 
     def array(self, degree: int) -> np.ndarray:
         """The coefficients over ``degree_words`` at ``degree`` (float
-        zeros if the degree is absent).  Read-only by convention."""
-        arr = self._arrays.get(degree)
-        return np.zeros(word_count(self._degrees, degree)) if arr is None else arr
+        zeros if the degree is absent), a view of the series's array.
+        Read-only by convention."""
+        if degree not in self._present:
+            return np.zeros(word_count(self._degrees, degree))
+        return self._flat[self._block(degree)]
 
     def coeff(self, letters: Sequence[int]):
         d = self.word_degree(letters)
-        arr = self._arrays.get(d)
-        return 0 if arr is None else arr[_word_position(self._degrees, letters)]
+        return self.array(d)[_word_position(self._degrees, letters)] if d in self._present else 0
 
     def homogeneous(self, degree: int) -> dict[tuple[int, ...], object]:
-        arr = self._arrays.get(degree)
-        if arr is None:
+        if degree not in self._present:
             return {}
+        arr = self.array(degree)
         words, values = degree_words(self._degrees, degree), arr.tolist()
         return {words[i]: values[i] for i in np.flatnonzero(arr).tolist()}
 
     def items(self) -> Iterator[tuple[tuple[int, ...], object]]:
-        for d in self._arrays:
+        for d in self._present:
             yield from self.homogeneous(d).items()
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(self._arrays)
+        return self._present
 
     def __bool__(self) -> bool:
-        return bool(self._arrays)
+        return bool(self._present)
 
     def constant_term(self):
-        arr = self._arrays.get(0)
-        return 0 if arr is None else arr[0]
+        return self._flat[0] if 0 in self._present else 0
 
     def unit(self):
         """Multiplicative unit of the coefficient domain (1, 1.0, or poly one)."""
-        for arr in self._arrays.values():
-            return 1.0 if arr.dtype != object else arr[np.flatnonzero(arr)[0]] ** 0
-        return Fraction(1)
+        if not self._present or self._flat.dtype != object:
+            return 1.0 if self._present else Fraction(1)
+        return next(c for c in self._flat if c) ** 0
 
     def __repr__(self) -> str:
         parts = [f"{''.join(self.alphabet[l].label for l in w) or '1'}: {c}"
@@ -441,23 +441,27 @@ class NCSeries:
             raise ValueError("series must share alphabet and max_degree")
 
     def __add__(self, other: "NCSeries") -> "NCSeries":
+        """The sum; a degree only one side holds is that side's, to the bit."""
         self._compatible(other)
-        out = dict(self._arrays)
-        for d, b in other._arrays.items():
-            a = out.get(d)
-            out[d] = b if a is None else a + b
-        return self._with(out)
+        if not self or not other:
+            return other if other else self
+        flat = self._flat.astype(np.result_type(self._flat, other._flat))
+        for d in other._present:
+            block = self._block(d)
+            b = other._flat[block]
+            flat[block] = flat[block] + b if d in self._present else b
+        return self._with(flat)
 
     def scale(self, factor) -> "NCSeries":
-        out = {}
-        for d, a in self._arrays.items():
-            if isinstance(factor, float) or a.dtype != object:
-                out[d] = float(factor) * a.astype(float)
-            else:
-                out[d] = acc = np.zeros(len(a), dtype=object)
-                nz = np.flatnonzero(a)
-                acc[nz] = factor * a[nz]
-        return self._with(out)
+        if isinstance(factor, float) or self._flat.dtype != object:
+            flat = np.zeros(len(self._flat))
+            for block in map(self._block, self._present):
+                flat[block] = float(factor) * self._flat[block].astype(float)
+        else:
+            flat = np.zeros(len(self._flat), dtype=object)
+            nz = np.flatnonzero(self._flat)
+            flat[nz] = factor * self._flat[nz]
+        return self._with(flat)
 
     def __mul__(self, other) -> "NCSeries":
         if isinstance(other, NCSeries):
@@ -498,28 +502,21 @@ def series_from_generator(g: Generator, coeff, D: int,
 
 def mul(x: NCSeries, y: NCSeries) -> NCSeries:
     """Concatenation product, truncated at the common max degree: the
-    products of the ``_pair_plan`` of x's and y's degrees, on the flat
-    layout, added by ``_accumulate``."""
+    products of the ``_pair_plan`` of x's and y's degrees, read from their
+    arrays and added by ``_accumulate``."""
     x._compatible(y)
-    if not x or not y:
-        return x._with({})
-    degrees = x._degrees
-    # no flat array reaches above the highest degree of x, y or x y
-    dx, dy = max(x._arrays), max(y._arrays)
-    top = min(x.max_degree, dx + dy)
-    offsets = degree_offsets(degrees, top)
-    xf, yf = _flat(degrees, dx, x._arrays), _flat(degrees, dy, y._arrays)
-    flat = np.zeros(offsets[-1], dtype=np.result_type(xf, yf))
-    _accumulate(flat, xf, yf, _pair_plan(degrees, tuple(x._arrays), tuple(y._arrays), top))
-    return x._with({d: flat[offsets[d]:offsets[d + 1]] for d in range(top + 1)})
+    top = min(x.max_degree, max(x._present, default=0) + max(y._present, default=0))
+    flat = np.zeros(len(x._flat), dtype=np.result_type(x._flat, y._flat))
+    _accumulate(flat, x._flat, y._flat, _pair_plan(x._degrees, x._present, y._present, top))
+    return x._with(flat)
 
 
 def rmul_exp(flat: np.ndarray, degrees: tuple[int, ...], max_degree: int,
              exponent: Sequence[tuple[int, object]]) -> None:
     """In place: ``flat`` <- ``flat`` * exp(sum_g c_g * G_g) over the
-    ``(g, c_g)`` pairs of ``exponent``, for ``flat`` holding every degree
-    0..``max_degree`` in the layout of ``degree_offsets``, float64 (every
-    c_g taken as a float) or object (exact or polynomial c_g).  The
+    ``(g, c_g)`` pairs of ``exponent``, for ``flat`` a series's array at
+    truncation ``max_degree``, float64 (every c_g taken as a float) or
+    object (exact or polynomial c_g).  The
     exponential's words are listed once, shortest first (``_exp_plan``),
     with coefficient(u g) = coefficient(u) * c_g / len(u g): for one
     generator, its powers with c^k / k!.  Every target accumulates the
@@ -541,39 +538,35 @@ def rmul_exp(flat: np.ndarray, degrees: tuple[int, ...], max_degree: int,
     _accumulate(flat, flat, np.array(coefficients, dtype=flat.dtype), entries)
 
 
-def _horner(x: NCSeries, u: Mapping[int, np.ndarray], c0, coefficient) -> NCSeries:
+def _horner(x: NCSeries, present: tuple[int, ...], c0, coefficient) -> NCSeries:
     """c0 + sum_{k>=1} coefficient(k) u^k over x's alphabet and truncation
-    D, for ``u`` the arrays of a series with no constant term and a
-    rational ``coefficient`` taken in x's coefficient domain.
+    D, for u the degrees ``present`` of x (ascending, none of them 0) and
+    a rational ``coefficient`` taken in x's coefficient domain.
 
     Horner's rule: h_K = c_K, h_k = c_k + u h_{k+1}, the sum is h_0 with
     c_0 = c0.  h_k is multiplied by u^k on its way out, whose degree is at
     least k l for u's lowest degree l, so h_k is kept only up to degree
-    D - k l.  Each h_k is its coefficients less its constant (u times
-    that constant is a scaling of u), a flat array (``degree_offsets``)
-    like u.  A step of the ``_horner_plan`` starts h_k as zeros and c_k u
-    on u's degrees, its nonzero coefficients only in the object domain,
-    and adds u h_{k+1} by ``_accumulate``."""
-    degrees, D = x._degrees, x.max_degree
-    present = tuple(sorted(u))
+    D - k l, less its constant (u times that constant is a scaling of u).
+    A step of the ``_horner_plan`` starts h_k as zeros and c_k u on u's
+    degrees, its nonzero coefficients only in the object domain, and adds
+    u h_{k+1} by ``_accumulate``."""
+    D, u = x.max_degree, x._flat
     if not present:
-        return x._with({0: np.array([c0], dtype=object)} if c0 else {})
-    cast = float if isinstance(x.unit(), float) else Fraction
-    cs = [cast(coefficient(k)) for k in range(D // present[0], 0, -1)]
-    offsets = degree_offsets(degrees, D)
-    uf = _flat(degrees, D, u)
-    h = uf[:0]
-    for c, (end, scaled, entries) in zip(cs, _horner_plan(degrees, D, present)):
-        if uf.dtype == object:
-            scaled = scaled[uf[scaled].astype(bool)]
-        new = np.zeros(end, dtype=uf.dtype)
-        new[scaled] = c * uf[scaled]
-        _accumulate(new, uf, h, entries)
-        h = new
-    arrays = {d: h[offsets[d]:offsets[d + 1]] for d in range(1, D + 1)}
-    if c0:
-        arrays[0] = np.array([c0], dtype=h.dtype)
-    return x._with(arrays)
+        h = np.zeros(len(u), dtype=object)
+    else:
+        cast = float if isinstance(x.unit(), float) else Fraction
+        cs = [cast(coefficient(k)) for k in range(D // present[0], 0, -1)]
+        h = u[:0]
+        for c, (end, scaled, entries) in zip(cs, _horner_plan(x._degrees, D, present)):
+            if u.dtype == object:
+                scaled = scaled[u[scaled].astype(bool)]
+            new = np.zeros(end, dtype=u.dtype)
+            new[scaled] = c * u[scaled]
+            _accumulate(new, u, h, entries)
+            h = new
+    # the last h spans every degree, and u times anything has no constant
+    h[0] = c0
+    return x._with(h)
 
 
 def exp(x: NCSeries) -> NCSeries:
@@ -581,7 +574,7 @@ def exp(x: NCSeries) -> NCSeries:
     term), by Horner's rule (``_horner``)."""
     if x.constant_term():
         raise ValueError("exp requires zero constant term")
-    return _horner(x, x._arrays, x.unit(), lambda k: Fraction(1, math.factorial(k)))
+    return _horner(x, x._present, x.unit(), lambda k: Fraction(1, math.factorial(k)))
 
 
 def log(x: NCSeries) -> NCSeries:
@@ -589,5 +582,5 @@ def log(x: NCSeries) -> NCSeries:
     must be 1), by Horner's rule (``_horner``)."""
     if x.constant_term() != x.unit():
         raise ValueError("log requires constant term 1")
-    return _horner(x, {d: a for d, a in x._arrays.items() if d}, 0,
+    return _horner(x, tuple(d for d in x._present if d), 0,
                    lambda k: Fraction((-1) ** (k + 1), k))

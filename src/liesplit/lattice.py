@@ -28,7 +28,9 @@ periodic axes in one place, so each tile has exactly one key.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
+
+from .free_algebra import _integer
 
 __all__ = [
     "CoarseMap",
@@ -149,8 +151,11 @@ class Partition:
 def build_chain(length: int, reach: int = 1, periodic: bool = False
                 ) -> InteractionGraph:
     """1d chain with couplings at every distance 1..reach."""
+    length, reach = _integer(length, "length"), _integer(reach, "reach")
     if length < 2:
         raise ValueError("need at least two sites")
+    if reach < 1:
+        raise ValueError("reach must be >= 1")
     sites = tuple((i, (i,)) for i in range(length))
     inter = []
     for d in range(1, reach + 1):
@@ -159,13 +164,17 @@ def build_chain(length: int, reach: int = 1, periodic: bool = False
     return InteractionGraph(1, sites, tuple(inter), (periodic,))
 
 
-def _grid_sites(lx: int, ly: int):
+def _grid_sites(lx: int, ly: int, skip=lambda x, y: False):
+    """The sites of an lx x ly grid, row by row, but those ``skip`` names,
+    as ``(ids, sites)``; ``lx`` and ``ly`` must pass ``_integer``."""
+    lx, ly = _integer(lx, "lx"), _integer(ly, "ly")
     ids = {}
     sites = []
     for y in range(ly):
         for x in range(lx):
-            ids[(x, y)] = len(sites)
-            sites.append((len(sites), (x, y)))
+            if not skip(x, y):
+                ids[(x, y)] = len(sites)
+                sites.append((len(sites), (x, y)))
     return ids, tuple(sites)
 
 
@@ -205,18 +214,11 @@ def build_honeycomb(lx: int, ly: int, periodic: bool = False
 def build_kagome(lx: int, ly: int, periodic: bool = False
                  ) -> InteractionGraph:
     """Kagome lattice: the triangular lattice minus the even-even sites."""
+    ids, sites = _grid_sites(lx, ly, skip=lambda x, y: x % 2 == 0 and y % 2 == 0)
     if periodic and (lx % 2 or ly % 2):
         raise ValueError("periodic Kagome needs even extents")
-    ids = {}
-    sites = []
-    for y in range(ly):
-        for x in range(lx):
-            if x % 2 == 0 and y % 2 == 0:
-                continue
-            ids[(x, y)] = len(sites)
-            sites.append((len(sites), (x, y)))
     inter = _offset_bonds(ids, lx, ly, [(1, 0), (0, 1), (1, 1)], periodic)
-    return InteractionGraph(2, tuple(sites), inter, (periodic, periodic))
+    return InteractionGraph(2, sites, inter, (periodic, periodic))
 
 
 def _offset_bonds(ids, lx, ly, offsets, periodic) -> tuple:
@@ -244,7 +246,10 @@ def coarse_grain(g: InteractionGraph, block) -> tuple[InteractionGraph,
     nearest plus next-nearest square couplings land on the triangular
     lattice's three bond directions.
     """
-    shape = (block,) if isinstance(block, int) else tuple(block)
+    if isinstance(block, Iterable):
+        shape = tuple(_integer(b, "block", i) for i, b in enumerate(block))
+    else:
+        shape = (_integer(block, "block"),)
     if len(shape) != g.dim:
         raise ValueError(f"block arity {len(shape)} does not match "
                          f"dim {g.dim}")

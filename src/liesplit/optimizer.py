@@ -75,6 +75,8 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-12
+# the most Newton steps one manifold solve takes
+_NEWTON_STEPS = 60
 _DEDUP_TOL = 1e-5
 # the step fractions of Newton's line search: the full step, then the
 # halvings 2**-1 ... 2**-29 in geometric chunks, each evaluated at once
@@ -240,7 +242,7 @@ class _Manifold:
         failures[reason] = failures.get(reason, 0) + 1
         return ManifoldError(message)
 
-    def solve(self, free_values, guess, maxiter: int = 60) -> np.ndarray:
+    def solve(self, free_values, guess) -> np.ndarray:
         """Damped Newton from ``guess``.  A step is tried in full, then at
         t = 2**-1 ... 2**-29 in the chunks of ``_HALVINGS``; the largest t
         whose max residual is finite and below the current one is taken.
@@ -263,7 +265,7 @@ class _Manifold:
             table, r, rn = tables[0], rows[0], norms[0]
             if not np.isfinite(rn):
                 raise self._failure("non-finite residual at the initial guess")
-            for _ in range(maxiter):
+            for _ in range(_NEWTON_STEPS):
                 if rn <= 1e-15:
                     break
                 jac = self._derivatives(table)

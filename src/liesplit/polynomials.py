@@ -55,7 +55,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = ["MultiPoly", "MonomialOrder", "GREVLEX", "LEX", "MAX_EXPONENT", "dot", "normal_form",
-           "s_polynomial", "buchberger_basis", "is_groebner_basis", "is_square_free",
+           "s_polynomial", "buchberger_basis", "is_square_free",
            "sturm_real_roots"]
 
 Exponents = tuple[int, ...]
@@ -618,12 +618,6 @@ def _interreduce(basis: list[MultiPoly], order: MonomialOrder) -> list[MultiPoly
             reduced.append((divisors[i][2], r.monic(order)))
     reduced.sort(key=lambda kr: kr[0], reverse=True)
     return [r for _, r in reduced]
-
-
-def is_groebner_basis(basis: Sequence[MultiPoly], order: MonomialOrder = GREVLEX) -> bool:
-    divisors = _divisors(basis, order)
-    return not any(_reduce(s_polynomial(f, g, order), divisors, order)
-                   for i, f in enumerate(basis) for g in basis[i + 1:])
 
 
 # -------------------------------------------------------------- univariate

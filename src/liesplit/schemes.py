@@ -784,9 +784,9 @@ def scheme_from_text(text: str):
             raise ValueError(f"line {ln}: field {key!r} repeats line {fields[key][0]}")
         fields[key] = (ln, value.strip())
     try:
-        n = int(fields.pop("n")[1])
+        n = _integer_field(fields, "n")
         family = fields.pop("family")[1]
-        m = int(fields.pop("m")[1])
+        m = _integer_field(fields, "m")
     except KeyError as missing:
         raise ValueError(f"missing required field {missing}") from None
     ordering = fields.pop("ordering", (0, None))[1]
@@ -799,6 +799,14 @@ def scheme_from_text(text: str):
     if ordering is not None:
         ordering = parse_ordering(ordering, scheme.letters)
     return scheme, params, ordering
+
+
+def _integer_field(fields: dict[str, tuple[int, str]], key: str) -> int:
+    """Pop field ``key``, whose text must be an optionally signed integer."""
+    ln, text = fields.pop(key)
+    if not re.fullmatch(r"[+-]?\d+", text):
+        raise ValueError(f"line {ln}: field {key!r} is {text!r}, not an integer")
+    return int(text)
 
 
 def _parse_scalar(text: str, ln: int):

@@ -29,10 +29,11 @@ tables built from word tuples, word dicts and one basis per ordering, where
 ``free_algebra`` and ``hall`` build them by recurrences over word counts;
 ``n_hall_basis``, the Hall elements ranked and built for one ordering, where
 ``hall`` relabels one canonical set per tuple of generator degrees;
-and five helpers only tests call: ``n_norm1_at_degree`` and
+and six helpers only tests call: ``n_norm1_at_degree`` and
 ``n_to_series`` on a ``LieSeries``, ``n_expansion``, a Hall element as a
-word series, and ``n_residual`` and ``n_jacobian``, a ``_Manifold``'s
-residual and Jacobian at one point.
+word series, ``n_residual`` and ``n_jacobian``, a ``_Manifold``'s
+residual and Jacobian at one point, and ``is_groebner_basis``,
+Buchberger's criterion.
 """
 
 import functools
@@ -48,6 +49,7 @@ from liesplit.free_algebra import (NCSeries, _word_position, concat_index, degre
                                    degree_words, make_alphabet, mul)
 from liesplit.hall import _invert_rational, _sparse, build_hall_basis, hall_degree, lie_coordinates
 from liesplit.optimizer import _RESIDUAL_TOL, ManifoldError
+from liesplit.polynomials import GREVLEX, normal_form, s_polynomial
 from liesplit.schemes import (_NON_LIE_TOL, _TIE_RTOL, ErrorReport, _basis_for, _check_lie,
                               _product_log, _require_numeric)
 
@@ -191,12 +193,17 @@ def _block_products(acc: dict, a: dict, b: dict, degrees, top: int) -> None:
             acc[d1 + d2][concat_index(degrees, d1, d2).ravel()] += np.multiply.outer(x, y).ravel()
 
 
+def _arrays(x: NCSeries) -> dict:
+    """x's nonzero degrees, each with its coefficient array."""
+    return {d: x.array(d) for d in x.degrees()}
+
+
 def n_float_mul(x: NCSeries, y: NCSeries) -> NCSeries:
     """The float product block by block: the loop that ``free_algebra.mul``
     replaced by one ``np.add.at``."""
     out = {}
-    _block_products(out, x._arrays, y._arrays, x._degrees, x.max_degree)
-    return x._with(out)
+    _block_products(out, _arrays(x), _arrays(y), x._degrees, x.max_degree)
+    return NCSeries(x.alphabet, x.max_degree, out)
 
 
 def _float_horner(x: NCSeries, u: dict, c0, coefficient) -> NCSeries:
@@ -204,7 +211,7 @@ def _float_horner(x: NCSeries, u: dict, c0, coefficient) -> NCSeries:
     that its flat kernel replaced by one ``np.add.at`` per step."""
     terms = dict(sorted(u.items()))
     if not terms:
-        return x._with({0: np.array([c0])} if c0 else {})
+        return NCSeries(x.alphabet, x.max_degree, {0: np.array([c0])} if c0 else {})
     low, D = min(terms), x.max_degree
     cs = [c0] + [float(coefficient(k)) for k in range(1, D // low + 1)]
     h = {}  # h_{k+1} less its constant cs[k + 1]
@@ -215,15 +222,15 @@ def _float_horner(x: NCSeries, u: dict, c0, coefficient) -> NCSeries:
         h = dict(sorted(new.items()))
     if c0:
         h[0] = np.array([c0])
-    return x._with(h)
+    return NCSeries(x.alphabet, x.max_degree, h)
 
 
 def n_float_exp(x: NCSeries) -> NCSeries:
-    return _float_horner(x, x._arrays, 1.0, lambda k: Fraction(1, factorial(k)))
+    return _float_horner(x, _arrays(x), 1.0, lambda k: Fraction(1, factorial(k)))
 
 
 def n_float_log(x: NCSeries) -> NCSeries:
-    return _float_horner(x, {d: a for d, a in x._arrays.items() if d}, 0,
+    return _float_horner(x, {d: a for d, a in _arrays(x).items() if d}, 0,
                          lambda k: Fraction((-1) ** (k + 1), k))
 
 
@@ -398,6 +405,13 @@ def p_mul(a: dict, b: dict) -> dict:
             e = tuple(x + y for x, y in zip(e1, e2))
             out[e] = out.get(e, Fraction(0)) + c1 * c2
     return {e: c for e, c in out.items() if c}
+
+
+def is_groebner_basis(basis, order=GREVLEX) -> bool:
+    """Whether every S-polynomial of two elements of ``basis`` reduces to
+    zero on it (Buchberger's criterion), one ``normal_form`` each."""
+    return not any(normal_form(s_polynomial(f, g, order), basis, order)
+                   for i, f in enumerate(basis) for g in basis[i + 1:])
 
 
 def _at_degrees(series, degrees):

@@ -91,6 +91,15 @@ def test_unparsable_scheme_file_is_a_bad_parameter(tmp_path):
     assert "Invalid value for SCHEME_FILE: line 4: 'abc' is not a finite number" in result.output
 
 
+def test_non_integral_scheme_size_names_its_line(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("n = 2\nfamily = S\nm = 9.0\n")
+    result = CliRunner().invoke(main, ["epsilon", str(path), "--order", "4"])
+    assert result.exit_code == 2
+    assert "Invalid value for SCHEME_FILE: line 3: field 'm' is '9.0', not an integer" in (
+        result.output)
+
+
 def test_scheme_file_needs_an_order(tmp_path):
     e = catalog()["n2-p4-s-m9-opt"]
     path = tmp_path / "s9.txt"

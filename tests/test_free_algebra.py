@@ -679,6 +679,56 @@ def test_float_product_log_matches_loops_on_catalog(name):
     assert _hexes(dense_product_log(alphabet, D, factors)) == _hexes(n_float_log(product))
 
 
+# --------------------------------------------------------------- storage
+
+
+def test_series_storage_semantics(monkeypatch):
+    """What a series holds, read through its methods: an all-zero degree is
+    absent and reads as float zeros, 0 as a coefficient or constant term;
+    a sum keeps a degree that only one side holds to the bit, signed zeros
+    included; an exact scaling multiplies the nonzero coefficients only."""
+    x = NCSeries(AB, 3, {1: [-0.0, 1.5], 2: [0.0, -0.0, 0.0, 0.0], 3: [0.25] + [-0.0] * 7})
+    assert x.degrees() == (1, 3)
+    absent = x.array(2)
+    assert absent.dtype == np.float64 and [v.hex() for v in absent.tolist()] == ["0x0.0p+0"] * 4
+    exact = NCSeries(AB, 3, {0: [Fraction(0)], 1: [Fraction(1, 2), 0], 2: [Fraction(0)] * 4})
+    assert exact.degrees() == (1,)
+    for s in (x, exact):
+        for value in (s.coeff((0, 1)), s.coeff(()), s.constant_term()):
+            assert type(value) is int and value == 0
+    y = NCSeries(AB, 3, {2: [-0.0, 1.0, 2.0, -0.0], 3: [1.0] * 8})
+    for total in (x + y, y + x):
+        assert total.degrees() == (1, 2, 3)
+        assert _hexes(total)[1] == _hexes(x)[1] == ["-0x0.0p+0", "0x1.8000000000000p+0"]
+        assert _hexes(total)[2] == _hexes(y)[2]
+        assert total.array(3).tolist() == (x.array(3) + y.array(3)).tolist()
+    counted = _sparse_counted(AB, 4, 3, None)
+    monkeypatch.setattr(_Counted, "scalings", 0)
+    scaled = counted.scale(Fraction(3))
+    assert _Counted.scalings == len(list(counted.items())) > 0
+    assert {w: c.value for w, c in scaled.items()} == {
+        w: 3 * c.value for w, c in counted.items()}
+
+
+def test_series_degrees_share_one_buffer():
+    """Every present degree of a series is a view of one array, whether
+    the constructor, ``from_words``, a sum or a scaling built it (disjoint
+    views of one buffer do not overlap, so ``np.shares_memory`` cannot
+    tell); arrays mixing float and exact coefficients make one object
+    array."""
+    x = NCSeries(AB, 3, {0: [1.0], 1: [0.5, -1.0], 3: np.arange(8.0)})
+    y = NCSeries.from_words(AB, 3, {(0,): Fraction(1), (0, 1): Fraction(2),
+                                    (1, 1, 0): Fraction(-3)})
+    mixed = NCSeries(AB, 2, {1: [0.5, 0.0], 2: [Fraction(1), 0, 0, 0]})
+    assert [mixed.array(d).dtype for d in mixed.degrees()] == [object, object]
+    assert mixed.array(1).tolist() == [0.5, 0.0]
+    z = NCSeries(AB, 3, {2: [1.0, 0.0, 0.0, 2.0]})
+    for s in (x, y, mixed, x + z, y.scale(Fraction(1, 2)), x.scale(2.0)):
+        bases = [s.array(d).base for d in s.degrees()]
+        assert len(bases) >= 2 and bases[0] is not None
+        assert all(b is bases[0] for b in bases)
+
+
 # ------------------------------------------------ property-based checks
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)

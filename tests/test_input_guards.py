@@ -12,9 +12,11 @@ from liesplit.catalog import catalog
 from liesplit.constraints import symbolic_log
 from liesplit.free_algebra import NCSeries, make_alphabet
 from liesplit.hall import build_hall_basis, witt_dimension
+from liesplit.lattice import (build_chain, build_honeycomb, build_kagome, build_square,
+                              build_triangular, coarse_grain)
 from liesplit.optimizer import OptimizationProblem
-from liesplit.schemes import (build_scheme, epsilon, log_scheme, suzuki_recursive, verify_order,
-                              yoshida_recursive)
+from liesplit.schemes import (build_scheme, epsilon, log_scheme, scheme_from_text, suzuki_recursive,
+                              verify_order, yoshida_recursive)
 from liesplit.validate import GeneratorSet, build_generators, equal_cost_comparison, scaling_fit
 
 _SL3 = build_scheme(2, "SL", 3)  # the leapfrog: no free slot, params {}
@@ -51,6 +53,8 @@ GUARDS = {
                               "non-finite coefficient"),
     "dense_product_log-D15": (lambda: dense_product_log(_AB, 15, [((0, Fraction(1)),)]),
                               "truncation degree 15 needs 65535 words, over the limit of 32768"),
+    "NCSeries-D30": (lambda: NCSeries(_AB, 30, {1: [1.0, 2.0]}),
+                     "truncation degree 30 needs 2147483647 words, over the limit of 32768"),
     "epsilon-tolerance-nan": (lambda: epsilon(_SL3, {}, 2, tolerance=math.nan),
                               "tolerance must be a non-negative number"),
     "epsilon-tolerance-negative": (lambda: epsilon(_SL3, {}, 2, tolerance=-1e-10),
@@ -61,6 +65,14 @@ GUARDS = {
                                         "tolerance must be a non-negative number"),
     "verify_order-tolerance-str": (lambda: verify_order(_SL3, {}, 2, tolerance="1e-10"),
                                    "tolerance must be a non-negative number"),
+    "scheme_from_text-m-9.0": (lambda: scheme_from_text("n = 2\nfamily = S\nm = 9.0\n"),
+                               "line 3: field 'm' is '9.0', not an integer"),
+    "scheme_from_text-n-two": (lambda: scheme_from_text("n = two\nfamily = S\nm = 9\n"),
+                               "line 1: field 'n' is 'two', not an integer"),
+    "scheme_from_text-m-1_1": (lambda: scheme_from_text("n = 2\nfamily = N\nm = 1_1\n"),
+                               "line 3: field 'm' is '1_1', not an integer"),
+    "build_chain-reach-minus-1": (lambda: build_chain(6, reach=-1), "reach must be >= 1"),
+    "build_chain-reach-0": (lambda: build_chain(6, reach=0), "reach must be >= 1"),
 }
 
 
@@ -138,6 +150,18 @@ _NON_INTEGRAL = {
     "yoshida_recursive-q-2.0": (lambda: yoshida_recursive(2.0), "q must be an integer"),
     "suzuki_recursive-q-True": (lambda: suzuki_recursive(True), "q must be an integer"),
     "suzuki_recursive-q-str": (lambda: suzuki_recursive("2"), "q must be an integer"),
+    "build_chain-length-4.0": (lambda: build_chain(4.0), "length must be an integer"),
+    "build_chain-reach-2.0": (lambda: build_chain(6, reach=2.0), "reach must be an integer"),
+    "build_square-lx-3.0": (lambda: build_square(3.0, 3), "lx must be an integer"),
+    "build_triangular-ly-2.5": (lambda: build_triangular(3, 2.5), "ly must be an integer"),
+    "build_honeycomb-lx-True": (lambda: build_honeycomb(True, 4), "lx must be an integer"),
+    "build_kagome-ly-4.0": (lambda: build_kagome(4, 4.0), "ly must be an integer"),
+    "coarse_grain-block-2.0": (lambda: coarse_grain(build_chain(8), 2.0),
+                               "block must be an integer"),
+    "coarse_grain-block-True": (lambda: coarse_grain(build_chain(8), True),
+                                "block must be an integer"),
+    "coarse_grain-block-entry-1.5": (lambda: coarse_grain(build_square(4, 4), (2, 1.5)),
+                                     r"block\[1\]"),
 }
 
 
@@ -160,6 +184,16 @@ def test_numpy_integer_sizes_are_accepted():
     assert witt_dimension(np.int64(2), np.int16(3)) == 2
     problem = OptimizationProblem(_SL3, 2, starts=np.int64(8), seed=np.uint8(3))
     assert problem.starts == 8 and problem.seed == 3
+
+
+def test_numpy_integer_lattice_sizes_are_accepted():
+    chain = build_chain(np.int64(6), reach=np.int32(2))
+    assert len(chain.sites) == 6 and len(chain.interactions) == 9
+    assert len(build_square(np.int16(3), np.uint8(2)).sites) == 6
+    coarse, _ = coarse_grain(chain, np.int64(2))
+    assert len(coarse.sites) == 3
+    coarse, _ = coarse_grain(build_square(4, 4), np.array([2, 2]))
+    assert len(coarse.sites) == 4
 
 
 def test_numpy_integer_scheme_sizes_are_accepted():

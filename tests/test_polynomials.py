@@ -14,7 +14,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from _naive import n_add, n_scale, p_mul
+from _naive import is_groebner_basis, n_add, n_scale, p_mul
 from liesplit.polynomials import (
     GREVLEX,
     LEX,
@@ -22,7 +22,6 @@ from liesplit.polynomials import (
     MultiPoly,
     buchberger_basis,
     dot,
-    is_groebner_basis,
     is_square_free,
     normal_form,
     s_polynomial,
