@@ -2,7 +2,7 @@
 
     liesplit epsilon --catalog n2-p4-s-m9-opt
     liesplit epsilon scheme.txt --order 4 --json
-    python -m liesplit.cli epsilon --catalog n2-p4-s-m9-opt
+    python -m liesplit epsilon --catalog n2-p4-s-m9-opt
 
 ``epsilon`` prints a scheme's error measure, the generator ordering that
 attains it, the degree-(p+1) 1-norm of every ordering and the order

@@ -52,13 +52,14 @@ domain gives each target one multiply-accumulate, ``polynomials.dot``,
 over the entries whose two operands are nonzero; for ``MultiPoly``
 coefficients ``dot`` sums on one dict of integer numerators and
 normalises once.  ``MAX_WORDS`` bounds the truncations that a series and
-the Hall bases accept.
+the Hall bases accept, in one check (``degree_offsets``).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -112,6 +113,19 @@ def _integer(value, name: str, index: int | None = None) -> int:
         where = name if index is None else f"{name}[{index}]"
         raise ValueError(f"{where} must be an integer, not {value!r}")
     return int(value)
+
+
+def _is_real(value) -> bool:
+    """The library's real-number rule: a finite real (numpy's and
+    ``Fraction`` too), not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) < math.inf
+
+
+def _real(value, name: str):
+    """``value`` if it passes ``_is_real``, else ``ValueError`` naming ``name``."""
+    if not _is_real(value):
+        raise ValueError(f"{name} must be finite and real, not {value!r}")
+    return value
 
 
 def make_alphabet(labels: Sequence[str], degrees: Sequence[int] | None = None) -> tuple[Generator, ...]:
@@ -193,10 +207,14 @@ def concat_index(degrees: tuple[int, ...], d1: int, d2: int) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def degree_offsets(degrees: tuple[int, ...], max_degree: int) -> tuple[int, ...]:
     """Start of each degree 0..max_degree in the layout of a series, every
-    degree's ``degree_words`` back to back, and its total length last."""
+    degree's ``degree_words`` back to back, and its total length last.  A
+    truncation of more than ``MAX_WORDS`` words raises ``ValueError``."""
     offsets = [0]
     for d in range(max_degree + 1):
         offsets.append(offsets[-1] + word_count(degrees, d))
+    if offsets[-1] > MAX_WORDS:
+        raise ValueError(f"truncation degree {max_degree} needs {offsets[-1]} words, "
+                         f"over the limit of {MAX_WORDS}")
     return tuple(offsets)
 
 
@@ -330,9 +348,6 @@ class NCSeries:
         self.max_degree = max_degree
         self._degrees = tuple(g.degree for g in self.alphabet)
         offsets = degree_offsets(self._degrees, max_degree)
-        if offsets[-1] > MAX_WORDS:
-            raise ValueError(f"truncation degree {max_degree} needs {offsets[-1]} words, "
-                             f"over the limit of {MAX_WORDS}")
         given = {}
         for d, values in sorted((arrays or {}).items()):
             arr = given[d] = np.asarray(values)

@@ -52,7 +52,9 @@ rational inverse of M on the rows where a float LU of each block places
 its pivots, inverted block by block, one ``polynomials.dot`` per row of
 the inverse (and per column of a block); M on the other rows gives its
 residual the same way.  A truncation of more than
-``free_algebra.MAX_WORDS`` words is refused before any level is built.
+``free_algebra.MAX_WORDS`` words is refused before any level is built,
+as a series refuses it (``free_algebra.degree_offsets``).  ``expand_hall``
+expands a tree with no basis, [x, y] as xy - yx by ``free_algebra.mul``.
 
 ``coords_from_dense`` also takes a 2-D block, one word vector per
 column, and solves every column with one product.  Over equal generator
@@ -79,8 +81,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .free_algebra import (MAX_WORDS, Generator, NCSeries, _integer, concat_index, degree_offsets,
-                           word_count, word_starts)
+from .free_algebra import (Generator, NCSeries, _integer, concat_index, degree_offsets,
+                           make_alphabet, mul, word_count, word_starts)
 from .polynomials import dot
 
 __all__ = [
@@ -187,12 +189,6 @@ class HallBasis:
         """One element per line, fully parenthesized — the debug text format."""
         return "\n".join(hall_str(e, self.alphabet) for e in self.elements())
 
-    # -- expansion ------------------------------------------------------
-
-    def expand_words(self, e: HallElement) -> dict[tuple[int, ...], Fraction]:
-        """Expansion of a commutator tree into words (letter-id tuples)."""
-        return {w: Fraction(c) for w, c in _expand_words(e).items()}
-
     # -- per-degree solvers ----------------------------------------------
 
     def exact_solver(self, d: int):
@@ -248,22 +244,6 @@ class HallBasis:
     def __repr__(self) -> str:
         labels = ",".join(self.alphabet[g].label for g in self.ordering)
         return f"HallBasis({labels}; D={self.max_degree}; counts={self.degree_counts()})"
-
-
-@functools.lru_cache(maxsize=None)
-def _expand_words(e: HallElement) -> dict[tuple[int, ...], int]:
-    if isinstance(e, int):
-        return {(e,): 1}
-    left, right = _expand_words(e[0]), _expand_words(e[1])
-    result: dict[tuple[int, ...], int] = {}
-    for w1, c1 in left.items():
-        for w2, c2 in right.items():
-            c = c1 * c2
-            w = w1 + w2
-            result[w] = result.get(w, 0) + c
-            w = w2 + w1
-            result[w] = result.get(w, 0) - c
-    return {w: c for w, c in result.items() if c}
 
 
 @functools.lru_cache(maxsize=None)
@@ -556,16 +536,14 @@ def build_hall_basis(alphabet: Sequence[Generator], D: int,
     ``ordering`` permutes the generators (ids, smallest first); identity
     by default.  Results are memoized, so equal requests share caches.  A
     truncation with more than ``free_algebra.MAX_WORDS`` words raises
-    ``ValueError`` before any level is built.
+    ``ValueError`` (``free_algebra.degree_offsets``) before any level is
+    built.
     """
     D = _integer(D, "D")
     if D < 1:
         raise ValueError("D must be >= 1")
     alphabet = tuple(alphabet)
-    words = degree_offsets(tuple(g.degree for g in alphabet), D)[-1]
-    if words > MAX_WORDS:
-        raise ValueError(f"truncation degree D = {D} needs {words} words, "
-                         f"over the limit of {MAX_WORDS}")
+    degree_offsets(tuple(g.degree for g in alphabet), D)  # refuses past MAX_WORDS words
     if ordering is None:
         ordering = tuple(range(len(alphabet)))
     ordering = tuple(_integer(g, "ordering", i) for i, g in enumerate(ordering))
@@ -575,19 +553,28 @@ def build_hall_basis(alphabet: Sequence[Generator], D: int,
 
 
 def expand_hall(e: HallElement, D: int, alphabet: Sequence[Generator] | None = None) -> NCSeries:
-    """Expansion of a commutator tree as a word series, [x,y] -> xy - yx.
+    """Expansion of a commutator tree as a word series truncated at D:
+    a leaf is its one-letter word and [x, y] is xy - yx, formed by the
+    series product ``free_algebra.mul``.  Any tree of ids will do, Hall
+    element or not.
 
     The alphabet defaults to unit-degree generators A, B, C, ... covering
-    the ids appearing in the tree.
+    the ids appearing in the tree.  A tree of degree above D raises
+    ``ValueError``.
     """
+    D = _integer(D, "D")
     if alphabet is None:
-        max_id = _max_leaf(e)
-        labels = [chr(ord("A") + i) for i in range(max_id + 1)]
-        alphabet = tuple(Generator(i, lab, 1) for i, lab in enumerate(labels))
-    basis = build_hall_basis(alphabet, max(D, 1))
-    if hall_degree(e, basis.generator_degrees) > D:
+        alphabet = make_alphabet([chr(ord("A") + i) for i in range(_max_leaf(e) + 1)])
+    if hall_degree(e, [g.degree for g in alphabet]) > D:
         raise ValueError("element degree exceeds truncation")
-    return NCSeries.from_words(alphabet, D, basis.expand_words(e))
+
+    def expand(e):
+        if isinstance(e, int):
+            return NCSeries.from_words(alphabet, D, {(e,): Fraction(1)})
+        x, y = expand(e[0]), expand(e[1])
+        return mul(x, y) + mul(y, x).scale(-1)
+
+    return expand(e)
 
 
 def _max_leaf(e: HallElement) -> int:

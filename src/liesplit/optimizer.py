@@ -53,7 +53,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -62,7 +61,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .constraints import ConstraintSystem, analyze_freedom, symbolic_log
-from .free_algebra import _is_integer
+from .free_algebra import _is_integer, _is_real
 from .schemes import (_NON_LIE_TOL, ErrorReport, ParamAssignment, Scheme, _basis_for,
                       _product_log, _read_top, epsilon, ordering_str, symbolic_slot_values)
 
@@ -517,8 +516,7 @@ class OptimizationProblem:
                                  f"finite start vectors of one length, got {starts!r}")
         try:
             lo, hi = self.bounds
-            ordered = (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real)
-                       and -math.inf < lo < hi < math.inf)
+            ordered = _is_real(lo) and _is_real(hi) and lo < hi
         except (TypeError, ValueError):
             ordered = False
         if not ordered:

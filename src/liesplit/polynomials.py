@@ -9,7 +9,9 @@ series code needs (``+``, ``-``, ``*``, multiplication by rationals, truth
 testing, ``** 0`` as the unit), so order conditions can be extracted by
 running the ordinary BCH pipeline with polynomial-valued coefficients.
 Only the public constructor checks its input; arithmetic builds results
-through ``_poly``.
+through ``_poly``.  ``+``, ``-``, ``*`` and ``dot`` run one accumulation,
+``_sum_products``, on operands read as numerators over a denominator
+(``_operand``): a sum is a start plus a product with the unit.
 
 Inside, a monomial is one packed int (Monagan & Pearce, CASC 2007).  Each
 of the n variables owns a 16-bit field, the first variable the highest;
@@ -198,34 +200,8 @@ class MultiPoly:
 
     # -- ring interface ---------------------------------------------------
 
-    def _coerce(self, other) -> "MultiPoly | None":
-        if isinstance(other, MultiPoly):
-            if other.variables != self.variables:
-                raise ValueError("polynomials over different variable tuples")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return MultiPoly.constant(other, self.variables)
-        return None
-
-    def _add(self, other, sign: int):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self._den, other._den
-        den = a if a == b else lcm(a, b)
-        fa, fb = den // a, sign * (den // b)
-        num = dict(self._num) if fa == 1 else {e: n * fa for e, n in self._num.items()}
-        get = num.get
-        for e, n in other._num.items():
-            s = get(e, 0) + n * fb
-            if s:
-                num[e] = s
-            else:
-                del num[e]
-        return _poly(self.variables, num, den)
-
     def __add__(self, other):
-        return self._add(other, 1)
+        return self._plus(other, _UNIT)
 
     __radd__ = __add__
 
@@ -233,38 +209,28 @@ class MultiPoly:
         return _poly(self.variables, {e: -n for e, n in self._num.items()}, self._den)
 
     def __sub__(self, other):
-        return self._add(other, -1)
+        return self._plus(other, _MINUS_UNIT)
 
     def __rsub__(self, other):
-        return (-self)._add(other, 1)
+        return (-self)._plus(other, _UNIT)
+
+    def _plus(self, other, unit: dict[int, int]):
+        """self + unit * other, or ``NotImplemented`` for an operand that
+        is neither a polynomial nor a rational."""
+        try:
+            num, den = _operand(other, self.variables)
+        except TypeError:
+            return NotImplemented
+        pairs = [(unit, num, den)] if num else []
+        return _sum_products(self.variables, self._num, self._den, pairs)
 
     def __mul__(self, other):
-        if isinstance(other, MultiPoly):
-            other = self._coerce(other)
-            right = list(other._num.items())
-            if len(right) == 1 or len(self._num) == 1:
-                # one factor is a term: the products are distinct and nonzero
-                out = {e1 + e2: n1 * n2 for e1, n1 in self._num.items() for e2, n2 in right}
-            else:
-                out = {}
-                for e1, n1 in self._num.items():
-                    for e2, n2 in right:
-                        e = e1 + e2
-                        if e in out:
-                            out[e] += n1 * n2
-                        else:
-                            out[e] = n1 * n2
-                if not all(out.values()):
-                    out = {e: n for e, n in out.items() if n}
-            if out and functools.reduce(or_, out) & _layout(len(self.variables))[1]:
-                raise ValueError(_OVERFLOW)
-            return _poly(self.variables, out, self._den * other._den)
-        if isinstance(other, (int, Fraction)):
-            n, d = other.numerator, other.denominator
-            if not n:
-                return _poly(self.variables, {})
-            return _poly(self.variables, {e: v * n for e, v in self._num.items()}, self._den * d)
-        return NotImplemented
+        try:
+            num, den = _operand(other, self.variables)
+        except TypeError:
+            return NotImplemented
+        return _sum_products(self.variables, {}, 1,
+                             [(self._num, num, self._den * den)] if num and self._num else [])
 
     __rmul__ = __mul__
 
@@ -384,15 +350,59 @@ class MultiPoly:
         return " + ".join(out).replace("+ -", "- ")
 
 
+_UNIT, _MINUS_UNIT = {0: 1}, {0: -1}  # the left factors of + and -
+
+
 def _operand(v, variables: tuple[str, ...]) -> tuple[dict[int, int], int]:
-    """(numerators, denominator) of a ``dot`` operand: a ``MultiPoly`` over
-    ``variables`` or a rational, which is a constant term."""
+    """(numerators, denominator) of an operand: a ``MultiPoly`` over
+    ``variables`` or a rational, which is a constant term.  Any other
+    value raises ``TypeError``."""
     if isinstance(v, MultiPoly):
         if v.variables != variables:
             raise ValueError("polynomials over different variable tuples")
         return v._num, v._den
-    v = _as_fraction(v)
-    return ({0: v.numerator} if v else {}), v.denominator
+    if isinstance(v, (int, Fraction)):
+        return ({0: v.numerator} if v else {}), v.denominator
+    raise TypeError(f"expected a rational coefficient, got {type(v).__name__}")
+
+
+def _sum_products(variables: tuple[str, ...], start: dict[int, int], start_den: int,
+                  pairs: list) -> MultiPoly:
+    """start / start_den + the sum of left * right / den over the (left,
+    right, den) ``pairs`` of nonempty numerator dicts, in one dict over
+    the lcm of the denominators, normalised once.  The start's terms come
+    first, then each pair's, left factor's terms outermost; a monomial
+    whose sum reaches zero keeps its place until the end of its pair and is
+    dropped there if still zero.  One product with a one-term factor is one
+    comprehension.  A monomial past ``MAX_EXPONENT`` raises ``ValueError``."""
+    if len(pairs) == 1 and not start and (len(pairs[0][0]) == 1 or len(pairs[0][1]) == 1):
+        na, nb, den = pairs[0]
+        # the other factor's terms in order, as the loop below visits them
+        (e0, n0), = (nb if len(nb) == 1 else na).items()
+        num = {e0 + e: n0 * n for e, n in (na if len(nb) == 1 else nb).items()}
+        if not e0:  # a scaling keeps the other factor's monomials
+            return _poly(variables, num, den)
+    else:
+        den = lcm(start_den, *[d for _, _, d in pairs])
+        scale = den // start_den
+        num = dict(start) if scale == 1 else {e: n * scale for e, n in start.items()}
+        get, zeroed = num.get, []
+        for na, nb, d in pairs:
+            f = den // d
+            for e1, n1 in na.items():
+                n1 *= f
+                for e2, n2 in nb.items():
+                    e = e1 + e2
+                    num[e] = s = get(e, 0) + n1 * n2
+                    if not s:
+                        zeroed.append(e)
+            for e in zeroed:
+                if not get(e, 1):
+                    del num[e]
+            zeroed.clear()
+    if num and functools.reduce(or_, num) & _layout(len(variables))[1]:
+        raise ValueError(_OVERFLOW)
+    return _poly(variables, num, den)
 
 
 def dot(start, lefts: Sequence, rights: Sequence):
@@ -400,15 +410,13 @@ def dot(start, lefts: Sequence, rights: Sequence):
     multiply-accumulate of the series and Hall kernels.
 
     With a ``MultiPoly`` among the operands (the others int or
-    ``Fraction``), every product goes into one dict of integer numerators
-    over the lcm of the products' denominators, normalised once: no
-    polynomial per product and no copy of the sum per addition.  The terms
-    enter as ``__mul__`` and ``+`` would insert them, left factor's terms
-    outermost, so over polynomial operands the result iterates in the same
-    order as the sum.  A monomial of the result past ``MAX_EXPONENT``
-    raises ``ValueError``, operands over another variable tuple too.  Any
-    other operands are summed with their own ``*`` and ``+``, a zero
-    ``start`` giving way to the first product."""
+    ``Fraction``), every product goes into one ``_sum_products``: no
+    polynomial per product and no copy of the sum per addition, and the
+    terms in the order that adding the products one at a time gives.  A
+    monomial of the result past ``MAX_EXPONENT`` raises ``ValueError``,
+    operands over another variable tuple too.  Any other operands are
+    summed with their own ``*`` and ``+``, a zero ``start`` giving way to
+    the first product."""
     operands = (start, *lefts, *rights)
     if MultiPoly not in set(map(type, operands)):
         products = map(mul, lefts, rights)
@@ -421,30 +429,7 @@ def dot(start, lefts: Sequence, rights: Sequence):
         (na, da), (nb, db) = _operand(a, variables), _operand(b, variables)
         if na and nb:
             pairs.append((na, nb, da * db))
-    start_num, start_den = _operand(start, variables)
-    den = lcm(start_den, *[d for _, _, d in pairs])
-    scale = den // start_den
-    num = {e: n * scale for e, n in start_num.items()}
-    get, zeroed = num.get, []
-    for na, nb, d in pairs:
-        # the left factor's terms outermost, as in __mul__; a monomial whose
-        # sum passes through zero keeps its place until the pair is added,
-        # as when the product is formed first and then added
-        f = den // d
-        for e1, n1 in na.items():
-            n1 *= f
-            for e2, n2 in nb.items():
-                e = e1 + e2
-                num[e] = s = get(e, 0) + n1 * n2
-                if not s:
-                    zeroed.append(e)
-        for e in zeroed:
-            if not get(e, 1):
-                del num[e]
-        zeroed.clear()
-    if num and functools.reduce(or_, num) & _layout(len(variables))[1]:
-        raise ValueError(_OVERFLOW)
-    return _poly(variables, num, den)
+    return _sum_products(variables, *_operand(start, variables), pairs)
 
 
 # ---------------------------------------------------------------- division

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 from ._dense import dense_product_log
 # exp and log are unused here but stay bound: perfbench/tracing.py wraps
 # them by this module's name (tests/test_bench_sites.py pins that)
-from .free_algebra import NCSeries, _integer, exp, log, make_alphabet
+from .free_algebra import NCSeries, _integer, _is_real, exp, log, make_alphabet
 from .hall import HallBasis, LieSeries, _nan_max, build_hall_basis, lie_coordinates, ordering_block
 from .polynomials import MultiPoly
 
@@ -432,30 +432,14 @@ def build_scheme(n: int, family: str, m: int) -> Scheme:
     if n not in FAMILIES or fam not in FAMILIES[n]:
         raise ValueError(f"family {family!r} is not defined for n={n}")
     if fam == "N":
-        scheme = _build_n(n, m)
-    elif fam == "S":
-        scheme = _build_s(n, m)
-    elif fam == "S-abc":
-        scheme = _build_s_abc(m)
-    elif fam == "SE":
-        scheme = _build_se(m)
-    else:
-        scheme = _build_sl(n, m)
-    assert len(scheme.factors) == m
-    assert scheme.nu == _expected_nu(n, fam, m)
-    return scheme
-
-
-def _expected_nu(n: int, fam: str, m: int) -> int:
-    if fam == "N":
-        return m
+        return _build_n(n, m)
     if fam == "S":
-        return (m + 1) // 2
+        return _build_s(n, m)
     if fam == "S-abc":
-        return -(-m // 2)
+        return _build_s_abc(m)
     if fam == "SE":
-        return (m - 1) // 4
-    return -(-(m - 1) // (4 if n == 2 else 8))
+        return _build_se(m)
+    return _build_sl(n, m)
 
 
 # ------------------------------------------------------------ orderings
@@ -556,12 +540,12 @@ def _require_numeric(params, caller: str) -> None:
 def _checked_order(p, tolerance) -> int:
     """The order ``p`` of ``verify_order`` and ``epsilon`` as an int >= 1,
     checked with their ``tolerance``: a non-integral ``p``, a ``p`` below
-    1 or a ``tolerance`` that is no real number >= 0 (NaN included)
+    1 or a ``tolerance`` that is no finite real >= 0 (``_is_real``)
     raises ``ValueError``."""
     p = _integer(p, "p")
     if p < 1:
         raise ValueError("order must be >= 1")
-    if not (isinstance(tolerance, numbers.Real) and tolerance >= 0):
+    if not (_is_real(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be a non-negative number, not {tolerance!r}")
     return p
 

@@ -44,14 +44,13 @@ decompositions live for one call only.
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.linalg import expm
 
-from .free_algebra import _integer
+from .free_algebra import _integer, _is_real, _real
 from .lattice import build_chain, partition
 from .schemes import Scheme
 
@@ -132,7 +131,9 @@ def build_generators(klass: str, n: int = 2, dim: int = 16,
         raise ValueError(f"unknown generator class {klass!r}; options: "
                          f"{_CLASSES}")
     n, dim = _integer(n, "n"), _integer(dim, "dim")
-    chain_length = _integer(chain_length, "chain_length")
+    chain_length, seed = _integer(chain_length, "chain_length"), _integer(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, not {seed}")
     if n not in (2, 3):
         raise ValueError("n must be 2 or 3")
     if klass == "spin-chain-even-odd":
@@ -323,10 +324,10 @@ def apply_scheme(scheme: Scheme, params, gens: GeneratorSet,
     dense result.  An all-Hermitian generator set is multiplied in the
     generators' eigenbases; any other set forms each distinct factor on
     its own, ``expm`` for a non-Hermitian generator (see the module
-    notes).  Raises ``ValueError`` for a non-finite ``t``.
+    notes).  Raises ``ValueError`` for a ``t`` that is no finite real
+    (``_is_real``).
     """
-    if not math.isfinite(t):
-        raise ValueError(f"step t must be finite, got {t}")
+    t = _real(t, "step t")
     blocks = [(idx, _stepper(scheme, params, sector)(t))
               for idx, sector in _split(gens)]
     out = np.zeros((gens.dim, gens.dim),
@@ -380,9 +381,7 @@ def scaling_fit(scheme: Scheme, params, gens: GeneratorSet,
     points = _integer(points, "points")
     if points < 5:
         raise ValueError("need at least five grid points")
-    if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
-        raise ValueError(f"step-size bounds must be finite, got "
-                         f"t_lo={t_lo}, t_hi={t_hi}")
+    t_lo, t_hi = _real(t_lo, "t_lo"), _real(t_hi, "t_hi")
     if t_lo <= 0:
         raise ValueError(f"t_lo must be positive, got {t_lo}")
     if t_hi <= t_lo:
@@ -445,9 +444,8 @@ def equal_cost_comparison(entries: Sequence, gens: GeneratorSet,
     Raises ``ValueError`` unless ``total_time`` is finite and positive
     and ``budget`` is an integer.
     """
-    if not (math.isfinite(total_time) and total_time > 0):
-        raise ValueError(f"total_time must be finite and positive, got "
-                         f"{total_time}")
+    if not (_is_real(total_time) and total_time > 0):
+        raise ValueError(f"total_time must be finite and positive, got {total_time!r}")
     budget = _integer(budget, "budget")
     sectors = [sector for _, sector in _split(gens)]
     exact = [_flow(sector.total())(total_time) for sector in sectors]

@@ -48,7 +48,7 @@ from liesplit.constraints import symbolic_log
 from liesplit.free_algebra import (NCSeries, _word_position, concat_index, degree_offsets,
                                    degree_words, make_alphabet, mul)
 from liesplit.hall import _invert_rational, _sparse, build_hall_basis, hall_degree, lie_coordinates
-from liesplit.optimizer import _RESIDUAL_TOL, ManifoldError
+from liesplit.optimizer import _NEWTON_STEPS, _RESIDUAL_TOL, ManifoldError
 from liesplit.polynomials import GREVLEX, normal_form, s_polynomial
 from liesplit.schemes import (_NON_LIE_TOL, _TIE_RTOL, ErrorReport, _basis_for, _check_lie,
                               _product_log, _require_numeric)
@@ -258,9 +258,24 @@ def n_gather(degrees, ordering, d: int) -> np.ndarray:
     return np.array([index[tuple(ordering[l] for l in w)] for w in canonical], dtype=np.intp)
 
 
+def n_expand_words(e) -> dict:
+    """A commutator tree of letter ids as a word dict, [x, y] -> xy - yx,
+    each bracket's words in the order its pairs of words give them."""
+    if isinstance(e, int):
+        return {(e,): Fraction(1)}
+    left, right = n_expand_words(e[0]), n_expand_words(e[1])
+    result = {}
+    for w1, c1 in left.items():
+        for w2, c2 in right.items():
+            c = c1 * c2
+            result[w1 + w2] = result.get(w1 + w2, 0) + c
+            result[w2 + w1] = result.get(w2 + w1, 0) - c
+    return {w: c for w, c in result.items() if c}
+
+
 def n_expansion_matrix(degrees, d: int):
     """(M, blocks) of ``hall._expansion_matrix``, M dense: every element of
-    the identity basis expanded into a word dict (``expand_words``), its
+    the identity basis expanded into a word dict (``n_expand_words``), its
     words placed by ``word_index``, and the blocks grouped by the sorted
     letters of each word and of each element's first expansion word, in
     order of the first element of each content."""
@@ -271,7 +286,7 @@ def n_expansion_matrix(degrees, d: int):
     m = np.zeros((len(words), len(elements)))
     columns = {}
     for j, e in enumerate(elements):
-        expansion = basis.expand_words(e)
+        expansion = n_expand_words(e)
         for w, c in expansion.items():
             m[index[w], j] = c
         columns.setdefault(tuple(sorted(next(iter(expansion)))), []).append(j)
@@ -470,7 +485,7 @@ def n_norm1_at_degree(lie, d: int):
 
 def n_expansion(basis, e) -> NCSeries:
     """The Hall element ``e`` of ``basis`` as a word series."""
-    return NCSeries.from_words(basis.alphabet, basis.max_degree, basis.expand_words(e))
+    return NCSeries.from_words(basis.alphabet, basis.max_degree, n_expand_words(e))
 
 
 def n_to_series(lie) -> NCSeries:
@@ -520,11 +535,12 @@ def n_epsilon(scheme, params, p: int, tolerance: float = 1e-10) -> ErrorReport:
                        order_residuals=residuals)
 
 
-def n_manifold_solve(man, free_values, guess, maxiter: int = 60) -> np.ndarray:
+def n_manifold_solve(man, free_values, guess) -> np.ndarray:
     """``optimizer._Manifold.solve`` with the sequential line search: every
     residual and Jacobian from ``x ** exps`` at one point, the step by
     ``np.linalg.solve``, the step lengths t = 1, 1/2, ..., 2**-29 tried one
-    at a time; the first that lowers the max residual is taken."""
+    at a time; the first that lowers the max residual is taken, for at
+    most ``optimizer._NEWTON_STEPS`` steps."""
     exps, coeffs, dep_at = man.conditions.exps, man.conditions.coeffs, man._dep_at
     unit = np.eye(len(man.slots), dtype=int)[dep_at]
     dexps = exps[:, dep_at].T
@@ -545,7 +561,7 @@ def n_manifold_solve(man, free_values, guess, maxiter: int = 60) -> np.ndarray:
     rn = float(np.max(np.abs(r)))
     if not np.isfinite(rn):
         raise ManifoldError("non-finite residual at the initial guess")
-    for _ in range(maxiter):
+    for _ in range(_NEWTON_STEPS):
         if rn <= 1e-15:
             break
         jac = jacobian(x)

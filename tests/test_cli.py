@@ -109,6 +109,19 @@ def test_scheme_file_needs_an_order(tmp_path):
     assert "--order" in result.output
 
 
+def test_python_m_liesplit_runs_the_command_line():
+    """``python -m liesplit`` on the source tree prints what the library
+    returns."""
+    src = str(Path(liesplit.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-m", "liesplit", "epsilon", "--catalog",
+                          "n2-p2-sl-m3-leapfrog", "--json"], capture_output=True, text=True,
+                         check=True, cwd=src, timeout=120)
+    report = json.loads(out.stdout)
+    assert report["scheme"] == "n2-p2-sl-m3-leapfrog" and report["exact"] is True
+    e = catalog()["n2-p2-sl-m3-leapfrog"]
+    assert Fraction(report["epsilon"]) == epsilon(e.scheme, e.params, e.order).epsilon
+
+
 def test_import_loads_no_click():
     # a fresh interpreter: this test module itself imports click
     src = str(Path(liesplit.__file__).parents[1])

@@ -41,8 +41,8 @@ from liesplit.hall import (
     witt_dimension,
 )
 
-from _naive import (HallOrder, n_commutator, n_exact_solver, n_expansion, n_expansion_matrix,
-                    n_gather, n_hall_basis, n_ordering_block, n_to_series)
+from _naive import (HallOrder, n_commutator, n_exact_solver, n_expand_words, n_expansion,
+                    n_expansion_matrix, n_gather, n_hall_basis, n_ordering_block, n_to_series)
 
 AB = make_alphabet("AB")
 ABC = make_alphabet("ABC")
@@ -241,7 +241,7 @@ def test_oversized_truncation_fails_before_building():
                          check=True, timeout=60, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
     seconds, message = out.stdout.split(" ", 1)
     assert float(seconds) < 1.0
-    assert message.strip() == ("truncation degree D = 31 needs 4294967295 words, "
+    assert message.strip() == ("truncation degree 31 needs 4294967295 words, "
                                f"over the limit of {free_algebra.MAX_WORDS}")
 
 
@@ -289,6 +289,25 @@ def test_expand_hall_matches_naive_commutators():
 def test_expand_hall_degree_guard():
     with pytest.raises(ValueError):
         expand_hall((0, (0, 1)), 2)
+    with pytest.raises(ValueError, match="D must be an integer"):
+        expand_hall((0, 1), 2.5)
+
+
+@pytest.mark.parametrize("degrees,D", [((1, 1), 7), ((1, 1, 1), 5), ((1, 2, 3), 6)])
+def test_expand_hall_matches_word_dicts(degrees, D):
+    """The series product's expansion of every Hall element is the one
+    the word-dict recursion gives."""
+    alphabet = make_alphabet("ABC"[:len(degrees)], degrees)
+    for e in build_hall_basis(alphabet, D).elements():
+        assert dict(expand_hall(e, D, alphabet).items()) == n_expand_words(e), e
+
+
+@pytest.mark.parametrize("tree", [(1, 0), ((0, 1), (0, 1)), (1, (0, 0)), ((1, 0), (0, (0, 1)))])
+def test_expand_hall_of_trees_outside_the_basis(tree):
+    """Any tree expands, Hall element or not: [B,A], [[A,B],[A,B]] = 0."""
+    got = expand_hall(tree, 5)
+    assert dict(got.items()) == n_expand_words(tree)
+    assert bool(got) == (tree not in (((0, 1), (0, 1)), (1, (0, 0))))
 
 
 # ----------------------------------------------------------- coordinates
@@ -362,8 +381,8 @@ def test_jacobi_identity_nullity(data):
     total = NCSeries.zero(ABC, 6)
     for a, b, c in ((v, w, x), (w, x, v), (x, v, w)):
         nested = n_commutator(
-            basis.expand_words(a),
-            n_commutator(basis.expand_words(b), basis.expand_words(c), (1, 1, 1), 6),
+            n_expand_words(a),
+            n_commutator(n_expand_words(b), n_expand_words(c), (1, 1, 1), 6),
             (1, 1, 1), 6)
         piece = NCSeries.from_words(ABC, 6, nested)
         lie, residual = lie_coordinates(piece, basis)
@@ -435,7 +454,7 @@ def test_coordinates_recover_combinations_in_every_ordering(alphabet, D, orderin
         row = {w: i for i, w in enumerate(words)}
         m = np.zeros((len(words), len(basis.elements(d))))
         for j, e in enumerate(basis.elements(d)):
-            for w, c in basis.expand_words(e).items():
+            for w, c in n_expand_words(e).items():
                 m[row[w], j] = float(c)
         lie_vec = np.zeros(len(words))
         for w, c in s.homogeneous(d).items():
@@ -481,7 +500,7 @@ def test_exact_dense_coordinates_recover_combinations(alphabet, D, ordering, kin
         row = {w: i for i, w in enumerate(words)}
         vec = np.zeros(len(words), dtype=object)
         for e, c in combo.items():
-            for w, f in basis.expand_words(e).items():
+            for w, f in n_expand_words(e).items():
                 vec[row[w]] = vec[row[w]] + f * c
         coords, residual = basis.coords_from_dense(d, vec)
         assert residual == 0
@@ -526,7 +545,7 @@ def test_ordering_block_reads_every_ordering_in_one_solve(degrees, D, kind):
         for e in rng.sample(identity.elements(d), min(4, len(identity.elements(d)))):
             c = rng.choice([-2, 1, 3])
             c = float(c) / 3 if kind == "float" else Fraction(c, 3) * (x if kind == "poly" else 1)
-            for w, f in identity.expand_words(e).items():
+            for w, f in n_expand_words(e).items():
                 vec[row[w]] = vec[row[w]] + f * c
         block, residual = identity.coords_from_dense(d, vec[gather.T])
         assert block.shape == (len(elements[0]), len(orderings))

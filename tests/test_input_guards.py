@@ -17,7 +17,8 @@ from liesplit.lattice import (build_chain, build_honeycomb, build_kagome, build_
 from liesplit.optimizer import OptimizationProblem
 from liesplit.schemes import (build_scheme, epsilon, log_scheme, scheme_from_text, suzuki_recursive,
                               verify_order, yoshida_recursive)
-from liesplit.validate import GeneratorSet, build_generators, equal_cost_comparison, scaling_fit
+from liesplit.validate import (GeneratorSet, apply_scheme, build_generators, equal_cost_comparison,
+                               scaling_fit)
 
 _SL3 = build_scheme(2, "SL", 3)  # the leapfrog: no free slot, params {}
 _EYE = np.eye(2)
@@ -162,6 +163,12 @@ _NON_INTEGRAL = {
                                 "block must be an integer"),
     "coarse_grain-block-entry-1.5": (lambda: coarse_grain(build_square(4, 4), (2, 1.5)),
                                      r"block\[1\]"),
+    "build_generators-seed-True": (lambda: build_generators("random-general", dim=4, seed=True),
+                                   "seed must be an integer"),
+    "build_generators-seed-1.5": (lambda: build_generators("random-general", dim=4, seed=1.5),
+                                  "seed must be an integer"),
+    "build_generators-seed-str": (lambda: build_generators("spin-chain-even-odd", seed="1"),
+                                  "seed must be an integer"),
 }
 
 
@@ -173,6 +180,64 @@ def test_non_integral_size_raises_value_error(name):
     call, message = _NON_INTEGRAL[name]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+_GENS = build_generators("random-general", dim=4, seed=0)
+_LEAPFROG = catalog()["n2-p2-sl-m3-leapfrog"]
+
+_NON_REAL = {
+    "epsilon-tolerance-True": (lambda: epsilon(_SL3, {}, 2, tolerance=True),
+                               "tolerance must be a non-negative number"),
+    "epsilon-tolerance-str": (lambda: epsilon(_SL3, {}, 2, tolerance="0.01"),
+                              "tolerance must be a non-negative number"),
+    "epsilon-tolerance-inf": (lambda: epsilon(_SL3, {}, 2, tolerance=math.inf),
+                              "tolerance must be a non-negative number"),
+    "OptimizationProblem-bounds-bools": (
+        lambda: OptimizationProblem(_SL3, 2, bounds=(False, True)),
+        "bounds must be finite numbers lo < hi"),
+    "OptimizationProblem-bounds-str": (
+        lambda: OptimizationProblem(_SL3, 2, bounds=("0.1", "1")),
+        "bounds must be finite numbers lo < hi"),
+    "scaling_fit-t_lo-True": (lambda: scaling_fit(_SL3, {}, _GENS, t_lo=True),
+                              "t_lo must be finite and real, not True"),
+    "scaling_fit-t_lo-str": (lambda: scaling_fit(_SL3, {}, _GENS, t_lo="0.01"),
+                             "t_lo must be finite and real, not '0.01'"),
+    "scaling_fit-t_hi-str": (lambda: scaling_fit(_SL3, {}, _GENS, t_hi="1"),
+                             "t_hi must be finite and real, not '1'"),
+    "apply_scheme-t-True": (lambda: apply_scheme(_SL3, {}, _GENS, True),
+                            "step t must be finite and real, not True"),
+    "apply_scheme-t-str": (lambda: apply_scheme(_SL3, {}, _GENS, "0.1"),
+                           "step t must be finite and real, not '0.1'"),
+    "equal_cost_comparison-total_time-True": (
+        lambda: equal_cost_comparison([_LEAPFROG], _GENS, True, budget=30),
+        "total_time must be finite and positive, got True"),
+    "equal_cost_comparison-total_time-str": (
+        lambda: equal_cost_comparison([_LEAPFROG], _GENS, "1", budget=30),
+        "total_time must be finite and positive, got '1'"),
+    "build_generators-seed-minus-1": (lambda: build_generators("random-general", dim=4, seed=-1),
+                                      "seed must be a non-negative integer, not -1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NON_REAL))
+def test_non_real_value_raises_value_error(name):
+    """Tolerances, bounds, steps and times take finite reals only (a
+    Python or numpy number or a ``Fraction``), not a bool or a string; a
+    seed takes a non-negative integer.  Each is refused with a
+    ``ValueError`` naming it."""
+    call, message = _NON_REAL[name]
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call()
+
+
+def test_numpy_and_fraction_reals_are_accepted():
+    for tolerance in (Fraction(1, 10 ** 10), np.float32(1e-6), 0):
+        assert epsilon(_SL3, {}, 2, tolerance=tolerance).epsilon == Fraction(9, 32)
+    assert OptimizationProblem(_SL3, 2, bounds=(Fraction(-1), np.float64(1.5))).bounds[0] == -1
+    for t in (np.float32(0.25), Fraction(1, 4), 1):
+        assert apply_scheme(_SL3, {}, _GENS, t).shape == (4, 4)
+    gens = build_generators("random-general", dim=4, seed=np.int64(3))
+    assert gens.seed == 3 and type(gens.seed) is int
 
 
 def test_numpy_integer_sizes_are_accepted():

@@ -106,10 +106,27 @@ def test_pow_zero_is_unit():
     assert MultiPoly(V3) ** 0 == MultiPoly.constant(1, V3)
 
 
+def test_operators_refuse_floats_and_multiply_by_zero():
+    """A float is no rational operand: ``+``, ``-`` and ``*`` return
+    ``NotImplemented``, so Python raises ``TypeError``.  A product with
+    zero is the zero polynomial, over denominator 1."""
+    p = x * y - z
+    for op in (p.__add__, p.__sub__, p.__rsub__, p.__mul__):
+        assert op(1.5) is NotImplemented
+    for op in (lambda: p + 1.5, lambda: 1.5 - p, lambda: p - 1.5, lambda: p * 0.5,
+               lambda: 2.0 * p):
+        with pytest.raises(TypeError):
+            op()
+    for zero in (p * 0, 0 * p, p * Fraction(0), p * MultiPoly(V3), MultiPoly(V3) * p):
+        assert isinstance(zero, MultiPoly) and not zero and zero == 0
+        assert zero.numerators() == ({}, 1)
+
+
 def test_mixed_variable_tuples_rejected():
     other = MultiPoly.variable("x", ("x", "y"))
-    with pytest.raises(ValueError):
-        _ = x + other
+    for op in (lambda: x + other, lambda: x - other, lambda: other - x, lambda: x * other):
+        with pytest.raises(ValueError, match="different variable tuples"):
+            op()
     # x^2 mod (x + 1) would be 1 over one tuple
     for bad in (lambda: normal_form(x * x, [other + 1]), lambda: normal_form(other, [x]),
                 lambda: buchberger_basis([x * x, other + 1])):
@@ -459,12 +476,28 @@ def test_sturm_counts_distinct_roots_of_factored_polynomials(linear, quadratic, 
 # ------------------------------------------------------------ dot
 
 
-def _summed(start, lefts, rights):
-    """``start`` plus each product in turn, every product and partial sum
-    a value of its own: what ``dot`` fuses."""
-    total = start
+def _terms(v) -> dict:
+    """A ``dot`` operand as an ``{exponent-tuple: Fraction}`` dict, a
+    rational as its constant term."""
+    if isinstance(v, MultiPoly):
+        return dict(v.terms)
+    return {(0,) * len(V3): Fraction(v)} if v else {}
+
+
+def _summed(start, lefts, rights) -> dict:
+    """``start`` plus each product in turn on term dicts (``n_add``, with
+    ``n_scale`` by a rational and ``p_mul`` of two polynomials), apart
+    from the library's arithmetic: what ``dot`` fuses, its terms in the
+    order the sum inserts them."""
+    total = _terms(start)
     for a, b in zip(lefts, rights):
-        total = total + a * b
+        if not isinstance(a, MultiPoly):
+            product = n_scale(_terms(b), Fraction(a))
+        elif not isinstance(b, MultiPoly):
+            product = n_scale(_terms(a), Fraction(b))
+        else:
+            product = p_mul(_terms(a), _terms(b))
+        total = n_add(total, product)
     return total
 
 
@@ -480,8 +513,8 @@ def _random_operand(rng, rational=0.3):
 
 @pytest.mark.parametrize("rational", [0.0, 0.3], ids=["polys", "mixed"])
 def test_dot_matches_the_sum_of_products(rational):
-    """``dot`` equals the sum of its products, stored normalised; over
-    polynomial operands its terms also come in the sum's order."""
+    """``dot`` equals the sum of its products, stored normalised, its
+    terms in the order the sum inserts them."""
     rng = random.Random(int(rational * 10))
     for _ in range(300):
         k = rng.randint(0, 6)
@@ -489,12 +522,12 @@ def test_dot_matches_the_sum_of_products(rational):
         lefts = [_random_operand(rng, rational) for _ in range(k)]
         rights = [_random_operand(rng, rational) for _ in range(k)]
         got, want = dot(start, lefts, rights), _summed(start, lefts, rights)
-        assert got == want
         if isinstance(got, MultiPoly):
             num, den = got.numerators()
             assert den > 0 and math.gcd(den, *num.values()) == 1
-        if not rational:
-            assert list(got.numerators()[0]) == list(want.numerators()[0])
+            assert list(got.terms.items()) == list(want.items())
+        else:
+            assert _terms(got) == want
 
 
 def test_dot_of_no_pairs_is_its_start():
@@ -529,7 +562,7 @@ def test_dot_raises_past_max_exponent():
     top = x ** MAX_EXPONENT
     for lefts, rights in (([top], [x]), ([y, top + 1], [1, x * y])):
         with pytest.raises(ValueError, match="MAX_EXPONENT"):
-            _summed(0, lefts, rights)
+            sum(a * b for a, b in zip(lefts, rights))
         with pytest.raises(ValueError, match="MAX_EXPONENT"):
             dot(0, lefts, rights)
     assert dot(0, [x ** (MAX_EXPONENT - 1)], [x]) == top

@@ -17,6 +17,7 @@ from liesplit.free_algebra import NCSeries, exp, log, make_alphabet, series_from
 from liesplit.hall import HallBasis, build_hall_basis, lie_coordinates
 from liesplit.polynomials import MultiPoly
 from liesplit.schemes import (
+    FAMILIES,
     LinExpr,
     ParamAssignment,
     build_scheme,
@@ -78,7 +79,32 @@ def test_letter_patterns_pinned():
         assert "".join(s.letters[g] for g, _ in s.factors) == expected, (n, fam, m)
 
 
-@pytest.mark.parametrize("n,fam,m", ALL_CASES)
+def _is_template(n, fam, m) -> bool:
+    """The (n, family, m) that define a template: N needs m >= n, S an
+    odd m >= 2n - 1, S-abc m = 6k + 5, SE m = 4k + 1 >= 5, and SL
+    m = 2k + 1 >= 3 at n = 2 or m = 4k + 1 >= 5 at n = 3."""
+    return {"N": m >= n,
+            "S": m % 2 == 1 and m >= 2 * n - 1,
+            "S-abc": m % 6 == 5,
+            "SE": m % 4 == 1 and m >= 5,
+            "SL": (m - 1) % (2 if n == 2 else 4) == 0 and m >= (3 if n == 2 else 5)}[fam]
+
+
+TEMPLATES = [(n, fam, m) for n, fams in FAMILIES.items() for fam in fams for m in range(1, 60)
+             if _is_template(n, fam, m)]
+
+
+def test_every_other_size_is_refused():
+    assert len(TEMPLATES) == 239
+    for n, fams in FAMILIES.items():
+        for fam in fams:
+            for m in range(1, 60):
+                if not _is_template(n, fam, m):
+                    with pytest.raises(ValueError):
+                        build_scheme(n, fam, m)
+
+
+@pytest.mark.parametrize("n,fam,m", TEMPLATES)
 def test_factor_count_and_slot_count(n, fam, m):
     s = build_scheme(n, fam, m)
     assert s.m == m == len(s.factors)
