@@ -26,9 +26,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from itertools import combinations
-from math import gcd
 
 import numpy as np
 
@@ -43,6 +41,7 @@ from .polynomials import (
     LEX,
     MonomialOrder,
     MultiPoly,
+    _eliminate,
     _layout,
     _unpack,
     buchberger_basis,
@@ -264,48 +263,20 @@ def _power_eliminant(gb: GroebnerBasis, form: MultiPoly, name: str,
     the monic minimal polynomial of ``form`` on the variety -- for a slot
     the same polynomial lexicographic elimination would produce, without
     the blowup.
+
+    The numerators of each normal form NF(form**k), over their denominator
+    ``den``, go into the one exact row echelon, ``polynomials._eliminate``,
+    keyed by the monomial order and tagged ``{k: den}``, until one of them
+    returns the combination of powers that cancels it.
     """
     key = functools.cache(gb.monomial_order.packed(len(form.variables)))  # once per monomial
-    v = form
     power = MultiPoly.constant(1, form.variables)
-    # row echelon over the standard monomials on integer rows: a vector's
-    # numerators and those of the combination of powers of ``keep`` it came
-    # from, filed under its leading monomial with the lead's numerator; a
-    # heap of negated keys finds each lead, and rows are only ever scaled
-    # by positive integers
-    pivots: dict[int, tuple[int, dict, dict]] = {}
+    filed: dict = {}
     for k in range(quotient_dim + 1):
-        vec, den = dict(power._num), power._den
-        combo = {k: den}
-        heap = [(-key(e), e) for e in vec]
-        heapify(heap)
-        while heap:
-            lead = heappop(heap)[1]
-            c = vec.pop(lead)
-            if not c:
-                continue
-            hit = pivots.get(lead)
-            if hit is None:
-                g = gcd(c, *vec.values(), *combo.values())
-                pivots[lead] = (c // g, {e: q // g for e, q in vec.items() if q},
-                                {j: q // g for j, q in combo.items()})
-                break
-            # (vec, combo) - c/pc * pivot, scaled by a = |pc|/h > 0
-            pc, pvec, pcombo = hit
-            h = gcd(c, pc)
-            a, b = abs(pc) // h, (c if pc > 0 else -c) // h
-            if a != 1:
-                vec = {e: q * a for e, q in vec.items()}
-                combo = {j: q * a for j, q in combo.items()}
-            for e, q in pvec.items():
-                if e not in vec:
-                    heappush(heap, (-key(e), e))
-                vec[e] = vec.get(e, 0) - b * q
-            for j, q in pcombo.items():
-                combo[j] = combo.get(j, 0) - b * q
-        else:
+        combo = _eliminate(filed, dict(power._num), {k: power._den}, key)
+        if combo is not None:
             return MultiPoly((name,), {(j,): Fraction(q, combo[k]) for j, q in combo.items()})
-        power = gb.reduce(power * v)
+        power = gb.reduce(power * form)
     raise RuntimeError("power iteration exceeded the quotient dimension")
 
 

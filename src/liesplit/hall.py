@@ -48,9 +48,10 @@ pseudo-inverses, taken by one ``pinv`` call per block shape on the
 stacked blocks (38,976 entries at n = 3, degree 7, where a dense one
 would hold 682,344), and its residual is taken with M in CSR form.  An
 exact vector (Fraction or polynomial entries) is solved with the
-rational inverse of M on the rows where a float LU of each block places
-its pivots, inverted block by block, one ``polynomials.dot`` per row of
-the inverse (and per column of a block); M on the other rows gives its
+rational inverse of M on the first independent rows of each block in
+word order (rows and inverse both from the one exact row echelon,
+``polynomials._eliminate``), one ``polynomials.dot`` per row of the
+inverse (and per column of a block); M on the other rows gives its
 residual the same way.  A truncation of more than
 ``free_algebra.MAX_WORDS`` words is refused before any level is built,
 as a series refuses it (``free_algebra.degree_offsets``).  ``expand_hall``
@@ -78,12 +79,11 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from .free_algebra import (Generator, NCSeries, _integer, concat_index, degree_offsets,
                            make_alphabet, mul, word_count, word_starts)
-from .polynomials import dot
+from .polynomials import _eliminate, dot
 
 __all__ = [
     "HallBasis",
@@ -194,11 +194,11 @@ class HallBasis:
     def exact_solver(self, d: int):
         """(pivots, inv, others, rest) for degree d, exact.
 
-        ``pivots`` are the r word rows of the expansion matrix M on which
-        a float LU of each letter-content block of M places its pivots,
-        and ``inv`` is the rational inverse of M on those rows, inverted
-        per block; ``others`` are the remaining rows and
-        ``rest`` is M on them.  ``inv`` and ``rest`` are sparse: one
+        ``pivots`` are the r word rows of the expansion matrix M that are
+        the first independent rows of each letter-content block of M in
+        word order, and ``inv`` is the rational inverse of M on those
+        rows, inverted per block (``_exact_pivots``); ``others`` are the
+        remaining rows and ``rest`` is M on them.  ``inv`` and ``rest`` are sparse: one
         (columns, Fraction entries) pair per row.  Rows are canonical
         words (see the module docstring); the solver is shared by every
         ordering.
@@ -373,10 +373,9 @@ def _exact_solver(degrees: tuple[int, ...], d: int):
     inv: list = [None] * m.shape[1]
     rest: dict[int, tuple] = {}  # M on each block row that is no pivot
     for rows, cols, matrix in blocks:
-        pivot = _pivot_rows(matrix)
-        block_inv = _invert_rational([[Fraction(int(x)) for x in row] for row in matrix[pivot]])
+        pivot, block_inv = _exact_pivots(matrix)
         # the block's inverse reads its pivots where they sit in pivot_rows
-        for j, (at, vals) in zip(cols, _sparse(block_inv)):
+        for j, (at, vals) in zip(cols, block_inv):
             inv[j] = (at + len(pivot_rows), vals)
         pivot_rows.extend(rows[pivot].tolist())
         rest.update((i, (cols[at], vals))
@@ -387,6 +386,37 @@ def _exact_solver(degrees: tuple[int, ...], d: int):
     others = np.flatnonzero(others)
     zero = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=object))
     return pivots, inv, others, [rest.get(i, zero) for i in others.tolist()]
+
+
+def _exact_pivots(matrix: np.ndarray) -> tuple[np.ndarray, list]:
+    """(pivot, inverse) of an integer ``matrix`` of full column rank r.
+
+    Its rows go, in order, into the one exact row echelon,
+    ``polynomials._eliminate``, keyed by column and tagged by the number of
+    rows filed before them, until r are filed: ``pivot`` masks those rows,
+    the first r independent ones.  Row j of ``inverse``, the exact inverse
+    of ``matrix`` on them, is the combination of the pivot rows that
+    cancels the unit vector e_j, as a (columns, Fraction entries) pair.  A
+    matrix of lower rank raises ``ValueError``.
+    """
+    r = matrix.shape[1]
+    filed: dict = {}
+    pivot = np.zeros(len(matrix), dtype=bool)
+    for i, row in enumerate(matrix.tolist()):
+        if len(filed) == r:
+            break
+        pivot[i] = _eliminate(filed, {j: int(x) for j, x in enumerate(row) if x},
+                              {len(filed): 1}, int) is None
+    if len(filed) < r:
+        raise ValueError(f"a letter-content block of {r} columns has rank {len(filed)}")
+    inverse = []
+    for j in range(r):
+        # c_r e_j + sum_t c_t (pivot row t) = 0, with c_r > 0
+        combo = _eliminate(filed, {j: 1}, {r: 1}, int)
+        at = sorted(t for t, c in combo.items() if c and t != r)
+        inverse.append((np.array(at, dtype=np.intp),
+                        np.array([Fraction(-combo[t], combo[r]) for t in at], dtype=object)))
+    return pivot, inverse
 
 
 @functools.lru_cache(maxsize=None)
@@ -471,36 +501,6 @@ def ordering_block(degrees: tuple[int, ...], d: int):
     gather = np.stack([_gather(degrees, o, d) for o in orderings])
     gather.setflags(write=False)
     return orderings, elements, gather
-
-
-def _pivot_rows(matrix: np.ndarray) -> np.ndarray:
-    """Mask of the rows where LU with partial pivoting (LAPACK getrf) puts
-    the pivots of a full-column-rank ``matrix``: getrf's row swaps, applied
-    in turn, bring them to the top."""
-    order = list(range(len(matrix)))
-    for i, p in enumerate(scipy.linalg.lapack.dgetrf(matrix)[1].tolist()):
-        order[i], order[p] = order[p], order[i]
-    pivot = np.zeros(len(matrix), dtype=bool)
-    pivot[order[:matrix.shape[1]]] = True
-    return pivot
-
-
-def _invert_rational(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(m)
-    aug = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(m)]
-    for j in range(n):
-        piv = next((i for i in range(j, n) if aug[i][j]), None)
-        if piv is None:
-            raise ValueError(f"singular pivot block: no pivot in column {j}")
-        aug[j], aug[piv] = aug[piv], aug[j]
-        inv = Fraction(1) / aug[j][j]
-        aug[j] = [x * inv for x in aug[j]]
-        for i in range(n):
-            if i != j and aug[i][j]:
-                f = aug[i][j]
-                aug[i] = [a - f * b if b else a for a, b in zip(aug[i], aug[j])]
-    return [row[n:] for row in aug]
 
 
 def _sparse(rows) -> list[tuple[np.ndarray, np.ndarray]]:

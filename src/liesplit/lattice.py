@@ -22,7 +22,11 @@ read as an anchor site plus a lexicographically positive bond offset; the
 strategy maps that pair to a tile (an operator key) and colours the tiles
 so that tiles of one colour never share a site.  Interactions on one tile
 merge into one operator.  Tile keys are wrapped modulo the extent along
-periodic axes in one place, so each tile has exactly one key.
+periodic axes in one place, so each tile has exactly one key.  One
+placement pass, ``_place``, makes the checks every tiling shares: the
+graph's dimension, periodic extents divisible by the tiling's period, and
+bond offsets among those the tiling places.  A strategy adds only its
+own precondition and its ``place``.
 """
 
 from __future__ import annotations
@@ -97,18 +101,20 @@ class InteractionGraph:
                      for a in range(self.dim))
 
     def ranges(self) -> list[tuple[int, ...]]:
-        """Per-axis distance of every interaction (periodic-aware)."""
+        """Per-axis span of every interaction: the extent of its
+        coordinates, and along a periodic axis the shortest arc holding
+        them, the extent less the largest circular gap between them."""
         pos = self.coords()
         ext = self.extents()
         out = []
         for inter in self.interactions:
-            pts = [pos[s] for s in inter]
             deltas = []
             for a in range(self.dim):
-                vals = [p[a] for p in pts]
-                d = max(vals) - min(vals)
+                vals = sorted({pos[s][a] for s in inter})
+                d = vals[-1] - vals[0]
                 if self.periodic[a]:
-                    d = min(d, ext[a] - d)
+                    gaps = [y - x for x, y in zip(vals, vals[1:])]
+                    d = ext[a] - max(gaps + [ext[a] - d])
                 deltas.append(d)
             out.append(tuple(deltas))
         return out
@@ -415,13 +421,25 @@ def validate_partition(g: InteractionGraph,
     return (not violations, violations)
 
 
-def _place(g: InteractionGraph, place) -> dict:
+def _place(g: InteractionGraph, name: str, dim: int, modulus: tuple[int, ...],
+           offsets, place) -> dict:
     """File each interaction under the (group, operator key) that
-    ``place(anchor, offset, interaction)`` picks for it."""
+    ``place(anchor, offset, interaction)`` picks for it, once the tiling
+    ``name`` has checked that ``g`` is ``dim``-dimensional, that the
+    ``modulus`` divides every periodic extent, and that every bond offset
+    lies in ``offsets`` (``None`` leaves the offsets to ``place``)."""
+    _require(g.dim == dim, f"{name} needs a {dim}d graph")
     pos, ext = g.coords(), g.extents()
+    for a in range(dim):
+        if g.periodic[a] and ext[a] % modulus[a]:
+            raise PartitionError(f"{name} needs periodic extent divisible by {modulus[a]} "
+                                 f"along axis {a}", certificate=f"extent {ext[a]}")
     groups: dict = {}
     for k, inter in enumerate(g.interactions):
-        group, key = place(*_bond_offset(pos, ext, g.periodic, inter), inter)
+        anchor, delta = _bond_offset(pos, ext, g.periodic, inter)
+        _require(offsets is None or delta in offsets, f"{name} needs nearest-neighbor bonds; "
+                 "reduce the graph first", certificate=set(inter))
+        group, key = place(anchor, delta, inter)
         groups.setdefault(group, {}).setdefault(key, []).append(k)
     return groups
 
@@ -466,23 +484,19 @@ def _require(condition: bool, message: str, certificate=None) -> None:
 
 def _partition_chain_parity(g: InteractionGraph) -> Partition:
     """Even vs odd bonds; odd periodic rings get a third group."""
-    _require(g.dim == 1, "chain strategy needs a 1d graph")
-    (length,) = g.extents()
+    for inter in g.interactions:
+        _require(len(inter) <= 2, "chain-parity expects 2-local bonds", certificate=set(inter))
+    length = g.extents()[0]
     odd_ring = g.periodic[0] and length % 2
 
     def place(anchor, delta, inter):
-        _require(len(inter) <= 2, "chain-parity expects 2-local bonds",
-                 certificate=set(inter))
-        _require(len(inter) == 1 or delta == (1,), "chain-parity needs "
-                 "nearest-neighbor bonds; reduce the graph first",
-                 certificate=set(inter))
         # an on-site term rides along with the bond anchored at its site;
         # an odd ring's wrap bond has odd parity on both ends
         (x,) = anchor
         wrap = odd_ring and delta == (1,) and x == length - 1
         return 2 if wrap else x % 2, ("bond", x)
 
-    groups = _place(g, place)
+    groups = _place(g, "chain-parity", 1, (1,), {(0,), (1,)}, place)
     certificate = None
     if 2 in groups:
         certificate = (f"odd periodic ring of length {length}: bond "
@@ -492,13 +506,8 @@ def _partition_chain_parity(g: InteractionGraph) -> Partition:
 
 def _partition_chain_window3(g: InteractionGraph) -> Partition:
     """Width-3 windows keyed by min site mod 3 (NN + NNN chains)."""
-    _require(g.dim == 1, "chain strategy needs a 1d graph")
     pos = g.coords()
-    (length,) = g.extents()
-    if g.periodic[0] and length % 3:
-        raise PartitionError("periodic window-3 tiling needs length "
-                             "divisible by 3",
-                             certificate=f"length {length} % 3 != 0")
+    length = g.extents()[0]
 
     def place(anchor, delta, inter):
         # windows take interactions of any size, so read every member
@@ -513,16 +522,7 @@ def _partition_chain_window3(g: InteractionGraph) -> Partition:
                  certificate=set(inter))
         return start % 3, ("window", start)
 
-    return _finish(g, _place(g, place))
-
-
-def _wrap_ok(g: InteractionGraph, modulus: tuple[int, ...], what: str):
-    ext = g.extents()
-    for a in range(g.dim):
-        if g.periodic[a] and ext[a] % modulus[a]:
-            raise PartitionError(
-                f"{what} needs periodic extent divisible by {modulus[a]} "
-                f"along axis {a}", certificate=f"extent {ext[a]}")
+    return _finish(g, _place(g, "chain-window3", 1, (3,), None, place))
 
 
 def _bond_offset(pos, ext, periodic, inter):
@@ -544,14 +544,9 @@ def _bond_offset(pos, ext, periodic, inter):
 
 def _partition_square_4site(g: InteractionGraph) -> Partition:
     """2x2-plaquette checkerboard: two groups of four-site operators."""
-    _require(g.dim == 2, "square strategy needs a 2d graph")
-    _wrap_ok(g, (2, 2), "plaquette checkerboard")
     ext = g.extents()
 
     def place(anchor, delta, inter):
-        _require(delta in _SQUARE_OFFSETS,
-                 "plaquette checkerboard needs nearest-neighbor bonds",
-                 certificate=set(inter))
         # a bond of parity c along its axis lies in the cell whose corner
         # has parity c along that axis and even parity across it
         x, y = anchor
@@ -560,33 +555,26 @@ def _partition_square_4site(g: InteractionGraph) -> Partition:
         cy = y if delta == (0, 1) else y - (y - group) % 2
         return group, ("cell", *_wrap(g, ext, cx, cy))
 
-    return _finish(g, _place(g, place))
+    return _finish(g, _place(g, "square-4site", 2, (2, 2), _SQUARE_OFFSETS, place))
 
 
 def _partition_square_3site(g: InteractionGraph) -> Partition:
     """L-shaped triples anchored at the bond corner, 3-colored."""
-    _require(g.dim == 2, "square strategy needs a 2d graph")
-    _wrap_ok(g, (3, 3), "L-triple coloring")
 
     def place(anchor, delta, inter):
-        _require(delta in _SQUARE_OFFSETS,
-                 "L-triple strategy needs nearest-neighbor bonds",
-                 certificate=set(inter))
         x, y = anchor
         return (x + 2 * y) % 3, ("anchor", x, y)
 
-    return _finish(g, _place(g, place))
+    return _finish(g, _place(g, "square-3site", 2, (3, 3), _SQUARE_OFFSETS, place))
 
 
 def _partition_triangular(g: InteractionGraph) -> Partition:
     """Triangle plaquettes three-colored so same-color ones are disjoint."""
-    _require(g.dim == 2, "triangular strategy needs a 2d graph")
     offs = _signed_offsets(g)
     diagonal = _triangular_diagonal(offs)
     if diagonal is None:
         raise PartitionError("not a triangular-adjacency graph",
                              certificate=sorted(offs - _SQUARE_OFFSETS))
-    _wrap_ok(g, (3, 3), "triangle three-coloring")
     ext = g.extents()
 
     def place(anchor, delta, inter):
@@ -602,13 +590,12 @@ def _partition_triangular(g: InteractionGraph) -> Partition:
         a, b = _wrap(g, ext, x - 1 if delta == (0, 1) else x, y)
         return (a + b) % 3, ("face", a, b)
 
-    return _finish(g, _place(g, place))
+    return _finish(g, _place(g, "triangular-plaquette", 2, (3, 3),
+                             _SQUARE_OFFSETS | {diagonal}, place))
 
 
 def _partition_honeycomb(g: InteractionGraph) -> Partition:
     """Edge directions of the brick-wall honeycomb: three 2-site groups."""
-    _require(g.dim == 2, "honeycomb strategy needs a 2d graph")
-    _wrap_ok(g, (2, 2), "brick-wall edge coloring")
     pos = g.coords()
     ext = g.extents()
     degree: dict[tuple[int, int], int] = {}
@@ -621,8 +608,6 @@ def _partition_honeycomb(g: InteractionGraph) -> Partition:
                              "honeycomb", certificate=max(degree.values()))
 
     def place(anchor, delta, inter):
-        _require(delta in _SQUARE_OFFSETS, "honeycomb strategy needs "
-                 "nearest-neighbor bonds", certificate=set(inter))
         x, y = anchor
         _require(delta != (0, 1) or (x + y) % 2 == 0, "a vertical bond "
                  "starts on an odd site; not a brick-wall honeycomb",
@@ -634,20 +619,14 @@ def _partition_honeycomb(g: InteractionGraph) -> Partition:
             y -= (x + y) % 2
         return 2, ("bond", *_wrap(g, ext, x, y))
 
-    return _finish(g, _place(g, place))
+    return _finish(g, _place(g, "hexagonal-edges", 2, (2, 2), _SQUARE_OFFSETS, place))
 
 
 def _partition_kagome(g: InteractionGraph) -> Partition:
     """Up vs down triangles; each Kagome bond lies in exactly one."""
-    _require(g.dim == 2, "Kagome strategy needs a 2d graph")
-    _wrap_ok(g, (2, 2), "triangle parity classes")
-    pos = g.coords()
-    present = set(pos.values())
-    if any(x % 2 == 0 and y % 2 == 0 for x, y in present):
-        raise PartitionError("not a Kagome graph: even-even sites present",
-                             certificate=sorted(
-                                 c for c in present
-                                 if c[0] % 2 == 0 and c[1] % 2 == 0)[:3])
+    even = sorted(c for c in set(g.coords().values()) if not any(v % 2 for v in c))
+    if even:
+        raise PartitionError("not a Kagome graph: even-even sites present", certificate=even[:3])
     ext = g.extents()
 
     def place(anchor, delta, inter):
@@ -660,16 +639,15 @@ def _partition_kagome(g: InteractionGraph) -> Partition:
         candidates = {(0, 0): [(0, x - x % 2, y - 1 + y % 2)],
                       (1, 0): [(0, x, y), (1, x, y - 1)],
                       (0, 1): [(0, x - 1, y), (1, x, y)],
-                      (1, 1): [(0, x, y), (1, x, y)]}.get(delta)
-        _require(candidates is not None, "Kagome strategy needs "
-                 "nearest-neighbor bonds", certificate=set(inter))
+                      (1, 1): [(0, x, y), (1, x, y)]}[delta]
         for group, a, b in candidates:
             if a % 2 == group != b % 2:
                 return group, (("up", "down")[group], *_wrap(g, ext, a, b))
         raise PartitionError("bond not inside any Kagome triangle",
                              certificate=set(inter))
 
-    return _finish(g, _place(g, place))
+    return _finish(g, _place(g, "kagome-triangles", 2, (2, 2),
+                             _SQUARE_OFFSETS | {(1, 1)}, place))
 
 
 def _partition_greedy(g: InteractionGraph) -> Partition:

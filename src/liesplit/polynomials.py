@@ -38,7 +38,9 @@ Exponent tuples appear only at the public edge: the constructor, ``terms``,
 
 The Groebner machinery is plain Buchberger with the Gebauer-Moeller pair
 criteria, adequate for the desk-scale ideals that arise here.  Division
-takes leading terms from a heap and reduces on integer numerators.  Real
+takes leading terms from a heap and reduces on integer numerators, as
+does the one exact row echelon, ``_eliminate``, behind the exact Hall
+solve and the minimal polynomials of ``constraints``.  Real
 roots of univariate eliminants are counted with a Sturm chain formed as a
 primitive remainder sequence over the integers (Brown & Traub, J. ACM
 18:505, 1971): each pseudo-remainder is scaled by a positive factor and
@@ -430,6 +432,49 @@ def dot(start, lefts: Sequence, rights: Sequence):
         if na and nb:
             pairs.append((na, nb, da * db))
     return _sum_products(variables, *_operand(start, variables), pairs)
+
+
+def _eliminate(filed: dict, row: dict, combo: dict, key: Callable[[int], int]) -> dict | None:
+    """Add an integer ``row`` ({key: int}) to the fraction-free row echelon
+    ``filed``, carrying its combination ``combo`` ({tag: int}) of the
+    added rows along; both dicts are consumed.
+
+    ``filed`` maps each lead to (its numerator, the rest of its row, its
+    combination).  The row is reduced by the filed rows, leads largest
+    ``key`` first through a heap of negated keys, and is only ever scaled
+    by positive integers.  A row that reduces to zero is not filed: its
+    combination is returned, and the added rows weighted by it sum to
+    zero, its own tag's weight positive.  Any other row is divided by the
+    content of row and combination together and filed under its lead,
+    and None is returned.  The exact Hall solve and the eliminant of
+    ``constraints`` run on it."""
+    heap = [(-key(e), e) for e in row]
+    heapify(heap)
+    while heap:
+        lead = heappop(heap)[1]
+        c = row.pop(lead)
+        if not c:
+            continue
+        hit = filed.get(lead)
+        if hit is None:
+            g = gcd(c, *row.values(), *combo.values())
+            filed[lead] = (c // g, {e: q // g for e, q in row.items() if q},
+                           {j: q // g for j, q in combo.items()})
+            return None
+        # (row, combo) - c/pc * filed row, scaled by a = |pc|/h > 0
+        pc, prow, pcombo = hit
+        h = gcd(c, pc)
+        a, b = abs(pc) // h, (c if pc > 0 else -c) // h
+        if a != 1:
+            row = {e: q * a for e, q in row.items()}
+            combo = {j: q * a for j, q in combo.items()}
+        for e, q in prow.items():
+            if e not in row:
+                heappush(heap, (-key(e), e))
+            row[e] = row.get(e, 0) - b * q
+        for j, q in pcombo.items():
+            combo[j] = combo.get(j, 0) - b * q
+    return combo
 
 
 # ---------------------------------------------------------------- division

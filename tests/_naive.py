@@ -42,12 +42,12 @@ from itertools import permutations
 from math import factorial
 
 import numpy as np
-import scipy.linalg
+import sympy
 
 from liesplit.constraints import symbolic_log
 from liesplit.free_algebra import (NCSeries, _word_position, concat_index, degree_offsets,
                                    degree_words, make_alphabet, mul)
-from liesplit.hall import _invert_rational, _sparse, build_hall_basis, hall_degree, lie_coordinates
+from liesplit.hall import _sparse, build_hall_basis, hall_degree, lie_coordinates
 from liesplit.optimizer import _NEWTON_STEPS, _RESIDUAL_TOL, ManifoldError
 from liesplit.polynomials import GREVLEX, normal_form, s_polynomial
 from liesplit.schemes import (_NON_LIE_TOL, _TIE_RTOL, ErrorReport, _basis_for, _check_lie,
@@ -298,20 +298,40 @@ def n_expansion_matrix(degrees, d: int):
 
 def n_exact_solver(degrees, d: int):
     """``hall._exact_solver`` from the dense M of ``n_expansion_matrix``:
-    each block's pivot rows from the permutation of ``scipy.linalg.lu``,
-    M on the other rows read off M's dense rows."""
+    each block's pivot rows, its first independent ones, as the pivot
+    columns of the block's transpose in sympy's reduced row echelon form,
+    inverted by ``n_inverse``, and M on the other rows read off M's dense
+    rows."""
     m, blocks = n_expansion_matrix(degrees, d)
     pivot_rows, inv = [], [None] * m.shape[1]
     for rows, cols in blocks:
-        perm = scipy.linalg.lu(m[np.ix_(rows, cols)], p_indices=True)[0]
-        block_pivots = rows[perm < len(cols)]
-        block_inv = _invert_rational([[Fraction(int(x)) for x in m[i, cols]] for i in block_pivots])
+        block = m[np.ix_(rows, cols)].astype(int)
+        block_pivots = rows[list(sympy.Matrix(block).T.rref()[1])]
+        block_inv = n_inverse([[Fraction(int(x)) for x in m[i, cols]] for i in block_pivots])
         for j, (at, vals) in zip(cols, _sparse(block_inv)):
             inv[j] = (at + len(pivot_rows), vals)
         pivot_rows.extend(block_pivots.tolist())
     pivots = np.array(pivot_rows, dtype=np.intp)
     others = np.setdiff1d(np.arange(len(m)), pivots)
     return pivots, inv, others, _sparse(m[others])
+
+
+def n_inverse(m: list[list[Fraction]]) -> list[list[Fraction]]:
+    """The inverse of a square ``Fraction`` matrix by Gauss-Jordan
+    elimination on [m | I], each column's first nonzero entry its pivot."""
+    n = len(m)
+    aug = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
+           for i, row in enumerate(m)]
+    for j in range(n):
+        piv = next(i for i in range(j, n) if aug[i][j])
+        aug[j], aug[piv] = aug[piv], aug[j]
+        inv = Fraction(1) / aug[j][j]
+        aug[j] = [x * inv for x in aug[j]]
+        for i in range(n):
+            if i != j and aug[i][j]:
+                f = aug[i][j]
+                aug[i] = [a - f * b if b else a for a, b in zip(aug[i], aug[j])]
+    return [row[n:] for row in aug]
 
 
 def n_hall_basis(degrees, D: int, ordering) -> dict:

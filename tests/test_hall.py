@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse
+import sympy
 from hypothesis import given, settings, strategies as st
 from sympy import divisors
 from sympy.functions.combinatorial.numbers import mobius
@@ -30,11 +31,11 @@ from liesplit.hall import (
     expand_hall,
     hall_degree,
     hall_str,
+    _exact_pivots,
     _exact_solver,
     _expansion_matrix,
     _float_solver,
     _gather,
-    _invert_rational,
     _mobius,
     lie_coordinates,
     ordering_block,
@@ -102,6 +103,16 @@ def test_import_loads_no_sympy():
     src = str(Path(liesplit.__file__).parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import liesplit; "
             "print(any(m.split('.')[0] == 'sympy' for m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code, src],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_import_loads_no_scipy_linalg():
+    # a fresh interpreter: the exact Hall solve picks its pivots itself
+    src = str(Path(liesplit.__file__).parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import liesplit; "
+            "print('scipy.linalg' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code, src],
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
@@ -652,9 +663,9 @@ def test_float_coords_match_dense_least_squares(degrees, D):
 
 @pytest.mark.parametrize("degrees,D", SOLVER_CASES)
 def test_lu_pivot_block_is_exactly_invertible(degrees, D):
-    """The rows a float LU picks hold an exactly invertible integer block,
-    and ``exact_solver`` holds its exact inverse, for the unit alphabets
-    and the graded alphabets of ``symbolic_log``."""
+    """The pivot rows of ``exact_solver`` hold an exactly invertible
+    integer block, and ``exact_solver`` holds its exact inverse, for the
+    unit alphabets and the graded alphabets of ``symbolic_log``."""
     alphabet = make_alphabet([f"Z{k}" for k in range(len(degrees))], degrees)
     basis = build_hall_basis(alphabet, D)
     for d in range(1, D + 1):
@@ -731,9 +742,9 @@ def test_stacked_pinv_equals_each_block_pinv(degrees, D):
 @pytest.mark.parametrize("degrees,D", [((1, 1), 8), ((1, 1, 1), 6), ((1, 1, 1, 1), 4),
                                        ((1, 3, 5, 7), 9), ((1, 2, 3), 7)])
 def test_exact_solver_matches_dense_rows(degrees, D):
-    """The pivots from getrf's row swaps, the inverse, the other rows and
-    M on them read from the blocks equal those from scipy's LU
-    permutation and M's dense rows."""
+    """The pivots, each block's first independent rows, the inverse, the
+    other rows and M on them read from the blocks equal those from sympy's
+    row echelon form of each block's transpose and M's dense rows."""
     def listed(rows):
         return [(at.tolist(), list(vals)) for at, vals in rows]
 
@@ -786,9 +797,44 @@ def test_cold_tables_live_in_module_caches():
     assert [t.cache_info().currsize for t in layout] == [0]
 
 
-def test_invert_rational_names_the_singular_column():
-    with pytest.raises(ValueError, match="column 1"):
-        _invert_rational([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+def _integer_block(rng, height, width, rank):
+    """A random height x width integer matrix of the given rank, the
+    product of random integer factors."""
+    while True:
+        left = np.array([[rng.randint(-2, 2) for _ in range(rank)] for _ in range(height)])
+        right = np.array([[rng.randint(-2, 2) for _ in range(width)] for _ in range(rank)])
+        block = (left @ right).astype(float)
+        if np.linalg.matrix_rank(block) == rank:
+            return block
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_exact_pivots_are_the_first_independent_rows(seed):
+    """On random full-column-rank integer blocks, square and tall, the
+    pivots are the first independent rows (the pivot columns of the
+    transpose's reduced row echelon form) and the inverse times the block
+    on them is exactly the identity."""
+    rng = random.Random(seed)
+    width = rng.randint(1, 6)
+    block = _integer_block(rng, width + rng.randint(0, 6), width, width)
+    block = np.vstack([block[:1], -2 * block[:1], block[1:]])  # row 1 depends on row 0
+    pivot, inverse = _exact_pivots(block)
+    first = list(sympy.Matrix(block.astype(int)).T.rref()[1])
+    assert np.flatnonzero(pivot).tolist() == first
+    square = block[pivot].astype(int).tolist()
+    for j, (at, vals) in enumerate(inverse):
+        row = [sum((v * square[t][k] for t, v in zip(at, vals)), Fraction(0))
+               for k in range(width)]
+        assert row == [int(k == j) for k in range(width)], j
+
+
+def test_exact_pivots_name_the_rank_of_a_singular_block():
+    with pytest.raises(ValueError, match="2 columns has rank 1$"):
+        _exact_pivots(np.array([[1.0, 2.0], [2.0, 4.0], [-3.0, -6.0]]))
+    rng = random.Random(0)
+    for width, rank in ((3, 2), (5, 2), (6, 5)):
+        with pytest.raises(ValueError, match=f"{width} columns has rank {rank}$"):
+            _exact_pivots(_integer_block(rng, width + 2, width, rank))
 
 
 def test_series_beyond_basis_truncation_rejected():

@@ -93,6 +93,20 @@ def test_ranges_see_periodic_wrap():
     assert len(open_chain.interactions) == 7
 
 
+def test_periodic_range_of_a_three_site_interaction_is_its_shortest_arc():
+    # {7, 0, 1} on an 8-site ring spans the arc 7-0-1 of length 2; the
+    # spread of its raw coordinates, 7, wraps to 1
+    ring = build_chain(8, periodic=True)
+    g = InteractionGraph(1, ring.sites, ring.interactions + (frozenset({7, 0, 1}),),
+                         ring.periodic)
+    assert g.ranges() == ring.ranges() + [(2,)]
+    reduced, maps = reduce_to_nearest_neighbor(g)
+    assert [m.block_shape for m in maps] == [(2,)]
+    part = partition(reduced)
+    assert part.n == 2
+    assert_valid(reduced, part)
+
+
 def test_kagome_site_count():
     g = build_kagome(4, 4)
     # even-even positions removed: 16 - 4

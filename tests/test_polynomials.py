@@ -20,6 +20,7 @@ from liesplit.polynomials import (
     LEX,
     MAX_EXPONENT,
     MultiPoly,
+    _eliminate,
     buchberger_basis,
     dot,
     is_square_free,
@@ -573,3 +574,34 @@ def test_dot_rejects_mismatched_variable_tuples():
     for args in ((0, [x], [other]), (other, [x], [y]), (0, [Fraction(1), x], [other, y])):
         with pytest.raises(ValueError, match="different variable tuples"):
             dot(*args)
+
+
+# ----------------------------------------------------------- elimination
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_eliminate_returns_a_vanishing_combination(seed):
+    """Seeded integer rows, random ones and combinations of the rows
+    before them, go into ``_eliminate`` one at a time under a shuffled
+    key: the filed rows are as many as sympy's rank, and each
+    row that files nothing returns a combination of the added rows,
+    positive on its own tag, whose weighted sum is exactly zero."""
+    rng = random.Random(seed)
+    width = rng.randint(1, 6)
+    order = list(range(width))
+    rng.shuffle(order)
+    rows: list[list[int]] = []
+    filed: dict = {}
+    for tag in range(3 * width + 2):
+        if rows and rng.random() < 0.5:
+            row = [sum(rng.randint(-2, 2) * r[j] for r in rows) for j in range(width)]
+        else:
+            row = [rng.randint(-4, 4) for _ in range(width)]
+        rows.append(row)
+        combo = _eliminate(filed, {j: v for j, v in enumerate(row) if v}, {tag: 1},
+                           order.__getitem__)
+        assert len(filed) == sympy.Matrix(rows).rank(), tag
+        if combo is not None:
+            assert combo[tag] > 0
+            assert all(sum(c * rows[t][j] for t, c in combo.items()) == 0
+                       for j in range(width)), tag
